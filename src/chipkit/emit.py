@@ -10,8 +10,10 @@ revision it was rendered from.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import regdb as rdb
@@ -135,6 +137,11 @@ def _free_offset(db: RegDb, cfg: EmitConfig) -> int | None:
     return None
 
 
+def _hash(db: RegDb, db_hash: Callable[[], int] | None) -> int:
+    """The database hash from the caller's shared source, else computed here."""
+    return rdb.db_hash(db) if db_hash is None else db_hash()
+
+
 def _sv_banner(title: str, hash32: int) -> list[str]:
     rule = "// " + "-" * 66
     return [
@@ -148,12 +155,13 @@ def _sv_banner(title: str, hash32: int) -> list[str]:
 # ---------------------------------------------------------------------------
 # RTL
 
-def emit_csr_rtl(db: RegDb, cfg: EmitConfig) -> str:
+def emit_csr_rtl(db: RegDb, cfg: EmitConfig,
+                 db_hash: Callable[[], int] | None = None) -> str:
     """Synthesizable register block: write decode, one flop bank per RW entry,
     read mux over all offsets with the ID register at 0x0."""
     cfg.validate()
     _check_region(db, cfg)
-    hash32 = rdb.db_hash(db)
+    hash32 = _hash(db, db_hash)
     entries = _sorted_entries(db)
     active = [e for e in entries if e.state == ACTIVE]
     retired = [e for e in entries if e.state == RETIRED]
@@ -250,10 +258,11 @@ def emit_csr_rtl(db: RegDb, cfg: EmitConfig) -> str:
     return "\n".join(lines)
 
 
-def emit_instantiation_template(db: RegDb, cfg: EmitConfig) -> str:
+def emit_instantiation_template(db: RegDb, cfg: EmitConfig,
+                                db_hash: Callable[[], int] | None = None) -> str:
     """Copy-paste instantiation of the generated block, one named connection per port."""
     cfg.validate()
-    hash32 = rdb.db_hash(db)
+    hash32 = _hash(db, db_hash)
     active = [e for e in _sorted_entries(db) if e.state == ACTIVE]
     mod = f"{cfg.block_name}_csr"
     conns = [("clock", "clock"), ("reset_n", "reset_n")]
@@ -287,9 +296,10 @@ def _doc_rows(db: RegDb, cfg: EmitConfig, hash32: int):
     return rows
 
 
-def emit_markdown(db: RegDb, cfg: EmitConfig) -> str:
+def emit_markdown(db: RegDb, cfg: EmitConfig,
+                  db_hash: Callable[[], int] | None = None) -> str:
     cfg.validate()
-    hash32 = rdb.db_hash(db)
+    hash32 = _hash(db, db_hash)
     header = "| name | address | width | access | reset | description |"
     divider = "|---|---|---|---|---|---|"
 
@@ -315,10 +325,11 @@ def emit_markdown(db: RegDb, cfg: EmitConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_sw_views(db: RegDb, cfg: EmitConfig) -> tuple[str, str]:
+def emit_sw_views(db: RegDb, cfg: EmitConfig,
+                  db_hash: Callable[[], int] | None = None) -> tuple[str, str]:
     """C header and Python definitions for the active register set."""
     cfg.validate()
-    hash32 = rdb.db_hash(db)
+    hash32 = _hash(db, db_hash)
     block = _macro_name(cfg.block_name)
     guard = f"{block}_REGS_H"
     rows = _doc_rows(db, cfg, hash32)
@@ -361,12 +372,13 @@ def emit_sw_views(db: RegDb, cfg: EmitConfig) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # self test
 
-def emit_selftest(db: RegDb, cfg: EmitConfig) -> TestScript:
+def emit_selftest(db: RegDb, cfg: EmitConfig,
+                  db_hash: Callable[[], int] | None = None) -> TestScript:
     """Bring-up script: ID check, write/read-back over every active register,
     and one probe of an in-region offset with no register behind it."""
     cfg.validate()
     _check_region(db, cfg)
-    hash32 = rdb.db_hash(db)
+    hash32 = _hash(db, db_hash)
     base = cfg.base_address
     sc = TestScript()
     sc.add(read_command(base + ID_REG_OFFSET), format_word(hash32),
@@ -420,7 +432,8 @@ def diag_select_bits(n_signals: int) -> int:
     return (n_signals - 1).bit_length()
 
 
-def emit_diag_mux(diags: list[DiagCandidate], n_pins: int, db: RegDb, cfg: EmitConfig) -> str:
+def emit_diag_mux(diags: list[DiagCandidate], n_pins: int, db: RegDb, cfg: EmitConfig,
+                  db_hash: Callable[[], int] | None = None) -> str:
     """Observation mux: every diagnostic tap in, n_pins out, per-pin select
     fields sliced from the memory-mapped cfg_diag_sel register."""
     cfg.validate()
@@ -438,7 +451,7 @@ def emit_diag_mux(diags: list[DiagCandidate], n_pins: int, db: RegDb, cfg: EmitC
             f"cfg_diag_sel is {sel_entry.width_bits} bits; need {sel_bits * n_pins} "
             f"for {len(names)} signals on {n_pins} pins")
 
-    hash32 = rdb.db_hash(db)
+    hash32 = _hash(db, db_hash)
     mod = f"{cfg.block_name}_diag_mux"
     lines = _sv_banner(f"{mod}: diagnostic pin observation mux", hash32)
     lines += ["", f"module {mod} ("]
@@ -525,28 +538,31 @@ def render_targets(
     atomically or not at all.
     """
     cfg.validate()
+    # taken once, by the first emitter that needs it, after that emitter's own
+    # checks: errors surface in the same order as with one hash per emitter
+    db_hash = functools.cache(lambda: rdb.db_hash(db))
     out: dict[str, str] = {}
     c_text = py_text = None
     for target in cfg.targets:
         name = output_name(target, cfg)
         if target == "rtl":
-            out[name] = emit_csr_rtl(db, cfg)
+            out[name] = emit_csr_rtl(db, cfg, db_hash)
         elif target == "inst":
-            out[name] = emit_instantiation_template(db, cfg)
+            out[name] = emit_instantiation_template(db, cfg, db_hash)
         elif target == "md":
-            out[name] = emit_markdown(db, cfg)
+            out[name] = emit_markdown(db, cfg, db_hash)
         elif target in ("c", "py"):
             if c_text is None:
-                c_text, py_text = emit_sw_views(db, cfg)
+                c_text, py_text = emit_sw_views(db, cfg, db_hash)
             out[name] = c_text if target == "c" else py_text
         elif target == "test":
-            out[name] = save_script(emit_selftest(db, cfg))
+            out[name] = save_script(emit_selftest(db, cfg, db_hash))
         elif target == "memmap":
             if memmap is None:
                 raise ConfigError("memmap target needs a memory map file")
             out[name] = emit_memmap_header(memmap)
         elif target == "diag":
-            out[name] = emit_diag_mux(diags or [], cfg.diag_pins, db, cfg)
+            out[name] = emit_diag_mux(diags or [], cfg.diag_pins, db, cfg, db_hash)
         elif target == "pads":
             out[name] = emit_pad_script(pads if pads is not None else PadDb())
     return out

@@ -12,12 +12,11 @@ can never silently re-bind an address across chip revisions.
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .sv_scan import ACCESS_RO, ACCESS_RW, CsrCandidate
 
@@ -257,10 +256,20 @@ def allocate_offsets(db: RegDb, region_size_bytes: int | None = None) -> RegDb:
     Retired entries keep their offsets reserved; existing assignments never
     move.
     """
-    new = copy.deepcopy(db)
+    new = _copy_db(db)
     _allocate_in_place(new.entries, region_size_bytes)
     new.entries.sort(key=lambda e: e.offset_bytes)
     return new
+
+
+def _copy_db(db: RegDb) -> RegDb:
+    """Copy whose entries can be changed without touching db.
+
+    Every RegEntry field but extra is an immutable scalar or string, so a
+    shallow copy per entry plus a copy of its extra dict is a full copy.
+    """
+    entries = [replace(e, extra=dict(e.extra)) for e in db.entries]
+    return RegDb(entries=entries, columns=list(db.columns), schema_version=db.schema_version)
 
 
 def _allocate_in_place(entries: list[RegEntry], region_size_bytes: int | None) -> None:
@@ -302,8 +311,7 @@ def update_db(
     if scanned_modules is None:
         scanned_modules = {c.origin_module for c in candidates}
 
-    new = RegDb(entries=copy.deepcopy(db.entries), columns=list(db.columns),
-                schema_version=db.schema_version)
+    new = _copy_db(db)
     report = ChangeReport()
     by_name = {e.name: e for e in new.entries}
 

@@ -137,38 +137,30 @@ class NamingConvention:
         return name.endswith(affix)
 
 
+# One match per comment or string, in scan order. A block comment with no
+# closing "*/" falls through to the bare "/*" alternative, whose group 1 is
+# set. A string ends at its closing quote, at an unescaped newline (left
+# unmasked) or at the end of the text; a backslash escapes any next
+# character, a newline included. Every alternative starts with a literal
+# '/' or '"', which lets the regex engine skip the text in between at C speed.
+_MASKABLE_RE = re.compile(r'''//[^\n]*|/\*.*?\*/|/(\*)|"(?:[^"\\\n]|\\(?:.|\Z))*"?''', re.S)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+
+
 def mask_comments_and_strings(src: SourceFile) -> str:
-    """Blank comments and string literals, preserving offsets and newlines."""
-    text = src.content
-    out = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "/" and text.startswith("//", i):
-            end = text.find("\n", i)
-            end = n if end < 0 else end
-            out[i:end] = " " * (end - i)
-            i = end
-        elif c == "/" and text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise MalformedSource(src.path, src.line_of(i), "unterminated block comment")
-            for k in range(i, end + 2):
-                if out[k] != "\n":
-                    out[k] = " "
-            i = end + 2
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] not in ('"', "\n"):
-                j += 2 if text[j] == "\\" else 1
-            end = min(j + 1, n) if j < n and text[j] == '"' else min(j, n)
-            for k in range(i, end):
-                if out[k] != "\n":
-                    out[k] = " "
-            i = max(end, i + 1)
-        else:
-            i += 1
-    return "".join(out)
+    """Blank comments and string literals, preserving offsets and newlines.
+
+    A precompiled regex jumps from one "//", "/*" or '"' to the next; the text
+    between them is kept verbatim and each comment or string is replaced by
+    spaces, except for the newlines inside it.
+    """
+    def blank(m: re.Match) -> str:
+        if m.group(1):
+            raise MalformedSource(src.path, src.line_of(m.start()), "unterminated block comment")
+        text = m.group()
+        return _NOT_NEWLINE_RE.sub(" ", text) if "\n" in text else " " * len(text)
+
+    return _MASKABLE_RE.sub(blank, src.content)
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -191,16 +183,20 @@ _SIGNAL_DECL_RE = re.compile(
 )
 
 
+_PAREN_RE = re.compile(r"[()]")
+_BRACKET_OR_COMMA_RE = re.compile(r"[()\[\]{},]")
+
+
 def _match_paren(text: str, start: int, limit: int) -> int | None:
     """Index one past the ')' matching the '(' at start, or None."""
     depth = 0
-    for i in range(start, limit):
-        if text[i] == "(":
+    for m in _PAREN_RE.finditer(text, start, limit):
+        if m.group() == "(":
             depth += 1
-        elif text[i] == ")":
+        else:
             depth -= 1
             if depth == 0:
-                return i + 1
+                return m.end()
     return None
 
 
@@ -208,14 +204,16 @@ def _split_top_commas(text: str, base: int) -> list[tuple[str, int]]:
     parts = []
     depth = 0
     start = 0
-    for i, ch in enumerate(text):
-        if ch in "([{":
+    for m in _BRACKET_OR_COMMA_RE.finditer(text):
+        ch = m.group()
+        if ch == ",":
+            if depth == 0:
+                parts.append((text[start:m.start()], base + start))
+                start = m.end()
+        elif ch in "([{":
             depth += 1
-        elif ch in ")]}":
+        else:
             depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append((text[start:i], base + start))
-            start = i + 1
     parts.append((text[start:], base + start))
     return [(t, off) for t, off in parts if t.strip()]
 

@@ -1,9 +1,16 @@
+import os
 import shutil
 from pathlib import Path
 
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# child processes (python -m chipkit, scripts) may run from a temporary
+# project directory, where a relative PYTHONPATH entry would not resolve
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 
 @pytest.fixture

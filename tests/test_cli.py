@@ -31,6 +31,24 @@ def proj(project_dir, monkeypatch):
     return project_dir
 
 
+class TestGolden:
+    """Byte identity of the fixture project's outputs. The digests were taken
+    before the scanner, merge and render paths were optimized; a change that
+    alters any of them changes what users get, not only how fast."""
+
+    TREE_SHA256 = "3c5fd8846afe76c664e321f2f2ca03405fee047357e38028d9486a5b24f5ed01"
+    REGS_SHA256 = "9260fb8812d8c075144c3e4d1c0296cc2e1c292b5caad728d9425d3fc2eb5c98"
+    REPORT_SHA256 = "819a3cce546a4d59a59614ad1ca803b31a84745f55c778af15cf1c8ecbf94d37"
+
+    def test_update_and_generate_are_byte_identical(self, proj, capsys):
+        assert main(["update"]) == 0
+        report = capsys.readouterr().out
+        assert main(["generate", "--out", "gen"]) == 0
+        assert hashlib.sha256(report.encode()).hexdigest() == self.REPORT_SHA256
+        assert hashlib.sha256((proj / "regs.csv").read_bytes()).hexdigest() == self.REGS_SHA256
+        assert tree_digest(proj / "gen") == self.TREE_SHA256
+
+
 class TestUpdate:
     def test_fresh_scan_creates_db(self, proj, capsys):
         assert main(["update"]) == 0

@@ -327,3 +327,52 @@ class TestDeterminismAndClosure:
             EmitConfig(base_address=0x100, csr_region_size_bytes=0x1000).validate()
         with pytest.raises(ConfigError):
             EmitConfig(targets=("rtl", "bogus")).validate()
+
+
+class TestOneHashPerRender:
+    @pytest.fixture
+    def hash_calls(self, monkeypatch):
+        calls = []
+        real = regdb.db_hash
+
+        def counting(db):
+            calls.append(db)
+            return real(db)
+
+        monkeypatch.setattr(regdb, "db_hash", counting)
+        return calls
+
+    def _full_render(self):
+        db = make_db(cand("cfg_a"), cand("sts_b", 1, "RO"),
+                     CsrCandidate("cfg_diag_sel", 2, "RW", "myblk_diag_mux", 0))
+        m = MemoryMap([Region("csr0", "csr", 0x70000000, 0x1000)])
+        return db, emit.render_targets(db, CFG, memmap=m, diags=[DiagCandidate("diag_z", "m1")],
+                                       pads=PadDb())
+
+    def test_render_targets_hashes_once(self, hash_calls):
+        db, out = self._full_render()
+        assert len(out) == len(emit.ALL_TARGETS)
+        assert hash_calls == [db]
+
+    def test_render_matches_direct_emitters(self, hash_calls):
+        db, out = self._full_render()
+        assert out[emit.output_name("rtl", CFG)] == emit.emit_csr_rtl(db, CFG)
+        assert out[emit.output_name("md", CFG)] == emit.emit_markdown(db, CFG)
+        assert len(hash_calls) == 3  # called directly, each emitter hashes for itself
+
+    def test_no_hash_without_hashing_target(self, hash_calls):
+        cfg = EmitConfig(block_name="myblk", base_address=0x70000000, targets=("pads",))
+        emit.render_targets(GAIN_DB, cfg)
+        assert hash_calls == []
+
+    def test_config_errors_precede_the_hash(self, hash_calls):
+        # an unallocated entry makes db_hash itself raise InvariantError
+        db = RegDb(entries=[RegEntry("cfg_a", 8, "RW"), RegEntry("cfg_b", 8, "RW")])
+        small = EmitConfig(block_name="myblk", base_address=0x70000000, csr_region_size_bytes=8)
+        with pytest.raises(ConfigError, match="too small"):
+            emit.render_targets(db, small)
+        with pytest.raises(ConfigError, match="memmap target needs"):
+            emit.render_targets(db, EmitConfig(targets=("memmap", "rtl")))
+        with pytest.raises(regdb.InvariantError):
+            emit.render_targets(db, EmitConfig(targets=("md",)))
+        assert len(hash_calls) == 1

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -293,3 +295,51 @@ class TestProperties:
     @given(db=dbst.reg_dbs())
     def test_save_byte_deterministic(self, db):
         assert save_db(db) == save_db(db)
+
+
+@st.composite
+def dbs_with_extras(draw):
+    """Databases whose entries carry extra columns, some active ones not yet
+    allocated (a row added by hand with a blank offset)."""
+    db = draw(dbst.reg_dbs())
+    db.columns = db.columns + ["owner", "notes"]
+    for e in db.entries:
+        e.extra = {"owner": draw(dbst.module_names), "notes": draw(dbst.descriptions)}
+        if e.state == ACTIVE and draw(st.booleans()):
+            e.offset_bytes = None
+    return db
+
+
+def _mutate_all(db):
+    for e in db.entries:
+        e.name += "_x"
+        e.width_bits = 33
+        e.offset_bytes = -1
+        e.state = "gone"
+        e.extra["owner"] = "mutated"
+        e.extra["added"] = "1"
+    db.columns.append("added")
+
+
+class TestCopyIndependence:
+    """update_db and allocate_offsets return copies that share nothing
+    mutable with their input."""
+
+    @given(db=dbs_with_extras(), cands=dbst.candidate_lists())
+    def test_update_db(self, db, cands):
+        snapshot = copy.deepcopy(db)
+        try:
+            new, _ = update_db(db, cands)
+        except ConflictError:
+            assume(False)
+        assert db == snapshot
+        _mutate_all(new)
+        assert db == snapshot
+
+    @given(db=dbs_with_extras())
+    def test_allocate_offsets(self, db):
+        snapshot = copy.deepcopy(db)
+        new = allocate_offsets(db)
+        assert db == snapshot
+        _mutate_all(new)
+        assert db == snapshot
