@@ -43,9 +43,17 @@ class Region:
         return self.base <= addr < self.end
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryMap:
-    regions: list[Region] = field(default_factory=list)
+    """Regions in base order; the decode index over them is built once."""
+
+    regions: tuple[Region, ...] = ()
+    _bases: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        regions = tuple(sorted(self.regions, key=lambda r: r.base))
+        object.__setattr__(self, "regions", regions)
+        object.__setattr__(self, "_bases", tuple(r.base for r in regions))
 
     def validate(self) -> list[str]:
         problems = []
@@ -62,8 +70,7 @@ class MemoryMap:
             if r.name in names:
                 problems.append(f"duplicate region name {r.name}")
             names.add(r.name)
-        ordered = sorted(self.regions, key=lambda r: r.base)
-        for lo, hi in zip(ordered, ordered[1:]):
+        for lo, hi in zip(self.regions, self.regions[1:]):
             if lo.end > hi.base:
                 problems.append(f"regions {lo.name} and {hi.name} overlap")
         return problems
@@ -82,10 +89,11 @@ class MemoryMap:
 
     def region_at(self, addr: int) -> Region | None:
         """Decode an address to its region, or None for the default slave."""
-        bases = [r.base for r in self.regions]
-        i = bisect.bisect_right(bases, addr) - 1
-        if i >= 0 and self.regions[i].contains(addr):
-            return self.regions[i]
+        i = bisect.bisect_right(self._bases, addr) - 1
+        if i >= 0:
+            region = self.regions[i]
+            if addr < region.base + region.size_bytes:  # bisect gave base <= addr
+                return region
         return None
 
 
@@ -106,7 +114,6 @@ def load_memory_map(text: str) -> MemoryMap:
         except ValueError:
             raise MapError(f"line {lineno}: bad hex number") from None
         regions.append(Region(name=name, kind=kind, base=base, size_bytes=size))
-    regions.sort(key=lambda r: r.base)
     return MemoryMap(regions=regions)
 
 

@@ -327,9 +327,11 @@ def update_db(
         changed = False
         if entry.state == RETIRED:
             if entry.access != cand.access:
+                where = "unallocated" if entry.offset_bytes is None \
+                    else f"0x{entry.offset_bytes:x}"
                 raise ConflictError(
                     f"candidate {cand.name} ({cand.access}) collides with a retired "
-                    f"{entry.access} entry at offset 0x{entry.offset_bytes:x}")
+                    f"{entry.access} entry at offset {where}")
             entry.state = ACTIVE
             report.modified.append((cand.name, "state", RETIRED, ACTIVE))
             changed = True

@@ -23,7 +23,7 @@ class ScriptError(Exception):
     exit_code = 2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScriptStep:
     command: str
     expected: str
@@ -53,34 +53,32 @@ def write_command(addr: int, data: int) -> str:
 
 
 def load_script(text: str) -> TestScript:
-    script = TestScript()
+    steps: list[ScriptStep] = []
     pending_comment: list[str] = []
     pending_command: str | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            if pending_command is not None:
-                raise ScriptError(f"line {lineno}: expected '< <response>' after command")
-            pending_comment.append(line[1:].strip())
-            continue
-        if line.startswith(">"):
-            if pending_command is not None:
-                raise ScriptError(f"line {lineno}: expected '< <response>' after command")
-            pending_command = line[1:].strip()
-            continue
-        if line.startswith("<"):
+        tag = line[0]
+        if tag == "<":
             if pending_command is None:
                 raise ScriptError(f"line {lineno}: response without a command")
-            script.add(pending_command, line[1:].strip(), " ".join(pending_comment))
+            steps.append(ScriptStep(pending_command, line[1:].strip(), " ".join(pending_comment)))
             pending_command = None
             pending_comment = []
-            continue
-        raise ScriptError(f"line {lineno}: unrecognized line {line!r}")
+        elif tag == ">" or tag == "#":
+            if pending_command is not None:
+                raise ScriptError(f"line {lineno}: expected '< <response>' after command")
+            if tag == ">":
+                pending_command = line[1:].strip()
+            else:
+                pending_comment.append(line[1:].strip())
+        else:
+            raise ScriptError(f"line {lineno}: unrecognized line {line!r}")
     if pending_command is not None:
         raise ScriptError("trailing command without a response")
-    return script
+    return TestScript(steps)
 
 
 def save_script(script: TestScript) -> str:

@@ -28,6 +28,12 @@ _ERR_KIND = {
 }
 
 _HEX_RE = re.compile(r"^(0[xX])?[0-9a-fA-F]+$")
+# a word is hex with at most 8 digits after leading zeros; the newline that
+# may end a W address is the one ``$`` in _HEX_RE has always allowed there
+_WORD = r"(?:0[xX])?0*([0-9a-fA-F]{1,8})"
+_COMMAND_RE = re.compile(
+    rf"[Rr][ \t]+{_WORD}|[Ww][ \t]+{_WORD}\n?[ \t]+{_WORD}|([?Qq])")
+_ARITY = {"R": 2, "W": 3, "?": 1, "Q": 1}
 
 
 class ParseError(Exception):
@@ -36,20 +42,27 @@ class ParseError(Exception):
         self.token = token
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Command:
     op: str  # R | W | ? | Q
     addr: int | None = None
     data: int | None = None
 
 
-def _parse_word(token: str) -> int:
-    if not _HEX_RE.match(token):
-        raise ParseError(token)
-    value = int(token, 16)
-    if value > 0xFFFFFFFF:
-        raise ParseError(token)
-    return value
+def _offending_token(text: str) -> str:
+    """The token to name in ERR PARSE for a line _COMMAND_RE rejected."""
+    parts = re.split(r"[ \t]+", text)
+    arity = _ARITY.get(parts[0].upper())
+    if arity is None:
+        return parts[0]
+    if len(parts) < arity:
+        return text
+    if len(parts) > arity:
+        return parts[arity]
+    for token in parts[1:]:
+        if not _HEX_RE.match(token) or int(token, 16) > 0xFFFFFFFF:
+            return token
+    raise AssertionError(f"valid command rejected: {text!r}")
 
 
 def parse_command(line: str):
@@ -57,29 +70,15 @@ def parse_command(line: str):
     text = line.strip()
     if not text:
         return None
-    parts = re.split(r"[ \t]+", text)
-    verb = parts[0].upper()
-    if verb == "R":
-        if len(parts) < 2:
-            raise ParseError(text)
-        if len(parts) > 2:
-            raise ParseError(parts[2])
-        return Command("R", addr=_parse_word(parts[1]))
-    if verb == "W":
-        if len(parts) < 3:
-            raise ParseError(text)
-        if len(parts) > 3:
-            raise ParseError(parts[3])
-        return Command("W", addr=_parse_word(parts[1]), data=_parse_word(parts[2]))
-    if verb == "?":
-        if len(parts) > 1:
-            raise ParseError(parts[1])
-        return Command("?")
-    if verb == "Q":
-        if len(parts) > 1:
-            raise ParseError(parts[1])
-        return Command("Q")
-    raise ParseError(parts[0])
+    m = _COMMAND_RE.fullmatch(text)
+    if m is None:
+        raise ParseError(_offending_token(text))
+    read_addr, addr, data, verb = m.groups()
+    if read_addr is not None:
+        return Command("R", int(read_addr, 16))
+    if addr is not None:
+        return Command("W", int(addr, 16), int(data, 16))
+    return Command(verb.upper())
 
 
 def execute(soc: SocModel, cmd: Command) -> str:
@@ -211,9 +210,10 @@ def open_listener(host: str = "127.0.0.1", port: int = 0) -> socket.socket:
 def serve_tcp(soc: SocModel, listener: socket.socket, prompt: bool = False) -> SessionSummary:
     """Serve sessions one at a time until a client quits.
 
-    EOF ends a session but keeps the server alive (model state persists);
-    connections arriving while a session is active are refused with a busy
-    line, which keeps transaction ordering trivially serial.
+    EOF, a reset or a failed send ends a session but keeps the server alive
+    (model state persists); connections arriving while a session is active
+    are refused with a busy line, which keeps transaction ordering trivially
+    serial.
     """
     summary = SessionSummary()
     sel = selectors.DefaultSelector()
@@ -233,6 +233,8 @@ def serve_tcp(soc: SocModel, listener: socket.socket, prompt: bool = False) -> S
                     if active is not None:
                         try:
                             conn.sendall(BUSY_LINE.encode() + b"\n")
+                        except OSError:
+                            pass  # the refused client is gone already
                         finally:
                             conn.close()
                         continue
@@ -241,40 +243,42 @@ def serve_tcp(soc: SocModel, listener: socket.socket, prompt: bool = False) -> S
                     summary.sessions += 1
                     sel.register(conn, selectors.EVENT_READ)
                     if prompt:
-                        conn.sendall(b"> ")
+                        try:
+                            conn.sendall(b"> ")
+                        except OSError:
+                            pass  # its next recv ends the session
                     continue
                 conn = key.fileobj
                 try:
                     chunk = conn.recv(4096)
+                    buffer += chunk
+                    while b"\n" in buffer:
+                        raw, buffer = buffer.split(b"\n", 1)
+                        summary.lines += 1
+                        line = raw.decode("utf-8", errors="replace")
+                        try:
+                            cmd = parse_command(line)
+                        except ParseError as exc:
+                            cmd = None
+                            response = f"ERR PARSE {exc.token}"
+                        else:
+                            if cmd is None:
+                                continue
+                            response = execute(soc, cmd)
+                        conn.sendall(response.encode("utf-8") + b"\n")
+                        summary.responses += 1
+                        if prompt:
+                            conn.sendall(b"> ")
+                        if cmd is not None and cmd.op == "Q":
+                            summary.quit_seen = True
+                            sel.unregister(conn)
+                            conn.close()
+                            return summary
                 except OSError:
-                    chunk = b""
+                    chunk = b""  # reset or broken pipe: the session is over
                 if not chunk:
                     sel.unregister(conn)
                     conn.close()
                     active = None
-                    continue
-                buffer += chunk
-                while b"\n" in buffer:
-                    raw, buffer = buffer.split(b"\n", 1)
-                    summary.lines += 1
-                    line = raw.decode("utf-8", errors="replace")
-                    try:
-                        cmd = parse_command(line)
-                    except ParseError as exc:
-                        cmd = None
-                        response = f"ERR PARSE {exc.token}"
-                    else:
-                        if cmd is None:
-                            continue
-                        response = execute(soc, cmd)
-                    conn.sendall(response.encode("utf-8") + b"\n")
-                    summary.responses += 1
-                    if prompt:
-                        conn.sendall(b"> ")
-                    if cmd is not None and cmd.op == "Q":
-                        summary.quit_seen = True
-                        sel.unregister(conn)
-                        conn.close()
-                        return summary
     finally:
         sel.close()

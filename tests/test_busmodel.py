@@ -197,6 +197,19 @@ class TestDefaultSlave:
             model_mapped = not (isinstance(verdict, BusError) and verdict.kind == ERR_UNMAPPED)
             assert model_mapped == oracle_mapped(addr), hex(addr)
 
+    def test_hand_built_map_out_of_base_order_decodes(self):
+        a = Region("a", "sram", 0x1000, 0x1000)
+        b = Region("b", "sram", 0x2000, 0x1000)
+        memmap = MemoryMap([b, a]).check()
+        assert memmap.regions == (a, b)
+        assert memmap.region_at(0x2004) == b
+        assert memmap.region_at(0x1004) == a
+        assert memmap.region_at(0x3000) is None
+        soc = build_soc(memmap, [])
+        assert bus_write(soc, 0x2004, 0x1234) is None
+        assert bus_read(soc, 0x2004) == 0x1234
+        assert bus_read(soc, 0x1004) == BusError(ERR_XREAD, 0x1004)
+
 
 class TestProperties:
     @settings(max_examples=200)

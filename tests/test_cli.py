@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import socket
 import subprocess
 import sys
@@ -79,6 +81,23 @@ class TestUpdate:
         before = (proj / "regs.csv").read_bytes()
         assert main(["update"]) == 3
         assert (proj / "regs.csv").read_bytes() == before
+
+    def test_conflict_with_blank_offset_exits_3_without_traceback(self, proj):
+        assert main(["update"]) == 0
+        rows = list(csv.reader(io.StringIO((proj / "regs.csv").read_text())))
+        cols = {name: i for i, name in enumerate(rows[0])}
+        for row in rows[1:]:
+            if row[cols["name"]] == "cfg_gain":  # RW in the RTL
+                row[cols["access"]], row[cols["offset"]], row[cols["state"]] = "RO", "", "retired"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        (proj / "regs.csv").write_text(out.getvalue())
+        result = subprocess.run([sys.executable, "-m", "chipkit", "update"],
+                                capture_output=True, text=True, cwd=proj)
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: candidate cfg_gain (RW) collides")
+        assert "offset unallocated" in result.stderr
 
     def test_missing_rtl_path_is_io_error(self, proj):
         assert main(["update", "--rtl", "no_such_dir"]) == 2

@@ -170,6 +170,11 @@ class TestUpdate:
         with pytest.raises(ConflictError):
             update_db(db2, [cand("cfg_a", access="RO")])
 
+    def test_retired_access_conflict_with_blank_offset(self):
+        db = load_db(HEADER + "cfg_a,8,RO,0x0,,m1,,retired\n")
+        with pytest.raises(ConflictError, match="RO entry at offset unallocated"):
+            update_db(db, [cand("cfg_a", access="RW")])
+
     def test_retired_offset_never_reallocated(self):
         db1, _ = update_db(RegDb(), [cand("cfg_a"), cand("cfg_b")])
         db2, _ = update_db(db1, [cand("cfg_a")])

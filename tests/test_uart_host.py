@@ -1,7 +1,9 @@
 import io
 import re
 import socket
+import struct
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +306,49 @@ class TestServeTcp:
         finally:
             t.join(timeout=5)
             listener.close()
+
+
+    def test_reset_client_ends_only_its_session(self):
+        soc = make_soc()
+        listener = open_listener()
+        port = listener.getsockname()[1]
+        result = {}
+
+        def server():
+            result["summary"] = serve_tcp(soc, listener)
+
+        t = threading.Thread(target=server, daemon=True)
+        t.start()
+        try:
+            first = socket.create_connection(("127.0.0.1", port), timeout=5)
+            ffile = first.makefile("rwb")
+            ffile.write(b"W 0x60000000 0x2a\n")
+            ffile.flush()
+            assert ffile.readline() == b"OK\n"
+            ffile.close()
+            # queue lines whose replies are never read, then reset the
+            # connection, so the server's sends fail with the session mid-batch
+            try:
+                first.sendall(b"R 0x60000000\n" * 20000)
+            except OSError:
+                pass
+            first.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            first.close()
+
+            # the server may still be busy with the dead session for a moment
+            deadline = time.monotonic() + 5
+            while True:
+                out = _client(port, ["R 0x60000000", "Q"])
+                if out != "ERR BUSY\n" or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+            assert out.splitlines() == ["0x0000002a", "OK"]
+        finally:
+            t.join(timeout=5)
+            listener.close()
+        assert not t.is_alive()
+        assert result["summary"].sessions == 2
+        assert result["summary"].quit_seen
 
 
 class TestResponseProperties:
