@@ -109,7 +109,7 @@ class CsrBlock:
 
 
 class SramStore:
-    """Word store with a per-word initialized map; backs sram and peripheral regions."""
+    """Word store; a word is initialized once it is in words. Backs sram and peripheral regions."""
 
     def __init__(self, region: Region, mode: str, seed: int):
         self.region = region
@@ -117,7 +117,6 @@ class SramStore:
         self.seed = seed
         self.size_words = region.size_bytes // 4
         self.words: dict[int, int] = {}
-        self.initialized: set[int] = set()
 
     def fill_word(self, index: int) -> int:
         rnd = random.Random(f"{self.seed}:{self.region.name}:{index}")
@@ -133,7 +132,6 @@ class SramStore:
 
     def write(self, index: int, value: int) -> None:
         self.words[index] = value & WORD_MASK
-        self.initialized.add(index)
 
 
 @dataclass

@@ -21,6 +21,7 @@ import configparser
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -206,7 +207,8 @@ def _rtl_files(paths: list) -> list[Path]:
     for p in paths:
         path = Path(p)
         if path.is_dir():
-            files.extend(sorted(q for q in path.rglob("*") if q.suffix in (".sv", ".svh")))
+            files.extend(sorted(q for q in path.rglob("*")
+                                if q.suffix in (".sv", ".svh") and q.is_file()))
         elif path.exists():
             files.append(path)
         else:
@@ -214,24 +216,18 @@ def _rtl_files(paths: list) -> list[Path]:
     return files
 
 
-def _scan_corpus(cfg: ProjectConfig):
-    """Parse every RTL file; returns (csr candidates, diag candidates,
-    scanned module names, diagnostics)."""
+def _scan_modules(cfg: ProjectConfig, diagnostics: list) -> Iterator[sv_scan.ModuleDecl]:
+    """Parse every RTL file, yielding its modules before the next file is
+    parsed, so a caller's per-module diagnostics follow that file's own."""
     if not cfg.rtl_paths:
         raise ScanError("no RTL paths given (set [project] rtl or pass --rtl)")
-    diagnostics: list[sv_scan.Diagnostic] = []
-    candidates = []
-    diag_candidates = []
     scanned: set[str] = set()
     for path in _rtl_files(cfg.rtl_paths):
-        src = SourceFile.from_path(path)
-        for module in sv_scan.parse_modules(src, diagnostics):
+        for module in sv_scan.parse_modules(SourceFile.from_path(path), diagnostics):
             if module.name in scanned:
                 raise ScanError(f"module {module.name} declared in more than one file")
             scanned.add(module.name)
-            candidates.extend(sv_scan.extract_csr_candidates(module, cfg.naming, diagnostics))
-            diag_candidates.extend(sv_scan.extract_diag_candidates(module, cfg.naming, diagnostics))
-    return candidates, diag_candidates, scanned, diagnostics
+            yield module
 
 
 def _diag_origin(cfg: ProjectConfig) -> str:
@@ -255,14 +251,20 @@ def _write_atomic(path: Path, text: str) -> None:
 # subcommands
 
 def cmd_update(cfg: ProjectConfig) -> int:
-    candidates, diag_candidates, scanned, diagnostics = _scan_corpus(cfg)
+    diagnostics: list[sv_scan.Diagnostic] = []
+    candidates = []
+    diag_candidates = []
+    scanned_for_update: set[str] = set()
+    for module in _scan_modules(cfg, diagnostics):
+        scanned_for_update.add(module.name)
+        candidates.extend(sv_scan.extract_csr_candidates(module, cfg.naming, diagnostics))
+        diag_candidates.extend(sv_scan.extract_diag_candidates(module, cfg.naming, diagnostics))
     for d in diagnostics:
         print(f"note: {d.path}:{d.line}: [{d.kind}] {d.message}", file=sys.stderr)
 
     db_file = Path(cfg.db_path)
     db = regdb.load_db(db_file.read_text(encoding="utf-8")) if db_file.exists() else regdb.RegDb()
 
-    scanned_for_update = set(scanned)
     diag_origin = _diag_origin(cfg)
     wants_diag = "diag" in cfg.emit.targets and diag_candidates
     if wants_diag:
@@ -320,7 +322,8 @@ def cmd_generate(cfg: ProjectConfig) -> int:
         _check_map_against_emit(memmap, cfg)
     diags = None
     if "diag" in cfg.emit.targets:
-        _, diags, _, _ = _scan_corpus(cfg)
+        diags = [d for module in _scan_modules(cfg, [])
+                 for d in sv_scan.extract_diag_candidates(module, cfg.naming)]
     pads = None
     if "pads" in cfg.emit.targets and cfg.pads_path:
         pads = emit.load_pad_db(Path(cfg.pads_path).read_text(encoding="utf-8"))

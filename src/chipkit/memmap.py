@@ -115,8 +115,3 @@ def load_memory_map(text: str) -> MemoryMap:
             raise MapError(f"line {lineno}: bad hex number") from None
         regions.append(Region(name=name, kind=kind, base=base, size_bytes=size))
     return MemoryMap(regions=regions)
-
-
-def format_memory_map(memmap: MemoryMap) -> str:
-    lines = [f"region {r.name} {r.kind} 0x{r.base:08x} 0x{r.size_bytes:x}" for r in memmap.regions]
-    return "\n".join(lines) + "\n"

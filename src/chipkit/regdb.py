@@ -79,16 +79,12 @@ class RegEntry:
 class RegDb:
     entries: list[RegEntry] = field(default_factory=list)
     columns: list[str] = field(default_factory=lambda: list(CANONICAL_COLUMNS))
-    schema_version: int = 1
 
     def entry(self, name: str) -> RegEntry | None:
         for e in self.entries:
             if e.name == name:
                 return e
         return None
-
-    def active_entries(self) -> list[RegEntry]:
-        return [e for e in self.entries if e.state == ACTIVE]
 
     def retired_entries(self) -> list[RegEntry]:
         return [e for e in self.entries if e.state == RETIRED]
@@ -269,7 +265,7 @@ def _copy_db(db: RegDb) -> RegDb:
     shallow copy per entry plus a copy of its extra dict is a full copy.
     """
     entries = [replace(e, extra=dict(e.extra)) for e in db.entries]
-    return RegDb(entries=entries, columns=list(db.columns), schema_version=db.schema_version)
+    return RegDb(entries=entries, columns=list(db.columns))
 
 
 def _allocate_in_place(entries: list[RegEntry], region_size_bytes: int | None) -> None:

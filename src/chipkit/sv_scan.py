@@ -1,10 +1,10 @@
 """Structural scanner for a synthesizable SystemVerilog subset.
 
 Extracts module declarations (ANSI port lists, packed ranges with literal
-integer bounds) plus internal signal declarations, classifies register and
-diagnostic candidates by naming convention, and applies keyword-level style
-lint. Comments and string literals are blanked before any matching, so the
-scanner never reacts to commented-out code.
+integer bounds), classifies register and diagnostic candidates by naming
+convention, and applies keyword-level style lint. Comments and string
+literals are blanked before any matching, so the scanner never reacts to
+commented-out code.
 
 Constructs outside the subset (parameter lists, non-literal ranges, unpacked
 arrays, non-ANSI headers) are skipped with a diagnostic rather than aborting;
@@ -78,18 +78,10 @@ class Port:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class Signal:
-    name: str
-    width_bits: int
-    declared_type: str  # logic | wire | reg | other
-
-
 @dataclass
 class ModuleDecl:
     name: str
     ports: list[Port]
-    signals: list[Signal]
     path: str = ""
     line_span: tuple[int, int] = (0, 0)
 
@@ -165,7 +157,10 @@ def mask_comments_and_strings(src: SourceFile) -> str:
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 
-_MODULE_KW_RE = re.compile(r"\b(module|endmodule)\b")
+# "module" and "endmodule" as whole words. Each alternative opens with a
+# literal, so the regex engine skips the text between candidates at C speed;
+# the lookbehind after that literal stands in for a leading \b.
+_MODULE_KW_RE = re.compile(r"e(?<!\we)ndmodule\b|m(?<!\wm)odule\b")
 _NAME_RE = re.compile(rf"\s*({_IDENT})")
 _PORT_ITEM_RE = re.compile(
     rf"^\s*(?:(input|output|inout)\s+)?"
@@ -175,12 +170,6 @@ _PORT_ITEM_RE = re.compile(
     rf"({_IDENT})\s*(\[[^\]]*\])?\s*$"
 )
 _LITERAL_RANGE_RE = re.compile(r"^(\d+)\s*:\s*(\d+)$")
-_SIGNAL_STMT_RE = re.compile(r"(?m)^[ \t]*(logic|wire|reg)\b([^;]*);")
-_SIGNAL_DECL_RE = re.compile(
-    rf"^\s*(?:(signed|unsigned)\s+)?"
-    rf"(?:\[\s*([^\]]*?)\s*\]\s*)?"
-    rf"({_IDENT}(?:\s*,\s*{_IDENT})*)\s*$"
-)
 
 
 _PAREN_RE = re.compile(r"[()]")
@@ -240,27 +229,9 @@ def parse_modules(file: SourceFile, diagnostics: list[Diagnostic] | None = None)
     diags = diagnostics if diagnostics is not None else []
     masked = mask_comments_and_strings(file)
     modules: list[ModuleDecl] = []
-
-    open_kw: int | None = None
-    blocks: list[tuple[int, int, int]] = []  # (module kw start, body start, endmodule kw start)
-    for m in _MODULE_KW_RE.finditer(masked):
-        if m.group(1) == "module":
-            if open_kw is not None:
-                raise MalformedSource(file.path, file.line_of(m.start()),
-                                      "nested or unbalanced module keyword")
-            open_kw = m.start()
-        else:
-            if open_kw is None:
-                raise MalformedSource(file.path, file.line_of(m.start()),
-                                      "endmodule without matching module")
-            blocks.append((open_kw, open_kw + len("module"), m.start()))
-            open_kw = None
-    if open_kw is not None:
-        raise MalformedSource(file.path, file.line_of(open_kw), "module without endmodule")
-
     seen_names = set()
-    for kw_start, after_kw, end_kw in blocks:
-        name_m = _NAME_RE.match(masked, after_kw)
+    for kw_start, end_kw in _module_blocks(file, masked):
+        name_m = _NAME_RE.match(masked, kw_start + len("module"))
         if not name_m or name_m.end() > end_kw:
             raise MalformedSource(file.path, file.line_of(kw_start), "module missing a name")
         name = name_m.group(1)
@@ -269,13 +240,11 @@ def parse_modules(file: SourceFile, diagnostics: list[Diagnostic] | None = None)
                                     f"duplicate module name {name}; later declaration skipped"))
             continue
 
-        port_group, body_start = _parse_header(file, masked, name_m.end(), end_kw, name, diags)
+        port_group = _parse_header(file, masked, name_m.end(), end_kw, name, diags)
         ports = _parse_ports(file, masked, port_group, name, diags) if port_group else []
-        signals = _parse_signals(file, masked, body_start, end_kw, name, diags)
         modules.append(ModuleDecl(
             name=name,
             ports=ports,
-            signals=signals,
             path=file.path,
             line_span=(file.line_of(kw_start), file.line_of(end_kw)),
         ))
@@ -283,8 +252,32 @@ def parse_modules(file: SourceFile, diagnostics: list[Diagnostic] | None = None)
     return modules
 
 
+def _module_blocks(file: SourceFile, masked: str) -> list[tuple[int, int]]:
+    """(module keyword start, endmodule keyword start) of every block, in order.
+
+    Raises MalformedSource on a nested module or an unmatched keyword.
+    """
+    open_kw: int | None = None
+    blocks: list[tuple[int, int]] = []
+    for m in _MODULE_KW_RE.finditer(masked):
+        if m.group() == "module":
+            if open_kw is not None:
+                raise MalformedSource(file.path, file.line_of(m.start()),
+                                      "nested or unbalanced module keyword")
+            open_kw = m.start()
+        else:
+            if open_kw is None:
+                raise MalformedSource(file.path, file.line_of(m.start()),
+                                      "endmodule without matching module")
+            blocks.append((open_kw, m.start()))
+            open_kw = None
+    if open_kw is not None:
+        raise MalformedSource(file.path, file.line_of(open_kw), "module without endmodule")
+    return blocks
+
+
 def _parse_header(file, masked, pos, limit, name, diags):
-    """Walk the header after the module name; returns (port group span, body start)."""
+    """Walk the header after the module name to its ';'; returns the port group span or None."""
     port_group = None
     noted_junk = False
     i = pos
@@ -309,7 +302,7 @@ def _parse_header(file, masked, pos, limit, name, diags):
             port_group = (i + 1, end - 1)
             i = end
         elif c == ";":
-            return port_group, i + 1
+            return port_group
         else:
             if not noted_junk:
                 diags.append(Diagnostic(DIAG_SKIP, file.path, file.line_of(i),
@@ -366,28 +359,6 @@ def _parse_ports(file, masked, group, name, diags):
         ports.append(port)
         prev = port
     return ports
-
-
-def _parse_signals(file, masked, start, end, name, diags):
-    signals: list[Signal] = []
-    body = masked[start:end]
-    for m in _SIGNAL_STMT_RE.finditer(body):
-        line = file.line_of(start + m.start(1))
-        decl = _SIGNAL_DECL_RE.match(m.group(2))
-        if not decl:
-            diags.append(Diagnostic(DIAG_SKIP, file.path, line,
-                                    f"unsupported signal declaration in {name}"))
-            continue
-        _sign, range_spec, name_list = decl.groups()
-        parsed = _parse_range(range_spec)
-        if parsed is None:
-            diags.append(Diagnostic(DIAG_SKIP, file.path, line,
-                                    f"non-literal packed range on signal in {name}"))
-            continue
-        width, _packed = parsed
-        for sig_name in (s.strip() for s in name_list.split(",")):
-            signals.append(Signal(sig_name, width, m.group(1)))
-    return signals
 
 
 def extract_csr_candidates(
@@ -470,7 +441,6 @@ _RULE_MESSAGES = {
 @dataclass(frozen=True)
 class RuleSet:
     enabled: frozenset = frozenset(ALL_RULES)
-    enforce_ff_macro: bool = True
 
 
 @dataclass(frozen=True)
@@ -482,9 +452,20 @@ class LintViolation:
     message: str
 
 
-_WORD_RE = re.compile(rf"{_IDENT}")
+# The W001-W004 keywords where an ASCII identifier ends. Each alternative
+# opens with a literal, so the regex engine skips the text between candidates
+# at C speed. Read backwards from such a keyword, ASCII digits and then a
+# letter or '_' mean it continues an identifier, as in "_wire" or "a9wire".
+_KEYWORD_RE = re.compile(r"(?:wire|reg|always(?:_ff)?)(?![A-Za-z0-9_])")
+_IDENT_BEFORE_REVERSED_RE = re.compile(r"[0-9]*[A-Za-z_]")
 _INST_RE = re.compile(
     rf"\b({_IDENT})\s+({_IDENT})\s*\(\s*(\.[^;]*?)\)\s*;", re.S)
+# _INST_RE opens with \b, so a search for it tries every position. Its "(."
+# is a literal the regex engine skips to at C speed. Only the two names and
+# whitespace lie between a match's start and that "(", so matching their
+# mirror image on the reversed text finds the start, where _INST_RE confirms.
+_INST_OPEN_RE = re.compile(r"\(\s*\.")
+_INST_HEAD_REVERSED_RE = re.compile(r"\s*[A-Za-z0-9_]*[A-Za-z_]\s+[A-Za-z0-9_]*[A-Za-z_]")
 _CONN_RE = re.compile(rf"\.({_IDENT})\s*\(\s*([^()]*?)\s*\)")
 
 _NON_INSTANCE_WORDS = frozenset({
@@ -494,6 +475,20 @@ _NON_INSTANCE_WORDS = frozenset({
     "task", "endtask", "generate", "endgenerate", "logic", "wire", "reg", "bit",
     "input", "output", "inout", "parameter", "localparam", "typedef", "return",
 })
+
+
+def _instantiations(masked: str, reversed_text: str):
+    """Yield the matches of _INST_RE.finditer(masked), found from each "(."."""
+    resume = 0
+    for paren in _INST_OPEN_RE.finditer(masked):
+        head = _INST_HEAD_REVERSED_RE.match(reversed_text, len(masked) - paren.start())
+        # a match must start at or after the end of the one before it
+        if head is None or len(masked) - head.end() < resume:
+            continue
+        m = _INST_RE.match(masked, len(masked) - head.end())
+        if m is not None:
+            resume = m.end()
+            yield m
 
 
 def lint(file: SourceFile, rules: RuleSet | None = None) -> list[LintViolation]:
@@ -514,7 +509,10 @@ def lint(file: SourceFile, rules: RuleSet | None = None) -> list[LintViolation]:
         violations.append(LintViolation(rule, file.path, line,
                                         file.line_text(line).strip(), _RULE_MESSAGES[rule]))
 
-    for m in _WORD_RE.finditer(masked):
+    reversed_text = masked[::-1]
+    for m in _KEYWORD_RE.finditer(masked):
+        if _IDENT_BEFORE_REVERSED_RE.match(reversed_text, len(masked) - m.start()):
+            continue
         word = m.group()
         if word == "wire":
             add("W001", m.start())
@@ -524,10 +522,10 @@ def lint(file: SourceFile, rules: RuleSet | None = None) -> list[LintViolation]:
             rest = masked[m.end():m.end() + 80].lstrip()
             if rest.startswith("@"):
                 add("W003", m.start())
-        elif word == "always_ff" and rules.enforce_ff_macro:
+        else:
             add("W004", m.start())
 
-    for m in _INST_RE.finditer(masked):
+    for m in _instantiations(masked, reversed_text):
         head, inst = m.group(1), m.group(2)
         if head in _NON_INSTANCE_WORDS or inst in _NON_INSTANCE_WORDS:
             continue

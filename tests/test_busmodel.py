@@ -167,7 +167,7 @@ class TestReset:
 def snapshot(soc):
     return (
         {n: dict(b.values) for n, b in soc.csr_blocks.items()},
-        {n: (dict(s.words), set(s.initialized)) for n, s in soc.srams.items()},
+        {n: (dict(s.words), set(s.words)) for n, s in soc.srams.items()},
     )
 
 

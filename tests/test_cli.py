@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chipkit import cli, regdb
+from chipkit import cli, regdb, sv_scan
 from chipkit.cli import main
 
 
@@ -106,11 +106,45 @@ class TestUpdate:
         (proj / "rtl" / "broken.sv").write_text("module oops (input logic a);\n")
         assert main(["update"]) == 2
 
+    def test_directory_named_like_source_is_not_read(self, proj, capsys):
+        (proj / "rtl" / "ip.sv").mkdir()
+        assert main(["update"]) == 0
+        assert "Is a directory" not in capsys.readouterr().err
+        assert len(regdb.load_db((proj / "regs.csv").read_text()).entries) == 13
+
     def test_flags_override_config(self, proj):
         assert main(["update", "--db", "alt.csv", "--targets", "rtl"]) == 0
         db = regdb.load_db((proj / "alt.csv").read_text())
         assert db.entry("cfg_diag_sel") is None  # diag target disabled
         assert len(db.entries) == 12
+
+
+class TestCandidateExtraction:
+    """generate renders the diag mux from the diag taps alone; only update
+    needs register candidates."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = sv_scan.extract_csr_candidates
+
+        def counting(module, *args, **kwargs):
+            calls.append(module.name)
+            return real(module, *args, **kwargs)
+
+        monkeypatch.setattr(sv_scan, "extract_csr_candidates", counting)
+        return calls
+
+    def test_update_extracts_once_per_module(self, proj, calls):
+        assert main(["update"]) == 0
+        assert sorted(calls) == ["dsp_core", "io_ctrl", "timer_unit"]
+
+    def test_generate_extracts_none(self, proj, calls):
+        assert main(["update"]) == 0
+        calls.clear()
+        assert main(["generate"]) == 0
+        assert (proj / "gen" / "demo_diag_mux.sv").exists()
+        assert calls == []
 
 
 class TestGenerate:
@@ -166,6 +200,12 @@ class TestLint:
 
     def test_unreadable_file(self, proj):
         assert main(["lint", "missing.sv"]) == 2
+
+    def test_directory_named_like_source_is_not_read(self, proj, capsys):
+        (proj / "rtl" / "ip.sv").mkdir()
+        (proj / "rtl" / "sub.svh").mkdir()
+        assert main(["lint", "rtl"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_undecodable_file(self, proj):
         (proj / "bad.sv").write_bytes(b"\xff\xfe\x00module")
