@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from . import DataError, InputError
 from .memmap import MemoryMap, Region
 from .regdb import ACTIVE, ID_REG_OFFSET, RegDb, UNMAPPED_READ_VALUE, db_hash
 from .script import RESP_OK, TestScript, format_word, read_command, write_command
@@ -31,14 +32,6 @@ FAULT_ADDRESS_BIT = "mask_address_bit"
 FAULT_DATA_BIT = "mask_data_bit"
 
 
-class ConfigError(Exception):
-    exit_code = 3
-
-
-class UsageError(Exception):
-    exit_code = 2
-
-
 @dataclass(frozen=True)
 class BusError:
     kind: str
@@ -53,9 +46,9 @@ class FaultConfig:
 
     def validate(self) -> None:
         if self.kind not in (FAULT_ADDRESS_BIT, FAULT_DATA_BIT):
-            raise ConfigError(f"unknown fault kind {self.kind!r}")
+            raise DataError(f"unknown fault kind {self.kind!r}")
         if not 0 <= self.bit < 32:
-            raise ConfigError(f"fault bit {self.bit} outside [0, 32)")
+            raise DataError(f"fault bit {self.bit} outside [0, 32)")
 
 
 @dataclass
@@ -79,7 +72,7 @@ class CsrBlock:
             if e.state != ACTIVE:
                 continue
             if e.offset_bytes >= region.size_bytes:
-                raise ConfigError(
+                raise DataError(
                     f"entry {e.name} at offset 0x{e.offset_bytes:x} does not fit "
                     f"region {region.name} (size 0x{region.size_bytes:x})")
             self.entries[e.name] = e
@@ -154,23 +147,23 @@ def build_soc(
     """Assemble the model: reset-valued registers, fully uninitialized SRAM."""
     memmap.check()
     if sram_mode not in (SRAM_STRICT_X, SRAM_RANDOM):
-        raise ConfigError(f"unknown sram mode {sram_mode!r}")
+        raise DataError(f"unknown sram mode {sram_mode!r}")
     db_map = dict(dbs)
     unknown = set(db_map) - {r.name for r in memmap.regions}
     if unknown:
-        raise ConfigError(f"database bound to unknown region: {', '.join(sorted(unknown))}")
+        raise DataError(f"database bound to unknown region: {', '.join(sorted(unknown))}")
     soc = SocModel(memmap=memmap)
     for region in memmap.regions:
         if region.kind == "csr":
             if region.name not in db_map:
-                raise ConfigError(f"csr region {region.name} has no register database")
+                raise DataError(f"csr region {region.name} has no register database")
             soc.csr_blocks[region.name] = CsrBlock(region, db_map[region.name], unmapped_value)
         else:
             soc.srams[region.name] = SramStore(region, sram_mode, seed)
     if fault is not None:
         fault.validate()
         if fault.target_region not in soc.srams:
-            raise ConfigError(
+            raise DataError(
                 f"fault target {fault.target_region!r} is not an sram-backed region")
         soc.fault = fault
     return soc
@@ -233,12 +226,12 @@ def set_status(soc: SocModel, region: str, name: str, value: int) -> None:
     """Drive an RO entry's readable value, emulating the attached design."""
     block = soc.csr_blocks.get(region)
     if block is None:
-        raise UsageError(f"no csr region named {region!r}")
+        raise InputError(f"no csr region named {region!r}")
     entry = block.entries.get(name)
     if entry is None:
-        raise UsageError(f"no active entry {name!r} in region {region!r}")
+        raise InputError(f"no active entry {name!r} in region {region!r}")
     if entry.access != ACCESS_RO:
-        raise UsageError(f"{name} is {entry.access}; set_status drives RO entries only")
+        raise InputError(f"{name} is {entry.access}; set_status drives RO entries only")
     block.values[name] = value & block._mask(entry.width_bits)
 
 
@@ -246,12 +239,12 @@ def get_control(soc: SocModel, region: str, name: str) -> int:
     """Observe an RW entry's current value, emulating the attached design."""
     block = soc.csr_blocks.get(region)
     if block is None:
-        raise UsageError(f"no csr region named {region!r}")
+        raise InputError(f"no csr region named {region!r}")
     entry = block.entries.get(name)
     if entry is None:
-        raise UsageError(f"no active entry {name!r} in region {region!r}")
+        raise InputError(f"no active entry {name!r} in region {region!r}")
     if entry.access != ACCESS_RW:
-        raise UsageError(f"{name} is {entry.access}; get_control observes RW entries only")
+        raise InputError(f"{name} is {entry.access}; get_control observes RW entries only")
     return block.values[name]
 
 
@@ -280,7 +273,7 @@ def gen_region_test(memmap: MemoryMap, region_name: str) -> TestScript:
     """
     region = memmap.region(region_name)
     if region.kind == "csr":
-        raise UsageError(f"region {region_name} is a csr block, not a memory")
+        raise InputError(f"region {region_name} is a csr block, not a memory")
     base = region.base
     probe_bits = [k for k in range(2, 32) if (1 << k) < region.size_bytes]
 

@@ -10,8 +10,8 @@ Subcommands:
 Configuration comes from an INI-style file (--config flag or CHIPKIT_CONFIG
 environment variable); every value can be overridden by a flag.
 
-Exit codes: 0 success, 1 check failures, 2 I/O or parse errors,
-3 data/validation errors.
+Exit codes: 0 success, 1 check failures, 2 I/O or parse errors (InputError),
+3 data/validation errors (DataError).
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import busmodel, emit, regdb, sv_scan, uart_host
+from . import ChipkitError, DataError, InputError, busmodel, emit, regdb, sv_scan, uart_host
 from .busmodel import FAULT_ADDRESS_BIT, FAULT_DATA_BIT, FaultConfig
 from .emit import EmitConfig
-from .memmap import MapError, MapInvariantError, MemoryMap, load_memory_map
-from .script import ScriptError, load_script
+from .memmap import MemoryMap, load_memory_map
+from .script import load_script
 from .sv_scan import NamingConvention, SourceFile
 
 CONFIG_ENV = "CHIPKIT_CONFIG"
@@ -38,10 +38,6 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_IO = 2
 EXIT_DATA = 3
-
-
-class ScanError(Exception):
-    exit_code = 2
 
 
 @dataclass
@@ -65,7 +61,7 @@ def _parse_int(text: str, what: str) -> int:
     try:
         return int(text, 0)
     except ValueError:
-        raise ScanError(f"bad {what} value {text!r}") from None
+        raise InputError(f"bad {what} value {text!r}") from None
 
 
 def _parse_sram_mode(text: str) -> tuple[str, int]:
@@ -75,13 +71,13 @@ def _parse_sram_mode(text: str) -> tuple[str, int]:
         return busmodel.SRAM_RANDOM, _parse_int(text.split(":", 1)[1], "sram seed")
     if text == busmodel.SRAM_RANDOM:
         return busmodel.SRAM_RANDOM, 0
-    raise ScanError(f"bad sram mode {text!r} (strict_x or random:<seed>)")
+    raise InputError(f"bad sram mode {text!r} (strict_x or random:<seed>)")
 
 
 def _parse_fault(text: str) -> FaultConfig:
     parts = text.split(":")
     if len(parts) != 3 or parts[0] not in (FAULT_ADDRESS_BIT, FAULT_DATA_BIT):
-        raise ScanError(
+        raise InputError(
             f"bad fault spec {text!r} (mask_address_bit:<bit>:<region> "
             f"or mask_data_bit:<bit>:<region>)")
     return FaultConfig(kind=parts[0], bit=_parse_int(parts[1], "fault bit"),
@@ -212,7 +208,7 @@ def _rtl_files(paths: list) -> list[Path]:
         elif path.exists():
             files.append(path)
         else:
-            raise ScanError(f"no such file or directory: {p}")
+            raise InputError(f"no such file or directory: {p}")
     return files
 
 
@@ -220,12 +216,12 @@ def _scan_modules(cfg: ProjectConfig, diagnostics: list) -> Iterator[sv_scan.Mod
     """Parse every RTL file, yielding its modules before the next file is
     parsed, so a caller's per-module diagnostics follow that file's own."""
     if not cfg.rtl_paths:
-        raise ScanError("no RTL paths given (set [project] rtl or pass --rtl)")
+        raise InputError("no RTL paths given (set [project] rtl or pass --rtl)")
     scanned: set[str] = set()
     for path in _rtl_files(cfg.rtl_paths):
         for module in sv_scan.parse_modules(SourceFile.from_path(path), diagnostics):
             if module.name in scanned:
-                raise ScanError(f"module {module.name} declared in more than one file")
+                raise InputError(f"module {module.name} declared in more than one file")
             scanned.add(module.name)
             yield module
 
@@ -270,7 +266,7 @@ def cmd_update(cfg: ProjectConfig) -> int:
     if wants_diag:
         sel_width = max(1, emit.diag_select_bits(len(diag_candidates)) * cfg.emit.diag_pins)
         if any(c.name == "cfg_diag_sel" for c in candidates):
-            raise ScanError("cfg_diag_sel is generated for the diagnostic mux; "
+            raise InputError("cfg_diag_sel is generated for the diagnostic mux; "
                             "rename the conflicting RTL port")
         candidates = candidates + [sv_scan.CsrCandidate(
             name="cfg_diag_sel", width_bits=sel_width, access=sv_scan.ACCESS_RW,
@@ -295,13 +291,13 @@ def _load_db_checked(cfg: ProjectConfig) -> regdb.RegDb:
     if problems:
         for p in problems:
             print(f"error: {p.entry or cfg.db_path}: {p.message}", file=sys.stderr)
-        raise regdb.InvariantError(f"database {cfg.db_path} failed validation")
+        raise DataError(f"database {cfg.db_path} failed validation")
     return db
 
 
 def _load_map(cfg: ProjectConfig) -> MemoryMap:
     if not cfg.map_path:
-        raise ScanError("no memory map file given (set [project] map or pass --map)")
+        raise InputError("no memory map file given (set [project] map or pass --map)")
     return load_memory_map(Path(cfg.map_path).read_text(encoding="utf-8")).check()
 
 
@@ -309,7 +305,7 @@ def _check_map_against_emit(memmap: MemoryMap, cfg: ProjectConfig) -> None:
     region = memmap.region_at(cfg.emit.base_address)
     if region is None or region.kind != "csr" or region.base != cfg.emit.base_address \
             or region.size_bytes != cfg.emit.csr_region_size_bytes:
-        raise emit.ConfigError(
+        raise DataError(
             f"memory map has no csr region matching base {cfg.emit.base_address:#x} "
             f"size {cfg.emit.csr_region_size_bytes:#x}")
 
@@ -339,7 +335,7 @@ def cmd_generate(cfg: ProjectConfig) -> int:
 def cmd_lint(cfg: ProjectConfig, paths: list) -> int:
     files = _rtl_files(paths or cfg.rtl_paths)
     if not files:
-        raise ScanError("no RTL files to lint")
+        raise InputError("no RTL files to lint")
     violations = []
     for path in files:
         violations.extend(sv_scan.lint(SourceFile.from_path(path)))
@@ -355,7 +351,7 @@ def _build_model(cfg: ProjectConfig) -> busmodel.SocModel:
     dbs = []
     if csr_regions:
         if len(csr_regions) > 1:
-            raise busmodel.ConfigError(
+            raise DataError(
                 "one database drives one csr region; map declares "
                 + ", ".join(r.name for r in csr_regions))
         dbs = [(csr_regions[0].name, _load_db_checked(cfg))]
@@ -451,56 +447,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_KNOWN_ERRORS = (
-    ScanError,
-    sv_scan.MalformedSource,
-    regdb.SchemaError,
-    regdb.ParseError,
-    regdb.InvariantError,
-    regdb.ConflictError,
-    regdb.AddressSpaceExhausted,
-    regdb.UsageError,
-    emit.ConfigError,
-    busmodel.ConfigError,
-    busmodel.UsageError,
-    MapError,
-    MapInvariantError,
-    ScriptError,
-)
+# subcommand -> handler(cfg, args)
+_COMMANDS = {
+    "update": lambda cfg, args: cmd_update(cfg),
+    "generate": lambda cfg, args: cmd_generate(cfg),
+    "lint": lambda cfg, args: cmd_lint(cfg, args.paths),
+    "sim": lambda cfg, args: cmd_sim(cfg),
+    "run-test": lambda cfg, args: cmd_run_test(cfg, args.script),
+}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "update":
-            return cmd_update(cfg)
-        if args.command == "generate":
-            return cmd_generate(cfg)
-        if args.command == "lint":
-            return cmd_lint(cfg, args.paths)
-        if args.command == "sim":
-            return cmd_sim(cfg)
-        if args.command == "run-test":
-            return cmd_run_test(cfg, args.script)
-        parser.error(f"unknown command {args.command}")
-    except _KNOWN_ERRORS as exc:
+        return _COMMANDS[args.command](_config_from_args(args), args)
+    except ChipkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", EXIT_CHECK)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return exc.exit_code
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from . import DataError
 from . import regdb as rdb
 from .memmap import MemoryMap
 from .regdb import ACTIVE, ID_REG_NAME, ID_REG_OFFSET, RETIRED, RegDb, RegEntry, UNMAPPED_READ_VALUE
@@ -25,10 +26,6 @@ from .sv_scan import ACCESS_RO, ACCESS_RW, DiagCandidate
 ALL_TARGETS = ("rtl", "inst", "md", "c", "py", "test", "memmap", "diag", "pads")
 
 _SIDES = ("N", "E", "S", "W")
-
-
-class ConfigError(Exception):
-    exit_code = 3
 
 
 @dataclass(frozen=True)
@@ -42,19 +39,19 @@ class EmitConfig:
 
     def validate(self) -> None:
         if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", self.block_name):
-            raise ConfigError(f"block name {self.block_name!r} is not an identifier")
+            raise DataError(f"block name {self.block_name!r} is not an identifier")
         size = self.csr_region_size_bytes
         if size < 4 or size & (size - 1):
-            raise ConfigError(f"region size 0x{size:x} is not a power of two >= 4")
+            raise DataError(f"region size 0x{size:x} is not a power of two >= 4")
         if self.base_address % size:
-            raise ConfigError("base address not aligned to region size")
+            raise DataError("base address not aligned to region size")
         if not 0 <= self.base_address < (1 << 32):
-            raise ConfigError("base address outside 32-bit space")
+            raise DataError("base address outside 32-bit space")
         unknown = set(self.targets) - set(ALL_TARGETS)
         if unknown:
-            raise ConfigError(f"unknown targets: {', '.join(sorted(unknown))}")
+            raise DataError(f"unknown targets: {', '.join(sorted(unknown))}")
         if self.diag_pins < 1:
-            raise ConfigError("need at least one diagnostic pin")
+            raise DataError("need at least one diagnostic pin")
 
 
 @dataclass(frozen=True)
@@ -74,12 +71,12 @@ class PadDb:
 def load_pad_db(csv_text: str) -> PadDb:
     rows = list(csv.reader(io.StringIO(csv_text)))
     if not rows:
-        raise ConfigError("empty pad file (missing header row)")
+        raise DataError("empty pad file (missing header row)")
     header = [c.strip() for c in rows[0]]
     required = ("name", "side", "order", "cell", "signal")
     for col in required:
         if col not in header:
-            raise ConfigError(f"pad file missing column {col!r}")
+            raise DataError(f"pad file missing column {col!r}")
     idx = {c: header.index(c) for c in required}
     pads = []
     slots = set()
@@ -88,13 +85,13 @@ def load_pad_db(csv_text: str) -> PadDb:
             continue
         side = row[idx["side"]].strip().upper()
         if side not in _SIDES:
-            raise ConfigError(f"pad row {rownum}: side must be one of N/E/S/W")
+            raise DataError(f"pad row {rownum}: side must be one of N/E/S/W")
         try:
             order = int(row[idx["order"]].strip(), 0)
         except ValueError:
-            raise ConfigError(f"pad row {rownum}: bad order index") from None
+            raise DataError(f"pad row {rownum}: bad order index") from None
         if (side, order) in slots:
-            raise ConfigError(f"pad row {rownum}: duplicate slot {side}{order}")
+            raise DataError(f"pad row {rownum}: duplicate slot {side}{order}")
         slots.add((side, order))
         pads.append(Pad(row[idx["name"]].strip(), side, order,
                         row[idx["cell"]].strip(), row[idx["signal"]].strip()))
@@ -119,12 +116,12 @@ def _sorted_entries(db: RegDb) -> list[RegEntry]:
 def _check_region(db: RegDb, cfg: EmitConfig) -> None:
     need = 4 * (len(db.entries) + 1)
     if cfg.csr_region_size_bytes < need:
-        raise ConfigError(
+        raise DataError(
             f"region size 0x{cfg.csr_region_size_bytes:x} too small for "
             f"{len(db.entries)} entries plus the ID register (need 0x{need:x})")
     for e in db.entries:
         if e.offset_bytes is not None and e.offset_bytes >= cfg.csr_region_size_bytes:
-            raise ConfigError(
+            raise DataError(
                 f"entry {e.name} at offset 0x{e.offset_bytes:x} falls outside the region")
 
 
@@ -428,7 +425,7 @@ def emit_memmap_header(memmap: MemoryMap) -> str:
 
 def diag_select_bits(n_signals: int) -> int:
     if n_signals < 1:
-        raise ConfigError("diagnostic mux needs at least one signal")
+        raise DataError("diagnostic mux needs at least one signal")
     return (n_signals - 1).bit_length()
 
 
@@ -438,16 +435,16 @@ def emit_diag_mux(diags: list[DiagCandidate], n_pins: int, db: RegDb, cfg: EmitC
     fields sliced from the memory-mapped cfg_diag_sel register."""
     cfg.validate()
     if n_pins < 1:
-        raise ConfigError("need at least one diagnostic pin")
+        raise DataError("need at least one diagnostic pin")
     names = [d.name for d in diags]
     if len(set(names)) != len(names):
-        raise ConfigError("duplicate diagnostic signal names across modules")
+        raise DataError("duplicate diagnostic signal names across modules")
     sel_bits = diag_select_bits(len(names))
     sel_entry = db.entry("cfg_diag_sel")
     if sel_entry is None:
-        raise ConfigError("database has no cfg_diag_sel entry (run update with diag enabled)")
+        raise DataError("database has no cfg_diag_sel entry (run update with diag enabled)")
     if sel_bits and sel_entry.width_bits < sel_bits * n_pins:
-        raise ConfigError(
+        raise DataError(
             f"cfg_diag_sel is {sel_entry.width_bits} bits; need {sel_bits * n_pins} "
             f"for {len(names)} signals on {n_pins} pins")
 
@@ -559,7 +556,7 @@ def render_targets(
             out[name] = save_script(emit_selftest(db, cfg, db_hash))
         elif target == "memmap":
             if memmap is None:
-                raise ConfigError("memmap target needs a memory map file")
+                raise DataError("memmap target needs a memory map file")
             out[name] = emit_memmap_header(memmap)
         elif target == "diag":
             out[name] = emit_diag_mux(diags or [], cfg.diag_pins, db, cfg, db_hash)

@@ -10,21 +10,11 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
+from . import DataError, InputError
+
 REGION_KINDS = ("csr", "sram", "peripheral")
 
 ADDR_SPACE = 1 << 32
-
-
-class MapError(Exception):
-    """Malformed memory map text."""
-
-    exit_code = 2
-
-
-class MapInvariantError(Exception):
-    """Structurally valid map that violates region invariants."""
-
-    exit_code = 3
 
 
 @dataclass(frozen=True)
@@ -78,7 +68,7 @@ class MemoryMap:
     def check(self) -> "MemoryMap":
         problems = self.validate()
         if problems:
-            raise MapInvariantError("; ".join(problems))
+            raise DataError("; ".join(problems))
         return self
 
     def region(self, name: str) -> Region:
@@ -98,7 +88,7 @@ class MemoryMap:
 
 
 def load_memory_map(text: str) -> MemoryMap:
-    """Parse map text; returns regions sorted by base. Raises MapError on syntax."""
+    """Parse map text; returns regions sorted by base. Raises InputError on syntax."""
     regions = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -106,12 +96,12 @@ def load_memory_map(text: str) -> MemoryMap:
             continue
         fields = line.split()
         if len(fields) != 5 or fields[0] != "region":
-            raise MapError(f"line {lineno}: expected 'region <name> <kind> <base> <size>'")
+            raise InputError(f"line {lineno}: expected 'region <name> <kind> <base> <size>'")
         _, name, kind, base_s, size_s = fields
         try:
             base = int(base_s, 16)
             size = int(size_s, 16)
         except ValueError:
-            raise MapError(f"line {lineno}: bad hex number") from None
+            raise InputError(f"line {lineno}: bad hex number") from None
         regions.append(Region(name=name, kind=kind, base=base, size_bytes=size))
     return MemoryMap(regions=regions)

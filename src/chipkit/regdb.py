@@ -18,6 +18,7 @@ import re
 import zlib
 from dataclasses import dataclass, field, replace
 
+from . import DataError, InputError
 from .sv_scan import ACCESS_RO, ACCESS_RW, CsrCandidate
 
 WORD_BYTES = 4
@@ -36,30 +37,6 @@ REQUIRED_COLUMNS = ("name", "width", "access", "reset", "offset", "origin_module
 CANONICAL_COLUMNS = REQUIRED_COLUMNS + ("state",)
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
-class SchemaError(Exception):
-    exit_code = 2
-
-
-class ParseError(Exception):
-    exit_code = 2
-
-
-class InvariantError(Exception):
-    exit_code = 3
-
-
-class ConflictError(Exception):
-    exit_code = 3
-
-
-class AddressSpaceExhausted(Exception):
-    exit_code = 3
-
-
-class UsageError(Exception):
-    exit_code = 2
 
 
 @dataclass
@@ -112,18 +89,18 @@ def _parse_int(token: str, what: str, row: int) -> int:
     try:
         return int(token.strip(), 0)
     except ValueError:
-        raise ParseError(f"row {row}: bad {what} value {token!r}") from None
+        raise InputError(f"row {row}: bad {what} value {token!r}") from None
 
 
 def load_db(csv_text: str) -> RegDb:
     """Parse CSV text into a RegDb, preserving any extra columns verbatim."""
     rows = list(csv.reader(io.StringIO(csv_text)))
     if not rows:
-        raise SchemaError("empty database file (missing header row)")
+        raise InputError("empty database file (missing header row)")
     columns = [c.strip() for c in rows[0]]
     for col in REQUIRED_COLUMNS:
         if col not in columns:
-            raise SchemaError(f"missing required column {col!r}")
+            raise InputError(f"missing required column {col!r}")
     col_index = {c: i for i, c in enumerate(columns)}
     has_state = "state" in col_index
     extra_cols = [c for c in columns if c not in CANONICAL_COLUMNS]
@@ -135,25 +112,25 @@ def load_db(csv_text: str) -> RegDb:
         if not row:
             continue
         if len(row) != len(columns):
-            raise ParseError(f"row {rownum}: expected {len(columns)} fields, found {len(row)}")
+            raise InputError(f"row {rownum}: expected {len(columns)} fields, found {len(row)}")
         get = lambda c: row[col_index[c]]
         name = get("name").strip()
         width = _parse_int(get("width"), "width", rownum)
         access = get("access").strip().upper()
         if access not in (ACCESS_RW, ACCESS_RO):
-            raise ParseError(f"row {rownum}: invalid access token {get('access')!r}")
+            raise InputError(f"row {rownum}: invalid access token {get('access')!r}")
         reset = _parse_int(get("reset"), "reset", rownum)
         offset_tok = get("offset").strip()
         offset = _parse_int(offset_tok, "offset", rownum) if offset_tok else None
         state = get("state").strip().lower() if has_state else ACTIVE
         if state not in (ACTIVE, RETIRED):
-            raise ParseError(f"row {rownum}: invalid state token {get('state')!r}")
+            raise InputError(f"row {rownum}: invalid state token {get('state')!r}")
         if name in names:
-            raise InvariantError(f"duplicate register name {name!r} (rows {names[name]} and {rownum})")
+            raise DataError(f"duplicate register name {name!r} (rows {names[name]} and {rownum})")
         names[name] = rownum
         if offset is not None:
             if offset in offsets:
-                raise InvariantError(
+                raise DataError(
                     f"duplicate offset 0x{offset:x} (rows {offsets[offset]} and {rownum})")
             offsets[offset] = rownum
         entries.append(RegEntry(
@@ -176,7 +153,7 @@ def save_db(db: RegDb) -> str:
     """Canonical CSV: rows sorted by offset, lowercase 0x-hex, LF endings."""
     for e in db.entries:
         if e.offset_bytes is None:
-            raise InvariantError(f"entry {e.name} has no offset; allocate before saving")
+            raise DataError(f"entry {e.name} has no offset; allocate before saving")
 
     def cell(e: RegEntry, col: str) -> str:
         if col == "name":
@@ -278,7 +255,7 @@ def _allocate_in_place(entries: list[RegEntry], region_size_bytes: int | None) -
         while cursor in used:
             cursor += WORD_BYTES
         if cursor >= limit:
-            raise AddressSpaceExhausted(
+            raise DataError(
                 f"no free offset below 0x{limit:x} for entry {e.name}")
         e.offset_bytes = cursor
         used.add(cursor)
@@ -302,7 +279,7 @@ def update_db(
     seen = set()
     for c in candidates:
         if c.name in seen:
-            raise UsageError(f"duplicate candidate name {c.name}")
+            raise InputError(f"duplicate candidate name {c.name}")
         seen.add(c.name)
     if scanned_modules is None:
         scanned_modules = {c.origin_module for c in candidates}
@@ -325,7 +302,7 @@ def update_db(
             if entry.access != cand.access:
                 where = "unallocated" if entry.offset_bytes is None \
                     else f"0x{entry.offset_bytes:x}"
-                raise ConflictError(
+                raise DataError(
                     f"candidate {cand.name} ({cand.access}) collides with a retired "
                     f"{entry.access} entry at offset {where}")
             entry.state = ACTIVE

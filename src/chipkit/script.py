@@ -14,13 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import InputError
+
 RESP_OK = "OK"
-
-
-class ScriptError(Exception):
-    """Malformed script text."""
-
-    exit_code = 2
 
 
 @dataclass(slots=True)
@@ -63,21 +59,21 @@ def load_script(text: str) -> TestScript:
         tag = line[0]
         if tag == "<":
             if pending_command is None:
-                raise ScriptError(f"line {lineno}: response without a command")
+                raise InputError(f"line {lineno}: response without a command")
             steps.append(ScriptStep(pending_command, line[1:].strip(), " ".join(pending_comment)))
             pending_command = None
             pending_comment = []
         elif tag == ">" or tag == "#":
             if pending_command is not None:
-                raise ScriptError(f"line {lineno}: expected '< <response>' after command")
+                raise InputError(f"line {lineno}: expected '< <response>' after command")
             if tag == ">":
                 pending_command = line[1:].strip()
             else:
                 pending_comment.append(line[1:].strip())
         else:
-            raise ScriptError(f"line {lineno}: unrecognized line {line!r}")
+            raise InputError(f"line {lineno}: unrecognized line {line!r}")
     if pending_command is not None:
-        raise ScriptError("trailing command without a response")
+        raise InputError("trailing command without a response")
     return TestScript(steps)
 
 

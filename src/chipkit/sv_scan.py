@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import InputError
+
 ACCESS_RW = "RW"
 ACCESS_RO = "RO"
 
@@ -30,15 +32,11 @@ DIAG_WIDTH = "WidthExceeded"
 DIAG_DIRECTION = "DirectionMismatch"
 
 
-class MalformedSource(Exception):
-    """Structurally broken source; carries file and line."""
-
-    exit_code = 2
+class MalformedSource(InputError):
+    """Structurally broken source; the message names file and line."""
 
     def __init__(self, path: str, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
-        self.path = path
-        self.line = line
 
 
 @dataclass

@@ -3,8 +3,14 @@
 Grammar: ``R <addr>``, ``W <addr> <data>``, ``?``, ``Q``; verbs are
 case-insensitive, numbers are hex with or without a 0x prefix. Responses are
 fixed strings (``0x`` + 8 hex digits, ``OK``, ``ERR <KIND>``) so scripted
-sessions are portable across hosts. The serving loop is the sole owner of the
-model for a session; a second concurrent connection is refused busy.
+sessions are portable across hosts. A blank line gets no response. A line
+longer than MAX_LINE characters is answered ``ERR PARSE`` naming its first 16
+characters and ``...``; the rest of it, up to its LF, is skipped. With a
+prompt, ``> `` is sent when a session starts and after every line but ``Q``.
+
+execute_line answers every line; run_script, serve and serve_tcp only read,
+write and count. The serving loop is the sole owner of the model for a
+session; a second concurrent connection is refused busy.
 """
 
 from __future__ import annotations
@@ -20,6 +26,11 @@ from .script import RESP_OK, TestScript, format_word
 
 HELP_LINE = "R <addr> | W <addr> <data> | ? (help) | Q (quit)"
 BUSY_LINE = "ERR BUSY"
+
+MAX_LINE = 1024  # characters, not counting the LF
+# a UTF-8 character is at most 4 bytes, so a server that holds this many bytes
+# of a line holds more than MAX_LINE characters of it
+_MAX_LINE_BYTES = 4 * MAX_LINE
 
 _ERR_KIND = {
     busmodel.ERR_UNMAPPED: "UNMAPPED",
@@ -98,15 +109,18 @@ def execute(soc: SocModel, cmd: Command) -> str:
     return RESP_OK  # Q
 
 
-def execute_line(soc: SocModel, line: str):
-    """Response text for one raw line; None for blank lines."""
+def execute_line(soc: SocModel, line: str) -> tuple[str | None, bool]:
+    """The response to one raw line (None for a blank line) and whether the
+    line was Q; never raises."""
+    if len(line) > MAX_LINE:
+        return f"ERR PARSE {line[:16]}...", False
     try:
         cmd = parse_command(line)
     except ParseError as exc:
-        return f"ERR PARSE {exc.token}"
+        return f"ERR PARSE {exc.token}", False
     if cmd is None:
-        return None
-    return execute(soc, cmd)
+        return None, False
+    return execute(soc, cmd), cmd.op == "Q"
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +150,7 @@ class TestReport:
 def run_script(soc: SocModel, script: TestScript, stop_on_fail: bool = False) -> TestReport:
     report = TestReport()
     for i, step in enumerate(script.steps):
-        actual = execute_line(soc, step.command)
-        actual = "" if actual is None else actual
+        actual = execute_line(soc, step.command)[0] or ""
         report.total += 1
         if actual == step.expected:
             report.passed += 1
@@ -166,34 +179,35 @@ class SessionSummary:
     quit_seen: bool = False
 
 
+def _reply(soc: SocModel, raw: bytes, summary: SessionSummary, prompt: bool) -> bytes:
+    """What a server sends back for one line read without its LF: the
+    response, if any, then the prompt unless the line was Q."""
+    summary.lines += 1
+    response, summary.quit_seen = execute_line(soc, raw.decode("utf-8", errors="replace"))
+    out = b""
+    if response is not None:
+        summary.responses += 1
+        out = response.encode("utf-8") + b"\n"
+    if prompt and not summary.quit_seen:
+        out += b"> "
+    return out
+
+
 def serve(soc: SocModel, rfile, wfile, prompt: bool = False) -> SessionSummary:
     """Line loop over byte streams; ends on Q, EOF, or stream failure."""
     summary = SessionSummary(sessions=1)
     try:
-        while True:
-            if prompt:
-                wfile.write(b"> ")
-                wfile.flush()
-            raw = rfile.readline()
+        if prompt:
+            wfile.write(b"> ")
+            wfile.flush()
+        while not summary.quit_seen:
+            raw = rfile.readline(_MAX_LINE_BYTES + 1)
             if not raw:
                 break
-            summary.lines += 1
-            line = raw.decode("utf-8", errors="replace")
-            try:
-                cmd = parse_command(line)
-            except ParseError as exc:
-                cmd = None
-                response = f"ERR PARSE {exc.token}"
-            else:
-                if cmd is None:
-                    continue
-                response = execute(soc, cmd)
-            wfile.write(response.encode("utf-8") + b"\n")
+            wfile.write(_reply(soc, raw.removesuffix(b"\n"), summary, prompt))
             wfile.flush()
-            summary.responses += 1
-            if cmd is not None and cmd.op == "Q":
-                summary.quit_seen = True
-                break
+            while len(raw) > _MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                raw = rfile.readline(_MAX_LINE_BYTES + 1)  # the rest of an overlong line
     except OSError:
         pass
     return summary
@@ -219,7 +233,8 @@ def serve_tcp(soc: SocModel, listener: socket.socket, prompt: bool = False) -> S
     sel = selectors.DefaultSelector()
     sel.register(listener, selectors.EVENT_READ)
     active: socket.socket | None = None
-    buffer = b""
+    buffer = b""  # the start of a line whose LF has not arrived
+    skipping = False  # the rest of an answered overlong line is still arriving
     try:
         while True:
             events = sel.select()
@@ -239,7 +254,7 @@ def serve_tcp(soc: SocModel, listener: socket.socket, prompt: bool = False) -> S
                             conn.close()
                         continue
                     active = conn
-                    buffer = b""
+                    buffer, skipping = b"", False
                     summary.sessions += 1
                     sel.register(conn, selectors.EVENT_READ)
                     if prompt:
@@ -251,26 +266,21 @@ def serve_tcp(soc: SocModel, listener: socket.socket, prompt: bool = False) -> S
                 conn = key.fileobj
                 try:
                     chunk = conn.recv(4096)
-                    buffer += chunk
-                    while b"\n" in buffer:
-                        raw, buffer = buffer.split(b"\n", 1)
-                        summary.lines += 1
-                        line = raw.decode("utf-8", errors="replace")
-                        try:
-                            cmd = parse_command(line)
-                        except ParseError as exc:
-                            cmd = None
-                            response = f"ERR PARSE {exc.token}"
-                        else:
-                            if cmd is None:
-                                continue
-                            response = execute(soc, cmd)
-                        conn.sendall(response.encode("utf-8") + b"\n")
-                        summary.responses += 1
-                        if prompt:
-                            conn.sendall(b"> ")
-                        if cmd is not None and cmd.op == "Q":
-                            summary.quit_seen = True
+                    lines = (buffer + chunk).split(b"\n")
+                    buffer = lines.pop()
+                    if skipping and lines:
+                        del lines[0]
+                        skipping = False
+                    if skipping:
+                        buffer = b""
+                    elif len(buffer) > _MAX_LINE_BYTES:
+                        lines.append(buffer)
+                        buffer, skipping = b"", True
+                    for raw in lines:
+                        out = _reply(soc, raw, summary, prompt)
+                        if out:
+                            conn.sendall(out)
+                        if summary.quit_seen:
                             sel.unregister(conn)
                             conn.close()
                             return summary

@@ -11,8 +11,9 @@ from __future__ import annotations
 import bisect
 import re
 
+from chipkit import InputError
 from chipkit.memmap import MemoryMap, Region
-from chipkit.script import ScriptError, TestScript
+from chipkit.script import TestScript
 from chipkit.uart_host import Command, ParseError
 
 _HEX_RE = re.compile(r"^(0[xX])?[0-9a-fA-F]+$")
@@ -67,24 +68,24 @@ def load_script(text: str) -> TestScript:
             continue
         if line.startswith("#"):
             if pending_command is not None:
-                raise ScriptError(f"line {lineno}: expected '< <response>' after command")
+                raise InputError(f"line {lineno}: expected '< <response>' after command")
             pending_comment.append(line[1:].strip())
             continue
         if line.startswith(">"):
             if pending_command is not None:
-                raise ScriptError(f"line {lineno}: expected '< <response>' after command")
+                raise InputError(f"line {lineno}: expected '< <response>' after command")
             pending_command = line[1:].strip()
             continue
         if line.startswith("<"):
             if pending_command is None:
-                raise ScriptError(f"line {lineno}: response without a command")
+                raise InputError(f"line {lineno}: response without a command")
             script.add(pending_command, line[1:].strip(), " ".join(pending_comment))
             pending_command = None
             pending_comment = []
             continue
-        raise ScriptError(f"line {lineno}: unrecognized line {line!r}")
+        raise InputError(f"line {lineno}: unrecognized line {line!r}")
     if pending_command is not None:
-        raise ScriptError("trailing command without a response")
+        raise InputError("trailing command without a response")
     return script
 
 

@@ -1,0 +1,36 @@
+"""The traced benchmark (``bench/run.py --trace 1``) wraps chipkit's layer
+functions by name, on their defining module and on the modules that bound
+them with ``from ... import``; a rename or a dropped import breaks it."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+from chipkit import busmodel, cli, emit, memmap, regdb, script
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _layer_functions():
+    for node in ast.parse(SPANS.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "LAYER_FUNCTIONS":
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no LAYER_FUNCTIONS in {SPANS}")
+
+
+@pytest.mark.parametrize("name", _layer_functions())
+def test_layer_function_resolves(name):
+    module, *path = name.split(".")
+    owner = importlib.import_module(f"chipkit.{module}")
+    for part in path:
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_by_name_aliases_are_the_layer_functions():
+    assert busmodel.db_hash is regdb.db_hash
+    assert emit.save_script is script.save_script
+    assert cli.load_script is script.load_script
+    assert cli.load_memory_map is memmap.load_memory_map

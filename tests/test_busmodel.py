@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipkit import busmodel, emit, uart_host
+from chipkit import DataError, InputError, emit, uart_host
 from chipkit.busmodel import (
     ERR_MISALIGNED,
     ERR_UNMAPPED,
@@ -62,17 +62,18 @@ class TestBuild:
             assert bus_read(empty, addr) == BusError(ERR_UNMAPPED, addr)
 
     def test_unpaired_csr_region(self):
-        with pytest.raises(busmodel.ConfigError):
+        with pytest.raises(DataError, match="^csr region csr0 has no register database$"):
             build_soc(MAP, [])
 
     def test_db_for_unknown_region(self):
-        with pytest.raises(busmodel.ConfigError):
+        with pytest.raises(DataError, match="^database bound to unknown region: nope$"):
             build_soc(MemoryMap([]), [("nope", make_db())])
 
     def test_entry_outside_region(self):
         tiny = MemoryMap([Region("csr0", "csr", 0x50000000, 0x8)])
         db, _ = update_db(RegDb(), [CsrCandidate(f"cfg_{i}", 1, "RW", "m", i) for i in range(3)])
-        with pytest.raises(busmodel.ConfigError):
+        with pytest.raises(DataError, match=r"^entry cfg_1 at offset 0x8 does not fit region "
+                                            r"csr0 \(size 0x8\)$"):
             build_soc(tiny, [("csr0", db)])
 
 
@@ -136,13 +137,14 @@ class TestStatusControl:
         assert get_control(soc, "csr0", "cfg_a") == 0x3
 
     def test_usage_errors(self, soc):
-        with pytest.raises(busmodel.UsageError):
+        with pytest.raises(InputError, match="^cfg_a is RW; set_status drives RO entries only$"):
             set_status(soc, "csr0", "cfg_a", 1)  # RW name
-        with pytest.raises(busmodel.UsageError):
+        with pytest.raises(InputError,
+                           match="^sts_b is RO; get_control observes RW entries only$"):
             get_control(soc, "csr0", "sts_b")
-        with pytest.raises(busmodel.UsageError):
+        with pytest.raises(InputError, match="^no csr region named 'nope'$"):
             set_status(soc, "nope", "sts_b", 1)
-        with pytest.raises(busmodel.UsageError):
+        with pytest.raises(InputError, match="^no active entry 'missing' in region 'csr0'$"):
             set_status(soc, "csr0", "missing", 1)
 
 
@@ -250,7 +252,7 @@ class TestRegionTest:
         assert report.ok, uart_host.format_report(report)
 
     def test_csr_region_rejected(self):
-        with pytest.raises(busmodel.UsageError):
+        with pytest.raises(InputError, match="^region csr0 is a csr block, not a memory$"):
             gen_region_test(MAP, "csr0")
 
     @pytest.mark.parametrize("bit", [2, 7, 15])
@@ -274,11 +276,11 @@ class TestRegionTest:
         assert any(f"data bit {bit} read back" == c for c in failing_comments)
 
     def test_fault_on_csr_region_rejected(self):
-        with pytest.raises(busmodel.ConfigError):
+        with pytest.raises(DataError, match="^fault target 'csr0' is not an sram-backed region$"):
             build_soc(MAP, [("csr0", make_db())], fault=FaultConfig("mask_address_bit", 3, "csr0"))
 
     def test_bad_fault_spec(self):
-        with pytest.raises(busmodel.ConfigError):
+        with pytest.raises(DataError, match="^unknown fault kind 'zap'$"):
             build_soc(MAP, [("csr0", make_db())], fault=FaultConfig("zap", 3, "sram0"))
-        with pytest.raises(busmodel.ConfigError):
+        with pytest.raises(DataError, match=r"^fault bit 32 outside \[0, 32\)$"):
             build_soc(MAP, [("csr0", make_db())], fault=FaultConfig("mask_data_bit", 32, "sram0"))

@@ -292,6 +292,144 @@ class TestSim:
         assert "reads" in err
 
 
+def _bootstrap(proj):
+    assert main(["update"]) == 0
+    assert main(["generate"]) == 0
+
+
+def _edit(proj, name, old, new):
+    path = proj / name
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+
+
+def _bad_header(proj):
+    _bootstrap(proj)
+    _edit(proj, "regs.csv", "name,", "nom,")
+    return ["generate"]
+
+
+def _bad_row(proj):
+    _bootstrap(proj)
+    _edit(proj, "regs.csv", ",RW,", ",XX,")
+    return ["generate"]
+
+
+def _duplicate_offset(proj):
+    _bootstrap(proj)
+    _edit(proj, "regs.csv", "0x4,dsp_core", "0x8,dsp_core")
+    return ["generate"]
+
+
+def _misaligned_offset(proj):
+    _bootstrap(proj)
+    _edit(proj, "regs.csv", "0x4,dsp_core", "0x6,dsp_core")
+    return ["generate"]
+
+
+def _conflict(proj):
+    _bootstrap(proj)
+    db = regdb.load_db((proj / "regs.csv").read_text())
+    entry = db.entry("cfg_gain")
+    entry.state, entry.access = regdb.RETIRED, "RO"
+    (proj / "regs.csv").write_text(regdb.save_db(db))
+    return ["update"]
+
+
+def _duplicate_candidate(proj):
+    (proj / "rtl" / "twin.sv").write_text(
+        "module twin (input logic cfg_gain);\nendmodule\n")
+    return ["update"]
+
+
+def _malformed_sv(proj):
+    (proj / "rtl" / "broken.sv").write_text("module oops (input logic a);\n")
+    return ["update"]
+
+
+def _map(text):
+    def setup(proj):
+        _bootstrap(proj)
+        (proj / "soc.map").write_text(text)
+        return ["run-test", "--script", "gen/demo_selftest.txt"]
+    return setup
+
+
+def _malformed_script(proj):
+    _bootstrap(proj)
+    (proj / "bad.txt").write_text("> R 0x50000000\n> R 0x50000004\n")
+    return ["run-test", "--script", "bad.txt"]
+
+
+def _args(*argv, bootstrap=True):
+    def setup(proj):
+        if bootstrap:
+            _bootstrap(proj)
+        return list(argv)
+    return setup
+
+
+_SELFTEST = ("run-test", "--script", "gen/demo_selftest.txt")
+
+EXIT_CODE_TABLE = [
+    # (case, setup returning argv, exit code, stderr with {proj} for the project path)
+    ("bad-base", _args("generate", "--base", "zz"), 2,
+     "error: bad base address value 'zz'\n"),
+    ("unknown-fault", _args(*_SELFTEST, "--fault", "zap"), 2,
+     "error: bad fault spec 'zap' (mask_address_bit:<bit>:<region> "
+     "or mask_data_bit:<bit>:<region>)\n"),
+    ("bad-sram-mode", _args(*_SELFTEST, "--sram-mode", "bogus"), 2,
+     "error: bad sram mode 'bogus' (strict_x or random:<seed>)\n"),
+    ("missing-rtl-path", _args("update", "--rtl", "no_such_dir", bootstrap=False), 2,
+     "error: no such file or directory: no_such_dir\n"),
+    ("malformed-sv", _malformed_sv, 2,
+     "error: {proj}/rtl/broken.sv:1: module without endmodule\n"),
+    ("regs-bad-header", _bad_header, 2, "error: missing required column 'name'\n"),
+    ("regs-bad-row", _bad_row, 2, "error: row 2: invalid access token 'XX'\n"),
+    ("regs-duplicate-offset", _duplicate_offset, 3,
+     "error: duplicate offset 0x8 (rows 2 and 3)\n"),
+    ("regs-invalid", _misaligned_offset, 3,
+     "error: cfg_gain: offset 0x6 not word-aligned\n"
+     "error: database {proj}/regs.csv failed validation\n"),
+    ("duplicate-candidate", _duplicate_candidate, 2,
+     "error: duplicate candidate name cfg_gain\n"),
+    ("conflict", _conflict, 3,
+     "error: candidate cfg_gain (RW) collides with a retired RO entry at offset 0x4\n"),
+    ("address-space-exhausted",
+     _args("update", "--region-size", "0x8", "--targets", "rtl", bootstrap=False), 3,
+     "error: no free offset below 0x8 for entry cfg_offset\n"),
+    ("map-mismatch", _args("generate", "--base", "0x70000000"), 3,
+     "error: memory map has no csr region matching base 0x70000000 size 0x1000\n"),
+    ("bad-block-name", _args("generate", "--block", "9x"), 3,
+     "error: block name '9x' is not an identifier\n"),
+    ("malformed-map-line", _map("region csr0 csr 0x50000000\n"), 2,
+     "error: line 1: expected 'region <name> <kind> <base> <size>'\n"),
+    ("map-overlap", _map("region csr0 csr 0x50000000 0x1000\n"
+                         "region sram0 sram 0x50000000 0x2000\n"), 3,
+     "error: regions csr0 and sram0 overlap\n"),
+    ("two-csr-regions", _map("region csr0 csr 0x50000000 0x1000\n"
+                             "region csr1 csr 0x51000000 0x1000\n"), 3,
+     "error: one database drives one csr region; map declares csr0, csr1\n"),
+    ("fault-bit-range", _args(*_SELFTEST, "--fault", "mask_data_bit:40:sram0"), 3,
+     "error: fault bit 40 outside [0, 32)\n"),
+    ("malformed-script", _malformed_script, 2,
+     "error: line 2: expected '< <response>' after command\n"),
+]
+
+
+class TestExitCodes:
+    """Every error the CLI can raise, with its exit code and exact message."""
+
+    @pytest.mark.parametrize("setup, code, err", [case[1:] for case in EXIT_CODE_TABLE],
+                             ids=[case[0] for case in EXIT_CODE_TABLE])
+    def test_exit_code_and_message(self, proj, capsys, setup, code, err):
+        argv = setup(proj)
+        capsys.readouterr()
+        assert main(argv) == code
+        assert capsys.readouterr().err == err.format(proj=proj)
+
+
 class TestConfigPlumbing:
     def test_env_var_config(self, proj):
         # proj fixture sets CHIPKIT_CONFIG; bare main() calls above rely on it

@@ -2,9 +2,9 @@ import re
 
 import pytest
 
-from chipkit import emit, regdb, sv_scan
-from chipkit.emit import ConfigError, EmitConfig, PadDb, load_pad_db
-from chipkit.memmap import MemoryMap, MapInvariantError, Region
+from chipkit import DataError, emit, regdb, sv_scan
+from chipkit.emit import EmitConfig, PadDb, load_pad_db
+from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import RETIRED, RegDb, RegEntry, db_hash, update_db
 from chipkit.script import format_word
 from chipkit.sv_scan import CsrCandidate, DiagCandidate, SourceFile, lint, parse_modules
@@ -64,7 +64,8 @@ class TestCsrRtl:
 
     def test_region_too_small(self):
         small = EmitConfig(block_name="b", base_address=0, csr_region_size_bytes=4)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match=r"^region size 0x4 too small for 1 entries plus "
+                                            r"the ID register \(need 0x8\)$"):
             emit.emit_csr_rtl(GAIN_DB, small)
 
     def test_monotone_line_count(self):
@@ -188,7 +189,7 @@ class TestMemmapHeader:
 
     def test_overlap_rejected(self):
         m = MemoryMap([Region("a", "sram", 0x1000, 0x1000), Region("b", "sram", 0x1800, 0x800)])
-        with pytest.raises(MapInvariantError):
+        with pytest.raises(DataError, match="^regions a and b overlap$"):
             emit.emit_memmap_header(m)
 
 
@@ -211,16 +212,17 @@ class TestDiagMux:
         assert "always_comb pin0_val = diag_only;" in text
 
     def test_no_signals_is_error(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="^diagnostic mux needs at least one signal$"):
             emit.emit_diag_mux([], 1, diag_db(), CFG)
 
     def test_select_register_too_narrow(self):
         diags = [DiagCandidate(f"diag_{c}", "m") for c in "abcd"]
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="^cfg_diag_sel is 2 bits; need 4 for 4 signals on 2 pins$"):
             emit.emit_diag_mux(diags, 2, diag_db(width=2), CFG)
 
     def test_missing_select_register(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match=r"^database has no cfg_diag_sel entry "
+                                            r"\(run update with diag enabled\)$"):
             emit.emit_diag_mux([DiagCandidate("diag_a", "m")], 2, RegDb(), CFG)
 
     def test_out_of_range_select_goes_to_zero(self):
@@ -244,7 +246,7 @@ class TestPadScript:
         assert all(l.startswith("#") for l in text.strip().splitlines())
 
     def test_duplicate_slot_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="^pad row 3: duplicate slot N0$"):
             load_pad_db("name,side,order,cell,signal\na,N,0,C,s\nb,N,0,C,t\n")
 
 
@@ -319,13 +321,13 @@ class TestDeterminismAndClosure:
         assert lint(mux_src) == []
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="^block name '2bad' is not an identifier$"):
             EmitConfig(block_name="2bad").validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="^region size 0x300 is not a power of two >= 4$"):
             EmitConfig(csr_region_size_bytes=0x300).validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="^base address not aligned to region size$"):
             EmitConfig(base_address=0x100, csr_region_size_bytes=0x1000).validate()
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="^unknown targets: bogus$"):
             EmitConfig(targets=("rtl", "bogus")).validate()
 
 
@@ -366,13 +368,14 @@ class TestOneHashPerRender:
         assert hash_calls == []
 
     def test_config_errors_precede_the_hash(self, hash_calls):
-        # an unallocated entry makes db_hash itself raise InvariantError
+        # an unallocated entry makes db_hash itself raise DataError
         db = RegDb(entries=[RegEntry("cfg_a", 8, "RW"), RegEntry("cfg_b", 8, "RW")])
         small = EmitConfig(block_name="myblk", base_address=0x70000000, csr_region_size_bytes=8)
-        with pytest.raises(ConfigError, match="too small"):
+        with pytest.raises(DataError, match=r"^region size 0x8 too small for 2 entries plus "
+                                            r"the ID register \(need 0xc\)$"):
             emit.render_targets(db, small)
-        with pytest.raises(ConfigError, match="memmap target needs"):
+        with pytest.raises(DataError, match="^memmap target needs a memory map file$"):
             emit.render_targets(db, EmitConfig(targets=("memmap", "rtl")))
-        with pytest.raises(regdb.InvariantError):
+        with pytest.raises(DataError, match="^entry cfg_a has no offset; allocate before saving$"):
             emit.render_targets(db, EmitConfig(targets=("md",)))
         assert len(hash_calls) == 1

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import host_oracle
-from chipkit import script, uart_host
+from chipkit import InputError, script, uart_host
 from chipkit.memmap import MemoryMap, Region
-from chipkit.script import ScriptError
 from chipkit.uart_host import ParseError
 
 # verbs in both cases, separators, hex digits and prefix characters, a
@@ -68,7 +67,7 @@ def test_parse_command_word_width_boundary():
 def _load(impl, text: str):
     try:
         return "ok", impl(text).steps
-    except ScriptError as err:
+    except InputError as err:
         return "err", str(err)
 
 

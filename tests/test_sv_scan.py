@@ -94,16 +94,18 @@ class TestParseModules:
         assert [m.name for m in mods] == ["real_one"]
 
     def test_unbalanced_module(self):
-        with pytest.raises(MalformedSource):
+        with pytest.raises(MalformedSource, match="^test.sv:1: module without endmodule$"):
             parse_modules(src("module a (input logic x);\n"))
-        with pytest.raises(MalformedSource):
+        with pytest.raises(MalformedSource,
+                           match="^test.sv:1: endmodule without matching module$"):
             parse_modules(src("endmodule\n"))
-        with pytest.raises(MalformedSource):
+        with pytest.raises(MalformedSource,
+                           match="^test.sv:2: nested or unbalanced module keyword$"):
             parse_modules(src("module a;\nmodule b;\nendmodule\nendmodule\n"))
 
     def test_unterminated_comment(self):
-        err = pytest.raises(MalformedSource, parse_modules, src("module a;\n/* oops\nendmodule"))
-        assert "comment" in str(err.value)
+        with pytest.raises(MalformedSource, match="^test.sv:2: unterminated block comment$"):
+            parse_modules(src("module a;\n/* oops\nendmodule"))
 
     def test_parameterized_width_skipped_with_diagnostic(self):
         diags = []

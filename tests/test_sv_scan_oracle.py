@@ -22,7 +22,7 @@ def _mask(impl, text: str, path: str = "t.sv"):
     try:
         return "ok", impl(SourceFile(path, text))
     except MalformedSource as err:
-        return "err", str(err), err.path, err.line
+        return "err", str(err)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -41,7 +41,7 @@ def test_unterminated_comment_error_matches_oracle(head, tail):
     line = head.count("\n") + 2
     got = _mask(sv_scan.mask_comments_and_strings, text)
     assert got == _mask(scan_oracle.mask_comments_and_strings, text)
-    assert got == ("err", f"t.sv:{line}: unterminated block comment", "t.sv", line)
+    assert got == ("err", f"t.sv:{line}: unterminated block comment")
 
 
 @pytest.mark.parametrize("text, line", [
@@ -51,9 +51,8 @@ def test_unterminated_comment_error_matches_oracle(head, tail):
     ('"a\\\n/*"\n/*', 3),  # escaped newline keeps the string open
 ])
 def test_unterminated_comment_line(text, line):
-    with pytest.raises(MalformedSource, match="unterminated block comment") as err:
+    with pytest.raises(MalformedSource, match=f"^t.sv:{line}: unterminated block comment$"):
         sv_scan.mask_comments_and_strings(SourceFile("t.sv", text))
-    assert (err.value.path, err.value.line) == ("t.sv", line)
 
 
 @st.composite
@@ -91,7 +90,7 @@ def _blocks(impl, text: str):
     try:
         return "ok", impl(file, sv_scan.mask_comments_and_strings(file))
     except MalformedSource as err:
-        return "err", str(err), err.path, err.line
+        return "err", str(err)
 
 
 @settings(max_examples=1000, deadline=None)

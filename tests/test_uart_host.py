@@ -15,6 +15,7 @@ from chipkit.regdb import RegDb, update_db
 from chipkit.script import ScriptStep, TestScript, load_script, save_script
 from chipkit.sv_scan import CsrCandidate
 from chipkit.uart_host import (
+    MAX_LINE,
     Command,
     ParseError,
     execute,
@@ -117,8 +118,12 @@ class TestExecute:
         assert "\n" not in text and "R <addr>" in text
 
     def test_parse_error_line(self):
-        assert execute_line(make_soc(), "R 0xZZ") == "ERR PARSE 0xZZ"
-        assert execute_line(make_soc(), "") is None
+        assert execute_line(make_soc(), "R 0xZZ") == ("ERR PARSE 0xZZ", False)
+        assert execute_line(make_soc(), "") == (None, False)
+
+    def test_quit_line(self):
+        assert execute_line(make_soc(), " q ") == ("OK", True)
+        assert execute_line(make_soc(), "W 0x60000000 0x1") == ("OK", False)
 
 
 class TestRunScript:
@@ -359,3 +364,111 @@ class TestResponseProperties:
     def test_one_response_per_command(self, lines):
         summary, out = run_session(make_soc(), lines)
         assert len(out.splitlines()) == len(lines)
+
+
+def _tcp_session(soc, data: bytes, prompt: bool = False):
+    """Serve one TCP session that sends data and half-closes; returns what the
+    client received and the server's summary."""
+    listener = open_listener()
+    result = {}
+    t = threading.Thread(
+        target=lambda: result.update(summary=serve_tcp(soc, listener, prompt)), daemon=True)
+    t.start()
+    try:
+        with socket.create_connection(listener.getsockname(), timeout=10) as conn:
+            conn.sendall(data)
+            conn.shutdown(socket.SHUT_WR)
+            out = b""
+            while chunk := conn.recv(65536):
+                out += chunk
+    finally:
+        t.join(timeout=10)
+        listener.close()
+    assert not t.is_alive()
+    return out, result["summary"]
+
+
+class TestLineCap:
+    """A line longer than MAX_LINE gets one bounded ERR PARSE, and reading
+    resumes at the next line, on both servers."""
+
+    STREAM = b"x" * (1 << 20) + b"\nR 0x50000004\nQ\n"  # 1 MiB with no LF, then two lines
+    EXPECTED = b"ERR PARSE xxxxxxxxxxxxxxxx...\n0x0000000f\nOK\n"
+
+    def test_stdio(self):
+        wfile = io.BytesIO()
+        summary = serve(make_soc(), io.BytesIO(self.STREAM), wfile)
+        assert wfile.getvalue() == self.EXPECTED
+        assert (summary.lines, summary.responses, summary.quit_seen) == (3, 3, True)
+
+    def test_tcp(self):
+        out, summary = _tcp_session(make_soc(), self.STREAM)
+        assert out == self.EXPECTED
+        assert (summary.lines, summary.responses, summary.quit_seen) == (3, 3, True)
+
+    def test_cap_boundary(self):
+        soc = make_soc()
+        at_cap = "R " + "0" * (MAX_LINE - 2)  # a zero-padded address of 0
+        assert execute_line(soc, at_cap) == ("ERR UNMAPPED", False)
+        assert execute_line(soc, at_cap + "0") == ("ERR PARSE R 00000000000000...", False)
+        junk = "j" * MAX_LINE
+        assert execute_line(soc, junk) == (f"ERR PARSE {junk}", False)
+
+    def test_multibyte_line_over_the_cap_in_characters(self):
+        # 1,500 two-byte characters fit one read but exceed the cap; 3,000
+        # exceed one read and are cut mid-character
+        for count in (1500, 3000):
+            data = ("é" * count + "\nR 0x50000004\nQ\n").encode()
+            wfile = io.BytesIO()
+            serve(make_soc(), io.BytesIO(data), wfile)
+            tcp_out, _ = _tcp_session(make_soc(), data)
+            expected = ("ERR PARSE " + "é" * 16 + "...\n0x0000000f\nOK\n").encode()
+            assert wfile.getvalue() == tcp_out == expected
+
+    def test_prompt_rule_is_shared(self):
+        data = b"R 0x50000004\n\n  \nQ\nR 0x50000004\n"
+        wfile = io.BytesIO()
+        serve(make_soc(), io.BytesIO(data), wfile, prompt=True)
+        assert wfile.getvalue() == b"> 0x0000000f\n> > > OK\n"
+        # the line after Q is not sent: closing with unread input resets
+        out, _ = _tcp_session(make_soc(), data[:-len(b"R 0x50000004\n")], prompt=True)
+        assert out == wfile.getvalue()
+
+
+_PIECES = ["R", "r", "W", "w", "?", " ", "  ", "\t", "\r", "0x50000004", "0x60000000",
+           "60000010", "0x123", "0x" + "f" * 9, "0" * 12 + "1", "junk", "0xZZ", "é"]
+_lines = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=6).map("".join),
+    st.sampled_from(["", "x" * 5000, "é" * 1500]),  # blank and overlong lines
+)
+
+
+class TestTransportEquivalence:
+    """run_script, serve over byte streams and serve_tcp answer the same
+    lines alike and leave the model alike."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(before=st.lists(_lines, max_size=12), quit_line=st.sampled_from(["Q", " q\r", "\tQ"]),
+           after=st.lists(_lines, max_size=3))
+    def test_same_responses_summaries_and_stats(self, before, quit_line, after):
+        served = before + [quit_line]
+        # a script expecting nothing records every response as a failure
+        soc_script = make_soc()
+        report = run_script(soc_script, TestScript([ScriptStep(l, "") for l in served]))
+        via_script = [f.actual for f in report.failures]
+
+        soc_stdio = make_soc()
+        wfile = io.BytesIO()
+        stdio = serve(soc_stdio, io.BytesIO("".join(l + "\n" for l in served + after).encode()),
+                      wfile)
+        # lines after Q are left out over TCP: closing with unread input
+        # would reset the connection and could lose the responses
+        soc_tcp = make_soc()
+        tcp_out, tcp = _tcp_session(soc_tcp, "".join(l + "\n" for l in served).encode())
+
+        via_stdio = wfile.getvalue().decode().split("\n")
+        assert via_stdio.pop() == ""
+        assert via_script == via_stdio == tcp_out.decode().split("\n")[:-1]
+        assert (stdio.lines, stdio.responses, stdio.quit_seen) == \
+            (tcp.lines, tcp.responses, tcp.quit_seen) == (len(served), len(via_script), True)
+        assert soc_script.stats == soc_stdio.stats == soc_tcp.stats
