@@ -10,14 +10,14 @@ their own detection power.
 
 from __future__ import annotations
 
-import random
+import bisect
+import zlib
 from dataclasses import dataclass, field
 
 from . import DataError, InputError
 from .memmap import MemoryMap, Region
-from .regdb import ACTIVE, ID_REG_OFFSET, RegDb, UNMAPPED_READ_VALUE, db_hash
+from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ID_REG_OFFSET, RegDb, UNMAPPED_READ_VALUE, db_hash
 from .script import RESP_OK, TestScript, format_word, read_command, write_command
-from .sv_scan import ACCESS_RO, ACCESS_RW
 
 WORD_MASK = 0xFFFFFFFF
 
@@ -107,24 +107,26 @@ class SramStore:
     def __init__(self, region: Region, mode: str, seed: int):
         self.region = region
         self.mode = mode
-        self.seed = seed
-        self.size_words = region.size_bytes // 4
         self.words: dict[int, int] = {}
+        # an injected fault clears one bit of these; without one they are all ones
+        self.offset_mask = WORD_MASK
+        self.data_mask = WORD_MASK
+        self._fill_key = zlib.crc32(f"{seed}:{region.name}".encode("utf-8"))
 
     def fill_word(self, index: int) -> int:
-        rnd = random.Random(f"{self.seed}:{self.region.name}:{index}")
-        return rnd.getrandbits(32)
+        """Power-up value of a never-written word: a function of (seed, region, index) only."""
+        return zlib.crc32(index.to_bytes(4, "little"), self._fill_key)
 
-    def read(self, index: int) -> int | None:
-        """Stored word, or None for an uninitialized read in strict mode."""
-        if index in self.words:
-            return self.words[index]
-        if self.mode == SRAM_STRICT_X:
-            return None
-        return self.fill_word(index)
+    def read(self, offset: int) -> int | None:
+        """Word at a byte offset, or None for an uninitialized read in strict mode."""
+        index = (offset & self.offset_mask) >> 2
+        value = self.words.get(index)
+        if value is None and self.mode != SRAM_STRICT_X:
+            return self.fill_word(index)
+        return value
 
-    def write(self, index: int, value: int) -> None:
-        self.words[index] = value & WORD_MASK
+    def write(self, offset: int, value: int) -> None:
+        self.words[(offset & self.offset_mask) >> 2] = value & self.data_mask
 
 
 @dataclass
@@ -134,6 +136,9 @@ class SocModel:
     srams: dict = field(default_factory=dict)        # region name -> SramStore
     fault: FaultConfig | None = None
     stats: Stats = field(default_factory=Stats)
+    # decode index: region bases in order, and per region (end, base, its CsrBlock or SramStore)
+    bases: tuple = ()
+    targets: tuple = ()
 
 
 def build_soc(
@@ -162,10 +167,18 @@ def build_soc(
             soc.srams[region.name] = SramStore(region, sram_mode, seed)
     if fault is not None:
         fault.validate()
-        if fault.target_region not in soc.srams:
+        store = soc.srams.get(fault.target_region)
+        if store is None:
             raise DataError(
                 f"fault target {fault.target_region!r} is not an sram-backed region")
+        if fault.kind == FAULT_ADDRESS_BIT:
+            store.offset_mask &= ~(1 << fault.bit)
+        else:
+            store.data_mask &= ~(1 << fault.bit)
         soc.fault = fault
+    soc.bases = tuple(r.base for r in memmap.regions)
+    soc.targets = tuple((r.end, r.base, soc.csr_blocks.get(r.name) or soc.srams[r.name])
+                        for r in memmap.regions)
     return soc
 
 
@@ -174,52 +187,36 @@ def _error(soc: SocModel, kind: str, addr: int) -> BusError:
     return BusError(kind, addr)
 
 
-def _sram_index(soc: SocModel, store: SramStore, offset: int) -> int:
-    fault = soc.fault
-    if fault is not None and fault.kind == FAULT_ADDRESS_BIT \
-            and fault.target_region == store.region.name:
-        offset &= ~(1 << fault.bit)
-    return offset // 4
-
-
 def bus_read(soc: SocModel, addr: int):
     """32-bit word at addr, or a BusError from the decode/backing store."""
     soc.stats.reads += 1
     addr &= WORD_MASK
-    if addr % 4:
+    if addr & 3:
         return _error(soc, ERR_MISALIGNED, addr)
-    region = soc.memmap.region_at(addr)
-    if region is None:
-        return _error(soc, ERR_UNMAPPED, addr)
-    if region.kind == "csr":
-        return soc.csr_blocks[region.name].read(addr - region.base)
-    store = soc.srams[region.name]
-    value = store.read(_sram_index(soc, store, addr - region.base))
-    if value is None:
-        return _error(soc, ERR_XREAD, addr)
-    return value
+    i = bisect.bisect_right(soc.bases, addr) - 1
+    if i >= 0:
+        end, base, target = soc.targets[i]
+        if addr < end:
+            value = target.read(addr - base)
+            if value is None:
+                return _error(soc, ERR_XREAD, addr)
+            return value
+    return _error(soc, ERR_UNMAPPED, addr)
 
 
 def bus_write(soc: SocModel, addr: int, data: int):
     """None on success (including silently-ignored RO writes), else a BusError."""
     soc.stats.writes += 1
     addr &= WORD_MASK
-    data &= WORD_MASK
-    if addr % 4:
+    if addr & 3:
         return _error(soc, ERR_MISALIGNED, addr)
-    region = soc.memmap.region_at(addr)
-    if region is None:
-        return _error(soc, ERR_UNMAPPED, addr)
-    if region.kind == "csr":
-        soc.csr_blocks[region.name].write(addr - region.base, data)
-        return None
-    store = soc.srams[region.name]
-    fault = soc.fault
-    if fault is not None and fault.kind == FAULT_DATA_BIT \
-            and fault.target_region == region.name:
-        data &= ~(1 << fault.bit)
-    store.write(_sram_index(soc, store, addr - region.base), data)
-    return None
+    i = bisect.bisect_right(soc.bases, addr) - 1
+    if i >= 0:
+        end, base, target = soc.targets[i]
+        if addr < end:
+            target.write(addr - base, data & WORD_MASK)
+            return None
+    return _error(soc, ERR_UNMAPPED, addr)
 
 
 def set_status(soc: SocModel, region: str, name: str, value: int) -> None:

@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 check failures, 2 I/O or parse errors (InputError),
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
 import sys
 import tempfile
@@ -25,12 +24,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import ChipkitError, DataError, InputError, busmodel, emit, regdb, sv_scan, uart_host
+from . import ChipkitError, DataError, InputError, busmodel, regdb, uart_host
 from .busmodel import FAULT_ADDRESS_BIT, FAULT_DATA_BIT, FaultConfig
-from .emit import EmitConfig
 from .memmap import MemoryMap, load_memory_map
+from .regdb import EmitConfig, NamingConvention
 from .script import load_script
-from .sv_scan import NamingConvention, SourceFile
+
+# sv_scan and emit load in the subcommands that use them, never in sim or run-test
 
 CONFIG_ENV = "CHIPKIT_CONFIG"
 
@@ -38,6 +38,9 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_IO = 2
 EXIT_DATA = 3
+
+# the NamingConvention fields, which are also their INI keys and flag names
+_NAMING_KEYS = ("control_prefix", "status_prefix", "diag_prefix", "match_mode")
 
 
 @dataclass
@@ -85,6 +88,7 @@ def _parse_fault(text: str) -> FaultConfig:
 
 
 def load_config_file(path: str) -> ProjectConfig:
+    import configparser  # imported here: a run given only flags reads no config file
     parser = configparser.ConfigParser()
     text = Path(path).read_text(encoding="utf-8")
     parser.read_string(text, source=path)
@@ -108,12 +112,7 @@ def load_config_file(path: str) -> ProjectConfig:
 
     if parser.has_section("naming"):
         nam = parser["naming"]
-        cfg.naming = NamingConvention(
-            control_prefix=nam.get("control_prefix", "cfg_"),
-            status_prefix=nam.get("status_prefix", "sts_"),
-            diag_prefix=nam.get("diag_prefix", "diag_"),
-            match_mode=nam.get("match_mode", "prefix"),
-        )
+        cfg.naming = NamingConvention(**{k: nam[k] for k in _NAMING_KEYS if k in nam})
 
     if parser.has_section("emit"):
         em = parser["emit"]
@@ -155,14 +154,7 @@ def _config_from_args(args) -> ProjectConfig:
     if getattr(args, "pads", None):
         cfg.pads_path = args.pads
 
-    naming_kwargs = {}
-    for flag, fieldname in (("control_prefix", "control_prefix"),
-                            ("status_prefix", "status_prefix"),
-                            ("diag_prefix", "diag_prefix"),
-                            ("match_mode", "match_mode")):
-        value = getattr(args, flag, None)
-        if value:
-            naming_kwargs[fieldname] = value
+    naming_kwargs = {k: getattr(args, k) for k in _NAMING_KEYS if getattr(args, k, None)}
     if naming_kwargs:
         cfg.naming = replace(cfg.naming, **naming_kwargs)
 
@@ -215,11 +207,12 @@ def _rtl_files(paths: list) -> list[Path]:
 def _scan_modules(cfg: ProjectConfig, diagnostics: list) -> Iterator[sv_scan.ModuleDecl]:
     """Parse every RTL file, yielding its modules before the next file is
     parsed, so a caller's per-module diagnostics follow that file's own."""
+    from . import sv_scan
     if not cfg.rtl_paths:
         raise InputError("no RTL paths given (set [project] rtl or pass --rtl)")
     scanned: set[str] = set()
     for path in _rtl_files(cfg.rtl_paths):
-        for module in sv_scan.parse_modules(SourceFile.from_path(path), diagnostics):
+        for module in sv_scan.parse_modules(sv_scan.SourceFile.from_path(path), diagnostics):
             if module.name in scanned:
                 raise InputError(f"module {module.name} declared in more than one file")
             scanned.add(module.name)
@@ -247,6 +240,7 @@ def _write_atomic(path: Path, text: str) -> None:
 # subcommands
 
 def cmd_update(cfg: ProjectConfig) -> int:
+    from . import emit, sv_scan
     diagnostics: list[sv_scan.Diagnostic] = []
     candidates = []
     diag_candidates = []
@@ -268,8 +262,8 @@ def cmd_update(cfg: ProjectConfig) -> int:
         if any(c.name == "cfg_diag_sel" for c in candidates):
             raise InputError("cfg_diag_sel is generated for the diagnostic mux; "
                             "rename the conflicting RTL port")
-        candidates = candidates + [sv_scan.CsrCandidate(
-            name="cfg_diag_sel", width_bits=sel_width, access=sv_scan.ACCESS_RW,
+        candidates = candidates + [regdb.CsrCandidate(
+            name="cfg_diag_sel", width_bits=sel_width, access=regdb.ACCESS_RW,
             origin_module=diag_origin, source_line=0)]
         scanned_for_update.add(diag_origin)
     elif any(e.origin_module == diag_origin for e in db.entries):
@@ -311,6 +305,7 @@ def _check_map_against_emit(memmap: MemoryMap, cfg: ProjectConfig) -> None:
 
 
 def cmd_generate(cfg: ProjectConfig) -> int:
+    from . import emit, sv_scan
     db = _load_db_checked(cfg)
     memmap = None
     if "memmap" in cfg.emit.targets:
@@ -333,12 +328,13 @@ def cmd_generate(cfg: ProjectConfig) -> int:
 
 
 def cmd_lint(cfg: ProjectConfig, paths: list) -> int:
+    from . import sv_scan
     files = _rtl_files(paths or cfg.rtl_paths)
     if not files:
         raise InputError("no RTL files to lint")
     violations = []
     for path in files:
-        violations.extend(sv_scan.lint(SourceFile.from_path(path)))
+        violations.extend(sv_scan.lint(sv_scan.SourceFile.from_path(path)))
     if violations:
         print(sv_scan.format_lint_report(violations))
         return EXIT_CHECK

@@ -16,42 +16,15 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from . import DataError
+from . import DataError, InputError
 from . import regdb as rdb
 from .memmap import MemoryMap
-from .regdb import ACTIVE, ID_REG_NAME, ID_REG_OFFSET, RETIRED, RegDb, RegEntry, UNMAPPED_READ_VALUE
+from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ALL_TARGETS, ID_REG_NAME, ID_REG_OFFSET, RETIRED
+from .regdb import EmitConfig, RegDb, RegEntry
 from .script import RESP_OK, TestScript, format_word, read_command, save_script, write_command
-from .sv_scan import ACCESS_RO, ACCESS_RW, DiagCandidate
-
-ALL_TARGETS = ("rtl", "inst", "md", "c", "py", "test", "memmap", "diag", "pads")
+from .sv_scan import DiagCandidate
 
 _SIDES = ("N", "E", "S", "W")
-
-
-@dataclass(frozen=True)
-class EmitConfig:
-    block_name: str = "soc"
-    base_address: int = 0x50000000
-    csr_region_size_bytes: int = 0x1000
-    targets: tuple = ALL_TARGETS
-    unmapped_value: int = UNMAPPED_READ_VALUE
-    diag_pins: int = 2
-
-    def validate(self) -> None:
-        if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", self.block_name):
-            raise DataError(f"block name {self.block_name!r} is not an identifier")
-        size = self.csr_region_size_bytes
-        if size < 4 or size & (size - 1):
-            raise DataError(f"region size 0x{size:x} is not a power of two >= 4")
-        if self.base_address % size:
-            raise DataError("base address not aligned to region size")
-        if not 0 <= self.base_address < (1 << 32):
-            raise DataError("base address outside 32-bit space")
-        unknown = set(self.targets) - set(ALL_TARGETS)
-        if unknown:
-            raise DataError(f"unknown targets: {', '.join(sorted(unknown))}")
-        if self.diag_pins < 1:
-            raise DataError("need at least one diagnostic pin")
 
 
 @dataclass(frozen=True)
@@ -71,25 +44,27 @@ class PadDb:
 def load_pad_db(csv_text: str) -> PadDb:
     rows = list(csv.reader(io.StringIO(csv_text)))
     if not rows:
-        raise DataError("empty pad file (missing header row)")
+        raise InputError("empty pad file (missing header row)")
     header = [c.strip() for c in rows[0]]
     required = ("name", "side", "order", "cell", "signal")
     for col in required:
         if col not in header:
-            raise DataError(f"pad file missing column {col!r}")
+            raise InputError(f"pad file missing column {col!r}")
     idx = {c: header.index(c) for c in required}
     pads = []
     slots = set()
     for rownum, row in enumerate(rows[1:], 2):
         if not row:
             continue
+        if len(row) < len(header):
+            raise InputError(f"pad row {rownum}: expected {len(header)} fields, found {len(row)}")
         side = row[idx["side"]].strip().upper()
         if side not in _SIDES:
-            raise DataError(f"pad row {rownum}: side must be one of N/E/S/W")
+            raise InputError(f"pad row {rownum}: side must be one of N/E/S/W")
         try:
             order = int(row[idx["order"]].strip(), 0)
         except ValueError:
-            raise DataError(f"pad row {rownum}: bad order index") from None
+            raise InputError(f"pad row {rownum}: bad order index") from None
         if (side, order) in slots:
             raise DataError(f"pad row {rownum}: duplicate slot {side}{order}")
         slots.add((side, order))

@@ -29,9 +29,6 @@ class Region:
         """One past the last byte of the region."""
         return self.base + self.size_bytes
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
-
 
 @dataclass(frozen=True)
 class MemoryMap:

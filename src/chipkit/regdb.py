@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import re
 import zlib
 from dataclasses import dataclass, field, replace
 
 from . import DataError, InputError
-from .sv_scan import ACCESS_RO, ACCESS_RW, CsrCandidate
+
+ACCESS_RW = "RW"
+ACCESS_RO = "RO"
 
 WORD_BYTES = 4
 FIRST_OFFSET = 0x4  # offset 0x0 is reserved for the generated ID register
@@ -37,6 +40,68 @@ REQUIRED_COLUMNS = ("name", "width", "access", "reset", "offset", "origin_module
 CANONICAL_COLUMNS = REQUIRED_COLUMNS + ("state",)
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_OFFSET_KEY = operator.attrgetter("offset_bytes")
+
+
+@dataclass(frozen=True)
+class CsrCandidate:
+    name: str
+    width_bits: int
+    access: str
+    origin_module: str
+    source_line: int
+
+
+# settings of the scanner and the emitters, kept out of both so that building a
+# project config loads neither: sim and run-test never scan or render
+
+@dataclass(frozen=True)
+class NamingConvention:
+    control_prefix: str = "cfg_"
+    status_prefix: str = "sts_"
+    diag_prefix: str = "diag_"
+    match_mode: str = "prefix"  # prefix | postfix
+
+    def __post_init__(self):
+        affixes = (self.control_prefix, self.status_prefix, self.diag_prefix)
+        if any(not a for a in affixes) or len(set(affixes)) != 3:
+            raise ValueError("naming affixes must be non-empty and pairwise distinct")
+        if self.match_mode not in ("prefix", "postfix"):
+            raise ValueError(f"bad match_mode {self.match_mode!r}")
+
+    def matches(self, affix: str, name: str) -> bool:
+        if self.match_mode == "prefix":
+            return name.startswith(affix)
+        return name.endswith(affix)
+
+
+ALL_TARGETS = ("rtl", "inst", "md", "c", "py", "test", "memmap", "diag", "pads")
+
+
+@dataclass(frozen=True)
+class EmitConfig:
+    block_name: str = "soc"
+    base_address: int = 0x50000000
+    csr_region_size_bytes: int = 0x1000
+    targets: tuple = ALL_TARGETS
+    unmapped_value: int = UNMAPPED_READ_VALUE
+    diag_pins: int = 2
+
+    def validate(self) -> None:
+        if not _IDENT_RE.match(self.block_name):
+            raise DataError(f"block name {self.block_name!r} is not an identifier")
+        size = self.csr_region_size_bytes
+        if size < 4 or size & (size - 1):
+            raise DataError(f"region size 0x{size:x} is not a power of two >= 4")
+        if self.base_address % size:
+            raise DataError("base address not aligned to region size")
+        if not 0 <= self.base_address < (1 << 32):
+            raise DataError("base address outside 32-bit space")
+        unknown = set(self.targets) - set(ALL_TARGETS)
+        if unknown:
+            raise DataError(f"unknown targets: {', '.join(sorted(unknown))}")
+        if self.diag_pins < 1:
+            raise DataError("need at least one diagnostic pin")
 
 
 @dataclass
@@ -62,9 +127,6 @@ class RegDb:
             if e.name == name:
                 return e
         return None
-
-    def retired_entries(self) -> list[RegEntry]:
-        return [e for e in self.entries if e.state == RETIRED]
 
 
 @dataclass
@@ -94,37 +156,39 @@ def _parse_int(token: str, what: str, row: int) -> int:
 
 def load_db(csv_text: str) -> RegDb:
     """Parse CSV text into a RegDb, preserving any extra columns verbatim."""
-    rows = list(csv.reader(io.StringIO(csv_text)))
-    if not rows:
+    rows = csv.reader(io.StringIO(csv_text))
+    header = next(rows, None)
+    if header is None:
         raise InputError("empty database file (missing header row)")
-    columns = [c.strip() for c in rows[0]]
+    columns = [c.strip() for c in header]
     for col in REQUIRED_COLUMNS:
         if col not in columns:
             raise InputError(f"missing required column {col!r}")
     col_index = {c: i for i, c in enumerate(columns)}
-    has_state = "state" in col_index
-    extra_cols = [c for c in columns if c not in CANONICAL_COLUMNS]
+    i_name, i_width, i_access, i_reset, i_offset, i_origin, i_desc = \
+        (col_index[c] for c in REQUIRED_COLUMNS)
+    i_state = col_index.get("state")
+    extras = [(c, col_index[c]) for c in columns if c not in CANONICAL_COLUMNS]
 
     entries = []
     names: dict[str, int] = {}
     offsets: dict[int, int] = {}
-    for rownum, row in enumerate(rows[1:], 2):
+    for rownum, row in enumerate(rows, 2):
         if not row:
             continue
-        if len(row) != len(columns):
-            raise InputError(f"row {rownum}: expected {len(columns)} fields, found {len(row)}")
-        get = lambda c: row[col_index[c]]
-        name = get("name").strip()
-        width = _parse_int(get("width"), "width", rownum)
-        access = get("access").strip().upper()
+        if len(row) != len(header):
+            raise InputError(f"row {rownum}: expected {len(header)} fields, found {len(row)}")
+        name = row[i_name].strip()
+        width = _parse_int(row[i_width], "width", rownum)
+        access = row[i_access].strip().upper()
         if access not in (ACCESS_RW, ACCESS_RO):
-            raise InputError(f"row {rownum}: invalid access token {get('access')!r}")
-        reset = _parse_int(get("reset"), "reset", rownum)
-        offset_tok = get("offset").strip()
+            raise InputError(f"row {rownum}: invalid access token {row[i_access]!r}")
+        reset = _parse_int(row[i_reset], "reset", rownum)
+        offset_tok = row[i_offset].strip()
         offset = _parse_int(offset_tok, "offset", rownum) if offset_tok else None
-        state = get("state").strip().lower() if has_state else ACTIVE
+        state = row[i_state].strip().lower() if i_state is not None else ACTIVE
         if state not in (ACTIVE, RETIRED):
-            raise InputError(f"row {rownum}: invalid state token {get('state')!r}")
+            raise InputError(f"row {rownum}: invalid state token {row[i_state]!r}")
         if name in names:
             raise DataError(f"duplicate register name {name!r} (rows {names[name]} and {rownum})")
         names[name] = rownum
@@ -133,52 +197,35 @@ def load_db(csv_text: str) -> RegDb:
                 raise DataError(
                     f"duplicate offset 0x{offset:x} (rows {offsets[offset]} and {rownum})")
             offsets[offset] = rownum
-        entries.append(RegEntry(
-            name=name,
-            width_bits=width,
-            access=access,
-            reset_value=reset,
-            offset_bytes=offset,
-            origin_module=get("origin_module").strip(),
-            description=get("description"),
-            state=state,
-            extra={c: row[col_index[c]] for c in extra_cols},
-        ))
-    if not has_state:
-        columns = columns + ["state"]
+        entries.append(RegEntry(name, width, access, reset, offset, row[i_origin].strip(),
+                                row[i_desc], state, {c: row[i] for c, i in extras}))
+    if i_state is None:
+        columns.append("state")
     return RegDb(entries=entries, columns=columns)
 
 
 def save_db(db: RegDb) -> str:
     """Canonical CSV: rows sorted by offset, lowercase 0x-hex, LF endings."""
+    for col in REQUIRED_COLUMNS:  # so the saved text loads again
+        if col not in db.columns:
+            raise DataError(f"missing required column {col!r}")
     for e in db.entries:
         if e.offset_bytes is None:
             raise DataError(f"entry {e.name} has no offset; allocate before saving")
-
-    def cell(e: RegEntry, col: str) -> str:
-        if col == "name":
-            return e.name
-        if col == "width":
-            return str(e.width_bits)
-        if col == "access":
-            return e.access
-        if col == "reset":
-            return f"0x{e.reset_value:x}"
-        if col == "offset":
-            return f"0x{e.offset_bytes:x}"
-        if col == "origin_module":
-            return e.origin_module
-        if col == "description":
-            return e.description
-        if col == "state":
-            return e.state
-        return e.extra.get(col, "")
+    # a row is the canonical cells, then each extra column's; pick reorders
+    # them into db.columns, which may repeat a column or leave out state
+    extras = [c for c in db.columns if c not in CANONICAL_COLUMNS]
+    position = {c: i for i, c in enumerate(CANONICAL_COLUMNS + tuple(extras))}
+    pick = operator.itemgetter(*[position[c] for c in db.columns])
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(db.columns)
-    for e in sorted(db.entries, key=lambda e: e.offset_bytes):
-        writer.writerow([cell(e, c) for c in db.columns])
+    writer.writerows(
+        pick((e.name, str(e.width_bits), e.access, f"0x{e.reset_value:x}",
+              f"0x{e.offset_bytes:x}", e.origin_module, e.description, e.state,
+              *[e.extra.get(c, "") for c in extras]))
+        for e in sorted(db.entries, key=_OFFSET_KEY))
     return buf.getvalue()
 
 
@@ -231,7 +278,7 @@ def allocate_offsets(db: RegDb, region_size_bytes: int | None = None) -> RegDb:
     """
     new = _copy_db(db)
     _allocate_in_place(new.entries, region_size_bytes)
-    new.entries.sort(key=lambda e: e.offset_bytes)
+    new.entries.sort(key=_OFFSET_KEY)
     return new
 
 
@@ -326,7 +373,7 @@ def update_db(
             report.retired.append(entry.name)
 
     _allocate_in_place(new.entries, region_size_bytes)
-    new.entries.sort(key=lambda e: e.offset_bytes)
+    new.entries.sort(key=_OFFSET_KEY)
     return new, report
 
 

@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import InputError
-
-ACCESS_RW = "RW"
-ACCESS_RO = "RO"
+from .regdb import ACCESS_RO, ACCESS_RW, CsrCandidate, NamingConvention
 
 MAX_CSR_WIDTH = 32
 
@@ -93,38 +91,9 @@ class Diagnostic:
 
 
 @dataclass(frozen=True)
-class CsrCandidate:
-    name: str
-    width_bits: int
-    access: str
-    origin_module: str
-    source_line: int
-
-
-@dataclass(frozen=True)
 class DiagCandidate:
     name: str
     origin_module: str
-
-
-@dataclass(frozen=True)
-class NamingConvention:
-    control_prefix: str = "cfg_"
-    status_prefix: str = "sts_"
-    diag_prefix: str = "diag_"
-    match_mode: str = "prefix"  # prefix | postfix
-
-    def __post_init__(self):
-        affixes = (self.control_prefix, self.status_prefix, self.diag_prefix)
-        if any(not a for a in affixes) or len(set(affixes)) != 3:
-            raise ValueError("naming affixes must be non-empty and pairwise distinct")
-        if self.match_mode not in ("prefix", "postfix"):
-            raise ValueError(f"bad match_mode {self.match_mode!r}")
-
-    def matches(self, affix: str, name: str) -> bool:
-        if self.match_mode == "prefix":
-            return name.startswith(affix)
-        return name.endswith(affix)
 
 
 # One match per comment or string, in scan order. A block comment with no

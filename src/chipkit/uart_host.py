@@ -16,13 +16,11 @@ session; a second concurrent connection is refused busy.
 from __future__ import annotations
 
 import re
-import selectors
-import socket
 from dataclasses import dataclass, field
 
 from . import busmodel
 from .busmodel import BusError, SocModel
-from .script import RESP_OK, TestScript, format_word
+from .script import RESP_OK, TestScript
 
 HELP_LINE = "R <addr> | W <addr> <data> | ? (help) | Q (quit)"
 BUSY_LINE = "ERR BUSY"
@@ -32,10 +30,12 @@ MAX_LINE = 1024  # characters, not counting the LF
 # of a line holds more than MAX_LINE characters of it
 _MAX_LINE_BYTES = 4 * MAX_LINE
 
-_ERR_KIND = {
-    busmodel.ERR_UNMAPPED: "UNMAPPED",
-    busmodel.ERR_MISALIGNED: "MISALIGNED",
-    busmodel.ERR_XREAD: "XREAD",
+_DRAIN_S = 1.0  # how long a server that answered Q reads what the client still sends
+
+_ERR_LINE = {
+    busmodel.ERR_UNMAPPED: "ERR UNMAPPED",
+    busmodel.ERR_MISALIGNED: "ERR MISALIGNED",
+    busmodel.ERR_XREAD: "ERR XREAD",
 }
 
 _HEX_RE = re.compile(r"^(0[xX])?[0-9a-fA-F]+$")
@@ -96,14 +96,12 @@ def execute(soc: SocModel, cmd: Command) -> str:
     """One response line per command; never raises."""
     if cmd.op == "R":
         result = busmodel.bus_read(soc, cmd.addr)
-        if isinstance(result, BusError):
-            return f"ERR {_ERR_KIND[result.kind]}"
-        return format_word(result)
+        if result.__class__ is BusError:
+            return _ERR_LINE[result.kind]
+        return f"0x{result:08x}"  # format_word without its mask: bus words are 32-bit
     if cmd.op == "W":
         result = busmodel.bus_write(soc, cmd.addr, cmd.data)
-        if isinstance(result, BusError):
-            return f"ERR {_ERR_KIND[result.kind]}"
-        return RESP_OK
+        return RESP_OK if result is None else _ERR_LINE[result.kind]
     if cmd.op == "?":
         return HELP_LINE
     return RESP_OK  # Q
@@ -148,17 +146,15 @@ class TestReport:
 
 
 def run_script(soc: SocModel, script: TestScript, stop_on_fail: bool = False) -> TestReport:
-    report = TestReport()
+    failures = []
+    i = -1
     for i, step in enumerate(script.steps):
         actual = execute_line(soc, step.command)[0] or ""
-        report.total += 1
-        if actual == step.expected:
-            report.passed += 1
-        else:
-            report.failures.append(StepFailure(i, step.command, step.expected, actual))
+        if actual != step.expected:
+            failures.append(StepFailure(i, step.command, step.expected, actual))
             if stop_on_fail:
                 break
-    return report
+    return TestReport(i + 1, i + 1 - len(failures), failures)
 
 
 def format_report(report: TestReport) -> str:
@@ -214,11 +210,29 @@ def serve(soc: SocModel, rfile, wfile, prompt: bool = False) -> SessionSummary:
 
 
 def open_listener(host: str = "127.0.0.1", port: int = 0) -> socket.socket:
+    import socket  # imported here, so run-test and a stdio sim never load it
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind((host, port))
     listener.listen(4)
     return listener
+
+
+def _drain_and_close(conn) -> None:
+    """End a session after Q: half-close, read until the client closes or _DRAIN_S
+    pass, then close. Closing with input unread resets the connection and loses answers."""
+    import socket
+    import time
+    deadline = time.monotonic() + _DRAIN_S
+    with conn:
+        try:
+            conn.shutdown(socket.SHUT_WR)
+            while (left := deadline - time.monotonic()) > 0:
+                conn.settimeout(left)
+                if not conn.recv(65536):
+                    break
+        except OSError:
+            pass  # a timeout, or the client is gone
 
 
 def serve_tcp(soc: SocModel, listener: socket.socket, prompt: bool = False) -> SessionSummary:
@@ -229,6 +243,7 @@ def serve_tcp(soc: SocModel, listener: socket.socket, prompt: bool = False) -> S
     are refused with a busy line, which keeps transaction ordering trivially
     serial.
     """
+    import selectors  # like socket, loaded only to serve TCP
     summary = SessionSummary()
     sel = selectors.DefaultSelector()
     sel.register(listener, selectors.EVENT_READ)
@@ -282,7 +297,7 @@ def serve_tcp(soc: SocModel, listener: socket.socket, prompt: bool = False) -> S
                             conn.sendall(out)
                         if summary.quit_seen:
                             sel.unregister(conn)
-                            conn.close()
+                            _drain_and_close(conn)
                             return summary
                 except OSError:
                     chunk = b""  # reset or broken pipe: the session is over

@@ -1,9 +1,9 @@
 """Token-by-token reference versions of the bring-up host's per-step helpers.
 
 These are the implementations that the precompiled command grammar, the
-first-character script reader and the stored decode index replaced. They are
-kept only as oracles for the differential property tests and are never
-imported by chipkit.
+first-character script reader, the stored decode index and the direct-decode
+bus path replaced. They are kept only as oracles for the differential
+property tests and are never imported by chipkit.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ import bisect
 import re
 
 from chipkit import InputError
+from chipkit.busmodel import (
+    ERR_MISALIGNED, ERR_UNMAPPED, ERR_XREAD, FAULT_ADDRESS_BIT, FAULT_DATA_BIT, SRAM_STRICT_X,
+    WORD_MASK, BusError, SocModel, SramStore)
 from chipkit.memmap import MemoryMap, Region
 from chipkit.script import TestScript
 from chipkit.uart_host import Command, ParseError
@@ -97,6 +100,65 @@ def region_at(memmap: MemoryMap, addr: int) -> Region | None:
     """
     bases = [r.base for r in memmap.regions]
     i = bisect.bisect_right(bases, addr) - 1
-    if i >= 0 and memmap.regions[i].contains(addr):
+    if i >= 0 and memmap.regions[i].base <= addr < memmap.regions[i].end:
         return memmap.regions[i]
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the bus path that looked each access's store up by region name and tested
+# the fault config on every SRAM access. It works on a SocModel's own csr
+# blocks, word dicts and fault, and ignores the stores' fault masks; fill is
+# the power-up value of a never-written word in random mode.
+
+def _error(soc: SocModel, kind: str, addr: int) -> BusError:
+    soc.stats.errors += 1
+    return BusError(kind, addr)
+
+
+def _sram_index(soc: SocModel, store: SramStore, offset: int) -> int:
+    fault = soc.fault
+    if fault is not None and fault.kind == FAULT_ADDRESS_BIT \
+            and fault.target_region == store.region.name:
+        offset &= ~(1 << fault.bit)
+    return offset // 4
+
+
+def bus_read(soc: SocModel, addr: int, fill=SramStore.fill_word):
+    soc.stats.reads += 1
+    addr &= WORD_MASK
+    if addr % 4:
+        return _error(soc, ERR_MISALIGNED, addr)
+    region = region_at(soc.memmap, addr)
+    if region is None:
+        return _error(soc, ERR_UNMAPPED, addr)
+    if region.kind == "csr":
+        return soc.csr_blocks[region.name].read(addr - region.base)
+    store = soc.srams[region.name]
+    index = _sram_index(soc, store, addr - region.base)
+    if index in store.words:
+        return store.words[index]
+    if store.mode == SRAM_STRICT_X:
+        return _error(soc, ERR_XREAD, addr)
+    return fill(store, index)
+
+
+def bus_write(soc: SocModel, addr: int, data: int):
+    soc.stats.writes += 1
+    addr &= WORD_MASK
+    data &= WORD_MASK
+    if addr % 4:
+        return _error(soc, ERR_MISALIGNED, addr)
+    region = region_at(soc.memmap, addr)
+    if region is None:
+        return _error(soc, ERR_UNMAPPED, addr)
+    if region.kind == "csr":
+        soc.csr_blocks[region.name].write(addr - region.base, data)
+        return None
+    store = soc.srams[region.name]
+    fault = soc.fault
+    if fault is not None and fault.kind == FAULT_DATA_BIT \
+            and fault.target_region == region.name:
+        data &= ~(1 << fault.bit)
+    store.words[_sram_index(soc, store, addr - region.base)] = data & WORD_MASK
     return None

@@ -1,0 +1,104 @@
+"""The database reader and writer that the one-pass reader and the one-picker
+writer replaced: a lambda per cell on load, an if chain per cell on save.
+Kept only as the oracle for the differential property tests; chipkit never
+imports it."""
+
+from __future__ import annotations
+
+import csv
+import io
+
+from chipkit import DataError, InputError
+from chipkit.regdb import (
+    ACCESS_RO, ACCESS_RW, ACTIVE, CANONICAL_COLUMNS, REQUIRED_COLUMNS, RETIRED, RegDb, RegEntry,
+    _parse_int)
+
+
+def load_db(csv_text: str) -> RegDb:
+    """Parse CSV text into a RegDb, preserving any extra columns verbatim."""
+    rows = list(csv.reader(io.StringIO(csv_text)))
+    if not rows:
+        raise InputError("empty database file (missing header row)")
+    columns = [c.strip() for c in rows[0]]
+    for col in REQUIRED_COLUMNS:
+        if col not in columns:
+            raise InputError(f"missing required column {col!r}")
+    col_index = {c: i for i, c in enumerate(columns)}
+    has_state = "state" in col_index
+    extra_cols = [c for c in columns if c not in CANONICAL_COLUMNS]
+
+    entries = []
+    names: dict[str, int] = {}
+    offsets: dict[int, int] = {}
+    for rownum, row in enumerate(rows[1:], 2):
+        if not row:
+            continue
+        if len(row) != len(columns):
+            raise InputError(f"row {rownum}: expected {len(columns)} fields, found {len(row)}")
+        get = lambda c: row[col_index[c]]
+        name = get("name").strip()
+        width = _parse_int(get("width"), "width", rownum)
+        access = get("access").strip().upper()
+        if access not in (ACCESS_RW, ACCESS_RO):
+            raise InputError(f"row {rownum}: invalid access token {get('access')!r}")
+        reset = _parse_int(get("reset"), "reset", rownum)
+        offset_tok = get("offset").strip()
+        offset = _parse_int(offset_tok, "offset", rownum) if offset_tok else None
+        state = get("state").strip().lower() if has_state else ACTIVE
+        if state not in (ACTIVE, RETIRED):
+            raise InputError(f"row {rownum}: invalid state token {get('state')!r}")
+        if name in names:
+            raise DataError(f"duplicate register name {name!r} (rows {names[name]} and {rownum})")
+        names[name] = rownum
+        if offset is not None:
+            if offset in offsets:
+                raise DataError(
+                    f"duplicate offset 0x{offset:x} (rows {offsets[offset]} and {rownum})")
+            offsets[offset] = rownum
+        entries.append(RegEntry(
+            name=name,
+            width_bits=width,
+            access=access,
+            reset_value=reset,
+            offset_bytes=offset,
+            origin_module=get("origin_module").strip(),
+            description=get("description"),
+            state=state,
+            extra={c: row[col_index[c]] for c in extra_cols},
+        ))
+    if not has_state:
+        columns = columns + ["state"]
+    return RegDb(entries=entries, columns=columns)
+
+
+def save_db(db: RegDb) -> str:
+    """Canonical CSV: rows sorted by offset, lowercase 0x-hex, LF endings."""
+    for e in db.entries:
+        if e.offset_bytes is None:
+            raise DataError(f"entry {e.name} has no offset; allocate before saving")
+
+    def cell(e: RegEntry, col: str) -> str:
+        if col == "name":
+            return e.name
+        if col == "width":
+            return str(e.width_bits)
+        if col == "access":
+            return e.access
+        if col == "reset":
+            return f"0x{e.reset_value:x}"
+        if col == "offset":
+            return f"0x{e.offset_bytes:x}"
+        if col == "origin_module":
+            return e.origin_module
+        if col == "description":
+            return e.description
+        if col == "state":
+            return e.state
+        return e.extra.get(col, "")
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(db.columns)
+    for e in sorted(db.entries, key=lambda e: e.offset_bytes):
+        writer.writerow([cell(e, c) for c in db.columns])
+    return buf.getvalue()

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +125,51 @@ class TestReadWrite:
         assert isinstance(va, int)
         assert bus_read(c, addr) != va or True  # different seed may collide; just type-check
         assert bus_write(a, addr, 5) is None and bus_read(a, addr) == 5
+
+
+def _fills(soc, region, indices):
+    base = soc.memmap.region(region).base
+    return [bus_read(soc, base + 4 * i) for i in indices]
+
+
+class TestRandomFill:
+    """A never-written word reads zlib.crc32 of its index (4 bytes, little
+    endian), keyed by the crc32 of "<seed>:<region name>"."""
+
+    INDICES = range(0, 64, 3)
+
+    def test_fill_algorithm(self):
+        soc = build_soc(MAP, [("csr0", make_db())], sram_mode="random", seed=3)
+        key = zlib.crc32(b"3:sram0")
+        assert _fills(soc, "sram0", self.INDICES) == \
+            [zlib.crc32(i.to_bytes(4, "little"), key) for i in self.INDICES]
+
+    def test_depends_only_on_seed_region_and_index(self):
+        soc = build_soc(MAP, [("csr0", make_db())], sram_mode="random", seed=3)
+        fills = _fills(soc, "sram0", self.INDICES)
+        bus_write(soc, SRAM_BASE + 4, 0x1234)  # another word written
+        assert _fills(soc, "sram0", self.INDICES) == fills  # stable across reads
+        # another base, size and neighbourhood, same seed and name
+        moved = build_soc(MemoryMap([Region("sram0", "sram", 0x10000, 0x400),
+                                     Region("uart0", "peripheral", 0x0, 0x100)]),
+                          [], sram_mode="random", seed=3)
+        assert _fills(moved, "sram0", self.INDICES) == fills
+        other_seed = build_soc(MAP, [("csr0", make_db())], sram_mode="random", seed=4)
+        assert _fills(other_seed, "sram0", self.INDICES) != fills
+        # regions of one model differ at every index
+        assert all(a != b for a, b in zip(_fills(soc, "uart0", self.INDICES), fills))
+
+    def test_stable_across_processes(self):
+        probe = ("from chipkit.busmodel import build_soc; from chipkit.memmap import MemoryMap, "
+                 "Region; soc = build_soc(MemoryMap([Region('sram0', 'sram', 0x60000000, "
+                 "0x10000)]), [], sram_mode='random', seed=3); "
+                 f"print([soc.srams['sram0'].fill_word(i) for i in {list(self.INDICES)}])")
+        soc = build_soc(MAP, [("csr0", make_db())], sram_mode="random", seed=3)
+        expected = str(_fills(soc, "sram0", self.INDICES))
+        for hash_seed in ("1", "2"):  # a fill from hash() would differ between these
+            out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONHASHSEED": hash_seed}, check=True)
+            assert out.stdout.strip() == expected
 
 
 class TestStatusControl:

@@ -356,6 +356,18 @@ def _map(text):
     return setup
 
 
+def _malformed_pads(proj):
+    _bootstrap(proj)
+    _edit(proj, "pads.csv", "pad_clk,N,", "pad_clk,Q,")
+    return ["generate"]
+
+
+def _short_pad_row(proj):
+    _bootstrap(proj)
+    _edit(proj, "pads.csv", "pad_clk,N,0,PDIN,clock", "pad_clk,N")
+    return ["generate"]
+
+
 def _malformed_script(proj):
     _bootstrap(proj)
     (proj / "bad.txt").write_text("> R 0x50000000\n> R 0x50000004\n")
@@ -413,6 +425,9 @@ EXIT_CODE_TABLE = [
      "error: one database drives one csr region; map declares csr0, csr1\n"),
     ("fault-bit-range", _args(*_SELFTEST, "--fault", "mask_data_bit:40:sram0"), 3,
      "error: fault bit 40 outside [0, 32)\n"),
+    # a malformed pad file exits 2 like a malformed regs.csv or map (it exited 3)
+    ("malformed-pads", _malformed_pads, 2, "error: pad row 2: side must be one of N/E/S/W\n"),
+    ("short-pad-row", _short_pad_row, 2, "error: pad row 2: expected 5 fields, found 2\n"),
     ("malformed-script", _malformed_script, 2,
      "error: line 2: expected '< <response>' after command\n"),
 ]
@@ -446,6 +461,25 @@ class TestConfigPlumbing:
     def test_usage_error_exit_2(self, proj):
         assert main(["frobnicate"]) == 2
         assert main(["run-test"]) == 2  # --script required
+
+    def test_run_test_loads_no_scanner_or_emitter(self, proj):
+        _bootstrap(proj)
+        probe = ("import runpy, sys\n"
+                 "before = set(sys.modules)\n"
+                 "sys.argv = ['chipkit', 'run-test', '--script', 'gen/demo_selftest.txt']\n"
+                 "try:\n"
+                 "    runpy.run_module('chipkit', run_name='__main__', alter_sys=True)\n"
+                 "except SystemExit as exc:\n"
+                 "    print('exit', exc.code)\n"
+                 "print(' '.join(sorted(set(sys.modules) - before)))\n")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                cwd=proj)
+        assert result.stderr == ""
+        report, code, loaded = result.stdout.splitlines()
+        assert code == "exit 0" and report.endswith("steps passed")
+        loaded = set(loaded.split())
+        assert "chipkit.uart_host" in loaded
+        assert not {"chipkit.sv_scan", "chipkit.emit", "socket", "selectors"} & loaded
 
     def test_module_entry_point(self, proj):
         result = subprocess.run(

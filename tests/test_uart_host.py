@@ -388,6 +388,17 @@ def _tcp_session(soc, data: bytes, prompt: bool = False):
     return out, result["summary"]
 
 
+class TestQuitWithUnreadInput:
+    def test_no_answer_lost_after_q(self):
+        # closing on Q with this client's input unread made the kernel reset
+        # the connection, and the client lost answers already sent
+        lines = [f"W 0x{0x60000000 + 4 * i:08x} 0x{i:x}" for i in range(50)] + ["Q"] \
+            + ["R 0x60000000"] * 20000
+        out, summary = _tcp_session(make_soc(), "".join(l + "\n" for l in lines).encode())
+        assert out == b"OK\n" * 51
+        assert (summary.lines, summary.responses, summary.quit_seen) == (51, 51, True)
+
+
 class TestLineCap:
     """A line longer than MAX_LINE gets one bounded ERR PARSE, and reading
     resumes at the next line, on both servers."""
@@ -430,8 +441,7 @@ class TestLineCap:
         wfile = io.BytesIO()
         serve(make_soc(), io.BytesIO(data), wfile, prompt=True)
         assert wfile.getvalue() == b"> 0x0000000f\n> > > OK\n"
-        # the line after Q is not sent: closing with unread input resets
-        out, _ = _tcp_session(make_soc(), data[:-len(b"R 0x50000004\n")], prompt=True)
+        out, _ = _tcp_session(make_soc(), data, prompt=True)
         assert out == wfile.getvalue()
 
 
@@ -461,10 +471,8 @@ class TestTransportEquivalence:
         wfile = io.BytesIO()
         stdio = serve(soc_stdio, io.BytesIO("".join(l + "\n" for l in served + after).encode()),
                       wfile)
-        # lines after Q are left out over TCP: closing with unread input
-        # would reset the connection and could lose the responses
         soc_tcp = make_soc()
-        tcp_out, tcp = _tcp_session(soc_tcp, "".join(l + "\n" for l in served).encode())
+        tcp_out, tcp = _tcp_session(soc_tcp, "".join(l + "\n" for l in served + after).encode())
 
         via_stdio = wfile.getvalue().decode().split("\n")
         assert via_stdio.pop() == ""
