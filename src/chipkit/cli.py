@@ -7,8 +7,9 @@ Subcommands:
   sim       serve the host protocol against the modeled SoC
   run-test  execute a test script against the modeled SoC
 
-Configuration comes from an INI-style file (--config flag or CHIPKIT_CONFIG
-environment variable); every value can be overridden by a flag.
+Settings come from an INI-style file (--config flag or CHIPKIT_CONFIG environment
+variable) and from flags, which override it. SETTINGS holds each one's flag, INI
+key, ProjectConfig field, shared parser and the subcommands that offer the flag.
 
 Exit codes: 0 success, 1 check failures, 2 I/O or parse errors (InputError),
 3 data/validation errors (DataError).
@@ -20,9 +21,10 @@ import argparse
 import os
 import sys
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import ChipkitError, DataError, InputError, busmodel, regdb, uart_host
 from .busmodel import FAULT_ADDRESS_BIT, FAULT_DATA_BIT, FaultConfig
@@ -38,9 +40,6 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_IO = 2
 EXIT_DATA = 3
-
-# the NamingConvention fields, which are also their INI keys and flag names
-_NAMING_KEYS = ("control_prefix", "status_prefix", "diag_prefix", "match_mode")
 
 
 @dataclass
@@ -67,17 +66,41 @@ def _parse_int(text: str, what: str) -> int:
         raise InputError(f"bad {what} value {text!r}") from None
 
 
-def _parse_sram_mode(text: str) -> tuple[str, int]:
+def _text(text: str, root: Path | None) -> str:
+    return text
+
+
+def _path(text: str, root: Path | None) -> str:
+    # root: the config file's directory for an INI value, None for a flag
+    return str(root / text) if root else text
+
+
+def _paths(words: list, root: Path | None) -> list:
+    return [_path(w, root) for w in words]
+
+
+def _int(what: str) -> Callable:
+    return lambda text, root: _parse_int(text, what)
+
+
+def _targets(text: str, root: Path | None) -> tuple:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+def _port(text: str, root: Path | None) -> int | None:
+    return _parse_int(text, "listen port") if text else None  # blank: no TCP
+
+
+def _sram_mode(text: str, root: Path | None) -> tuple[str, int]:
+    mode, colon, seed = text.partition(":")
+    if mode == busmodel.SRAM_RANDOM:
+        return mode, _parse_int(seed, "sram seed") if colon else 0
     if text == busmodel.SRAM_STRICT_X:
-        return busmodel.SRAM_STRICT_X, 0
-    if text.startswith("random:"):
-        return busmodel.SRAM_RANDOM, _parse_int(text.split(":", 1)[1], "sram seed")
-    if text == busmodel.SRAM_RANDOM:
-        return busmodel.SRAM_RANDOM, 0
+        return text, 0
     raise InputError(f"bad sram mode {text!r} (strict_x or random:<seed>)")
 
 
-def _parse_fault(text: str) -> FaultConfig:
+def _fault(text: str, root: Path | None) -> FaultConfig:
     parts = text.split(":")
     if len(parts) != 3 or parts[0] not in (FAULT_ADDRESS_BIT, FAULT_DATA_BIT):
         raise InputError(
@@ -87,104 +110,76 @@ def _parse_fault(text: str) -> FaultConfig:
                        target_region=parts[2])
 
 
+class Setting(NamedTuple):
+    flag: str
+    ini: tuple[str, str] | None  # (section, key) in the config file
+    field: str  # ProjectConfig field; "naming.x"/"emit.x" are nested, "x y" takes a pair
+    parse: Callable | None  # (text, root) -> value; None for a switch
+    commands: str  # the subcommands that read it
+
+
+SETTINGS = (
+    Setting("--rtl", ("project", "rtl"), "rtl_paths", _paths, "update generate"),
+    Setting("--db", ("project", "db"), "db_path", _path, "update generate sim run-test"),
+    Setting("--out", ("project", "out"), "out_dir", _path, "generate"),
+    Setting("--map", ("project", "map"), "map_path", _path, "generate sim run-test"),
+    Setting("--pads", ("project", "pads"), "pads_path", _path, "generate"),
+    Setting("--control-prefix", ("naming", "control_prefix"), "naming.control_prefix", _text,
+            "update generate"),
+    Setting("--status-prefix", ("naming", "status_prefix"), "naming.status_prefix", _text,
+            "update generate"),
+    Setting("--diag-prefix", ("naming", "diag_prefix"), "naming.diag_prefix", _text,
+            "update generate"),
+    Setting("--match-mode", ("naming", "match_mode"), "naming.match_mode", _text,
+            "update generate"),
+    Setting("--block", ("emit", "block_name"), "emit.block_name", _text, "update generate"),
+    Setting("--base", ("emit", "base_address"), "emit.base_address", _int("base address"),
+            "generate"),
+    Setting("--region-size", ("emit", "region_size_bytes"), "emit.csr_region_size_bytes",
+            _int("region size"), "update generate"),
+    Setting("--targets", ("emit", "targets"), "emit.targets", _targets, "update generate"),
+    Setting("--unmapped-value", ("emit", "unmapped_value"), "emit.unmapped_value",
+            _int("unmapped value"), "generate sim run-test"),
+    Setting("--diag-pins", ("emit", "diag_pins"), "emit.diag_pins", _int("diag pins"),
+            "update generate"),
+    Setting("--sram-mode", ("sim", "sram_mode"), "sram_mode sram_seed", _sram_mode,
+            "sim run-test"),
+    Setting("--listen", ("sim", "listen_port"), "listen_port", _port, "sim"),
+    Setting("--fault", None, "fault", _fault, "sim run-test"),
+    Setting("--stop-on-fail", None, "stop_on_fail", None, "run-test"),
+    Setting("--prompt", None, "prompt", None, "sim"),
+)
+
+
+def _apply(cfg: ProjectConfig, values: dict) -> ProjectConfig:
+    """Sets values on cfg; one replace per nested group checks its changes together."""
+    nested: dict[str, dict] = {}
+    for name, value in values.items():
+        group, _, attr = name.rpartition(".")
+        if group:
+            nested.setdefault(group, {})[attr] = value
+        elif " " in name:  # one text, several fields: the sram mode and its seed
+            for attr, part in zip(name.split(), value):
+                setattr(cfg, attr, part)
+        else:
+            setattr(cfg, name, value)
+    for group, changes in nested.items():
+        setattr(cfg, group, replace(getattr(cfg, group), **changes))
+    return cfg
+
+
 def load_config_file(path: str) -> ProjectConfig:
     import configparser  # imported here: a run given only flags reads no config file
-    parser = configparser.ConfigParser()
-    text = Path(path).read_text(encoding="utf-8")
-    parser.read_string(text, source=path)
-    cfg = ProjectConfig()
-
-    base = Path(path).resolve().parent
-
-    def resolve(p: str) -> str:
-        # paths in a checked-in config are relative to the config file
-        return str(base / p) if not Path(p).is_absolute() else p
-
-    proj = parser["project"] if parser.has_section("project") else {}
-    if "rtl" in proj:
-        cfg.rtl_paths = [resolve(p) for p in proj["rtl"].split()]
-    cfg.db_path = resolve(proj.get("db", cfg.db_path)) if "db" in proj else cfg.db_path
-    cfg.out_dir = resolve(proj.get("out", cfg.out_dir)) if "out" in proj else cfg.out_dir
-    if "map" in proj:
-        cfg.map_path = resolve(proj["map"])
-    if "pads" in proj:
-        cfg.pads_path = resolve(proj["pads"])
-
-    if parser.has_section("naming"):
-        nam = parser["naming"]
-        cfg.naming = NamingConvention(**{k: nam[k] for k in _NAMING_KEYS if k in nam})
-
-    if parser.has_section("emit"):
-        em = parser["emit"]
-        cfg.emit = EmitConfig(
-            block_name=em.get("block_name", cfg.emit.block_name),
-            base_address=_parse_int(em.get("base_address", hex(cfg.emit.base_address)),
-                                    "base_address"),
-            csr_region_size_bytes=_parse_int(
-                em.get("region_size_bytes", hex(cfg.emit.csr_region_size_bytes)),
-                "region_size_bytes"),
-            targets=tuple(t.strip() for t in em.get("targets", ",".join(cfg.emit.targets))
-                          .split(",") if t.strip()),
-            unmapped_value=_parse_int(em.get("unmapped_value", hex(cfg.emit.unmapped_value)),
-                                      "unmapped_value"),
-            diag_pins=_parse_int(em.get("diag_pins", str(cfg.emit.diag_pins)), "diag_pins"),
-        )
-
-    if parser.has_section("sim"):
-        sim = parser["sim"]
-        if "sram_mode" in sim:
-            cfg.sram_mode, cfg.sram_seed = _parse_sram_mode(sim["sram_mode"])
-        if sim.get("listen_port"):
-            cfg.listen_port = _parse_int(sim["listen_port"], "listen_port")
-    return cfg
-
-
-def _config_from_args(args) -> ProjectConfig:
-    path = args.config or os.environ.get(CONFIG_ENV)
-    cfg = load_config_file(path) if path else ProjectConfig()
-
-    if getattr(args, "rtl", None):
-        cfg.rtl_paths = list(args.rtl)
-    if getattr(args, "db", None):
-        cfg.db_path = args.db
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "map", None):
-        cfg.map_path = args.map
-    if getattr(args, "pads", None):
-        cfg.pads_path = args.pads
-
-    naming_kwargs = {k: getattr(args, k) for k in _NAMING_KEYS if getattr(args, k, None)}
-    if naming_kwargs:
-        cfg.naming = replace(cfg.naming, **naming_kwargs)
-
-    emit_kwargs = {}
-    if getattr(args, "block", None):
-        emit_kwargs["block_name"] = args.block
-    if getattr(args, "base", None) is not None:
-        emit_kwargs["base_address"] = _parse_int(args.base, "base address")
-    if getattr(args, "region_size", None) is not None:
-        emit_kwargs["csr_region_size_bytes"] = _parse_int(args.region_size, "region size")
-    if getattr(args, "targets", None):
-        emit_kwargs["targets"] = tuple(t.strip() for t in args.targets.split(",") if t.strip())
-    if getattr(args, "unmapped_value", None) is not None:
-        emit_kwargs["unmapped_value"] = _parse_int(args.unmapped_value, "unmapped value")
-    if getattr(args, "diag_pins", None) is not None:
-        emit_kwargs["diag_pins"] = args.diag_pins
-    if emit_kwargs:
-        cfg.emit = replace(cfg.emit, **emit_kwargs)
-
-    if getattr(args, "sram_mode", None):
-        cfg.sram_mode, cfg.sram_seed = _parse_sram_mode(args.sram_mode)
-    if getattr(args, "listen", None) is not None:
-        cfg.listen_port = args.listen
-    if getattr(args, "fault", None):
-        cfg.fault = _parse_fault(args.fault)
-    if getattr(args, "stop_on_fail", False):
-        cfg.stop_on_fail = True
-    if getattr(args, "prompt", False):
-        cfg.prompt = True
-    return cfg
+    ini = configparser.ConfigParser()
+    try:
+        ini.read_string(Path(path).read_text(encoding="utf-8"), source=path)
+        texts = {s: ini.get(*s.ini) for s in SETTINGS if s.ini and ini.has_option(*s.ini)}
+    except configparser.Error as exc:
+        raise InputError(" ".join(str(exc).split())) from None
+    root = Path(path).resolve().parent
+    return _apply(ProjectConfig(), {
+        s.field: s.parse(text.split() if s.parse is _paths else text, root)
+        for s, text in texts.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +214,6 @@ def _scan_modules(cfg: ProjectConfig, diagnostics: list) -> Iterator[sv_scan.Mod
             yield module
 
 
-def _diag_origin(cfg: ProjectConfig) -> str:
-    return f"{cfg.emit.block_name}_diag_mux"
-
-
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -255,7 +246,7 @@ def cmd_update(cfg: ProjectConfig) -> int:
     db_file = Path(cfg.db_path)
     db = regdb.load_db(db_file.read_text(encoding="utf-8")) if db_file.exists() else regdb.RegDb()
 
-    diag_origin = _diag_origin(cfg)
+    diag_origin = f"{cfg.emit.block_name}_diag_mux"
     wants_diag = "diag" in cfg.emit.targets and diag_candidates
     if wants_diag:
         sel_width = max(1, emit.diag_select_bits(len(diag_candidates)) * cfg.emit.diag_pins)
@@ -295,22 +286,18 @@ def _load_map(cfg: ProjectConfig) -> MemoryMap:
     return load_memory_map(Path(cfg.map_path).read_text(encoding="utf-8")).check()
 
 
-def _check_map_against_emit(memmap: MemoryMap, cfg: ProjectConfig) -> None:
-    region = memmap.region_at(cfg.emit.base_address)
-    if region is None or region.kind != "csr" or region.base != cfg.emit.base_address \
-            or region.size_bytes != cfg.emit.csr_region_size_bytes:
-        raise DataError(
-            f"memory map has no csr region matching base {cfg.emit.base_address:#x} "
-            f"size {cfg.emit.csr_region_size_bytes:#x}")
-
-
 def cmd_generate(cfg: ProjectConfig) -> int:
     from . import emit, sv_scan
     db = _load_db_checked(cfg)
     memmap = None
     if "memmap" in cfg.emit.targets:
         memmap = _load_map(cfg)
-        _check_map_against_emit(memmap, cfg)
+        region = memmap.region_at(cfg.emit.base_address)
+        if region is None or region.kind != "csr" or region.base != cfg.emit.base_address \
+                or region.size_bytes != cfg.emit.csr_region_size_bytes:
+            raise DataError(
+                f"memory map has no csr region matching base {cfg.emit.base_address:#x} "
+                f"size {cfg.emit.csr_region_size_bytes:#x}")
     diags = None
     if "diag" in cfg.emit.targets:
         diags = [d for module in _scan_modules(cfg, [])
@@ -389,67 +376,25 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="chipkit", description="register-map generation and SoC validation toolkit")
     parser.add_argument("--config", help=f"config file (default: ${CONFIG_ENV})")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_naming(p):
-        p.add_argument("--control-prefix", dest="control_prefix")
-        p.add_argument("--status-prefix", dest="status_prefix")
-        p.add_argument("--diag-prefix", dest="diag_prefix")
-        p.add_argument("--match-mode", dest="match_mode", choices=["prefix", "postfix"])
-
-    def add_emit(p):
-        p.add_argument("--block", help="generated block name")
-        p.add_argument("--base", help="csr region base address")
-        p.add_argument("--region-size", dest="region_size", help="csr region size in bytes")
-        p.add_argument("--targets", help="comma-separated generation targets")
-        p.add_argument("--unmapped-value", dest="unmapped_value")
-        p.add_argument("--diag-pins", dest="diag_pins", type=int)
-
-    up = sub.add_parser("update", help="scan RTL and merge the register database")
-    up.add_argument("--rtl", nargs="+", help="RTL files or directories")
-    up.add_argument("--db", help="register database CSV")
-    add_naming(up)
-    add_emit(up)
-
-    gen = sub.add_parser("generate", help="render artifacts from the database")
-    gen.add_argument("--db", help="register database CSV")
-    gen.add_argument("--out", help="output directory")
-    gen.add_argument("--map", help="memory map file (memmap target)")
-    gen.add_argument("--rtl", nargs="+", help="RTL paths (diag target)")
-    gen.add_argument("--pads", help="pad description CSV (pads target)")
-    add_naming(gen)
-    add_emit(gen)
-
-    ln = sub.add_parser("lint", help="style-check RTL sources")
-    ln.add_argument("paths", nargs="*", help="files or directories")
-
-    sim = sub.add_parser("sim", help="serve the host protocol against the model")
-    sim.add_argument("--map", help="memory map file")
-    sim.add_argument("--db", help="register database CSV")
-    sim.add_argument("--listen", type=int, help="serve on a local TCP port (0 = ephemeral)")
-    sim.add_argument("--sram-mode", dest="sram_mode", help="strict_x or random:<seed>")
-    sim.add_argument("--fault", help="mask_address_bit:<bit>:<region> or mask_data_bit:<bit>:<region>")
-    sim.add_argument("--prompt", action="store_true", help="interactive prompt")
-    add_emit(sim)
-
-    run = sub.add_parser("run-test", help="run a test script against the model")
-    run.add_argument("--script", required=True, help="test script file")
-    run.add_argument("--map", help="memory map file")
-    run.add_argument("--db", help="register database CSV")
-    run.add_argument("--sram-mode", dest="sram_mode", help="strict_x or random:<seed>")
-    run.add_argument("--fault", help="fault spec, as for sim")
-    run.add_argument("--stop-on-fail", dest="stop_on_fail", action="store_true")
-    add_emit(run)
-
+    commands = {name: sub.add_parser(name, help=text) for name, (text, _) in _COMMANDS.items()}
+    commands["lint"].add_argument("paths", nargs="*", help="files or directories")
+    commands["run-test"].add_argument("--script", required=True, help="test script file")
+    for s in SETTINGS:
+        options = ({"action": "store_const", "const": True} if s.parse is None
+                   else {"nargs": "+"} if s.parse is _paths else {})
+        for name in s.commands.split():
+            commands[name].add_argument(s.flag, **options)
     return parser
 
 
-# subcommand -> handler(cfg, args)
+# subcommand -> (help, handler(cfg, args))
 _COMMANDS = {
-    "update": lambda cfg, args: cmd_update(cfg),
-    "generate": lambda cfg, args: cmd_generate(cfg),
-    "lint": lambda cfg, args: cmd_lint(cfg, args.paths),
-    "sim": lambda cfg, args: cmd_sim(cfg),
-    "run-test": lambda cfg, args: cmd_run_test(cfg, args.script),
+    "update": ("scan RTL and merge the register database", lambda cfg, args: cmd_update(cfg)),
+    "generate": ("render artifacts from the database", lambda cfg, args: cmd_generate(cfg)),
+    "lint": ("style-check RTL sources", lambda cfg, args: cmd_lint(cfg, args.paths)),
+    "sim": ("serve the host protocol against the model", lambda cfg, args: cmd_sim(cfg)),
+    "run-test": ("run a test script against the model",
+                 lambda cfg, args: cmd_run_test(cfg, args.script)),
 }
 
 
@@ -459,7 +404,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](_config_from_args(args), args)
+        path = args.config or os.environ.get(CONFIG_ENV)
+        cfg = load_config_file(path) if path else ProjectConfig()
+        flags = {s: getattr(args, s.flag[2:].replace("-", "_"), None) for s in SETTINGS}
+        cfg = _apply(cfg, {s.field: s.parse(raw, None) if s.parse else raw
+                           for s, raw in flags.items() if raw is not None})
+        return _COMMANDS[args.command][1](cfg, args)
     except ChipkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -9,9 +9,7 @@ revision it was rendered from.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -42,7 +40,7 @@ class PadDb:
 
 
 def load_pad_db(csv_text: str) -> PadDb:
-    rows = list(csv.reader(io.StringIO(csv_text)))
+    rows = list(rdb.csv_rows(csv_text, "pad row"))
     if not rows:
         raise InputError("empty pad file (missing header row)")
     header = [c.strip() for c in rows[0]]

@@ -17,6 +17,7 @@ import io
 import operator
 import re
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from . import DataError, InputError
@@ -154,9 +155,20 @@ def _parse_int(token: str, what: str, row: int) -> int:
         raise InputError(f"row {row}: bad {what} value {token!r}") from None
 
 
+def csv_rows(text: str, label: str) -> Iterator[list[str]]:
+    """The records of CSV text. One the csv module rejects, such as a cell over
+    its field limit, is an InputError that names it '<label> <number>'."""
+    number = 0
+    try:
+        for number, row in enumerate(csv.reader(io.StringIO(text)), 1):
+            yield row
+    except csv.Error as exc:
+        raise InputError(f"{label} {number + 1}: {exc}") from None
+
+
 def load_db(csv_text: str) -> RegDb:
     """Parse CSV text into a RegDb, preserving any extra columns verbatim."""
-    rows = csv.reader(io.StringIO(csv_text))
+    rows = csv_rows(csv_text, "row")
     header = next(rows, None)
     if header is None:
         raise InputError("empty database file (missing header row)")
@@ -268,18 +280,6 @@ def validate_db(db: RegDb) -> list[DbError]:
             problems.append(DbError(
                 e.name, f"reset 0x{e.reset_value:x} does not fit in {e.width_bits} bits"))
     return problems
-
-
-def allocate_offsets(db: RegDb, region_size_bytes: int | None = None) -> RegDb:
-    """Assign the lowest free word offset >= 0x4 to each unallocated entry.
-
-    Retired entries keep their offsets reserved; existing assignments never
-    move.
-    """
-    new = _copy_db(db)
-    _allocate_in_place(new.entries, region_size_bytes)
-    new.entries.sort(key=_OFFSET_KEY)
-    return new
 
 
 def _copy_db(db: RegDb) -> RegDb:

@@ -7,7 +7,7 @@ import operator
 from hypothesis import strategies as st
 
 from chipkit.regdb import (
-    ACCESS_RO, ACCESS_RW, ACTIVE, RETIRED, CsrCandidate, RegDb, RegEntry, allocate_offsets)
+    ACCESS_RO, ACCESS_RW, ACTIVE, RETIRED, CsrCandidate, RegDb, RegEntry, update_db)
 
 _LOWER = "abcdefghijklmnopqrstuvwxyz"
 # [a-z][a-z0-9_]{0,11}, built without from_regex, whose regex engine costs
@@ -39,7 +39,7 @@ def reg_entries(draw, name):
 def reg_dbs(draw, max_entries=8):
     entry_names = draw(st.lists(names, max_size=max_entries, unique=True))
     db = RegDb(entries=[draw(reg_entries(n)) for n in entry_names])
-    return allocate_offsets(db)
+    return update_db(db, [], scanned_modules=set())[0]  # allocates, retires nothing
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -374,6 +375,35 @@ def _malformed_script(proj):
     return ["run-test", "--script", "bad.txt"]
 
 
+def _ini(section, key, value, argv=("update",)):
+    """Sets one key of the project's config file."""
+    def setup(proj):
+        import configparser
+        ini = configparser.ConfigParser()
+        ini.read(proj / "chipkit.cfg")
+        if not ini.has_section(section):
+            ini.add_section(section)
+        ini[section][key] = value
+        with open(proj / "chipkit.cfg", "w") as handle:
+            ini.write(handle)
+        return list(argv)
+    return setup
+
+
+def _bare_config(proj):
+    (proj / "bare.cfg").write_text("rtl = rtl\n")
+    return ["--config", "bare.cfg", "update"]
+
+
+def _huge_cell(name, old, argv):
+    """Widens the cell after old past the csv module's 131,072-character limit."""
+    def setup(proj):
+        _bootstrap(proj)
+        _edit(proj, name, old, old + "x" * 140_000)
+        return list(argv)
+    return setup
+
+
 def _args(*argv, bootstrap=True):
     def setup(proj):
         if bootstrap:
@@ -430,6 +460,31 @@ EXIT_CODE_TABLE = [
     ("short-pad-row", _short_pad_row, 2, "error: pad row 2: expected 5 fields, found 2\n"),
     ("malformed-script", _malformed_script, 2,
      "error: line 2: expected '< <response>' after command\n"),
+    # an INI value names its setting as the flag's error does (it named the key)
+    ("ini-bad-base", _ini("emit", "base_address", "zz"), 2,
+     "error: bad base address value 'zz'\n"),
+    ("ini-bad-region-size", _ini("emit", "region_size_bytes", "4k"), 2,
+     "error: bad region size value '4k'\n"),
+    ("ini-bad-unmapped-value", _ini("emit", "unmapped_value", "dead"), 2,
+     "error: bad unmapped value value 'dead'\n"),
+    ("ini-bad-diag-pins", _ini("emit", "diag_pins", "two"), 2,
+     "error: bad diag pins value 'two'\n"),
+    ("ini-bad-listen-port", _ini("sim", "listen_port", "http"), 2,
+     "error: bad listen port value 'http'\n"),
+    ("ini-bad-sram-mode", _ini("sim", "sram_mode", "random:x"), 2,
+     "error: bad sram seed value 'x'\n"),
+    ("ini-bad-match-mode", _ini("naming", "match_mode", "infix"), 3,
+     "error: bad match_mode 'infix'\n"),
+    ("missing-config", _args("--config", "nope.cfg", "update", bootstrap=False), 2,
+     "error: [Errno 2] No such file or directory: 'nope.cfg'\n"),
+    # a malformed config file exits 2 (it printed a configparser traceback)
+    ("config-without-section", _bare_config, 2,
+     "error: File contains no section headers. file: 'bare.cfg', line: 1 'rtl = rtl\\n'\n"),
+    # a cell over the csv module's field limit exits 2 (it printed a _csv.Error traceback)
+    ("huge-db-cell", _huge_cell("regs.csv", "0x4,dsp_core,", ["update"]), 2,
+     "error: row 2: field larger than field limit (131072)\n"),
+    ("huge-pad-cell", _huge_cell("pads.csv", "pad_clk,N,0,PDIN,", ["generate"]), 2,
+     "error: pad row 2: field larger than field limit (131072)\n"),
 ]
 
 
@@ -443,6 +498,96 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv) == code
         assert capsys.readouterr().err == err.format(proj=proj)
+
+
+def _subcommand_flags():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: sorted(o for a in p._actions for o in a.option_strings
+                         if o not in ("-h", "--help"))
+            for name, p in sub.choices.items()}
+
+
+# (flag, INI section, INI key, a subcommand that reads it, values to try);
+# {dir} is the directory both configurations are read in
+EQUIVALENCE_CASES = [
+    ("--rtl", "project", "rtl", "update", ["{dir}/rtl"]),
+    ("--db", "project", "db", "update", ["{dir}/alt.csv"]),
+    ("--out", "project", "out", "generate", ["{dir}/out"]),
+    ("--map", "project", "map", "sim", ["{dir}/soc.map"]),
+    ("--pads", "project", "pads", "generate", ["{dir}/pads.csv"]),
+    ("--control-prefix", "naming", "control_prefix", "update", ["ctl_", "sts_", ""]),
+    ("--status-prefix", "naming", "status_prefix", "update", ["st_", "cfg_", ""]),
+    ("--diag-prefix", "naming", "diag_prefix", "update", ["dbg_", ""]),
+    ("--match-mode", "naming", "match_mode", "update", ["postfix", "prefix", "infix"]),
+    ("--block", "emit", "block_name", "update", ["core", ""]),
+    ("--base", "emit", "base_address", "generate", ["0x40000000", "1024", "zz", ""]),
+    ("--region-size", "emit", "region_size_bytes", "update", ["0x2000", "4k"]),
+    ("--targets", "emit", "targets", "update", ["rtl,md", "c, py", ""]),
+    ("--unmapped-value", "emit", "unmapped_value", "sim", ["0", "0xffffffff", "dead"]),
+    ("--diag-pins", "emit", "diag_pins", "update", ["3", "0x2", "two"]),
+    ("--sram-mode", "sim", "sram_mode", "sim",
+     ["strict_x", "random:7", "random", "random:x", "bogus", ""]),
+    ("--listen", "sim", "listen_port", "sim", ["0", "5000", "0x10", "http", ""]),
+]
+
+
+class TestSettings:
+    # the setting flags each subcommand offers: those of the settings it reads
+    FLAGS = {
+        "update": ["--block", "--control-prefix", "--db", "--diag-pins", "--diag-prefix",
+                   "--match-mode", "--region-size", "--rtl", "--status-prefix", "--targets"],
+        "generate": ["--base", "--block", "--control-prefix", "--db", "--diag-pins",
+                     "--diag-prefix", "--map", "--match-mode", "--out", "--pads",
+                     "--region-size", "--rtl", "--status-prefix", "--targets",
+                     "--unmapped-value"],
+        "lint": [],
+        "sim": ["--db", "--fault", "--listen", "--map", "--prompt", "--sram-mode",
+                "--unmapped-value"],
+        "run-test": ["--db", "--fault", "--map", "--script", "--sram-mode", "--stop-on-fail",
+                     "--unmapped-value"],
+    }
+
+    def test_each_subcommand_offers_the_flags_it_reads(self):
+        assert _subcommand_flags() == self.FLAGS
+
+    def test_cases_cover_every_setting_with_a_flag_and_a_key(self):
+        rows = {(s.flag, *s.ini): s.commands.split() for s in cli.SETTINGS if s.ini}
+        cases = {(flag, section, key): command
+                 for flag, section, key, command, _ in EQUIVALENCE_CASES}
+        assert cases.keys() == rows.keys()
+        assert all(command in rows[row] for row, command in cases.items())
+
+    def test_readme_lists_every_setting(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("\n## Settings\n", 1)[1].split("\n## ", 1)[0]
+        rows = [[cell.strip(" `") for cell in line.strip("|").split("|")]
+                for line in table.splitlines() if line.startswith("| `")]
+        assert [row[:3] for row in rows] == [
+            [s.flag, f"[{s.ini[0]}] {s.ini[1]}" if s.ini else "—", ", ".join(s.commands.split())]
+            for s in cli.SETTINGS]
+
+    @pytest.mark.parametrize(
+        "flag, section, key, command, text",
+        [(f, sec, key, cmd, text) for f, sec, key, cmd, texts in EQUIVALENCE_CASES
+         for text in texts],
+        ids=[f"{f}={text!r}" for f, _, _, _, texts in EQUIVALENCE_CASES for text in texts])
+    def test_flag_and_ini_key_agree(self, tmp_path, monkeypatch, capsys,
+                                    flag, section, key, command, text):
+        """The same text as a flag or as an INI value: an equal config, or
+        the same error line and exit code."""
+        text = text.format(dir=tmp_path)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda cfg: seen.append(cfg) or 0)
+        (tmp_path / "one.cfg").write_text(f"[{section}]\n{key} = {text}\n")
+        outcomes = []
+        for argv in (["--config", "one.cfg", command], [command, flag, text]):
+            seen.clear()
+            code = main(argv)
+            outcomes.append((code, capsys.readouterr().err, list(seen)))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestConfigPlumbing:

@@ -11,7 +11,6 @@ from chipkit.regdb import (
     RETIRED,
     RegDb,
     RegEntry,
-    allocate_offsets,
     db_hash,
     load_db,
     save_db,
@@ -182,6 +181,11 @@ class TestUpdate:
             update_db(RegDb(), [cand("cfg_a"), cand("cfg_a")])
 
 
+def allocate(db, region_size_bytes=None):
+    """update_db with no scan: it only allocates the unallocated entries."""
+    return update_db(db, [], scanned_modules=set(), region_size_bytes=region_size_bytes)[0]
+
+
 class TestAllocate:
     def test_fills_hole(self):
         db = RegDb(entries=[
@@ -189,7 +193,7 @@ class TestAllocate:
             RegEntry("b", 8, "RW", offset_bytes=0x8),
             RegEntry("c", 8, "RW"),
         ])
-        out = allocate_offsets(db)
+        out = allocate(db)
         assert out.entry("c").offset_bytes == 0xC
 
     def test_retired_offsets_reserved(self):
@@ -199,24 +203,24 @@ class TestAllocate:
             RegEntry("b", 8, "RW", offset_bytes=0xC),
             RegEntry("c", 8, "RW"),
         ])
-        assert allocate_offsets(db).entry("c").offset_bytes == 0x10
+        assert allocate(db).entry("c").offset_bytes == 0x10
 
     def test_hundred_fresh_entries(self):
         db = RegDb(entries=[RegEntry(f"r{i:03d}", 8, "RW") for i in range(100)])
-        out = allocate_offsets(db)
+        out = allocate(db)
         assert [e.offset_bytes for e in out.entries] == [4 * (i + 1) for i in range(100)]
         assert out.entries[-1].offset_bytes == 0x190
 
     def test_assigned_offsets_never_move(self):
         db = RegDb(entries=[RegEntry("a", 8, "RW", offset_bytes=0x40), RegEntry("b", 8, "RW")])
-        out = allocate_offsets(db)
+        out = allocate(db)
         assert out.entry("a").offset_bytes == 0x40
         assert out.entry("b").offset_bytes == 0x4
 
     def test_exhaustion(self):
         db = RegDb(entries=[RegEntry("a", 8, "RW"), RegEntry("b", 8, "RW")])
         with pytest.raises(DataError, match="^no free offset below 0x8 for entry b$"):
-            allocate_offsets(db, region_size_bytes=8)
+            allocate(db, region_size_bytes=8)
 
 
 class TestValidate:
@@ -329,8 +333,7 @@ def _mutate_all(db):
 
 
 class TestCopyIndependence:
-    """update_db and allocate_offsets return copies that share nothing
-    mutable with their input."""
+    """update_db returns a copy that shares nothing mutable with its input."""
 
     @given(db=dbs_with_extras(), cands=dbst.candidate_lists())
     def test_update_db(self, db, cands):
@@ -341,14 +344,6 @@ class TestCopyIndependence:
             if "collides with a retired" not in str(exc):
                 raise
             assume(False)
-        assert db == snapshot
-        _mutate_all(new)
-        assert db == snapshot
-
-    @given(db=dbs_with_extras())
-    def test_allocate_offsets(self, db):
-        snapshot = copy.deepcopy(db)
-        new = allocate_offsets(db)
         assert db == snapshot
         _mutate_all(new)
         assert db == snapshot
