@@ -26,13 +26,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from . import ChipkitError, DataError, InputError, busmodel, regdb, uart_host
-from .busmodel import FAULT_ADDRESS_BIT, FAULT_DATA_BIT, FaultConfig
+from . import ChipkitError, DataError, InputError, regdb
 from .memmap import MemoryMap, load_memory_map
 from .regdb import EmitConfig, NamingConvention
 from .script import load_script
 
-# sv_scan and emit load in the subcommands that use them, never in sim or run-test
+# sv_scan and emit load only in the subcommands that scan or render, and
+# busmodel and uart_host only in those that build the model
 
 CONFIG_ENV = "CHIPKIT_CONFIG"
 
@@ -51,10 +51,10 @@ class ProjectConfig:
     pads_path: str | None = None
     naming: NamingConvention = field(default_factory=NamingConvention)
     emit: EmitConfig = field(default_factory=EmitConfig)
-    sram_mode: str = busmodel.SRAM_STRICT_X
+    sram_mode: str = "strict_x"  # busmodel.SRAM_STRICT_X
     sram_seed: int = 0
     listen_port: int | None = None
-    fault: FaultConfig | None = None
+    fault: busmodel.FaultConfig | None = None
     stop_on_fail: bool = False
     prompt: bool = False
 
@@ -93,14 +93,15 @@ def _port(text: str, root: Path | None) -> int | None:
 
 def _sram_mode(text: str, root: Path | None) -> tuple[str, int]:
     mode, colon, seed = text.partition(":")
-    if mode == busmodel.SRAM_RANDOM:
+    if mode == "random":  # busmodel.SRAM_RANDOM
         return mode, _parse_int(seed, "sram seed") if colon else 0
-    if text == busmodel.SRAM_STRICT_X:
+    if text == "strict_x":  # busmodel.SRAM_STRICT_X
         return text, 0
     raise InputError(f"bad sram mode {text!r} (strict_x or random:<seed>)")
 
 
-def _fault(text: str, root: Path | None) -> FaultConfig:
+def _fault(text: str, root: Path | None) -> busmodel.FaultConfig:
+    from .busmodel import FAULT_ADDRESS_BIT, FAULT_DATA_BIT, FaultConfig
     parts = text.split(":")
     if len(parts) != 3 or parts[0] not in (FAULT_ADDRESS_BIT, FAULT_DATA_BIT):
         raise InputError(
@@ -186,17 +187,20 @@ def load_config_file(path: str) -> ProjectConfig:
 # scanning
 
 def _rtl_files(paths: list) -> list[Path]:
-    files: list[Path] = []
+    """Every RTL file under paths, each once by resolved path, in first-seen order."""
+    files: dict[Path, Path] = {}
     for p in paths:
         path = Path(p)
         if path.is_dir():
-            files.extend(sorted(q for q in path.rglob("*")
-                                if q.suffix in (".sv", ".svh") and q.is_file()))
+            found = sorted(q for q in path.rglob("*")
+                           if q.suffix in (".sv", ".svh") and q.is_file())
         elif path.exists():
-            files.append(path)
+            found = [path]
         else:
             raise InputError(f"no such file or directory: {p}")
-    return files
+        for q in found:
+            files.setdefault(q.resolve(), q)
+    return list(files.values())
 
 
 def _scan_modules(cfg: ProjectConfig, diagnostics: list) -> Iterator[sv_scan.ModuleDecl]:
@@ -232,6 +236,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def cmd_update(cfg: ProjectConfig) -> int:
     from . import emit, sv_scan
+    cfg.emit.validate()
     diagnostics: list[sv_scan.Diagnostic] = []
     candidates = []
     diag_candidates = []
@@ -329,6 +334,7 @@ def cmd_lint(cfg: ProjectConfig, paths: list) -> int:
 
 
 def _build_model(cfg: ProjectConfig) -> busmodel.SocModel:
+    from . import busmodel
     memmap = _load_map(cfg)
     csr_regions = [r for r in memmap.regions if r.kind == "csr"]
     dbs = []
@@ -343,6 +349,7 @@ def _build_model(cfg: ProjectConfig) -> busmodel.SocModel:
 
 
 def cmd_sim(cfg: ProjectConfig) -> int:
+    from . import uart_host
     soc = _build_model(cfg)
     if cfg.listen_port is not None:
         listener = uart_host.open_listener(port=cfg.listen_port)
@@ -361,6 +368,7 @@ def cmd_sim(cfg: ProjectConfig) -> int:
 
 
 def cmd_run_test(cfg: ProjectConfig, script_path: str) -> int:
+    from . import uart_host
     script = load_script(Path(script_path).read_text(encoding="utf-8"))
     soc = _build_model(cfg)
     report = uart_host.run_script(soc, script, stop_on_fail=cfg.stop_on_fail)

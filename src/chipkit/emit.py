@@ -19,7 +19,7 @@ from . import regdb as rdb
 from .memmap import MemoryMap
 from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ALL_TARGETS, ID_REG_NAME, ID_REG_OFFSET, RETIRED
 from .regdb import EmitConfig, RegDb, RegEntry
-from .script import RESP_OK, TestScript, format_word, read_command, save_script, write_command
+from .script import RESP_OK, ScriptStep, TestScript, format_word, save_script
 from .sv_scan import DiagCandidate
 
 _SIDES = ("N", "E", "S", "W")
@@ -74,8 +74,11 @@ def load_pad_db(csv_text: str) -> PadDb:
 # ---------------------------------------------------------------------------
 # shared helpers
 
+_NOT_ALNUM_RE = re.compile(r"[^0-9A-Za-z]")
+
+
 def _macro_name(text: str) -> str:
-    return re.sub(r"[^0-9A-Za-z]", "_", text).upper()
+    return _NOT_ALNUM_RE.sub("_", text).upper()
 
 
 def _bits(width: int) -> str:
@@ -350,31 +353,33 @@ def emit_selftest(db: RegDb, cfg: EmitConfig,
     _check_region(db, cfg)
     hash32 = _hash(db, db_hash)
     base = cfg.base_address
-    sc = TestScript()
-    sc.add(read_command(base + ID_REG_OFFSET), format_word(hash32),
-           f"{ID_REG_NAME} register carries the database hash")
+    steps = [ScriptStep(f"R {format_word(base + ID_REG_OFFSET)}", format_word(hash32),
+                        f"{ID_REG_NAME} register carries the database hash")]
+    append = steps.append
     for e in _sorted_entries(db):
         if e.state != ACTIVE:
             continue
-        addr = base + e.offset_bytes
+        name, addr = e.name, format_word(base + e.offset_bytes)
+        read, reset = f"R {addr}", format_word(e.reset_value)
         if e.access == ACCESS_RW:
-            ones = (1 << e.width_bits) - 1
-            sc.add(read_command(addr), format_word(e.reset_value), f"{e.name}: reset value")
-            sc.add(write_command(addr, ones), RESP_OK, f"{e.name}: set all {e.width_bits} writable bits")
-            sc.add(read_command(addr), format_word(ones), f"{e.name}: read back ones")
-            sc.add(write_command(addr, 0), RESP_OK, f"{e.name}: clear")
-            sc.add(read_command(addr), format_word(0), f"{e.name}: read back zero")
+            ones = format_word((1 << e.width_bits) - 1)
+            append(ScriptStep(read, reset, f"{name}: reset value"))
+            append(ScriptStep(f"W {addr} {ones}", RESP_OK,
+                              f"{name}: set all {e.width_bits} writable bits"))
+            append(ScriptStep(read, ones, f"{name}: read back ones"))
+            append(ScriptStep(f"W {addr} 0x00000000", RESP_OK, f"{name}: clear"))
+            append(ScriptStep(read, "0x00000000", f"{name}: read back zero"))
         else:
-            sc.add(read_command(addr), format_word(e.reset_value), f"{e.name}: status value")
-            sc.add(write_command(addr, 0xA5A5A5A5), RESP_OK, f"{e.name}: write is ignored")
-            sc.add(read_command(addr), format_word(e.reset_value), f"{e.name}: unchanged by write")
+            append(ScriptStep(read, reset, f"{name}: status value"))
+            append(ScriptStep(f"W {addr} 0xa5a5a5a5", RESP_OK, f"{name}: write is ignored"))
+            append(ScriptStep(read, reset, f"{name}: unchanged by write"))
     # with no entries every offset is equally unmapped; the ID read already
     # proves the decode, so the degenerate script is that single step
     probe = _free_offset(db, cfg) if db.entries else None
     if probe is not None:
-        sc.add(read_command(base + probe), format_word(cfg.unmapped_value),
-               "offset with no register reads the unmapped constant")
-    return sc
+        append(ScriptStep(f"R {format_word(base + probe)}", format_word(cfg.unmapped_value),
+                          "offset with no register reads the unmapped constant"))
+    return TestScript(steps)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ import operator
 import re
 import zlib
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import DataError, InputError
 
@@ -44,8 +45,7 @@ _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _OFFSET_KEY = operator.attrgetter("offset_bytes")
 
 
-@dataclass(frozen=True)
-class CsrCandidate:
+class CsrCandidate(NamedTuple):
     name: str
     width_bits: int
     access: str
@@ -279,6 +279,8 @@ def validate_db(db: RegDb) -> list[DbError]:
         if 1 <= e.width_bits <= 32 and not 0 <= e.reset_value < (1 << e.width_bits):
             problems.append(DbError(
                 e.name, f"reset 0x{e.reset_value:x} does not fit in {e.width_bits} bits"))
+    if ID_REG_NAME in names:  # the software views would carry two of them
+        problems.append(DbError(ID_REG_NAME, "name reserved for the ID register"))
     return problems
 
 
@@ -288,7 +290,9 @@ def _copy_db(db: RegDb) -> RegDb:
     Every RegEntry field but extra is an immutable scalar or string, so a
     shallow copy per entry plus a copy of its extra dict is a full copy.
     """
-    entries = [replace(e, extra=dict(e.extra)) for e in db.entries]
+    entries = [RegEntry(e.name, e.width_bits, e.access, e.reset_value, e.offset_bytes,
+                        e.origin_module, e.description, e.state, dict(e.extra))
+               for e in db.entries]
     return RegDb(entries=entries, columns=list(db.columns))
 
 

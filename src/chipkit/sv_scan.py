@@ -17,7 +17,9 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 from . import InputError
 from .regdb import ACCESS_RO, ACCESS_RW, CsrCandidate, NamingConvention
@@ -44,12 +46,8 @@ class SourceFile:
     _line_starts: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        starts = [0]
-        pos = self.content.find("\n")
-        while pos >= 0:
-            starts.append(pos + 1)
-            pos = self.content.find("\n", pos + 1)
-        self._line_starts = starts
+        lines = self.content.split("\n")
+        self._line_starts = list(accumulate([len(line) + 1 for line in lines[:-1]], initial=0))
 
     @classmethod
     def from_path(cls, path) -> "SourceFile":
@@ -65,8 +63,7 @@ class SourceFile:
         return self.content[start:] if end < 0 else self.content[start:end]
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(NamedTuple):
     name: str
     direction: str  # input | output | inout
     width_bits: int
@@ -82,16 +79,14 @@ class ModuleDecl:
     line_span: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     kind: str
     path: str
     line: int
     message: str
 
 
-@dataclass(frozen=True)
-class DiagCandidate:
+class DiagCandidate(NamedTuple):
     name: str
     origin_module: str
 
@@ -137,6 +132,16 @@ _PORT_ITEM_RE = re.compile(
     rf"({_IDENT})\s*(\[[^\]]*\])?\s*$"
 )
 _LITERAL_RANGE_RE = re.compile(r"^(\d+)\s*:\s*(\d+)$")
+# One whole port item off the masked text, up to its ',' or the group's end.
+# It admits no bracket but a range it closes itself, so each ',' it ends on is
+# one _split_top_commas would split at, and its groups are _PORT_ITEM_RE's.
+_PORT_RE = re.compile(
+    rf"\s*(input|output|inout)\s+"
+    rf"(?:(?:logic|wire|reg|bit)\s*)?"
+    rf"(?:(?:signed|unsigned)\s+)?"
+    rf"(?:\[\s*(\d+)\s*:\s*(\d+)\s*\]\s*)?"
+    rf"({_IDENT})\s*(?:,|\Z)"
+)
 
 
 _PAREN_RE = re.compile(r"[()]")
@@ -283,7 +288,18 @@ def _parse_ports(file, masked, group, name, diags):
     start, end = group
     ports: list[Port] = []
     names = set()
-    prev: Port | None = None
+    # whole, new, well-formed items go by _PORT_RE; from the first other item
+    # on, the group is split and each item matched and diagnosed on its own
+    while (m := _PORT_RE.match(masked, start, end)) is not None:
+        direction, msb, lsb, pname = m.groups()
+        packed = None if msb is None else (int(msb), int(lsb))
+        if pname in names or (packed and packed[0] < packed[1]):
+            break
+        width = packed[0] - packed[1] + 1 if packed else 1
+        ports.append(Port(pname, direction, width, packed, file.line_of(m.start(1))))
+        names.add(pname)
+        start = m.end()
+    prev: Port | None = ports[-1] if ports else None
     for item, off in _split_top_commas(masked[start:end], start):
         line = file.line_of(off + len(item) - len(item.lstrip()))
         m = _PORT_ITEM_RE.match(item)
@@ -405,13 +421,11 @@ _RULE_MESSAGES = {
 }
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(NamedTuple):
     enabled: frozenset = frozenset(ALL_RULES)
 
 
-@dataclass(frozen=True)
-class LintViolation:
+class LintViolation(NamedTuple):
     rule_id: str
     file: str
     line: int

@@ -1,0 +1,40 @@
+"""The self-test emitter that the direct step builder replaced: every step
+through TestScript.add, with its command and reply each formatted through
+read_command, write_command and format_word. Kept only as the oracle for the
+differential property test; chipkit never imports it."""
+
+from __future__ import annotations
+
+from chipkit.emit import _check_region, _free_offset, _hash, _sorted_entries
+from chipkit.regdb import ACCESS_RW, ACTIVE, ID_REG_NAME, ID_REG_OFFSET
+from chipkit.script import RESP_OK, TestScript, format_word, read_command, write_command
+
+
+def emit_selftest(db, cfg, db_hash=None) -> TestScript:
+    cfg.validate()
+    _check_region(db, cfg)
+    hash32 = _hash(db, db_hash)
+    base = cfg.base_address
+    sc = TestScript()
+    sc.add(read_command(base + ID_REG_OFFSET), format_word(hash32),
+           f"{ID_REG_NAME} register carries the database hash")
+    for e in _sorted_entries(db):
+        if e.state != ACTIVE:
+            continue
+        addr = base + e.offset_bytes
+        if e.access == ACCESS_RW:
+            ones = (1 << e.width_bits) - 1
+            sc.add(read_command(addr), format_word(e.reset_value), f"{e.name}: reset value")
+            sc.add(write_command(addr, ones), RESP_OK, f"{e.name}: set all {e.width_bits} writable bits")
+            sc.add(read_command(addr), format_word(ones), f"{e.name}: read back ones")
+            sc.add(write_command(addr, 0), RESP_OK, f"{e.name}: clear")
+            sc.add(read_command(addr), format_word(0), f"{e.name}: read back zero")
+        else:
+            sc.add(read_command(addr), format_word(e.reset_value), f"{e.name}: status value")
+            sc.add(write_command(addr, 0xA5A5A5A5), RESP_OK, f"{e.name}: write is ignored")
+            sc.add(read_command(addr), format_word(e.reset_value), f"{e.name}: unchanged by write")
+    probe = _free_offset(db, cfg) if db.entries else None
+    if probe is not None:
+        sc.add(read_command(base + probe), format_word(cfg.unmapped_value),
+               "offset with no register reads the unmapped constant")
+    return sc

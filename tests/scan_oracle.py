@@ -2,8 +2,9 @@
 
 These are the straightforward implementations that the regex-driven code in
 chipkit.sv_scan replaced: one-index-at-a-time masking and bracket walking, a
-module keyword search that opens with \b, and a lint loop over every
-identifier. They are kept only as oracles for the differential property tests
+module keyword search that opens with \b, a lint loop over every
+identifier, and port-group parsing that splits the group at its top-level
+commas and matches each item on its own. They are kept only as oracles for the differential property tests
 and are never imported by chipkit.
 """
 
@@ -15,8 +16,11 @@ from chipkit.sv_scan import (
     _CONN_RE,
     _NON_INSTANCE_WORDS,
     _RULE_MESSAGES,
+    DIAG_SKIP,
+    Diagnostic,
     LintViolation,
     MalformedSource,
+    Port,
     RuleSet,
     SourceFile,
 )
@@ -26,6 +30,14 @@ _MODULE_KW_RE = re.compile(r"\b(module|endmodule)\b")
 _WORD_RE = re.compile(_IDENT)
 _INST_RE = re.compile(
     rf"\b({_IDENT})\s+({_IDENT})\s*\(\s*(\.[^;]*?)\)\s*;", re.S)
+_PORT_ITEM_RE = re.compile(
+    rf"^\s*(?:(input|output|inout)\s+)?"
+    rf"(?:(logic|wire|reg|bit)\s*)?"
+    rf"(?:(signed|unsigned)\s+)?"
+    rf"(?:\[\s*([^\]]*?)\s*\]\s*)?"
+    rf"({_IDENT})\s*(\[[^\]]*\])?\s*$"
+)
+_LITERAL_RANGE_RE = re.compile(r"^(\d+)\s*:\s*(\d+)$")
 
 
 def mask_comments_and_strings(src: SourceFile) -> str:
@@ -149,3 +161,64 @@ def lint(file: SourceFile, rules: RuleSet | None = None) -> list[LintViolation]:
 
     violations.sort(key=lambda v: (v.file, v.line, v.rule_id))
     return violations
+
+
+def parse_range(spec: str | None) -> tuple[int, tuple[int, int] | None] | None:
+    if spec is None:
+        return 1, None
+    m = _LITERAL_RANGE_RE.match(spec)
+    if not m:
+        return None
+    msb, lsb = int(m.group(1)), int(m.group(2))
+    if msb < lsb:
+        return None
+    return msb - lsb + 1, (msb, lsb)
+
+
+def parse_ports(file, masked, group, name, diags):
+    start, end = group
+    ports: list[Port] = []
+    names = set()
+    prev: Port | None = None
+    for item, off in split_top_commas(masked[start:end], start):
+        line = file.line_of(off + len(item) - len(item.lstrip()))
+        m = _PORT_ITEM_RE.match(item)
+        if not m:
+            diags.append(Diagnostic(DIAG_SKIP, file.path, line,
+                                    f"unsupported port declaration in {name}"))
+            prev = None
+            continue
+        direction, ptype, _sign, range_spec, pname, unpacked = m.groups()
+        if unpacked:
+            diags.append(Diagnostic(DIAG_SKIP, file.path, line,
+                                    f"unpacked array port {pname} in {name} skipped"))
+            prev = None
+            continue
+        if direction is None and ptype is None and range_spec is None:
+            if prev is None:
+                diags.append(Diagnostic(DIAG_SKIP, file.path, line,
+                                        f"port {pname} in {name} has no direction (non-ANSI list?)"))
+                continue
+            port = Port(pname, prev.direction, prev.width_bits, prev.packed_range, line)
+        elif direction is None:
+            diags.append(Diagnostic(DIAG_SKIP, file.path, line,
+                                    f"port {pname} in {name} has no direction"))
+            prev = None
+            continue
+        else:
+            parsed = parse_range(range_spec)
+            if parsed is None:
+                diags.append(Diagnostic(DIAG_SKIP, file.path, line,
+                                        f"non-literal packed range on port {pname} in {name}"))
+                prev = None
+                continue
+            width, packed = parsed
+            port = Port(pname, direction, width, packed, line)
+        if port.name in names:
+            diags.append(Diagnostic(DIAG_SKIP, file.path, line,
+                                    f"duplicate port name {port.name} in {name}"))
+            continue
+        names.add(port.name)
+        ports.append(port)
+        prev = port
+    return ports

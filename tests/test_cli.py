@@ -485,6 +485,11 @@ EXIT_CODE_TABLE = [
      "error: row 2: field larger than field limit (131072)\n"),
     ("huge-pad-cell", _huge_cell("pads.csv", "pad_clk,N,0,PDIN,", ["generate"]), 2,
      "error: pad row 2: field larger than field limit (131072)\n"),
+    # update checks the emit settings generate checks (it wrote them into regs.csv)
+    ("update-zero-diag-pins", _args("update", "--diag-pins", "0", bootstrap=False), 3,
+     "error: need at least one diagnostic pin\n"),
+    ("update-blank-block", _args("update", "--block", "", bootstrap=False), 3,
+     "error: block name '' is not an identifier\n"),
 ]
 
 
@@ -590,6 +595,54 @@ class TestSettings:
         assert outcomes[0] == outcomes[1]
 
 
+class TestDuplicatePaths:
+    """A file reached through two paths is scanned once, in first-seen order."""
+
+    def test_update_with_a_file_inside_a_listed_directory(self, proj, capsys):
+        assert main(["update", "--rtl", "rtl", "rtl/dsp_core.sv"]) == 0
+        report = capsys.readouterr().out
+        assert hashlib.sha256(report.encode()).hexdigest() == TestGolden.REPORT_SHA256
+        assert hashlib.sha256((proj / "regs.csv").read_bytes()).hexdigest() == \
+            TestGolden.REGS_SHA256
+
+    def test_generate_with_one_directory_spelled_twice(self, proj):
+        assert main(["update"]) == 0
+        assert main(["generate", "--rtl", "rtl", "./rtl"]) == 0
+        assert tree_digest(proj / "gen") == TestGolden.TREE_SHA256
+
+    def test_lint_reports_each_violation_once(self, proj, fixtures_dir, capsys):
+        for name in ("w001_wire.sv", "w002_reg.sv"):
+            (proj / name).write_text((fixtures_dir / "lint" / name).read_text())
+        assert main(["lint", "w002_reg.sv", "w001_wire.sv"]) == 1
+        once = capsys.readouterr().out
+        assert main(["lint", "w002_reg.sv", "w001_wire.sv", "./w002_reg.sv",
+                     str(proj / "w001_wire.sv")]) == 1
+        assert capsys.readouterr().out == once
+        assert once.index("w002_reg.sv") < once.index("w001_wire.sv")
+
+    def test_first_spelling_and_order_kept(self, proj):
+        assert cli._rtl_files(["rtl/timer_unit.sv", "rtl", "./rtl/dsp_core.sv"]) == [
+            Path("rtl/timer_unit.sv"), Path("rtl/dsp_core.sv"), Path("rtl/io_ctrl.sv")]
+
+
+def _loaded_modules(proj, argv):
+    """Exit code, stdout lines and the modules that running chipkit argv
+    loads; chipkit must print nothing to stderr."""
+    probe = ("import runpy, sys\n"
+             "before = set(sys.modules)\n"
+             f"sys.argv = ['chipkit', *{argv!r}]\n"
+             "try:\n"
+             "    runpy.run_module('chipkit', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    print('exit', exc.code)\n"
+             "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            cwd=proj)
+    assert result.stderr == ""
+    *out, code, loaded = result.stdout.splitlines()
+    return code, out, set(loaded.split())
+
+
 class TestConfigPlumbing:
     def test_env_var_config(self, proj):
         # proj fixture sets CHIPKIT_CONFIG; bare main() calls above rely on it
@@ -609,22 +662,20 @@ class TestConfigPlumbing:
 
     def test_run_test_loads_no_scanner_or_emitter(self, proj):
         _bootstrap(proj)
-        probe = ("import runpy, sys\n"
-                 "before = set(sys.modules)\n"
-                 "sys.argv = ['chipkit', 'run-test', '--script', 'gen/demo_selftest.txt']\n"
-                 "try:\n"
-                 "    runpy.run_module('chipkit', run_name='__main__', alter_sys=True)\n"
-                 "except SystemExit as exc:\n"
-                 "    print('exit', exc.code)\n"
-                 "print(' '.join(sorted(set(sys.modules) - before)))\n")
-        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                                cwd=proj)
-        assert result.stderr == ""
-        report, code, loaded = result.stdout.splitlines()
+        code, (report,), loaded = _loaded_modules(
+            proj, ["run-test", "--script", "gen/demo_selftest.txt"])
         assert code == "exit 0" and report.endswith("steps passed")
-        loaded = set(loaded.split())
         assert "chipkit.uart_host" in loaded
         assert not {"chipkit.sv_scan", "chipkit.emit", "socket", "selectors"} & loaded
+
+    @pytest.mark.parametrize("command", ["lint", "update", "generate"])
+    def test_regen_commands_load_no_model(self, proj, command):
+        if command == "generate":
+            assert main(["update"]) == 0
+        code, _, loaded = _loaded_modules(proj, [command])
+        assert code == "exit 0"
+        assert "chipkit.sv_scan" in loaded
+        assert not {"chipkit.busmodel", "chipkit.uart_host"} & loaded
 
     def test_module_entry_point(self, proj):
         result = subprocess.run(

@@ -1,7 +1,9 @@
 import re
 
 import pytest
+from hypothesis import assume, given, settings
 
+import strategies
 from chipkit import DataError, emit, regdb, sv_scan
 from chipkit.emit import EmitConfig, PadDb, load_pad_db
 from chipkit.memmap import MemoryMap, Region
@@ -141,6 +143,42 @@ class TestSwViews:
         cfg = EmitConfig(block_name="my_blk2", base_address=0x50000000)
         c_text, _ = emit.emit_sw_views(GAIN_DB, cfg)
         assert "MY_BLK2_CFG_GAIN_ADDR" in c_text
+
+    @settings(max_examples=200, deadline=None)
+    @given(db=strategies.reg_dbs())
+    def test_views_match_the_database(self, db):
+        """Every active register and the ID register, with address, width
+        and access, read back from both views; and the database hash."""
+        assume(not regdb.validate_db(db))
+        c_text, py_text = emit.emit_sw_views(db, CFG)
+        base = CFG.base_address
+        expected = {regdb.ID_REG_NAME: (base + regdb.ID_REG_OFFSET, 32, "RO")}
+        expected.update((e.name, (base + e.offset_bytes, e.width_bits, e.access))
+                        for e in db.entries if e.state == regdb.ACTIVE)
+
+        namespace = {}
+        exec(py_text, namespace)
+        assert namespace["BASE_ADDR"] == base
+        assert namespace["REGISTERS"] == expected
+
+        defines = dict(re.findall(r"^#define (\w+) (\S+)$", c_text, re.M))
+        assert int(defines.pop("MYBLK_BASE_ADDR"), 16) == base
+        assert defines == {
+            f"MYBLK_{name.upper()}_{field}": value
+            for name, (addr, width, _access) in expected.items()
+            for field, value in (("ADDR", format_word(addr)), ("WIDTH", str(width)))}
+        assert dict(re.findall(r"^/\* (\w+): (RW|RO), ", c_text, re.M)) == {
+            name: access for name, (_addr, _width, access) in expected.items()}
+
+        banner = f"database hash {format_word(db_hash(db))}"
+        assert banner in c_text.splitlines()[1] and banner in py_text.splitlines()[1]
+
+    def test_register_named_like_the_id_register_is_invalid(self):
+        """Both views would carry two 'id' registers: the C header would define
+        MYBLK_ID_ADDR twice and the Python dict would keep only one."""
+        db = make_db(cand("id"))
+        assert [p.message for p in regdb.validate_db(db)] == \
+            ["name reserved for the ID register"]
 
 
 class TestSelftest:

@@ -1,7 +1,8 @@
 """Differential properties: the one-pass database reader and the one-picker
 writer agree with the per-cell versions in regdb_oracle, on canonical and
 extra columns in any order, with or without a state column, and on every
-malformed-row error."""
+malformed-row error; and the constructor copy that update_db starts from
+agrees with the dataclasses.replace copy."""
 
 import csv
 import io
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regdb_oracle
+import strategies
 from chipkit import ChipkitError, regdb
 
 # cell tokens: valid and invalid numbers, access and state tokens in odd
@@ -83,3 +85,19 @@ def test_load_and_save_match_oracle(text, added):
     # a column added by hand, which no entry carries, saves as empty cells
     db.columns += added
     assert _outcome(regdb.save_db, db) == _outcome(regdb_oracle.save_db, db)
+
+
+@settings(max_examples=200, deadline=None)
+@given(db=strategies.reg_dbs(),
+       extra=st.dictionaries(st.sampled_from(["owner", "notes"]), st.text(max_size=3), max_size=2),
+       states=st.lists(st.sampled_from([regdb.ACTIVE, regdb.RETIRED]), min_size=8, max_size=8))
+def test_copy_db_matches_oracle(db, extra, states):
+    # set after the draw: reg_dbs itself builds each database through _copy_db
+    for entry, state in zip(db.entries, states):
+        entry.extra, entry.state = dict(extra), state
+    copied = regdb._copy_db(db)
+    assert copied == regdb_oracle.copy_db(db) == db
+    assert copied.columns is not db.columns
+    for new, old in zip(copied.entries, db.entries):
+        assert type(new) is type(old)
+        assert new is not old and new.extra is not old.extra

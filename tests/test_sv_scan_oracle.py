@@ -166,3 +166,76 @@ def test_lint_keyword_boundaries(text, rules):
 def test_module_keyword_boundaries(text, blocks):
     assert _blocks(sv_scan._module_blocks, text) == ("ok", blocks)
     assert _blocks(scan_oracle.module_blocks, text) == ("ok", blocks)
+
+
+# The parts of a port item, as (well formed, broken) choices. An item breaks
+# in at most one part, so that runs of well-formed items reach the point
+# where the scanner falls back to splitting, with a bare name, a duplicate, a
+# reversed or non-literal range, a comma inside brackets, a lone bracket or an
+# unpacked dimension. Keywords run into names when the space between them is
+# empty, and the spaces are all ones that str.strip and \s both take.
+SPACES = [" ", " ", "  ", "\t", "\n", "\n  ", "\r\n", "\x0b", "\x0c", "\xa0", "\u2003", ""]
+PORT_PARTS = [
+    (["input", "output", "inout"], ["", "inputx", "in"]),
+    (["", "logic", "wire", "reg", "bit"], ["logicx", "int"]),
+    (["", "", "signed", "unsigned"], ["signedx"]),
+    (["", "[7:0]", "[ 31 : 0 ]", "[0:0]", "[1:0\n]", "[\u0663:0]"],
+     ["[0:7]", "[W-1:0]", "[7:0][3:0]", "[a,b]", "[", "[3:0", "]", "(", "{a,b}", "(x,y)"]),
+    (["a", "b", "c", "d", "e", "f", "g", "cfg_x", "sts_y", "x9", "_"],
+     ["input", "logic", "signed", "9a"]),
+    ([""], ["[3]", "[0:1]", "[", "(", ")", "{", "}", "]", "{a,b}", "(a,b)", "=1"]),
+]
+
+
+@st.composite
+def port_items(draw):
+    broken = draw(st.integers(-len(PORT_PARTS), len(PORT_PARTS) - 1))  # < 0: none
+    parts = [draw(st.sampled_from(bad if i == broken else good))
+             for i, (good, bad) in enumerate(PORT_PARTS)]
+    return "".join(draw(st.sampled_from(SPACES)) + part for part in parts) \
+        + draw(st.sampled_from(SPACES))
+
+
+@st.composite
+def port_groups(draw):
+    """(text, (start, end)): a module header and a group of port items, bare
+    names and blanks, joined by one comma or two, maybe with a trailing one."""
+    bare = st.sampled_from(PORT_PARTS[4][0] + SPACES)
+    items = draw(st.lists(st.one_of(port_items(), port_items(), bare), max_size=8))
+    seps = [draw(st.sampled_from([",", ",", ",", ", ", ",\n", ",,"])) for _ in items]
+    group = "".join(item + sep for item, sep in zip(items, seps))
+    if group and draw(st.booleans()):
+        group = group[:-len(seps[-1])]  # no trailing comma
+    head = draw(st.sampled_from(["module m (", "\nmodule m (", "module m\n  (\n"]))
+    return head + group + ");\n", (len(head), len(head) + len(group))
+
+
+def _ports(impl, text, group):
+    diags = []
+    ports = impl(SourceFile("t.sv", text), text, group, "m", diags)
+    return ports, diags
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=port_groups())
+def test_parse_ports_matches_oracle(case):
+    text, group = case
+    assert _ports(sv_scan._parse_ports, text, group) == _ports(scan_oracle.parse_ports, text, group)
+
+
+@pytest.mark.parametrize("group", [
+    "input logic [7:0] a, b, output c",          # a bare name after a typed port
+    "input a, input a, input b",                  # a duplicate, then a well-formed item
+    "input [0:7] a, input [7:0] b",               # a reversed range
+    "input [W-1:0] a, input b",                   # a non-literal range
+    "input a [3], input b",                       # an unpacked array
+    "input [1,2] a, input b",                     # a comma inside brackets
+    "input a, input ( b, input c",                # an unbalanced paren swallows the rest
+    "input a, input b ], input c",                # a stray closing bracket
+    "input logicfoo, input bitx, input reg signed",  # keywords run into names
+    "\n  input a,\n\n  input b\n  ,input c  ,  ",  # items on later lines, trailing comma
+])
+def test_parse_ports_cases_match_oracle(group):
+    text = "module m (" + group + ");\n"
+    span = (len("module m ("), len("module m (") + len(group))
+    assert _ports(sv_scan._parse_ports, text, span) == _ports(scan_oracle.parse_ports, text, span)
