@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import DataError, InputError
 from .memmap import MemoryMap, Region
 from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ID_REG_OFFSET, RegDb, UNMAPPED_READ_VALUE, db_hash
-from .script import RESP_OK, TestScript, format_word, read_command, write_command
+from .script import RESP_OK, ScriptStep, TestScript, format_word
 
 WORD_MASK = 0xFFFFFFFF
 
@@ -44,7 +44,7 @@ class FaultConfig:
     bit: int
     target_region: str
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in (FAULT_ADDRESS_BIT, FAULT_DATA_BIT):
             raise DataError(f"unknown fault kind {self.kind!r}")
         if not 0 <= self.bit < 32:
@@ -150,7 +150,6 @@ def build_soc(
     unmapped_value: int = UNMAPPED_READ_VALUE,
 ) -> SocModel:
     """Assemble the model: reset-valued registers, fully uninitialized SRAM."""
-    memmap.check()
     if sram_mode not in (SRAM_STRICT_X, SRAM_RANDOM):
         raise DataError(f"unknown sram mode {sram_mode!r}")
     db_map = dict(dbs)
@@ -166,7 +165,6 @@ def build_soc(
         else:
             soc.srams[region.name] = SramStore(region, sram_mode, seed)
     if fault is not None:
-        fault.validate()
         store = soc.srams.get(fault.target_region)
         if store is None:
             raise DataError(
@@ -274,16 +272,16 @@ def gen_region_test(memmap: MemoryMap, region_name: str) -> TestScript:
     base = region.base
     probe_bits = [k for k in range(2, 32) if (1 << k) < region.size_bytes]
 
-    sc = TestScript()
-    sc.add(write_command(base, _BASE_MARKER), RESP_OK, "marker at base")
-    for k in probe_bits:
-        sc.add(write_command(base + (1 << k), _marker(k)), RESP_OK, f"marker at address bit {k}")
-    sc.add(read_command(base), format_word(_BASE_MARKER), "base marker intact")
-    for k in probe_bits:
-        sc.add(read_command(base + (1 << k)), format_word(_marker(k)),
-               f"address bit {k} marker intact")
+    at_base, base_marker = format_word(base), format_word(_BASE_MARKER)
+    probes = [(k, format_word(base + (1 << k)), format_word(_marker(k))) for k in probe_bits]
+    steps = [ScriptStep(f"W {at_base} {base_marker}", RESP_OK, "marker at base")]
+    steps += [ScriptStep(f"W {addr} {marker}", RESP_OK, f"marker at address bit {k}")
+              for k, addr, marker in probes]
+    steps.append(ScriptStep(f"R {at_base}", base_marker, "base marker intact"))
+    steps += [ScriptStep(f"R {addr}", marker, f"address bit {k} marker intact")
+              for k, addr, marker in probes]
     for j in range(32):
-        pattern = 1 << j
-        sc.add(write_command(base, pattern), RESP_OK, f"data bit {j} pattern")
-        sc.add(read_command(base), format_word(pattern), f"data bit {j} read back")
-    return sc
+        pattern = format_word(1 << j)
+        steps += [ScriptStep(f"W {at_base} {pattern}", RESP_OK, f"data bit {j} pattern"),
+                  ScriptStep(f"R {at_base}", pattern, f"data bit {j} read back")]
+    return TestScript(steps)

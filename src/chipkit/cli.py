@@ -169,7 +169,8 @@ def _apply(cfg: ProjectConfig, values: dict) -> ProjectConfig:
     return cfg
 
 
-def load_config_file(path: str) -> ProjectConfig:
+def _ini_values(path: str) -> dict:
+    """The parsed value of each setting the config file sets, by field."""
     import configparser  # imported here: a run given only flags reads no config file
     ini = configparser.ConfigParser()
     try:
@@ -178,9 +179,12 @@ def load_config_file(path: str) -> ProjectConfig:
     except configparser.Error as exc:
         raise InputError(" ".join(str(exc).split())) from None
     root = Path(path).resolve().parent
-    return _apply(ProjectConfig(), {
-        s.field: s.parse(text.split() if s.parse is _paths else text, root)
-        for s, text in texts.items()})
+    return {s.field: s.parse(text.split() if s.parse is _paths else text, root)
+            for s, text in texts.items()}
+
+
+def load_config_file(path: str) -> ProjectConfig:
+    return _apply(ProjectConfig(), _ini_values(path))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +240,6 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def cmd_update(cfg: ProjectConfig) -> int:
     from . import emit, sv_scan
-    cfg.emit.validate()
     diagnostics: list[sv_scan.Diagnostic] = []
     candidates = []
     diag_candidates = []
@@ -288,7 +291,7 @@ def _load_db_checked(cfg: ProjectConfig) -> regdb.RegDb:
 def _load_map(cfg: ProjectConfig) -> MemoryMap:
     if not cfg.map_path:
         raise InputError("no memory map file given (set [project] map or pass --map)")
-    return load_memory_map(Path(cfg.map_path).read_text(encoding="utf-8")).check()
+    return load_memory_map(Path(cfg.map_path).read_text(encoding="utf-8"))
 
 
 def cmd_generate(cfg: ProjectConfig) -> int:
@@ -413,10 +416,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         path = args.config or os.environ.get(CONFIG_ENV)
-        cfg = load_config_file(path) if path else ProjectConfig()
         flags = {s: getattr(args, s.flag[2:].replace("-", "_"), None) for s in SETTINGS}
-        cfg = _apply(cfg, {s.field: s.parse(raw, None) if s.parse else raw
-                           for s, raw in flags.items() if raw is not None})
+        # the flags override the file, and the settings in effect are checked
+        cfg = _apply(ProjectConfig(), {
+            **(_ini_values(path) if path else {}),
+            **{s.field: s.parse(raw, None) if s.parse else raw
+               for s, raw in flags.items() if raw is not None}})
         return _COMMANDS[args.command][1](cfg, args)
     except ChipkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

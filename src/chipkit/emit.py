@@ -132,7 +132,6 @@ def emit_csr_rtl(db: RegDb, cfg: EmitConfig,
                  db_hash: Callable[[], int] | None = None) -> str:
     """Synthesizable register block: write decode, one flop bank per RW entry,
     read mux over all offsets with the ID register at 0x0."""
-    cfg.validate()
     _check_region(db, cfg)
     hash32 = _hash(db, db_hash)
     entries = _sorted_entries(db)
@@ -234,7 +233,6 @@ def emit_csr_rtl(db: RegDb, cfg: EmitConfig,
 def emit_instantiation_template(db: RegDb, cfg: EmitConfig,
                                 db_hash: Callable[[], int] | None = None) -> str:
     """Copy-paste instantiation of the generated block, one named connection per port."""
-    cfg.validate()
     hash32 = _hash(db, db_hash)
     active = [e for e in _sorted_entries(db) if e.state == ACTIVE]
     mod = f"{cfg.block_name}_csr"
@@ -271,7 +269,6 @@ def _doc_rows(db: RegDb, cfg: EmitConfig, hash32: int):
 
 def emit_markdown(db: RegDb, cfg: EmitConfig,
                   db_hash: Callable[[], int] | None = None) -> str:
-    cfg.validate()
     hash32 = _hash(db, db_hash)
     header = "| name | address | width | access | reset | description |"
     divider = "|---|---|---|---|---|---|"
@@ -301,7 +298,6 @@ def emit_markdown(db: RegDb, cfg: EmitConfig,
 def emit_sw_views(db: RegDb, cfg: EmitConfig,
                   db_hash: Callable[[], int] | None = None) -> tuple[str, str]:
     """C header and Python definitions for the active register set."""
-    cfg.validate()
     hash32 = _hash(db, db_hash)
     block = _macro_name(cfg.block_name)
     guard = f"{block}_REGS_H"
@@ -349,7 +345,6 @@ def emit_selftest(db: RegDb, cfg: EmitConfig,
                   db_hash: Callable[[], int] | None = None) -> TestScript:
     """Bring-up script: ID check, write/read-back over every active register,
     and one probe of an in-region offset with no register behind it."""
-    cfg.validate()
     _check_region(db, cfg)
     hash32 = _hash(db, db_hash)
     base = cfg.base_address
@@ -387,7 +382,6 @@ def emit_selftest(db: RegDb, cfg: EmitConfig,
 
 def emit_memmap_header(memmap: MemoryMap) -> str:
     """Base/size parameter pair per region; adding an IP touches only this file."""
-    memmap.check()
     rule = "// " + "-" * 66
     lines = [rule, "// interconnect memory map", "// generated file, do not edit", rule, ""]
     for r in memmap.regions:
@@ -407,13 +401,11 @@ def diag_select_bits(n_signals: int) -> int:
     return (n_signals - 1).bit_length()
 
 
-def emit_diag_mux(diags: list[DiagCandidate], n_pins: int, db: RegDb, cfg: EmitConfig,
+def emit_diag_mux(diags: list[DiagCandidate], db: RegDb, cfg: EmitConfig,
                   db_hash: Callable[[], int] | None = None) -> str:
-    """Observation mux: every diagnostic tap in, n_pins out, per-pin select
-    fields sliced from the memory-mapped cfg_diag_sel register."""
-    cfg.validate()
-    if n_pins < 1:
-        raise DataError("need at least one diagnostic pin")
+    """Observation mux: every diagnostic tap in, cfg.diag_pins out, per-pin
+    select fields sliced from the memory-mapped cfg_diag_sel register."""
+    n_pins = cfg.diag_pins
     names = [d.name for d in diags]
     if len(set(names)) != len(names):
         raise DataError("duplicate diagnostic signal names across modules")
@@ -512,7 +504,6 @@ def render_targets(
     Raises before returning anything, so callers can write the whole tree
     atomically or not at all.
     """
-    cfg.validate()
     # taken once, by the first emitter that needs it, after that emitter's own
     # checks: errors surface in the same order as with one hash per emitter
     db_hash = functools.cache(lambda: rdb.db_hash(db))
@@ -537,7 +528,7 @@ def render_targets(
                 raise DataError("memmap target needs a memory map file")
             out[name] = emit_memmap_header(memmap)
         elif target == "diag":
-            out[name] = emit_diag_mux(diags or [], cfg.diag_pins, db, cfg, db_hash)
+            out[name] = emit_diag_mux(diags or [], db, cfg, db_hash)
         elif target == "pads":
             out[name] = emit_pad_script(pads if pads is not None else PadDb())
     return out

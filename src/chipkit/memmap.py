@@ -32,7 +32,8 @@ class Region:
 
 @dataclass(frozen=True)
 class MemoryMap:
-    """Regions in base order; the decode index over them is built once."""
+    """Regions in base order; the decode index over them is built once. An
+    invalid map cannot be built: every problem found is in one DataError."""
 
     regions: tuple[Region, ...] = ()
     _bases: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -41,11 +42,9 @@ class MemoryMap:
         regions = tuple(sorted(self.regions, key=lambda r: r.base))
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "_bases", tuple(r.base for r in regions))
-
-    def validate(self) -> list[str]:
         problems = []
         names = set()
-        for r in self.regions:
+        for r in regions:
             if r.kind not in REGION_KINDS:
                 problems.append(f"region {r.name}: unknown kind {r.kind!r}")
             if r.size_bytes <= 0 or r.size_bytes & (r.size_bytes - 1):
@@ -57,16 +56,11 @@ class MemoryMap:
             if r.name in names:
                 problems.append(f"duplicate region name {r.name}")
             names.add(r.name)
-        for lo, hi in zip(self.regions, self.regions[1:]):
+        for lo, hi in zip(regions, regions[1:]):
             if lo.end > hi.base:
                 problems.append(f"regions {lo.name} and {hi.name} overlap")
-        return problems
-
-    def check(self) -> "MemoryMap":
-        problems = self.validate()
         if problems:
             raise DataError("; ".join(problems))
-        return self
 
     def region(self, name: str) -> Region:
         for r in self.regions:
@@ -85,7 +79,8 @@ class MemoryMap:
 
 
 def load_memory_map(text: str) -> MemoryMap:
-    """Parse map text; returns regions sorted by base. Raises InputError on syntax."""
+    """Parse map text into a MemoryMap, which sorts and checks the regions.
+    Raises InputError on syntax."""
     regions = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

@@ -43,6 +43,9 @@ CANONICAL_COLUMNS = REQUIRED_COLUMNS + ("state",)
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _OFFSET_KEY = operator.attrgetter("offset_bytes")
+# names, upper-cased, whose macros the C header defines for itself
+_RESERVED_NAMES = {ID_REG_NAME.upper(): "name reserved for the ID register",
+                   "BASE": "name reserved for the base address"}
 
 
 class CsrCandidate(NamedTuple):
@@ -54,7 +57,8 @@ class CsrCandidate(NamedTuple):
 
 
 # settings of the scanner and the emitters, kept out of both so that building a
-# project config loads neither: sim and run-test never scan or render
+# project config loads neither: sim and run-test never scan or render. Each
+# checks itself when built, so an invalid one never exists
 
 @dataclass(frozen=True)
 class NamingConvention:
@@ -66,9 +70,9 @@ class NamingConvention:
     def __post_init__(self):
         affixes = (self.control_prefix, self.status_prefix, self.diag_prefix)
         if any(not a for a in affixes) or len(set(affixes)) != 3:
-            raise ValueError("naming affixes must be non-empty and pairwise distinct")
+            raise DataError("naming affixes must be non-empty and pairwise distinct")
         if self.match_mode not in ("prefix", "postfix"):
-            raise ValueError(f"bad match_mode {self.match_mode!r}")
+            raise DataError(f"bad match_mode {self.match_mode!r}")
 
     def matches(self, affix: str, name: str) -> bool:
         if self.match_mode == "prefix":
@@ -88,7 +92,7 @@ class EmitConfig:
     unmapped_value: int = UNMAPPED_READ_VALUE
     diag_pins: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not _IDENT_RE.match(self.block_name):
             raise DataError(f"block name {self.block_name!r} is not an identifier")
         size = self.csr_region_size_bytes
@@ -252,14 +256,20 @@ def validate_db(db: RegDb) -> list[DbError]:
     for col in REQUIRED_COLUMNS:
         if col not in db.columns:
             problems.append(DbError("", f"missing required column {col!r}"))
-    names = set()
+    names: dict[str, str] = {}  # upper-cased, as in the C header's macros -> first name
     offsets = {}
     for e in db.entries:
         if not _IDENT_RE.match(e.name):
             problems.append(DbError(e.name, f"name {e.name!r} is not an identifier"))
-        if e.name in names:
-            problems.append(DbError(e.name, "duplicate register name"))
-        names.add(e.name)
+        macro = e.name.upper()
+        if macro in names:
+            first = names[macro]
+            problems.append(DbError(e.name, "duplicate register name" if first == e.name
+                                    else f"name differs from {first} only in case"))
+        else:
+            names[macro] = e.name
+        if macro in _RESERVED_NAMES:
+            problems.append(DbError(e.name, _RESERVED_NAMES[macro]))
         if not 1 <= e.width_bits <= 32:
             problems.append(DbError(e.name, f"width {e.width_bits} outside [1, 32]"))
         if e.access not in (ACCESS_RW, ACCESS_RO):
@@ -279,8 +289,6 @@ def validate_db(db: RegDb) -> list[DbError]:
         if 1 <= e.width_bits <= 32 and not 0 <= e.reset_value < (1 << e.width_bits):
             problems.append(DbError(
                 e.name, f"reset 0x{e.reset_value:x} does not fit in {e.width_bits} bits"))
-    if ID_REG_NAME in names:  # the software views would carry two of them
-        problems.append(DbError(ID_REG_NAME, "name reserved for the ID register"))
     return problems
 
 

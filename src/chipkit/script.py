@@ -32,20 +32,9 @@ class TestScript:
 
     steps: list[ScriptStep] = field(default_factory=list)
 
-    def add(self, command: str, expected: str, comment: str = "") -> None:
-        self.steps.append(ScriptStep(command, expected, comment))
-
 
 def format_word(value: int) -> str:
     return f"0x{value & 0xffffffff:08x}"
-
-
-def read_command(addr: int) -> str:
-    return f"R {format_word(addr)}"
-
-
-def write_command(addr: int, data: int) -> str:
-    return f"W {format_word(addr)} {format_word(data)}"
 
 
 def load_script(text: str) -> TestScript:

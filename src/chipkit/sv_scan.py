@@ -410,8 +410,6 @@ def extract_diag_candidates(
 # ---------------------------------------------------------------------------
 # lint
 
-ALL_RULES = ("W001", "W002", "W003", "W004", "W005")
-
 _RULE_MESSAGES = {
     "W001": "wire declaration; use logic",
     "W002": "reg declaration; use logic",
@@ -419,10 +417,6 @@ _RULE_MESSAGES = {
     "W004": "raw always_ff; use the FF() register macro",
     "W005": "explicit port connections where .* would apply",
 }
-
-
-class RuleSet(NamedTuple):
-    enabled: frozenset = frozenset(ALL_RULES)
 
 
 class LintViolation(NamedTuple):
@@ -472,9 +466,8 @@ def _instantiations(masked: str, reversed_text: str):
             yield m
 
 
-def lint(file: SourceFile, rules: RuleSet | None = None) -> list[LintViolation]:
-    """Keyword-level style checks outside comments and strings; never aborts."""
-    rules = rules or RuleSet()
+def lint(file: SourceFile) -> list[LintViolation]:
+    """Every keyword-level style rule, outside comments and strings; never aborts."""
     try:
         masked = mask_comments_and_strings(file)
     except MalformedSource:
@@ -484,8 +477,6 @@ def lint(file: SourceFile, rules: RuleSet | None = None) -> list[LintViolation]:
     violations: list[LintViolation] = []
 
     def add(rule: str, offset: int):
-        if rule not in rules.enabled:
-            return
         line = file.line_of(offset)
         violations.append(LintViolation(rule, file.path, line,
                                         file.line_text(line).strip(), _RULE_MESSAGES[rule]))

@@ -1,21 +1,36 @@
 """The self-test emitter that the direct step builder replaced: every step
 through TestScript.add, with its command and reply each formatted through
-read_command, write_command and format_word. Kept only as the oracle for the
+read_command, write_command and format_word. Those helpers are gone from
+chipkit.script, so verbatim copies live here. Kept only as the oracle for the
 differential property test; chipkit never imports it."""
 
 from __future__ import annotations
 
 from chipkit.emit import _check_region, _free_offset, _hash, _sorted_entries
 from chipkit.regdb import ACCESS_RW, ACTIVE, ID_REG_NAME, ID_REG_OFFSET
-from chipkit.script import RESP_OK, TestScript, format_word, read_command, write_command
+from chipkit.script import RESP_OK, ScriptStep, TestScript, format_word
+
+
+class _Script(TestScript):
+    """TestScript with the add method it had when this emitter was replaced."""
+
+    def add(self, command: str, expected: str, comment: str = "") -> None:
+        self.steps.append(ScriptStep(command, expected, comment))
+
+
+def read_command(addr: int) -> str:
+    return f"R {format_word(addr)}"
+
+
+def write_command(addr: int, data: int) -> str:
+    return f"W {format_word(addr)} {format_word(data)}"
 
 
 def emit_selftest(db, cfg, db_hash=None) -> TestScript:
-    cfg.validate()
     _check_region(db, cfg)
     hash32 = _hash(db, db_hash)
     base = cfg.base_address
-    sc = TestScript()
+    sc = _Script()
     sc.add(read_command(base + ID_REG_OFFSET), format_word(hash32),
            f"{ID_REG_NAME} register carries the database hash")
     for e in _sorted_entries(db):

@@ -16,7 +16,7 @@ from chipkit.busmodel import (
     ERR_MISALIGNED, ERR_UNMAPPED, ERR_XREAD, FAULT_ADDRESS_BIT, FAULT_DATA_BIT, SRAM_STRICT_X,
     WORD_MASK, BusError, SocModel, SramStore)
 from chipkit.memmap import MemoryMap, Region
-from chipkit.script import TestScript
+from chipkit.script import ScriptStep, TestScript
 from chipkit.uart_host import Command, ParseError
 
 _HEX_RE = re.compile(r"^(0[xX])?[0-9a-fA-F]+$")
@@ -61,8 +61,15 @@ def parse_command(line: str):
     raise ParseError(parts[0])
 
 
+class _Script(TestScript):
+    """TestScript with the add method it had when this reader was replaced."""
+
+    def add(self, command: str, expected: str, comment: str = "") -> None:
+        self.steps.append(ScriptStep(command, expected, comment))
+
+
 def load_script(text: str) -> TestScript:
-    script = TestScript()
+    script = _Script()
     pending_comment: list[str] = []
     pending_command: str | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -21,7 +21,7 @@ from chipkit.busmodel import BusError, FaultConfig, build_soc, bus_read, bus_wri
 from chipkit.cli import main
 from chipkit.memmap import MemoryMap, Region, load_memory_map
 from chipkit.regdb import RegDb, load_db, save_db, update_db
-from chipkit.script import TestScript
+from chipkit.script import ScriptStep, TestScript
 from chipkit.sv_scan import CsrCandidate, SourceFile, lint, parse_modules
 
 
@@ -310,9 +310,7 @@ def test_criterion_9_protocol_conformance():
         for cmd, resp in zip(commands, responses) if cmd.upper().startswith("R"))
 
     soc_b = build_soc(memmap, [("csr0", db)])
-    script = TestScript()
-    for cmd, resp in zip(commands, responses):
-        script.add(cmd, resp)
+    script = TestScript([ScriptStep(cmd, resp) for cmd, resp in zip(commands, responses)])
     replay = uart_host.run_script(soc_b, script)
     _report(9, "protocol conformance",
             count_ok and read_format_ok and replay.ok,

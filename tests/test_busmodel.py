@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -23,8 +24,9 @@ from chipkit.busmodel import (
     reset,
     set_status,
 )
-from chipkit.memmap import MemoryMap, Region
+from chipkit.memmap import MemoryMap, Region, load_memory_map
 from chipkit.regdb import RegDb, UNMAPPED_READ_VALUE, db_hash, update_db
+from chipkit.script import save_script
 from chipkit.sv_scan import CsrCandidate
 
 MAP = MemoryMap([
@@ -251,7 +253,7 @@ class TestDefaultSlave:
     def test_hand_built_map_out_of_base_order_decodes(self):
         a = Region("a", "sram", 0x1000, 0x1000)
         b = Region("b", "sram", 0x2000, 0x1000)
-        memmap = MemoryMap([b, a]).check()
+        memmap = MemoryMap([b, a])
         assert memmap.regions == (a, b)
         assert memmap.region_at(0x2004) == b
         assert memmap.region_at(0x1004) == a
@@ -280,6 +282,15 @@ class TestProperties:
 
 
 class TestRegionTest:
+    # the saved region test of the fixture map's sram0, as TestScript.add,
+    # read_command and write_command built it
+    FIXTURE_SHA256 = "cdc181b213472c158faacb37cfe7d089b88957fea415f18a1ce35a0f4cd68e20"
+
+    def test_fixture_map_script_unchanged(self, fixtures_dir):
+        memmap = load_memory_map((fixtures_dir / "soc.map").read_text())
+        text = save_script(gen_region_test(memmap, "sram0"))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.FIXTURE_SHA256
+
     def test_1k_region_probe_bits(self):
         m = MemoryMap([Region("sram0", "sram", 0x60000000, 0x400)])
         sc = gen_region_test(m, "sram0")

@@ -375,10 +375,13 @@ def _malformed_script(proj):
     return ["run-test", "--script", "bad.txt"]
 
 
-def _ini(section, key, value, argv=("update",)):
-    """Sets one key of the project's config file."""
+def _ini(section, key, value, argv=("update",), bootstrap=False):
+    """Sets one key of the project's config file, after update and generate
+    have run if bootstrap."""
     def setup(proj):
         import configparser
+        if bootstrap:
+            _bootstrap(proj)
         ini = configparser.ConfigParser()
         ini.read(proj / "chipkit.cfg")
         if not ini.has_section(section):
@@ -388,6 +391,13 @@ def _ini(section, key, value, argv=("update",)):
             ini.write(handle)
         return list(argv)
     return setup
+
+
+def _short_db_row_and_bad_block(proj):
+    _bootstrap(proj)
+    with open(proj / "regs.csv", "a") as handle:
+        handle.write("x,y\n")
+    return ["generate", "--block", "x-y"]
 
 
 def _bare_config(proj):
@@ -490,6 +500,14 @@ EXIT_CODE_TABLE = [
      "error: need at least one diagnostic pin\n"),
     ("update-blank-block", _args("update", "--block", "", bootstrap=False), 3,
      "error: block name '' is not an identifier\n"),
+    # every subcommand checks the settings as it reads them: sim and run-test
+    # took an invalid [emit] value, and generate read the database before it
+    ("sim-bad-emit-ini", _ini("emit", "block_name", "x-y", ("sim",), bootstrap=True), 3,
+     "error: block name 'x-y' is not an identifier\n"),
+    ("run-test-bad-emit-ini", _ini("emit", "block_name", "x-y", _SELFTEST, bootstrap=True), 3,
+     "error: block name 'x-y' is not an identifier\n"),
+    ("generate-bad-block-before-db", _short_db_row_and_bad_block, 3,
+     "error: block name 'x-y' is not an identifier\n"),
 ]
 
 
@@ -655,6 +673,12 @@ class TestConfigPlumbing:
     def test_no_config_no_rtl(self, proj, monkeypatch):
         monkeypatch.delenv(cli.CONFIG_ENV)
         assert main(["update"]) == 2
+
+    def test_flag_overrides_an_invalid_config_value(self, proj):
+        """The settings in effect are checked: the file's, with the flags over them."""
+        _ini("emit", "block_name", "x-y")(proj)
+        assert main(["update", "--block", "demo"]) == 0
+        assert main(["update"]) == 3
 
     def test_usage_error_exit_2(self, proj):
         assert main(["frobnicate"]) == 2

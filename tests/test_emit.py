@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -173,6 +174,24 @@ class TestSwViews:
         banner = f"database hash {format_word(db_hash(db))}"
         assert banner in c_text.splitlines()[1] and banner in py_text.splitlines()[1]
 
+    @pytest.mark.parametrize("names, problems", [
+        (("cfg_A", "cfg_a"), [("cfg_a", "name differs from cfg_A only in case")]),
+        (("ID",), [("ID", "name reserved for the ID register")]),
+        (("base",), [("base", "name reserved for the base address")]),
+        (("Base",), [("Base", "name reserved for the base address")]),
+    ])
+    def test_names_whose_c_macros_collide_are_invalid(self, names, problems):
+        """The C header would define one macro twice: MYBLK_CFG_A_ADDR, or
+        the ID register's MYBLK_ID_ADDR, or MYBLK_BASE_ADDR."""
+        db = make_db(*[cand(n) for n in names])
+        macros = re.findall(r"^#define (\w+) ", emit.emit_sw_views(db, CFG)[0], re.M)
+        assert len(set(macros)) < len(macros)
+        assert [(p.entry, p.message) for p in regdb.validate_db(db)] == problems
+
+    def test_names_whose_c_macros_differ_are_valid(self):
+        assert regdb.validate_db(make_db(cand("cfg_a"), cand("cfg_a_"), cand("base_addr"),
+                                         cand("idx"), cand("sts_id"))) == []
+
     def test_register_named_like_the_id_register_is_invalid(self):
         """Both views would carry two 'id' registers: the C header would define
         MYBLK_ID_ADDR twice and the Python dict would keep only one."""
@@ -226,9 +245,11 @@ class TestMemmapHeader:
         assert "SOC_REGION_COUNT = 0;" in text
 
     def test_overlap_rejected(self):
-        m = MemoryMap([Region("a", "sram", 0x1000, 0x1000), Region("b", "sram", 0x1800, 0x800)])
         with pytest.raises(DataError, match="^regions a and b overlap$"):
-            emit.emit_memmap_header(m)
+            MemoryMap([Region("a", "sram", 0x1000, 0x1000), Region("b", "sram", 0x1800, 0x800)])
+
+
+ONE_PIN = replace(CFG, diag_pins=1)
 
 
 def diag_db(width=4):
@@ -239,33 +260,33 @@ def diag_db(width=4):
 class TestDiagMux:
     def test_four_signals_two_pins(self):
         diags = [DiagCandidate(f"diag_{c}", "m") for c in "abcd"]
-        text = emit.emit_diag_mux(diags, 2, diag_db(4), CFG)
+        text = emit.emit_diag_mux(diags, diag_db(4), CFG)
         assert "input  logic [3:0] cfg_diag_sel" in text
         assert "case (cfg_diag_sel[1:0])" in text
         assert "case (cfg_diag_sel[3:2])" in text
 
     def test_single_signal_single_pin_passthrough(self):
-        text = emit.emit_diag_mux([DiagCandidate("diag_only", "m")], 1, diag_db(1), CFG)
+        text = emit.emit_diag_mux([DiagCandidate("diag_only", "m")], diag_db(1), ONE_PIN)
         assert "cfg_diag_sel" not in text.split("database hash")[1]
         assert "always_comb pin0_val = diag_only;" in text
 
     def test_no_signals_is_error(self):
         with pytest.raises(DataError, match="^diagnostic mux needs at least one signal$"):
-            emit.emit_diag_mux([], 1, diag_db(), CFG)
+            emit.emit_diag_mux([], diag_db(), ONE_PIN)
 
     def test_select_register_too_narrow(self):
         diags = [DiagCandidate(f"diag_{c}", "m") for c in "abcd"]
         with pytest.raises(DataError, match="^cfg_diag_sel is 2 bits; need 4 for 4 signals on 2 pins$"):
-            emit.emit_diag_mux(diags, 2, diag_db(width=2), CFG)
+            emit.emit_diag_mux(diags, diag_db(width=2), CFG)
 
     def test_missing_select_register(self):
         with pytest.raises(DataError, match=r"^database has no cfg_diag_sel entry "
                                             r"\(run update with diag enabled\)$"):
-            emit.emit_diag_mux([DiagCandidate("diag_a", "m")], 2, RegDb(), CFG)
+            emit.emit_diag_mux([DiagCandidate("diag_a", "m")], RegDb(), CFG)
 
     def test_out_of_range_select_goes_to_zero(self):
         diags = [DiagCandidate(f"diag_{c}", "m") for c in "abc"]
-        text = emit.emit_diag_mux(diags, 1, diag_db(2), CFG)
+        text = emit.emit_diag_mux(diags, diag_db(2), ONE_PIN)
         assert "default: pin0_val = 1'b0;" in text
 
 
@@ -352,7 +373,7 @@ class TestDeterminismAndClosure:
         assert lint(rtl_src) == []
 
         mux_src = SourceFile("mux.sv", emit.emit_diag_mux(
-            [DiagCandidate("diag_a", "m"), DiagCandidate("diag_b", "m")], 2, diag_db(2), CFG))
+            [DiagCandidate("diag_a", "m"), DiagCandidate("diag_b", "m")], diag_db(2), CFG))
         mux_diags = []
         assert len(parse_modules(mux_src, mux_diags)) == 1
         assert mux_diags == []
@@ -360,13 +381,13 @@ class TestDeterminismAndClosure:
 
     def test_config_validation(self):
         with pytest.raises(DataError, match="^block name '2bad' is not an identifier$"):
-            EmitConfig(block_name="2bad").validate()
+            EmitConfig(block_name="2bad")
         with pytest.raises(DataError, match="^region size 0x300 is not a power of two >= 4$"):
-            EmitConfig(csr_region_size_bytes=0x300).validate()
+            EmitConfig(csr_region_size_bytes=0x300)
         with pytest.raises(DataError, match="^base address not aligned to region size$"):
-            EmitConfig(base_address=0x100, csr_region_size_bytes=0x1000).validate()
+            EmitConfig(base_address=0x100, csr_region_size_bytes=0x1000)
         with pytest.raises(DataError, match="^unknown targets: bogus$"):
-            EmitConfig(targets=("rtl", "bogus")).validate()
+            EmitConfig(targets=("rtl", "bogus"))
 
 
 class TestOneHashPerRender:
