@@ -25,3 +25,31 @@ class DataError(ChipkitError):
     """The input is well formed but invalid or conflicting."""
 
     exit_code = 3
+
+
+# Records are plain __slots__ classes and NamedTuples: a decorator-built record
+# costs its class ~0.5 ms at import, and its module loads inspect, ast and dis,
+# which together were most of a command's start-up.
+
+class Record:
+    """Base of a mutable __slots__ record: equal to a record of its own class
+    whose slots are all equal, and unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+
+class Checked:
+    """Base, before the NamedTuple, of an immutable record whose __new__ checks
+    its fields. The NamedTuple's own _make, which its _replace calls, skips
+    __new__; this one builds through it, so no record can be made invalid."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import bisect
 import zlib
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from . import DataError, InputError
+from . import Checked, DataError, InputError, Record
 from .memmap import MemoryMap, Region
 from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ID_REG_OFFSET, RegDb, UNMAPPED_READ_VALUE, db_hash
 from .script import RESP_OK, ScriptStep, TestScript, format_word
@@ -32,30 +32,36 @@ FAULT_ADDRESS_BIT = "mask_address_bit"
 FAULT_DATA_BIT = "mask_data_bit"
 
 
-@dataclass(frozen=True)
-class BusError:
+class BusError(NamedTuple):
     kind: str
     address: int
 
 
-@dataclass(frozen=True)
-class FaultConfig:
+class _FaultFields(NamedTuple):
     kind: str  # mask_address_bit | mask_data_bit
     bit: int
     target_region: str
 
-    def __post_init__(self) -> None:
+
+class FaultConfig(Checked, _FaultFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (FAULT_ADDRESS_BIT, FAULT_DATA_BIT):
             raise DataError(f"unknown fault kind {self.kind!r}")
         if not 0 <= self.bit < 32:
             raise DataError(f"fault bit {self.bit} outside [0, 32)")
+        return self
 
 
-@dataclass
-class Stats:
-    reads: int = 0
-    writes: int = 0
-    errors: int = 0
+class Stats(Record):
+    __slots__ = ("reads", "writes", "errors")
+
+    def __init__(self):
+        self.reads = 0
+        self.writes = 0
+        self.errors = 0
 
 
 class CsrBlock:
@@ -129,16 +135,18 @@ class SramStore:
         self.words[(offset & self.offset_mask) >> 2] = value & self.data_mask
 
 
-@dataclass
-class SocModel:
-    memmap: MemoryMap
-    csr_blocks: dict = field(default_factory=dict)   # region name -> CsrBlock
-    srams: dict = field(default_factory=dict)        # region name -> SramStore
-    fault: FaultConfig | None = None
-    stats: Stats = field(default_factory=Stats)
-    # decode index: region bases in order, and per region (end, base, its CsrBlock or SramStore)
-    bases: tuple = ()
-    targets: tuple = ()
+class SocModel(Record):
+    __slots__ = ("memmap", "csr_blocks", "srams", "fault", "stats", "bases", "targets")
+
+    def __init__(self, memmap: MemoryMap):
+        self.memmap = memmap
+        self.csr_blocks = {}  # region name -> CsrBlock
+        self.srams = {}  # region name -> SramStore
+        self.fault: FaultConfig | None = None
+        self.stats = Stats()
+        # decode index: region bases in order, and per region (end, base, its CsrBlock or SramStore)
+        self.bases = ()
+        self.targets = ()
 
 
 def build_soc(
@@ -156,7 +164,7 @@ def build_soc(
     unknown = set(db_map) - {r.name for r in memmap.regions}
     if unknown:
         raise DataError(f"database bound to unknown region: {', '.join(sorted(unknown))}")
-    soc = SocModel(memmap=memmap)
+    soc = SocModel(memmap)
     for region in memmap.regions:
         if region.kind == "csr":
             if region.name not in db_map:
@@ -174,7 +182,7 @@ def build_soc(
         else:
             store.data_mask &= ~(1 << fault.bit)
         soc.fault = fault
-    soc.bases = tuple(r.base for r in memmap.regions)
+    soc.bases = memmap.bases
     soc.targets = tuple((r.end, r.base, soc.csr_blocks.get(r.name) or soc.srams[r.name])
                         for r in memmap.regions)
     return soc

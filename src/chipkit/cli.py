@@ -22,11 +22,10 @@ import os
 import sys
 import tempfile
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from . import ChipkitError, DataError, InputError, regdb
+from . import ChipkitError, DataError, InputError, Record, regdb
 from .memmap import MemoryMap, load_memory_map
 from .regdb import EmitConfig, NamingConvention
 from .script import load_script
@@ -42,21 +41,26 @@ EXIT_IO = 2
 EXIT_DATA = 3
 
 
-@dataclass
-class ProjectConfig:
-    rtl_paths: list = field(default_factory=list)
-    db_path: str = "regs.csv"
-    out_dir: str = "gen"
-    map_path: str | None = None
-    pads_path: str | None = None
-    naming: NamingConvention = field(default_factory=NamingConvention)
-    emit: EmitConfig = field(default_factory=EmitConfig)
-    sram_mode: str = "strict_x"  # busmodel.SRAM_STRICT_X
-    sram_seed: int = 0
-    listen_port: int | None = None
-    fault: busmodel.FaultConfig | None = None
-    stop_on_fail: bool = False
-    prompt: bool = False
+class ProjectConfig(Record):
+    """The settings in effect; _apply sets them from the config file and the flags."""
+
+    __slots__ = ("rtl_paths", "db_path", "out_dir", "map_path", "pads_path", "naming", "emit",
+                 "sram_mode", "sram_seed", "listen_port", "fault", "stop_on_fail", "prompt")
+
+    def __init__(self):
+        self.rtl_paths: list = []
+        self.db_path = "regs.csv"
+        self.out_dir = "gen"
+        self.map_path: str | None = None
+        self.pads_path: str | None = None
+        self.naming = NamingConvention()
+        self.emit = EmitConfig()
+        self.sram_mode = "strict_x"  # busmodel.SRAM_STRICT_X
+        self.sram_seed = 0
+        self.listen_port: int | None = None
+        self.fault: busmodel.FaultConfig | None = None
+        self.stop_on_fail = False
+        self.prompt = False
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -140,7 +144,7 @@ SETTINGS = (
             _int("region size"), "update generate"),
     Setting("--targets", ("emit", "targets"), "emit.targets", _targets, "update generate"),
     Setting("--unmapped-value", ("emit", "unmapped_value"), "emit.unmapped_value",
-            _int("unmapped value"), "generate sim run-test"),
+            _int("unmapped"), "generate sim run-test"),
     Setting("--diag-pins", ("emit", "diag_pins"), "emit.diag_pins", _int("diag pins"),
             "update generate"),
     Setting("--sram-mode", ("sim", "sram_mode"), "sram_mode sram_seed", _sram_mode,
@@ -153,7 +157,7 @@ SETTINGS = (
 
 
 def _apply(cfg: ProjectConfig, values: dict) -> ProjectConfig:
-    """Sets values on cfg; one replace per nested group checks its changes together."""
+    """Sets values on cfg; one rebuild per nested group checks its changes together."""
     nested: dict[str, dict] = {}
     for name, value in values.items():
         group, _, attr = name.rpartition(".")
@@ -165,7 +169,7 @@ def _apply(cfg: ProjectConfig, values: dict) -> ProjectConfig:
         else:
             setattr(cfg, name, value)
     for group, changes in nested.items():
-        setattr(cfg, group, replace(getattr(cfg, group), **changes))
+        setattr(cfg, group, getattr(cfg, group)._replace(**changes))
     return cfg
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import DataError, InputError
 from . import regdb as rdb
@@ -25,8 +25,7 @@ from .sv_scan import DiagCandidate
 _SIDES = ("N", "E", "S", "W")
 
 
-@dataclass(frozen=True)
-class Pad:
+class Pad(NamedTuple):
     name: str
     side: str
     order_index: int
@@ -34,9 +33,8 @@ class Pad:
     signal: str
 
 
-@dataclass
-class PadDb:
-    pads: list[Pad] = field(default_factory=list)
+class PadDb(NamedTuple):
+    pads: tuple[Pad, ...] = ()
 
 
 def load_pad_db(csv_text: str) -> PadDb:
@@ -68,7 +66,7 @@ def load_pad_db(csv_text: str) -> PadDb:
         slots.add((side, order))
         pads.append(Pad(row[idx["name"]].strip(), side, order,
                         row[idx["cell"]].strip(), row[idx["signal"]].strip()))
-    return PadDb(pads=pads)
+    return PadDb(tuple(pads))
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,16 @@ line: ``region <name> <kind> <base-hex> <size-hex>``.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from . import DataError, InputError
+from . import Checked, DataError, InputError
 
 REGION_KINDS = ("csr", "sram", "peripheral")
 
 ADDR_SPACE = 1 << 32
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     name: str
     kind: str
     base: int
@@ -30,18 +29,19 @@ class Region:
         return self.base + self.size_bytes
 
 
-@dataclass(frozen=True)
-class MemoryMap:
-    """Regions in base order; the decode index over them is built once. An
-    invalid map cannot be built: every problem found is in one DataError."""
+class _MapFields(NamedTuple):
+    regions: tuple[Region, ...]
+    bases: tuple[int, ...]  # each region's base, for region_at to bisect
 
-    regions: tuple[Region, ...] = ()
-    _bases: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        regions = tuple(sorted(self.regions, key=lambda r: r.base))
-        object.__setattr__(self, "regions", regions)
-        object.__setattr__(self, "_bases", tuple(r.base for r in regions))
+class MemoryMap(Checked, _MapFields):
+    """Regions in base order, and their bases. An invalid map cannot be
+    built: every problem found is in one DataError."""
+
+    __slots__ = ()
+
+    def __new__(cls, regions=(), bases=None):  # bases is derived, and taken only from _make
+        regions = tuple(sorted(regions, key=lambda r: r.base))
         problems = []
         names = set()
         for r in regions:
@@ -61,6 +61,7 @@ class MemoryMap:
                 problems.append(f"regions {lo.name} and {hi.name} overlap")
         if problems:
             raise DataError("; ".join(problems))
+        return super().__new__(cls, regions, tuple(r.base for r in regions))
 
     def region(self, name: str) -> Region:
         for r in self.regions:
@@ -70,7 +71,7 @@ class MemoryMap:
 
     def region_at(self, addr: int) -> Region | None:
         """Decode an address to its region, or None for the default slave."""
-        i = bisect.bisect_right(self._bases, addr) - 1
+        i = bisect.bisect_right(self.bases, addr) - 1
         if i >= 0:
             region = self.regions[i]
             if addr < region.base + region.size_bytes:  # bisect gave base <= addr

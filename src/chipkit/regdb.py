@@ -18,10 +18,9 @@ import operator
 import re
 import zlib
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import DataError, InputError
+from . import Checked, DataError, InputError, Record
 
 ACCESS_RW = "RW"
 ACCESS_RO = "RO"
@@ -60,19 +59,24 @@ class CsrCandidate(NamedTuple):
 # project config loads neither: sim and run-test never scan or render. Each
 # checks itself when built, so an invalid one never exists
 
-@dataclass(frozen=True)
-class NamingConvention:
+class _NamingFields(NamedTuple):
     control_prefix: str = "cfg_"
     status_prefix: str = "sts_"
     diag_prefix: str = "diag_"
     match_mode: str = "prefix"  # prefix | postfix
 
-    def __post_init__(self):
-        affixes = (self.control_prefix, self.status_prefix, self.diag_prefix)
+
+class NamingConvention(Checked, _NamingFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        affixes = self[:3]
         if any(not a for a in affixes) or len(set(affixes)) != 3:
             raise DataError("naming affixes must be non-empty and pairwise distinct")
         if self.match_mode not in ("prefix", "postfix"):
             raise DataError(f"bad match_mode {self.match_mode!r}")
+        return self
 
     def matches(self, affix: str, name: str) -> bool:
         if self.match_mode == "prefix":
@@ -83,8 +87,7 @@ class NamingConvention:
 ALL_TARGETS = ("rtl", "inst", "md", "c", "py", "test", "memmap", "diag", "pads")
 
 
-@dataclass(frozen=True)
-class EmitConfig:
+class _EmitFields(NamedTuple):
     block_name: str = "soc"
     base_address: int = 0x50000000
     csr_region_size_bytes: int = 0x1000
@@ -92,7 +95,12 @@ class EmitConfig:
     unmapped_value: int = UNMAPPED_READ_VALUE
     diag_pins: int = 2
 
-    def __post_init__(self):
+
+class EmitConfig(Checked, _EmitFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not _IDENT_RE.match(self.block_name):
             raise DataError(f"block name {self.block_name!r} is not an identifier")
         size = self.csr_region_size_bytes
@@ -105,27 +113,37 @@ class EmitConfig:
         unknown = set(self.targets) - set(ALL_TARGETS)
         if unknown:
             raise DataError(f"unknown targets: {', '.join(sorted(unknown))}")
+        if not 0 <= self.unmapped_value <= 0xFFFFFFFF:
+            raise DataError(f"unmapped value {self.unmapped_value:#x} outside 32 bits")
         if self.diag_pins < 1:
             raise DataError("need at least one diagnostic pin")
+        return self
 
 
-@dataclass
-class RegEntry:
-    name: str
-    width_bits: int
-    access: str  # RW | RO
-    reset_value: int = 0
-    offset_bytes: int | None = None  # None = not yet allocated
-    origin_module: str = ""
-    description: str = ""
-    state: str = ACTIVE
-    extra: dict = field(default_factory=dict)
+class RegEntry(Record):
+    __slots__ = ("name", "width_bits", "access", "reset_value", "offset_bytes",
+                 "origin_module", "description", "state", "extra")
+
+    def __init__(self, name: str, width_bits: int, access: str, reset_value: int = 0,
+                 offset_bytes: int | None = None, origin_module: str = "",
+                 description: str = "", state: str = ACTIVE, extra: dict | None = None):
+        self.name = name
+        self.width_bits = width_bits
+        self.access = access  # RW | RO
+        self.reset_value = reset_value
+        self.offset_bytes = offset_bytes  # None = not yet allocated
+        self.origin_module = origin_module
+        self.description = description
+        self.state = state
+        self.extra = {} if extra is None else extra
 
 
-@dataclass
-class RegDb:
-    entries: list[RegEntry] = field(default_factory=list)
-    columns: list[str] = field(default_factory=lambda: list(CANONICAL_COLUMNS))
+class RegDb(Record):
+    __slots__ = ("entries", "columns")
+
+    def __init__(self, entries: list[RegEntry] | None = None, columns: list[str] | None = None):
+        self.entries = [] if entries is None else entries
+        self.columns = list(CANONICAL_COLUMNS) if columns is None else columns
 
     def entry(self, name: str) -> RegEntry | None:
         for e in self.entries:
@@ -134,20 +152,21 @@ class RegDb:
         return None
 
 
-@dataclass
-class ChangeReport:
-    added: list = field(default_factory=list)
-    modified: list = field(default_factory=list)  # (name, field, old, new)
-    retired: list = field(default_factory=list)
-    unchanged_count: int = 0
+class ChangeReport(Record):
+    __slots__ = ("added", "modified", "retired", "unchanged_count")
+
+    def __init__(self):
+        self.added = []
+        self.modified = []  # (name, field, old, new)
+        self.retired = []
+        self.unchanged_count = 0
 
     @property
     def empty(self) -> bool:
         return not (self.added or self.modified or self.retired)
 
 
-@dataclass(frozen=True)
-class DbError:
+class DbError(NamedTuple):
     entry: str  # register name, or "" for database-level problems
     message: str
 

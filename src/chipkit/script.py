@@ -12,25 +12,26 @@ helpers for the wire format live here rather than in the protocol host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from . import InputError
+from . import InputError, Record
 
 RESP_OK = "OK"
 
 
-@dataclass(slots=True)
-class ScriptStep:
-    command: str
-    expected: str
-    comment: str = ""
+class ScriptStep(Record):
+    __slots__ = ("command", "expected", "comment")
+
+    def __init__(self, command: str, expected: str, comment: str = ""):
+        self.command = command
+        self.expected = expected
+        self.comment = comment
 
 
-@dataclass
-class TestScript:
+class TestScript(Record):
     __test__ = False  # keep pytest from collecting this as a test class
+    __slots__ = ("steps",)
 
-    steps: list[ScriptStep] = field(default_factory=list)
+    def __init__(self, steps: list[ScriptStep] | None = None):
+        self.steps = [] if steps is None else steps
 
 
 def format_word(value: int) -> str:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
-from . import InputError
+from . import InputError, Record
 from .regdb import ACCESS_RO, ACCESS_RW, CsrCandidate, NamingConvention
 
 MAX_CSR_WIDTH = 32
@@ -39,14 +38,13 @@ class MalformedSource(InputError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-@dataclass
-class SourceFile:
-    path: str
-    content: str
-    _line_starts: list[int] = field(init=False, repr=False, compare=False)
+class SourceFile(Record):
+    __slots__ = ("path", "content", "_line_starts")
 
-    def __post_init__(self):
-        lines = self.content.split("\n")
+    def __init__(self, path: str, content: str):
+        self.path = path
+        self.content = content
+        lines = content.split("\n")
         self._line_starts = list(accumulate([len(line) + 1 for line in lines[:-1]], initial=0))
 
     @classmethod
@@ -71,8 +69,7 @@ class Port(NamedTuple):
     line: int = 0
 
 
-@dataclass
-class ModuleDecl:
+class ModuleDecl(NamedTuple):
     name: str
     ports: list[Port]
     path: str = ""

@@ -16,9 +16,9 @@ session; a second concurrent connection is refused busy.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from . import busmodel
+from . import Record, busmodel
 from .busmodel import BusError, SocModel
 from .script import RESP_OK, TestScript
 
@@ -53,8 +53,8 @@ class ParseError(Exception):
         self.token = token
 
 
-@dataclass(slots=True)
-class Command:
+class Command(NamedTuple):
+    """Names the fields of the bare (op, addr, data) tuple parse_command returns."""
     op: str  # R | W | ? | Q
     addr: int | None = None
     data: int | None = None
@@ -77,7 +77,8 @@ def _offending_token(text: str) -> str:
 
 
 def parse_command(line: str):
-    """Command for a line, or None for a blank line. Raises ParseError."""
+    """(op, addr, data) for a line, equal to its Command, or None for a blank
+    line. Raises ParseError."""
     text = line.strip()
     if not text:
         return None
@@ -86,23 +87,24 @@ def parse_command(line: str):
         raise ParseError(_offending_token(text))
     read_addr, addr, data, verb = m.groups()
     if read_addr is not None:
-        return Command("R", int(read_addr, 16))
+        return "R", int(read_addr, 16), None
     if addr is not None:
-        return Command("W", int(addr, 16), int(data, 16))
-    return Command(verb.upper())
+        return "W", int(addr, 16), int(data, 16)
+    return verb.upper(), None, None
 
 
 def execute(soc: SocModel, cmd: Command) -> str:
-    """One response line per command; never raises."""
-    if cmd.op == "R":
-        result = busmodel.bus_read(soc, cmd.addr)
+    """One response line per command, a Command or its bare tuple; never raises."""
+    op, addr, data = cmd
+    if op == "R":
+        result = busmodel.bus_read(soc, addr)
         if result.__class__ is BusError:
             return _ERR_LINE[result.kind]
         return f"0x{result:08x}"  # format_word without its mask: bus words are 32-bit
-    if cmd.op == "W":
-        result = busmodel.bus_write(soc, cmd.addr, cmd.data)
+    if op == "W":
+        result = busmodel.bus_write(soc, addr, data)
         return RESP_OK if result is None else _ERR_LINE[result.kind]
-    if cmd.op == "?":
+    if op == "?":
         return HELP_LINE
     return RESP_OK  # Q
 
@@ -118,27 +120,25 @@ def execute_line(soc: SocModel, line: str) -> tuple[str | None, bool]:
         return f"ERR PARSE {exc.token}", False
     if cmd is None:
         return None, False
-    return execute(soc, cmd), cmd.op == "Q"
+    return execute(soc, cmd), cmd[0] == "Q"
 
 
 # ---------------------------------------------------------------------------
 # scripted runs
 
-@dataclass(frozen=True)
-class StepFailure:
+class StepFailure(NamedTuple):
     index: int
     command: str
     expected: str
     actual: str
 
 
-@dataclass
-class TestReport:
+class TestReport(NamedTuple):
     __test__ = False  # keep pytest from collecting this as a test class
 
-    total: int = 0
-    passed: int = 0
-    failures: list = field(default_factory=list)
+    total: int
+    passed: int
+    failures: list[StepFailure]
 
     @property
     def ok(self) -> bool:
@@ -167,12 +167,14 @@ def format_report(report: TestReport) -> str:
 # ---------------------------------------------------------------------------
 # interactive serving
 
-@dataclass
-class SessionSummary:
-    lines: int = 0
-    responses: int = 0
-    sessions: int = 0
-    quit_seen: bool = False
+class SessionSummary(Record):
+    __slots__ = ("lines", "responses", "sessions", "quit_seen")
+
+    def __init__(self, sessions: int = 0):
+        self.lines = 0
+        self.responses = 0
+        self.sessions = sessions
+        self.quit_seen = False
 
 
 def _reply(soc: SocModel, raw: bytes, summary: SessionSummary, prompt: bool) -> bytes:

@@ -1,14 +1,14 @@
 """The database reader, writer and copy that the one-pass reader, the
 one-picker writer and the constructor copy replaced: a lambda per cell on
-load, an if chain per cell on save, dataclasses.replace per entry on copy.
-Kept only as the oracle for the differential property tests; chipkit never
-imports it."""
+load, an if chain per cell on save, and on copy a copy.copy of each entry
+(every slot its class declares) with a dict of its own for extra. Kept only
+as the oracle for the differential property tests; chipkit never imports it."""
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
-from dataclasses import replace
 
 from chipkit import DataError, InputError
 from chipkit.regdb import (
@@ -107,5 +107,9 @@ def save_db(db: RegDb) -> str:
 
 
 def copy_db(db: RegDb) -> RegDb:
-    entries = [replace(e, extra=dict(e.extra)) for e in db.entries]
+    entries = []
+    for e in db.entries:
+        entry = copy.copy(e)
+        entry.extra = dict(e.extra)
+        entries.append(entry)
     return RegDb(entries=entries, columns=list(db.columns))

@@ -465,6 +465,15 @@ EXIT_CODE_TABLE = [
      "error: one database drives one csr region; map declares csr0, csr1\n"),
     ("fault-bit-range", _args(*_SELFTEST, "--fault", "mask_data_bit:40:sram0"), 3,
      "error: fault bit 40 outside [0, 32)\n"),
+    # an unmapped value is a bus word (generate wrote 32'h-0000001 into the RTL)
+    ("generate-negative-unmapped-value", _args("generate", "--unmapped-value", "-1"), 3,
+     "error: unmapped value -0x1 outside 32 bits\n"),
+    ("generate-unmapped-value-above-32-bits",
+     _args("generate", "--unmapped-value", "0x1ffffffff"), 3,
+     "error: unmapped value 0x1ffffffff outside 32 bits\n"),
+    ("run-test-unmapped-value-above-32-bits",
+     _args(*_SELFTEST, "--unmapped-value", "0x100000000"), 3,
+     "error: unmapped value 0x100000000 outside 32 bits\n"),
     # a malformed pad file exits 2 like a malformed regs.csv or map (it exited 3)
     ("malformed-pads", _malformed_pads, 2, "error: pad row 2: side must be one of N/E/S/W\n"),
     ("short-pad-row", _short_pad_row, 2, "error: pad row 2: expected 5 fields, found 2\n"),
@@ -475,8 +484,9 @@ EXIT_CODE_TABLE = [
      "error: bad base address value 'zz'\n"),
     ("ini-bad-region-size", _ini("emit", "region_size_bytes", "4k"), 2,
      "error: bad region size value '4k'\n"),
+    # the flag's parse error names its setting once (it read "unmapped value value")
     ("ini-bad-unmapped-value", _ini("emit", "unmapped_value", "dead"), 2,
-     "error: bad unmapped value value 'dead'\n"),
+     "error: bad unmapped value 'dead'\n"),
     ("ini-bad-diag-pins", _ini("emit", "diag_pins", "two"), 2,
      "error: bad diag pins value 'two'\n"),
     ("ini-bad-listen-port", _ini("sim", "listen_port", "http"), 2,
@@ -643,9 +653,9 @@ class TestDuplicatePaths:
             Path("rtl/timer_unit.sv"), Path("rtl/dsp_core.sv"), Path("rtl/io_ctrl.sv")]
 
 
-def _loaded_modules(proj, argv):
+def _loaded_modules(proj, argv, stdin="", err=""):
     """Exit code, stdout lines and the modules that running chipkit argv
-    loads; chipkit must print nothing to stderr."""
+    loads; chipkit must print err, nothing by default, to stderr."""
     probe = ("import runpy, sys\n"
              "before = set(sys.modules)\n"
              f"sys.argv = ['chipkit', *{argv!r}]\n"
@@ -654,11 +664,15 @@ def _loaded_modules(proj, argv):
              "except SystemExit as exc:\n"
              "    print('exit', exc.code)\n"
              "print(' '.join(sorted(set(sys.modules) - before)))\n")
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            cwd=proj)
-    assert result.stderr == ""
+    result = subprocess.run([sys.executable, "-c", probe], input=stdin, capture_output=True,
+                            text=True, cwd=proj)
+    assert result.stderr == err
     *out, code, loaded = result.stdout.splitlines()
     return code, out, set(loaded.split())
+
+
+# the record decorators' module and what it loads cost a command ~25 ms to start
+_START_UP = {"dataclasses", "inspect"}
 
 
 class TestConfigPlumbing:
@@ -691,6 +705,18 @@ class TestConfigPlumbing:
         assert code == "exit 0" and report.endswith("steps passed")
         assert "chipkit.uart_host" in loaded
         assert not {"chipkit.sv_scan", "chipkit.emit", "socket", "selectors"} & loaded
+        assert not _START_UP & loaded
+
+    def test_stdio_sim_loads_no_scanner_emitter_or_socket(self, proj):
+        assert main(["update"]) == 0
+        db = regdb.load_db((proj / "regs.csv").read_text())
+        code, out, loaded = _loaded_modules(
+            proj, ["sim"], stdin="R 0x50000000\nQ\n",
+            err="session: 2 lines, 2 responses; bus: 1 reads, 0 writes, 0 errors\n")
+        assert code == "exit 0" and out == [f"0x{regdb.db_hash(db):08x}", "OK"]
+        assert "chipkit.uart_host" in loaded
+        assert not {"chipkit.sv_scan", "chipkit.emit", "socket", "selectors"} & loaded
+        assert not _START_UP & loaded
 
     @pytest.mark.parametrize("command", ["lint", "update", "generate"])
     def test_regen_commands_load_no_model(self, proj, command):
@@ -700,6 +726,7 @@ class TestConfigPlumbing:
         assert code == "exit 0"
         assert "chipkit.sv_scan" in loaded
         assert not {"chipkit.busmodel", "chipkit.uart_host"} & loaded
+        assert not _START_UP & loaded
 
     def test_module_entry_point(self, proj):
         result = subprocess.run(

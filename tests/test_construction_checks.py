@@ -33,6 +33,10 @@ CASES = [
     ("emit-unknown-targets", lambda: EmitConfig(targets=("rtl", "zz", "bogus")),
      "unknown targets: bogus, zz"),
     ("emit-no-diag-pin", lambda: EmitConfig(diag_pins=0), "need at least one diagnostic pin"),
+    ("emit-unmapped-negative", lambda: EmitConfig(unmapped_value=-1),
+     "unmapped value -0x1 outside 32 bits"),
+    ("emit-unmapped-above-32-bits", lambda: EmitConfig(unmapped_value=1 << 32),
+     "unmapped value 0x100000000 outside 32 bits"),
     ("fault-kind", lambda: FaultConfig("zap", 3, "sram0"), "unknown fault kind 'zap'"),
     ("fault-bit-32", lambda: FaultConfig("mask_data_bit", 32, "sram0"),
      "fault bit 32 outside [0, 32)"),

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -174,6 +173,24 @@ class TestSwViews:
         banner = f"database hash {format_word(db_hash(db))}"
         assert banner in c_text.splitlines()[1] and banner in py_text.splitlines()[1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(db=strategies.reg_dbs())
+    def test_markdown_matches_the_database(self, db):
+        """The register table has the ID row, then one row per active register
+        in offset order, with address, width, access and reset from the database."""
+        assume(not regdb.validate_db(db))
+        text = emit.emit_markdown(db, CFG)
+        table = text.split("|---|---|---|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        rows = [re.match(r"\| (\w+) \| (0x[0-9a-f]{8}) \| (\d+) \| (RW|RO) \| 0x([0-9a-f]+) \| ",
+                         line) for line in table.splitlines()]
+        assert None not in rows
+        base = CFG.base_address
+        expected = [(regdb.ID_REG_NAME, base + regdb.ID_REG_OFFSET, 32, "RO", db_hash(db))]
+        expected += [(e.name, base + e.offset_bytes, e.width_bits, e.access, e.reset_value)
+                     for e in sorted(db.entries, key=lambda e: e.offset_bytes)
+                     if e.state == regdb.ACTIVE]
+        assert [(m[1], int(m[2], 16), int(m[3]), m[4], int(m[5], 16)) for m in rows] == expected
+
     @pytest.mark.parametrize("names, problems", [
         (("cfg_A", "cfg_a"), [("cfg_a", "name differs from cfg_A only in case")]),
         (("ID",), [("ID", "name reserved for the ID register")]),
@@ -249,7 +266,7 @@ class TestMemmapHeader:
             MemoryMap([Region("a", "sram", 0x1000, 0x1000), Region("b", "sram", 0x1800, 0x800)])
 
 
-ONE_PIN = replace(CFG, diag_pins=1)
+ONE_PIN = CFG._replace(diag_pins=1)
 
 
 def diag_db(width=4):

@@ -2,7 +2,7 @@
 writer agree with the per-cell versions in regdb_oracle, on canonical and
 extra columns in any order, with or without a state column, and on every
 malformed-row error; and the constructor copy that update_db starts from
-agrees with the dataclasses.replace copy."""
+agrees with a slot-by-slot copy.copy."""
 
 import csv
 import io
