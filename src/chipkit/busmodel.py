@@ -67,9 +67,9 @@ class Stats(Record):
 class CsrBlock:
     """Behavioral register file for one csr region, built from its database."""
 
-    def __init__(self, region: Region, db: RegDb, unmapped_value: int):
+    def __init__(self, region: Region, db: RegDb, unmapped_value: int, id_hash: int | None = None):
         self.region = region
-        self.hash = db_hash(db)
+        self.hash = db_hash(db) if id_hash is None else id_hash
         self.unmapped_value = unmapped_value & WORD_MASK
         self.entries = {}
         self.by_offset = {}
@@ -101,10 +101,6 @@ class CsrBlock:
         entry = self.by_offset.get(offset)
         if entry is not None and entry.access == ACCESS_RW:
             self.values[entry.name] = data & self._mask(entry.width_bits)
-
-    def reset(self) -> None:
-        for name, entry in self.entries.items():
-            self.values[name] = entry.reset_value & self._mask(entry.width_bits)
 
 
 class SramStore:
@@ -156,8 +152,10 @@ def build_soc(
     seed: int = 0,
     fault: FaultConfig | None = None,
     unmapped_value: int = UNMAPPED_READ_VALUE,
+    id_hashes: dict[str, int] | None = None,
 ) -> SocModel:
-    """Assemble the model: reset-valued registers, fully uninitialized SRAM."""
+    """Assemble the model: reset-valued registers, fully uninitialized SRAM.
+    id_hashes gives, per csr region, the db_hash of its database if known."""
     if sram_mode not in (SRAM_STRICT_X, SRAM_RANDOM):
         raise DataError(f"unknown sram mode {sram_mode!r}")
     db_map = dict(dbs)
@@ -169,7 +167,8 @@ def build_soc(
         if region.kind == "csr":
             if region.name not in db_map:
                 raise DataError(f"csr region {region.name} has no register database")
-            soc.csr_blocks[region.name] = CsrBlock(region, db_map[region.name], unmapped_value)
+            soc.csr_blocks[region.name] = CsrBlock(region, db_map[region.name], unmapped_value,
+                                                   (id_hashes or {}).get(region.name))
         else:
             soc.srams[region.name] = SramStore(region, sram_mode, seed)
     if fault is not None:
@@ -249,12 +248,6 @@ def get_control(soc: SocModel, region: str, name: str) -> int:
     if entry.access != ACCESS_RW:
         raise InputError(f"{name} is {entry.access}; get_control observes RW entries only")
     return block.values[name]
-
-
-def reset(soc: SocModel) -> None:
-    """Registers back to reset values; SRAM contents and stats survive."""
-    for block in soc.csr_blocks.values():
-        block.reset()
 
 
 # ---------------------------------------------------------------------------

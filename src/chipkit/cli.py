@@ -282,14 +282,16 @@ def cmd_update(cfg: ProjectConfig) -> int:
     return EXIT_OK
 
 
-def _load_db_checked(cfg: ProjectConfig) -> regdb.RegDb:
-    db = regdb.load_db(Path(cfg.db_path).read_text(encoding="utf-8"))
+def _load_db_checked(cfg: ProjectConfig) -> tuple[str, regdb.RegDb]:
+    """The database file's text and the valid database read from it."""
+    text = Path(cfg.db_path).read_text(encoding="utf-8")
+    db = regdb.load_db(text)
     problems = regdb.validate_db(db)
     if problems:
         for p in problems:
             print(f"error: {p.entry or cfg.db_path}: {p.message}", file=sys.stderr)
         raise DataError(f"database {cfg.db_path} failed validation")
-    return db
+    return text, db
 
 
 def _load_map(cfg: ProjectConfig) -> MemoryMap:
@@ -300,7 +302,7 @@ def _load_map(cfg: ProjectConfig) -> MemoryMap:
 
 def cmd_generate(cfg: ProjectConfig) -> int:
     from . import emit, sv_scan
-    db = _load_db_checked(cfg)
+    db = _load_db_checked(cfg)[1]
     memmap = None
     if "memmap" in cfg.emit.targets:
         memmap = _load_map(cfg)
@@ -344,15 +346,18 @@ def _build_model(cfg: ProjectConfig) -> busmodel.SocModel:
     from . import busmodel
     memmap = _load_map(cfg)
     csr_regions = [r for r in memmap.regions if r.kind == "csr"]
-    dbs = []
+    dbs, id_hashes = [], {}
     if csr_regions:
         if len(csr_regions) > 1:
             raise DataError(
                 "one database drives one csr region; map declares "
                 + ", ".join(r.name for r in csr_regions))
-        dbs = [(csr_regions[0].name, _load_db_checked(cfg))]
+        name = csr_regions[0].name
+        text, db = _load_db_checked(cfg)
+        dbs, id_hashes = [(name, db)], {name: regdb.loaded_db_hash(text, db)}
     return busmodel.build_soc(memmap, dbs, sram_mode=cfg.sram_mode, seed=cfg.sram_seed,
-                              fault=cfg.fault, unmapped_value=cfg.emit.unmapped_value)
+                              fault=cfg.fault, unmapped_value=cfg.emit.unmapped_value,
+                              id_hashes=id_hashes)
 
 
 def cmd_sim(cfg: ProjectConfig) -> int:

@@ -269,6 +269,35 @@ def db_hash(db: RegDb) -> int:
     return zlib.crc32(save_db(db).encode("utf-8")) & 0xFFFFFFFF
 
 
+_CANONICAL_HEADER = ",".join(CANONICAL_COLUMNS) + "\n"
+_HEX = r"0x(?:0|[1-9a-f][0-9a-f]*)"
+# a row as save_db writes it: cells that load back unchanged, quoted exactly
+# when csv.writer quotes (for ',', '"' and LF), and no CR, which some csv
+# versions quote
+_CANONICAL_ROW_RE = re.compile(
+    r"[A-Za-z_][A-Za-z0-9_]*,[1-9][0-9]*,R[WO]," + _HEX + "," + _HEX + ","
+    r'(?:[^\s,"](?:[^,"\r\n]*[^\s,"])?)?,'
+    r'(?:[^,"\r\n]*|"[^",\r\n]*(?:""|[,\n])[^"\r]*(?:""[^"\r]*)*"),'
+    r"(?:active|retired)\n")
+
+
+def loaded_db_hash(csv_text: str, db: RegDb) -> int:
+    """db_hash(db) for the db that load_db read from csv_text: the CRC of the
+    text itself when it is the text save_db writes, else of save_db's text."""
+    pos, last = len(_CANONICAL_HEADER), -1
+    if csv_text.startswith(_CANONICAL_HEADER):
+        # a canonical row per entry, each where the last ended, in offset order
+        for e in db.entries:
+            m = _CANONICAL_ROW_RE.match(csv_text, pos)
+            if m is None or e.offset_bytes <= last:
+                break
+            pos, last = m.end(), e.offset_bytes
+        else:
+            if pos == len(csv_text):
+                return zlib.crc32(csv_text.encode("utf-8")) & 0xFFFFFFFF
+    return db_hash(db)
+
+
 def validate_db(db: RegDb) -> list[DbError]:
     """Every invariant violation as a value; empty list iff the db is valid."""
     problems: list[DbError] = []

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import Record, busmodel
 from .busmodel import BusError, SocModel
-from .script import RESP_OK, TestScript
+from .script import RESP_OK, TestScript, scan_script
 
 HELP_LINE = "R <addr> | W <addr> <data> | ? (help) | Q (quit)"
 BUSY_LINE = "ERR BUSY"
@@ -145,13 +145,17 @@ class TestReport(NamedTuple):
         return self.passed == self.total
 
 
-def run_script(soc: SocModel, script: TestScript, stop_on_fail: bool = False) -> TestReport:
+def run_script(soc: SocModel, script: TestScript | str, stop_on_fail: bool = False) -> TestReport:
+    """Replay a TestScript, or script text load_script accepted: a step the
+    scan decoded goes to execute, any other to execute_line."""
+    steps = scan_script(script) if isinstance(script, str) else \
+        ((step.command, step.expected, None) for step in script.steps)
     failures = []
     i = -1
-    for i, step in enumerate(script.steps):
-        actual = execute_line(soc, step.command)[0] or ""
-        if actual != step.expected:
-            failures.append(StepFailure(i, step.command, step.expected, actual))
+    for i, (command, expected, words) in enumerate(steps):
+        actual = execute(soc, words) if words else (execute_line(soc, command)[0] or "")
+        if actual != expected:
+            failures.append(StepFailure(i, command, expected, actual))
             if stop_on_fail:
                 break
     return TestReport(i + 1, i + 1 - len(failures), failures)

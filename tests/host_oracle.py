@@ -1,9 +1,9 @@
 """Token-by-token reference versions of the bring-up host's per-step helpers.
 
 These are the implementations that the precompiled command grammar, the
-first-character script reader, the stored decode index and the direct-decode
-bus path replaced. They are kept only as oracles for the differential
-property tests and are never imported by chipkit.
+one-pass script scanner and replay, the stored decode index and the
+direct-decode bus path replaced. They are kept only as oracles for the
+differential property tests and are never imported by chipkit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from chipkit.busmodel import (
     WORD_MASK, BusError, SocModel, SramStore)
 from chipkit.memmap import MemoryMap, Region
 from chipkit.script import ScriptStep, TestScript
-from chipkit.uart_host import Command, ParseError
+from chipkit.uart_host import Command, ParseError, StepFailure, TestReport, execute_line
 
 _HEX_RE = re.compile(r"^(0[xX])?[0-9a-fA-F]+$")
 
@@ -97,6 +97,19 @@ def load_script(text: str) -> TestScript:
     if pending_command is not None:
         raise InputError("trailing command without a response")
     return script
+
+
+def run_script(soc: SocModel, script: TestScript, stop_on_fail: bool = False) -> TestReport:
+    """The replay that answered each step's command through execute_line."""
+    failures = []
+    i = -1
+    for i, step in enumerate(script.steps):
+        actual = execute_line(soc, step.command)[0] or ""
+        if actual != step.expected:
+            failures.append(StepFailure(i, step.command, step.expected, actual))
+            if stop_on_fail:
+                break
+    return TestReport(i + 1, i + 1 - len(failures), failures)
 
 
 def region_at(memmap: MemoryMap, addr: int) -> Region | None:

@@ -21,7 +21,6 @@ from chipkit.busmodel import (
     bus_write,
     gen_region_test,
     get_control,
-    reset,
     set_status,
 )
 from chipkit.memmap import MemoryMap, Region, load_memory_map
@@ -197,24 +196,6 @@ class TestStatusControl:
             set_status(soc, "nope", "sts_b", 1)
         with pytest.raises(InputError, match="^no active entry 'missing' in region 'csr0'$"):
             set_status(soc, "csr0", "missing", 1)
-
-
-class TestReset:
-    def test_csr_back_to_reset(self, soc):
-        bus_write(soc, CSR_BASE + 4, 0xF)
-        reset(soc)
-        assert bus_read(soc, CSR_BASE + 4) == 0x5
-
-    def test_sram_survives_reset(self, soc):
-        bus_write(soc, SRAM_BASE, 0xAB)
-        reset(soc)
-        assert bus_read(soc, SRAM_BASE) == 0xAB
-
-    def test_stats_survive_reset(self, soc):
-        bus_read(soc, CSR_BASE)
-        bus_write(soc, SRAM_BASE, 1)
-        reset(soc)
-        assert (soc.stats.reads, soc.stats.writes) == (1, 1)
 
 
 def snapshot(soc):

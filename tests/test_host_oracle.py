@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import host_oracle
-from chipkit import InputError, busmodel, script, uart_host
+from chipkit import InputError, busmodel, emit, script, uart_host
 from chipkit.memmap import MemoryMap, Region
-from chipkit.regdb import CsrCandidate, RegDb, update_db
+from chipkit.regdb import CsrCandidate, EmitConfig, RegDb, db_hash, update_db
+from chipkit.script import save_script
 from chipkit.uart_host import ParseError
+from strategies import reg_dbs
 
 # verbs in both cases, separators, hex digits and prefix characters, a
 # non-hex letter, and whitespace that str.strip removes but the token
@@ -66,11 +68,34 @@ def test_parse_command_word_width_boundary():
                 _parse(host_oracle.parse_command, line), line
 
 
-def _load(impl, text: str):
+# a csr region needs at least 0x10 bytes for the ID register and these three
+_CSR_DB, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 5, "RW", "m", 1),
+                                 CsrCandidate("sts_b", 32, "RO", "m", 2),
+                                 CsrCandidate("cfg_c", 32, "RW", "m", 3)])
+
+
+_SCRIPT_MAP = MemoryMap([Region("csr0", "csr", 0x50000000, 0x1000),
+                         Region("sram0", "sram", 0x60000000, 0x10000)])
+
+
+def _replay(load, run, text: str, stop_on_fail: bool = False):
+    """The formatted report and the model's state after loading and replaying
+    text, or the error that loading raised."""
+    soc = busmodel.build_soc(_SCRIPT_MAP, [("csr0", _CSR_DB)])
     try:
-        return "ok", impl(text).steps
+        script_ = load(text)
     except InputError as err:
         return "err", str(err)
+    report = run(soc, script_, stop_on_fail)
+    return "ok", uart_host.format_report(report), report, _state(soc)
+
+
+def _new(text, stop_on_fail=False):
+    return _replay(script.load_script, uart_host.run_script, text, stop_on_fail)
+
+
+def _old(text, stop_on_fail=False):
+    return _replay(host_oracle.load_script, host_oracle.run_script, text, stop_on_fail)
 
 
 SCRIPT_LINES = st.sampled_from([
@@ -84,7 +109,132 @@ SCRIPT_LINES = st.sampled_from([
        ending=st.sampled_from(["\n", "\r\n", ""]))
 def test_load_script_matches_oracle(lines, ending):
     text = ending.join(lines) + ending
-    assert _load(script.load_script, text) == _load(host_oracle.load_script, text)
+    assert _new(text) == _old(text)
+
+
+# every line break str.splitlines honours, and whitespace str.strip removes
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+PADDING = ["", " ", "\t", "\u3000", "\xa0", "\x1f", " \t"]
+ADDRS = [0x50000000, 0x50000004, 0x50000008, 0x5000000c, 0x50000ffc, 0x60000000,
+         0x60000004, 0x6000fffc, 0x60000002, 0x70000000]
+DATA = [0, 1, 0x1f, 0xdeadbeef, 0xffffffff]
+ANSWERS = ["OK", "0x00000000", "0x00000001", "0xdeadbeef", "0x0000001f", "ERR XREAD",
+           "ERR UNMAPPED", "ERR MISALIGNED", "ERR PARSE X", "ERR PARSE", "ok", "",
+           f"0x{db_hash(_CSR_DB):08x}"]
+# (before, after, line break) for one line
+FRAMES = st.sampled_from([(a, b, eol) for a in PADDING for b in PADDING for eol in LINE_BREAKS])
+# steps as save_script writes an R or W of format_word words
+CANONICAL_STEPS = st.sampled_from([
+    f"> {command}\n< {answer}\n" for addr in ADDRS for answer in ANSWERS
+    for command in [f"R 0x{addr:08x}"] + [f"W 0x{addr:08x} 0x{data:08x}" for data in DATA]])
+
+
+# one change to a canonical step, each of which takes it out of that form
+NEAR_MISSES = [
+    lambda s: s.replace("\n< ", " \n< ", 1),  # a blank after the command
+    lambda s: s[:-1] + " \n",  # a blank after the response
+    lambda s: s[:-1] + "\t\n",
+    lambda s: s[:-1] + "\x0c\n",  # a line break that is whitespace too
+    lambda s: s[:-1] + "\u00e9\n",
+    lambda s: s.replace("\n", "\r\n"),
+    lambda s: s.replace("\n", "\r", 1),
+    lambda s: s.replace("> R", "> r").replace("> W", "> w"),
+    lambda s: s.replace("0x", "0X", 1),
+    lambda s: s.replace("0x", "0x0", 1),  # a ninth digit
+    lambda s: s.replace(" 0x", "\t0x", 1),
+    lambda s: " " + s,
+    lambda s: s.replace("> ", ">", 1),
+    lambda s: s.replace("> ", ">  ", 1),
+    lambda s: s.replace("\n< ", "\n<", 1),
+    lambda s: s.replace("\n< ", "\n <", 1),
+    lambda s: s.replace("\n< ", "\n<  ", 1),
+    lambda s: s.replace("\n< ", "\n\n< ", 1),
+    lambda s: s.replace("\n< ", "\n# note\n< ", 1),
+]
+NEAR_CANONICAL_STEPS = st.builds(lambda step, change: change(step), CANONICAL_STEPS,
+                                 st.sampled_from(NEAR_MISSES))
+
+
+def _long(length):
+    """An R of the first SRAM word whose command is length characters long."""
+    return "R 0x" + "0" * (length - 12) + "60000000"
+
+
+# commands of every form, with words in any case, prefix and zero padding
+COMMANDS = st.sampled_from(sorted({
+    command for word in [prefix + "0" * zeros + f"{value:x}" for prefix in ("", "0x", "0X")
+                         for zeros in range(4) for value in ADDRS + DATA]
+    for command in (f"R {word}", f"r {word}", f"W {word} {word}", f"w\t{word}  {word}",
+                    f"R {word} {word}", f"W {word}", f"X {word}", f"R {word}\u3000")}
+    | {"?", "Q", "q", "R", "R 0xZZ", f"R 1{'0' * 8}", _long(1024), _long(1025), ""}))
+
+
+@st.composite
+def script_steps(draw):
+    """A command line and its response line, or any one line, each padded and
+    ended by any line break."""
+    command, answer = draw(COMMANDS), f"< {draw(st.sampled_from(ANSWERS))}"
+    pair = [f"> {command}", answer]
+    lines = draw(st.sampled_from([
+        pair, pair, pair, pair, [f">{command}", "#", answer], [f"> {command}", "", answer],
+        [f"> {command}"], [answer], ["<"], ["# comment"], ["#"], [""], ["garbage"],
+        ["x > R 0"], ["< caf\u00e9"]]))
+    return "".join(before + line + after + eol
+                   for line in lines for before, after, eol in [draw(FRAMES)])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(chunks=st.lists(CANONICAL_STEPS | NEAR_CANONICAL_STEPS | script_steps(), max_size=16),
+       cut=st.booleans(), stop_on_fail=st.booleans())
+def test_scan_and_replay_match_the_line_loader(chunks, cut, stop_on_fail):
+    """Byte-identical reports, bus state, errors and line numbers, for canonical
+    steps amid near misses and steps and lines of any other form, with any line
+    break, and a last line without one."""
+    text = "".join(chunks)
+    if cut:
+        text = text.rstrip("\n")
+    assert _new(text, stop_on_fail) == _old(text, stop_on_fail)
+
+
+def _replays(test, text, build, stop_on_fail):
+    """A TestScript replayed by the line loop, by run_script, and saved as
+    text then loaded and replayed by run_script, each on a model from build."""
+    runs = []
+    for run, script_ in ((host_oracle.run_script, test), (uart_host.run_script, test),
+                         (uart_host.run_script, script.load_script(text))):
+        soc = build()
+        report = run(soc, script_, stop_on_fail)
+        runs.append((uart_host.format_report(report), report, _state(soc)))
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(db=reg_dbs(), other=reg_dbs(), stop_on_fail=st.booleans())
+def test_generated_selftest_replays_as_before(db, other, stop_on_fail):
+    """A self-test that emit builds replays as before, against its own
+    database and against another."""
+    cfg = EmitConfig(block_name="b", base_address=0x50000000, csr_region_size_bytes=0x1000)
+    test = emit.emit_selftest(db, cfg)
+    for model_db in (db, other):
+        old, new, loaded = _replays(
+            test, save_script(test),
+            lambda: busmodel.build_soc(_SCRIPT_MAP, [("csr0", model_db)]), stop_on_fail)
+        assert old == new == loaded
+
+
+def test_region_test_replays_as_before():
+    """The fault sweep's region test replays as before under every fault."""
+    test = busmodel.gen_region_test(_SCRIPT_MAP, "sram0")
+    faults = [None] + [busmodel.FaultConfig(kind, bit, "sram0")
+                       for kind in (busmodel.FAULT_ADDRESS_BIT, busmodel.FAULT_DATA_BIT)
+                       for bit in (0, 2, 7, 15, 31)]
+    for fault in faults:
+        for stop_on_fail in (False, True):
+            old, new, loaded = _replays(
+                test, save_script(test),
+                lambda: busmodel.build_soc(_SCRIPT_MAP, [("csr0", _CSR_DB)], fault=fault),
+                stop_on_fail)
+            assert old == new == loaded, fault
 
 
 @st.composite
@@ -112,12 +262,6 @@ def test_region_at_matches_linear_scan(regions, addrs):
         assert memmap.region_at(addr) == expected
         assert host_oracle.region_at(memmap, addr) == expected  # needs base order
 
-
-
-# a csr region needs at least 0x10 bytes for the ID register and these three
-_CSR_DB, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 5, "RW", "m", 1),
-                                 CsrCandidate("sts_b", 32, "RO", "m", 2),
-                                 CsrCandidate("cfg_c", 32, "RW", "m", 3)])
 
 
 @st.composite

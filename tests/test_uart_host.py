@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chipkit import busmodel, emit, uart_host
 from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import RegDb, update_db
-from chipkit.script import ScriptStep, TestScript, load_script, save_script
+from chipkit.script import ScriptStep, TestScript, load_script, save_script, scan_script
 from chipkit.sv_scan import CsrCandidate
 from chipkit.uart_host import (
     MAX_LINE,
@@ -164,14 +164,20 @@ class TestRunScript:
 
 class TestScriptFile:
     def test_round_trip(self):
+        """A saved script replays as the script it was saved from."""
         sc = TestScript([ScriptStep("R 0x4", "0x00000000", "first"),
-                         ScriptStep("W 0x4 0x1", "OK")])
-        assert load_script(save_script(sc)) == sc
+                         ScriptStep("W 0x4 0x1", "OK"),
+                         ScriptStep("W 0x60000000 0x00000001", "OK", "a decoded step"),
+                         ScriptStep("R 0x60000000", "0x00000002")])
+        text = save_script(sc)
+        assert load_script(text) == text
+        assert run_script(make_soc(), load_script(text)) == run_script(make_soc(), sc)
 
     def test_comments_and_blanks(self):
         text = "# leading note\n\n> R 0x4\n< OK\n"
-        sc = load_script(text)
-        assert sc.steps == [ScriptStep("R 0x4", "OK", "leading note")]
+        assert list(scan_script(text)) == [("R 0x4", "OK", None)]
+        assert list(scan_script("# note\n> R 0x00000004\n< OK\n")) == \
+            [("R 0x00000004", "OK", ("R", 4, None))]
 
     def test_malformed(self):
         with pytest.raises(Exception):
