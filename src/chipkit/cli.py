@@ -28,10 +28,10 @@ from typing import NamedTuple
 from . import ChipkitError, DataError, InputError, Record, regdb
 from .memmap import MemoryMap, load_memory_map
 from .regdb import EmitConfig, NamingConvention
-from .script import load_script
 
-# sv_scan and emit load only in the subcommands that scan or render, and
-# busmodel and uart_host only in those that build the model
+# sv_scan and emit load only in the subcommands that scan or render, busmodel
+# and uart_host only in those that build the model, and script only with
+# emit or the model
 
 CONFIG_ENV = "CHIPKIT_CONFIG"
 
@@ -243,7 +243,7 @@ def _write_atomic(path: Path, text: str) -> None:
 # subcommands
 
 def cmd_update(cfg: ProjectConfig) -> int:
-    from . import emit, sv_scan
+    from . import sv_scan
     diagnostics: list[sv_scan.Diagnostic] = []
     candidates = []
     diag_candidates = []
@@ -256,12 +256,17 @@ def cmd_update(cfg: ProjectConfig) -> int:
         print(f"note: {d.path}:{d.line}: [{d.kind}] {d.message}", file=sys.stderr)
 
     db_file = Path(cfg.db_path)
-    db = regdb.load_db(db_file.read_text(encoding="utf-8")) if db_file.exists() else regdb.RegDb()
+    old_text = db_file.read_text(encoding="utf-8") if db_file.exists() else None
+    if old_text is None:
+        db = regdb.RegDb()
+    else:
+        loaded = regdb.load_canonical_db(old_text)
+        db = regdb.load_db(old_text) if loaded is None else loaded[0]
 
     diag_origin = f"{cfg.emit.block_name}_diag_mux"
     wants_diag = "diag" in cfg.emit.targets and diag_candidates
     if wants_diag:
-        sel_width = max(1, emit.diag_select_bits(len(diag_candidates)) * cfg.emit.diag_pins)
+        sel_width = max(1, regdb.diag_select_bits(len(diag_candidates)) * cfg.emit.diag_pins)
         if any(c.name == "cfg_diag_sel" for c in candidates):
             raise InputError("cfg_diag_sel is generated for the diagnostic mux; "
                             "rename the conflicting RTL port")
@@ -277,21 +282,24 @@ def cmd_update(cfg: ProjectConfig) -> int:
                                      region_size_bytes=cfg.emit.csr_region_size_bytes)
     print(regdb.format_change_report(report))
     text = regdb.save_db(new_db)
-    if not db_file.exists() or db_file.read_text(encoding="utf-8") != text:
+    if text != old_text:
         _write_atomic(db_file, text)
     return EXIT_OK
 
 
-def _load_db_checked(cfg: ProjectConfig) -> tuple[str, regdb.RegDb]:
-    """The database file's text and the valid database read from it."""
+def _load_db_checked(cfg: ProjectConfig) -> tuple[regdb.RegDb, int]:
+    """The valid database in the database file, and its db_hash."""
     text = Path(cfg.db_path).read_text(encoding="utf-8")
+    loaded = regdb.load_canonical_db(text)
+    if loaded is not None:
+        return loaded
     db = regdb.load_db(text)
     problems = regdb.validate_db(db)
     if problems:
         for p in problems:
             print(f"error: {p.entry or cfg.db_path}: {p.message}", file=sys.stderr)
         raise DataError(f"database {cfg.db_path} failed validation")
-    return text, db
+    return db, regdb.db_hash(db)
 
 
 def _load_map(cfg: ProjectConfig) -> MemoryMap:
@@ -302,7 +310,7 @@ def _load_map(cfg: ProjectConfig) -> MemoryMap:
 
 def cmd_generate(cfg: ProjectConfig) -> int:
     from . import emit, sv_scan
-    db = _load_db_checked(cfg)[1]
+    db, hash32 = _load_db_checked(cfg)
     memmap = None
     if "memmap" in cfg.emit.targets:
         memmap = _load_map(cfg)
@@ -320,7 +328,8 @@ def cmd_generate(cfg: ProjectConfig) -> int:
     if "pads" in cfg.emit.targets and cfg.pads_path:
         pads = emit.load_pad_db(Path(cfg.pads_path).read_text(encoding="utf-8"))
 
-    rendered = emit.render_targets(db, cfg.emit, memmap=memmap, diags=diags, pads=pads)
+    rendered = emit.render_targets(db, cfg.emit, memmap=memmap, diags=diags, pads=pads,
+                                   hash32=hash32)
     out_dir = Path(cfg.out_dir)
     for name, text in sorted(rendered.items()):
         _write_atomic(out_dir / name, text)
@@ -353,8 +362,8 @@ def _build_model(cfg: ProjectConfig) -> busmodel.SocModel:
                 "one database drives one csr region; map declares "
                 + ", ".join(r.name for r in csr_regions))
         name = csr_regions[0].name
-        text, db = _load_db_checked(cfg)
-        dbs, id_hashes = [(name, db)], {name: regdb.loaded_db_hash(text, db)}
+        db, id_hash = _load_db_checked(cfg)
+        dbs, id_hashes = [(name, db)], {name: id_hash}
     return busmodel.build_soc(memmap, dbs, sram_mode=cfg.sram_mode, seed=cfg.sram_seed,
                               fault=cfg.fault, unmapped_value=cfg.emit.unmapped_value,
                               id_hashes=id_hashes)
@@ -381,6 +390,7 @@ def cmd_sim(cfg: ProjectConfig) -> int:
 
 def cmd_run_test(cfg: ProjectConfig, script_path: str) -> int:
     from . import uart_host
+    from .script import load_script
     script = load_script(Path(script_path).read_text(encoding="utf-8"))
     soc = _build_model(cfg)
     report = uart_host.run_script(soc, script, stop_on_fail=cfg.stop_on_fail)

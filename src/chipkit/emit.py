@@ -393,12 +393,6 @@ def emit_memmap_header(memmap: MemoryMap) -> str:
 # ---------------------------------------------------------------------------
 # diagnostic mux
 
-def diag_select_bits(n_signals: int) -> int:
-    if n_signals < 1:
-        raise DataError("diagnostic mux needs at least one signal")
-    return (n_signals - 1).bit_length()
-
-
 def emit_diag_mux(diags: list[DiagCandidate], db: RegDb, cfg: EmitConfig,
                   db_hash: Callable[[], int] | None = None) -> str:
     """Observation mux: every diagnostic tap in, cfg.diag_pins out, per-pin
@@ -407,7 +401,7 @@ def emit_diag_mux(diags: list[DiagCandidate], db: RegDb, cfg: EmitConfig,
     names = [d.name for d in diags]
     if len(set(names)) != len(names):
         raise DataError("duplicate diagnostic signal names across modules")
-    sel_bits = diag_select_bits(len(names))
+    sel_bits = rdb.diag_select_bits(len(names))
     sel_entry = db.entry("cfg_diag_sel")
     if sel_entry is None:
         raise DataError("database has no cfg_diag_sel entry (run update with diag enabled)")
@@ -496,15 +490,17 @@ def render_targets(
     memmap: MemoryMap | None = None,
     diags: list[DiagCandidate] | None = None,
     pads: PadDb | None = None,
+    hash32: int | None = None,
 ) -> dict[str, str]:
     """Render every configured target to text, keyed by output file name.
+    hash32 is db_hash(db), if the caller knows it.
 
     Raises before returning anything, so callers can write the whole tree
     atomically or not at all.
     """
     # taken once, by the first emitter that needs it, after that emitter's own
     # checks: errors surface in the same order as with one hash per emitter
-    db_hash = functools.cache(lambda: rdb.db_hash(db))
+    db_hash = functools.cache(lambda: rdb.db_hash(db)) if hash32 is None else lambda: hash32
     out: dict[str, str] = {}
     c_text = py_text = None
     for target in cfg.targets:

@@ -269,33 +269,57 @@ def db_hash(db: RegDb) -> int:
     return zlib.crc32(save_db(db).encode("utf-8")) & 0xFFFFFFFF
 
 
-_CANONICAL_HEADER = ",".join(CANONICAL_COLUMNS) + "\n"
-_HEX = r"0x(?:0|[1-9a-f][0-9a-f]*)"
-# a row as save_db writes it: cells that load back unchanged, quoted exactly
-# when csv.writer quotes (for ',', '"' and LF), and no CR, which some csv
-# versions quote
-_CANONICAL_ROW_RE = re.compile(
-    r"[A-Za-z_][A-Za-z0-9_]*,[1-9][0-9]*,R[WO]," + _HEX + "," + _HEX + ","
-    r'(?:[^\s,"](?:[^,"\r\n]*[^\s,"])?)?,'
-    r'(?:[^,"\r\n]*|"[^",\r\n]*(?:""|[,\n])[^"\r]*(?:""[^"\r]*)*"),'
-    r"(?:active|retired)\n")
+_HEADER = ",".join(CANONICAL_COLUMNS)
+# a row as save_db writes it for a valid entry: a width of 1-32, an offset
+# word-aligned from 0x4, cells that load back unchanged, quoted exactly when
+# csv.writer quotes (for ',', '"' and LF), no CR, which some csv versions
+# quote, and no NUL, which Python 3.10's csv rejects; the extra cells follow
+# state as one run
+_DB_ROW_RE = re.compile(
+    r"([A-Za-z_][A-Za-z0-9_]*),([1-9]|[12][0-9]|3[0-2]),(R[WO]),0x(0|[1-9a-f][0-9a-f]*),"
+    r"0x([48c]|[1-9a-f][0-9a-f]*[048c]),"
+    r'((?:[^\s,"\0](?:[^,"\r\n\0]*[^\s,"\0])?)?),'
+    r'(?:([^,"\r\n\0]*)|"([^",\r\n\0]*(?:""|[,\n])[^"\r\0]*(?:""[^"\r\0]*)*)"),'
+    r'(active|retired)((?:,[^"\r\n\0]*)?)\n')
+_TOKENS = {t: t for t in (ACCESS_RW, ACCESS_RO, ACTIVE, RETIRED)}
 
 
-def loaded_db_hash(csv_text: str, db: RegDb) -> int:
-    """db_hash(db) for the db that load_db read from csv_text: the CRC of the
-    text itself when it is the text save_db writes, else of save_db's text."""
-    pos, last = len(_CANONICAL_HEADER), -1
-    if csv_text.startswith(_CANONICAL_HEADER):
-        # a canonical row per entry, each where the last ended, in offset order
-        for e in db.entries:
-            m = _CANONICAL_ROW_RE.match(csv_text, pos)
-            if m is None or e.offset_bytes <= last:
-                break
-            pos, last = m.end(), e.offset_bytes
-        else:
-            if pos == len(csv_text):
-                return zlib.crc32(csv_text.encode("utf-8")) & 0xFFFFFFFF
-    return db_hash(db)
+def load_canonical_db(csv_text: str) -> tuple[RegDb, int] | None:
+    """(load_db(csv_text), its db_hash) in one pass, when csv_text is the text
+    save_db writes for a database validate_db passes: the hash is the CRC of
+    the text itself. None for any other text, and for the saved texts it
+    leaves to csv (a NUL or CR anywhere, a quoted extra column): load_db and
+    validate_db then read them, reporting what is wrong."""
+    # a row no longer than the field limit holds no cell that csv rejects
+    end, limit = csv_text.find("\n"), csv.field_size_limit()
+    tail = csv_text[len(_HEADER):end]  # the extra columns, each after a ','
+    if not csv_text.startswith(_HEADER) or not 0 < end <= limit or tail[:1] not in ("", ","):
+        return None
+    extras = tail[1:].split(",") if tail else []
+    if len(set(extras)) != len(extras) or any(
+            c in CANONICAL_COLUMNS or c != c.strip() or '"' in c or "\r" in c or "\0" in c
+            for c in extras):
+        return None
+    n_extras, pos, last = len(extras), end + 1, 0
+    seen = set(_RESERVED_NAMES)  # names upper-cased, as validate_db compares them
+    origins: dict[str, str] = {}
+    entries = []
+    # a row per entry, each where the last ended, in offset order
+    for m in _DB_ROW_RE.finditer(csv_text, pos):
+        name, width, access, reset, offset, origin, plain, quoted, state, extra = m.groups()
+        width, reset, offset, macro = int(width), int(reset, 16), int(offset, 16), name.upper()
+        if m.start() != pos or m.end() - pos > limit or offset <= last or reset >> width \
+                or macro in seen or extra.count(",") != n_extras:
+            return None
+        seen.add(macro)
+        pos, last = m.end(), offset
+        entries.append(RegEntry(
+            name, width, _TOKENS[access], reset, offset, origins.setdefault(origin, origin),
+            plain if quoted is None else quoted.replace('""', '"'), _TOKENS[state],
+            dict(zip(extras, extra[1:].split(","))) if n_extras else {}))
+    if pos != len(csv_text):
+        return None
+    return RegDb(entries, list(CANONICAL_COLUMNS) + extras), zlib.crc32(csv_text.encode("utf-8"))
 
 
 def validate_db(db: RegDb) -> list[DbError]:
@@ -366,6 +390,13 @@ def _allocate_in_place(entries: list[RegEntry], region_size_bytes: int | None) -
                 f"no free offset below 0x{limit:x} for entry {e.name}")
         e.offset_bytes = cursor
         used.add(cursor)
+
+
+def diag_select_bits(n_signals: int) -> int:
+    """Bits of one pin's field of cfg_diag_sel, the diagnostic mux's select."""
+    if n_signals < 1:
+        raise DataError("diagnostic mux needs at least one signal")
+    return (n_signals - 1).bit_length()
 
 
 def update_db(

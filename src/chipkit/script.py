@@ -20,11 +20,16 @@ from . import InputError, Record
 RESP_OK = "OK"
 
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
+_LINE = rf"|(?P<line>[^{_BREAKS}]*)(?:\r\n|[{_BREAKS}])?"
 # a step as save_script writes an R or W of format_word words, with a response
-# of printable ASCII words; else any one line
-_SCAN_RE = re.compile(
-    r"> (R 0x([0-9a-f]{8})|W 0x([0-9a-f]{8}) 0x([0-9a-f]{8}))\n< ([!-~]+(?: [!-~]+)*)\n"
-    rf"|(?P<line>[^{_BREAKS}]*)(?:\r\n|[{_BREAKS}])?")
+# of printable ASCII words; {g} opens each of its groups
+_STEP = (r"> {g}R 0x{g}[0-9a-f]{{8}})|W 0x{g}[0-9a-f]{{8}}) 0x{g}[0-9a-f]{{8}}))\n"
+         r"< {g}[!-~]+(?: [!-~]+)*)\n")
+# a step decoded to its groups, else any one line
+_SCAN_RE = re.compile(_STEP.format(g="(") + _LINE)
+# a run of steps taken whole, bounded so that re holds little state, else any
+# one line
+_CHECK_RE = re.compile("(?:" + _STEP.format(g="(?:") + "){1,16}" + _LINE)
 
 
 class ScriptStep(Record):
@@ -52,9 +57,10 @@ def scan_script(text: str, decode: bool = True) -> Iterator[tuple]:
     """Each step of script text as (command, expected, words): words is the
     (op, addr, data) of an R or W step that _SCAN_RE matched whole, else None.
     Raises InputError at the first malformed line, numbered as str.splitlines
-    counts. Without decode, yields only the steps it did not decode."""
+    counts. Without decode, yields only the steps it would not decode, and
+    takes a run of the others per match."""
     command = None  # read, and its response not yet
-    for m in _SCAN_RE.finditer(text):
+    for m in (_SCAN_RE if decode else _CHECK_RE).finditer(text):
         if m.lastgroup != "line":
             if command is not None:
                 problem = "expected '< <response>' after command"

@@ -424,6 +424,45 @@ def _args(*argv, bootstrap=True):
 
 _SELFTEST = ("run-test", "--script", "gen/demo_selftest.txt")
 
+# regs.csv as update wrote it, then edited: every old text is replaced
+DB_TEXTS = {
+    "canonical": (),
+    "extra-column": ((",state\n", ",state,owner\n"), (",active\n", ",active,me\n")),
+    "reset-wider-than-width": (("cfg_gain,8,RW,0x0,", "cfg_gain,8,RW,0x100,"),),
+    "width-0": (("cfg_gain,8,", "cfg_gain,0,"),),
+    "width-33": (("cfg_gain,8,", "cfg_gain,33,"),),
+    "offset-0x0": (("0x0,0x4,dsp_core", "0x0,0x0,dsp_core"),),
+    "misaligned-offset": (("0x0,0x4,dsp_core", "0x0,0x6,dsp_core"),),
+    "equal-offsets": (("0x0,0x8,dsp_core", "0x0,0x4,dsp_core"),),
+    "descending-offsets": (("cfg_gain,8,RW,0x0,0x4,", "cfg_gain,8,RW,0x0,0x8,"),
+                           ("cfg_offset,16,RW,0x0,0x8,", "cfg_offset,16,RW,0x0,0x4,")),
+    "names-differing-in-case": (("cfg_offset,16", "CFG_GAIN,16"),),
+    "name-ID": (("cfg_gain,8", "ID,8"),),
+    "name-Base": (("cfg_gain,8", "Base,8"),),
+    "nul-in-description": (("0x4,dsp_core,,", "0x4,dsp_core,a\0b,"),),
+    "huge-description": (("0x4,dsp_core,,", "0x4,dsp_core," + "x" * 140_000 + ","),),
+}
+
+
+def _db_text(proj, name):
+    text = (proj / "regs.csv").read_text(encoding="utf-8")
+    for old, new in DB_TEXTS[name]:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+def _regs(name, argv=_SELFTEST):
+    """Writes DB_TEXTS[name] after update and generate have run."""
+    def setup(proj):
+        _bootstrap(proj)
+        (proj / "regs.csv").write_text(_db_text(proj, name), encoding="utf-8")
+        return list(argv)
+    return setup
+
+
+_INVALID = "error: database {proj}/regs.csv failed validation\n"
+
 EXIT_CODE_TABLE = [
     # (case, setup returning argv, exit code, stderr with {proj} for the project path)
     ("bad-base", _args("generate", "--base", "zz"), 2,
@@ -518,6 +557,28 @@ EXIT_CODE_TABLE = [
      "error: block name 'x-y' is not an identifier\n"),
     ("generate-bad-block-before-db", _short_db_row_and_bad_block, 3,
      "error: block name 'x-y' is not an identifier\n"),
+    # run-test reads a canonical regs.csv in one pass, and any other text
+    # through csv: one defect in a canonical file gives csv's message
+    ("run-test-reset-wider-than-width", _regs("reset-wider-than-width"), 3,
+     "error: cfg_gain: reset 0x100 does not fit in 8 bits\n" + _INVALID),
+    ("run-test-width-0", _regs("width-0"), 3,
+     "error: cfg_gain: width 0 outside [1, 32]\n" + _INVALID),
+    ("run-test-width-33", _regs("width-33"), 3,
+     "error: cfg_gain: width 33 outside [1, 32]\n" + _INVALID),
+    ("run-test-offset-0x0", _regs("offset-0x0"), 3,
+     "error: cfg_gain: offset 0x0 is reserved for the ID register\n" + _INVALID),
+    ("run-test-misaligned-offset", _regs("misaligned-offset"), 3,
+     "error: cfg_gain: offset 0x6 not word-aligned\n" + _INVALID),
+    ("run-test-equal-offsets", _regs("equal-offsets"), 3,
+     "error: duplicate offset 0x4 (rows 2 and 3)\n"),
+    ("run-test-names-differing-in-case", _regs("names-differing-in-case"), 3,
+     "error: CFG_GAIN: name differs from cfg_gain only in case\n" + _INVALID),
+    ("run-test-name-ID", _regs("name-ID"), 3,
+     "error: ID: name reserved for the ID register\n" + _INVALID),
+    ("run-test-name-Base", _regs("name-Base"), 3,
+     "error: Base: name reserved for the base address\n" + _INVALID),
+    ("run-test-huge-description", _regs("huge-description"), 2,
+     "error: row 2: field larger than field limit (131072)\n"),
 ]
 
 
@@ -531,6 +592,36 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv) == code
         assert capsys.readouterr().err == err.format(proj=proj)
+
+
+class TestOnePassEquivalence:
+    """A command gives the same exit code, output and files whether regs.csv
+    is read in one pass or, as every text the pass declines is, by load_db,
+    validate_db and db_hash."""
+
+    @pytest.mark.parametrize("argv", [_SELFTEST, ("generate",), ("update",)],
+                             ids=["run-test", "generate", "update"])
+    @pytest.mark.parametrize("name", list(DB_TEXTS))
+    def test_same_result_as_the_csv_read(self, proj, capsys, monkeypatch, name, argv):
+        _bootstrap(proj)
+        text = _db_text(proj, name)
+        csv_reads = []
+        real_load_db = regdb.load_db
+        monkeypatch.setattr(regdb, "load_db", lambda t: csv_reads.append(t) or real_load_db(t))
+        results, reads = [], []
+        for one_pass in (regdb.load_canonical_db, lambda text: None):
+            monkeypatch.setattr(regdb, "load_canonical_db", one_pass)
+            (proj / "regs.csv").write_text(text, encoding="utf-8")
+            capsys.readouterr()
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            results.append((code, out, err, tree_digest(proj / "gen"),
+                            (proj / "regs.csv").read_bytes()))
+            reads.append(len(csv_reads))
+        assert results[0] == results[1]
+        # the two canonical texts take the one pass; every defect, NUL
+        # included, is left to csv
+        assert (reads[0] == 0) == (name in ("canonical", "extra-column"))
 
 
 def _subcommand_flags():
@@ -727,6 +818,9 @@ class TestConfigPlumbing:
         assert "chipkit.sv_scan" in loaded
         assert not {"chipkit.busmodel", "chipkit.uart_host"} & loaded
         assert not _START_UP & loaded
+        # only generate renders, so lint and update load no emitter or script
+        rendering = {"chipkit.emit", "chipkit.script"}
+        assert rendering & loaded == (rendering if command == "generate" else set())
 
     def test_module_entry_point(self, proj):
         result = subprocess.run(

@@ -57,7 +57,7 @@ PATTERNS = list(_patterns())
 
 def test_every_pattern_is_found():
     where = {w for w, _p, _f in PATTERNS}
-    assert {"script._SCAN_RE", "regdb._CANONICAL_ROW_RE", "uart_host._COMMAND_RE",
+    assert {"script._SCAN_RE", "script._CHECK_RE", "regdb._DB_ROW_RE", "uart_host._COMMAND_RE",
             "sv_scan._PORT_RE", "emit._NOT_ALNUM_RE"} <= where
     assert any(w.startswith("uart_host.py:") for w in where)  # a literal passed to re.split
 
