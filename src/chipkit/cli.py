@@ -195,19 +195,43 @@ def load_config_file(path: str) -> ProjectConfig:
 # scanning
 
 def _rtl_files(paths: list) -> list[Path]:
-    """Every RTL file under paths, each once by resolved path, in first-seen order."""
-    files: dict[Path, Path] = {}
+    """Every RTL file under paths, each once by real path, in first-seen order.
+
+    A file argument is taken as it is. A directory is walked for files whose
+    suffix is .sv or .svh, hidden ones too, through links to files but not into
+    linked directories, in the order of their path parts; a directory that
+    cannot be read is skipped. Only the arguments and linked entries are
+    resolved: every other entry's real path is its directory's plus its name.
+    """
+    files: dict[str, Path] = {}
     for p in paths:
         path = Path(p)
         if path.is_dir():
-            found = sorted(q for q in path.rglob("*")
-                           if q.suffix in (".sv", ".svh") and q.is_file())
+            found = []  # (parts below path, path, real path or None)
+            dirs = [(str(path), os.path.realpath(path), ())]
+            while dirs:
+                top, real_top, parts = dirs.pop()
+                try:
+                    entries = list(os.scandir(top))
+                except OSError:
+                    continue
+                for entry in entries:
+                    name, dot = entry.name, entry.name.rfind(".")
+                    linked = entry.is_symlink()
+                    if not linked and entry.is_dir():
+                        dirs.append((entry.path, os.path.join(real_top, name), parts + (name,)))
+                    # os.path.isfile, as a link loop raises from DirEntry.is_file
+                    elif dot > 0 and name[dot:] in (".sv", ".svh") and (
+                            os.path.isfile(entry.path) if linked else entry.is_file()):
+                        found.append((parts + (name,), entry.path,
+                                      None if linked else os.path.join(real_top, name)))
+            found.sort()
         elif path.exists():
-            found = [path]
+            found = [((), str(path), None)]
         else:
             raise InputError(f"no such file or directory: {p}")
-        for q in found:
-            files.setdefault(q.resolve(), q)
+        for _, file, real in found:
+            files.setdefault(os.path.realpath(file) if real is None else real, Path(file))
     return list(files.values())
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from . import DataError, InputError
@@ -19,7 +19,7 @@ from . import regdb as rdb
 from .memmap import MemoryMap
 from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ALL_TARGETS, ID_REG_NAME, ID_REG_OFFSET, RETIRED
 from .regdb import EmitConfig, RegDb, RegEntry
-from .script import RESP_OK, ScriptStep, TestScript, format_word, save_script
+from .script import RESP_OK, format_steps, format_word
 from .sv_scan import DiagCandidate
 
 _SIDES = ("N", "E", "S", "W")
@@ -340,15 +340,18 @@ def emit_sw_views(db: RegDb, cfg: EmitConfig,
 # self test
 
 def emit_selftest(db: RegDb, cfg: EmitConfig,
-                  db_hash: Callable[[], int] | None = None) -> TestScript:
-    """Bring-up script: ID check, write/read-back over every active register,
-    and one probe of an in-region offset with no register behind it."""
+                  db_hash: Callable[[], int] | None = None) -> str:
+    """Bring-up script text: ID check, write/read-back over every active
+    register, and one probe of an in-region offset with no register behind it."""
     _check_region(db, cfg)
-    hash32 = _hash(db, db_hash)
+    return format_steps(_selftest_rows(db, cfg, _hash(db, db_hash)))
+
+
+def _selftest_rows(db: RegDb, cfg: EmitConfig, hash32: int) -> Iterator[tuple[str, str, str]]:
+    """The self-test's (command, expected, comment) rows, one at a time."""
     base = cfg.base_address
-    steps = [ScriptStep(f"R {format_word(base + ID_REG_OFFSET)}", format_word(hash32),
-                        f"{ID_REG_NAME} register carries the database hash")]
-    append = steps.append
+    yield (f"R {format_word(base + ID_REG_OFFSET)}", format_word(hash32),
+           f"{ID_REG_NAME} register carries the database hash")
     for e in _sorted_entries(db):
         if e.state != ACTIVE:
             continue
@@ -356,23 +359,21 @@ def emit_selftest(db: RegDb, cfg: EmitConfig,
         read, reset = f"R {addr}", format_word(e.reset_value)
         if e.access == ACCESS_RW:
             ones = format_word((1 << e.width_bits) - 1)
-            append(ScriptStep(read, reset, f"{name}: reset value"))
-            append(ScriptStep(f"W {addr} {ones}", RESP_OK,
-                              f"{name}: set all {e.width_bits} writable bits"))
-            append(ScriptStep(read, ones, f"{name}: read back ones"))
-            append(ScriptStep(f"W {addr} 0x00000000", RESP_OK, f"{name}: clear"))
-            append(ScriptStep(read, "0x00000000", f"{name}: read back zero"))
+            yield read, reset, f"{name}: reset value"
+            yield f"W {addr} {ones}", RESP_OK, f"{name}: set all {e.width_bits} writable bits"
+            yield read, ones, f"{name}: read back ones"
+            yield f"W {addr} 0x00000000", RESP_OK, f"{name}: clear"
+            yield read, "0x00000000", f"{name}: read back zero"
         else:
-            append(ScriptStep(read, reset, f"{name}: status value"))
-            append(ScriptStep(f"W {addr} 0xa5a5a5a5", RESP_OK, f"{name}: write is ignored"))
-            append(ScriptStep(read, reset, f"{name}: unchanged by write"))
+            yield read, reset, f"{name}: status value"
+            yield f"W {addr} 0xa5a5a5a5", RESP_OK, f"{name}: write is ignored"
+            yield read, reset, f"{name}: unchanged by write"
     # with no entries every offset is equally unmapped; the ID read already
     # proves the decode, so the degenerate script is that single step
     probe = _free_offset(db, cfg) if db.entries else None
     if probe is not None:
-        append(ScriptStep(f"R {format_word(base + probe)}", format_word(cfg.unmapped_value),
-                          "offset with no register reads the unmapped constant"))
-    return TestScript(steps)
+        yield (f"R {format_word(base + probe)}", format_word(cfg.unmapped_value),
+               "offset with no register reads the unmapped constant")
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +517,7 @@ def render_targets(
                 c_text, py_text = emit_sw_views(db, cfg, db_hash)
             out[name] = c_text if target == "c" else py_text
         elif target == "test":
-            out[name] = save_script(emit_selftest(db, cfg, db_hash))
+            out[name] = emit_selftest(db, cfg, db_hash)
         elif target == "memmap":
             if memmap is None:
                 raise DataError("memmap target needs a memory map file")

@@ -13,7 +13,8 @@ helpers for the wire format live here rather than in the protocol host.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from itertools import islice
 
 from . import InputError, Record
 
@@ -103,13 +104,25 @@ def load_script(text: str) -> str:
     return text
 
 
+def _step_texts(rows: Iterable[tuple[str, str, str]]) -> Iterator[str]:
+    sep = ""  # a blank line before each comment but one that opens the script
+    for command, expected, comment in rows:
+        yield (f"{sep}# {comment}\n> {command}\n< {expected}\n" if comment
+               else f"> {command}\n< {expected}\n")
+        sep = "\n"
+
+
+def format_steps(rows: Iterable[tuple[str, str, str]]) -> str:
+    """Script text of (command, expected, comment) rows, each comment on the
+    line before its step; no rows give one empty line. Joins 256 steps at a
+    time, so it holds about the text twice over, never a string for every
+    step."""
+    texts = _step_texts(rows)
+    chunks = []
+    while chunk := "".join(islice(texts, 256)):
+        chunks.append(chunk)
+    return "".join(chunks) or "\n"
+
+
 def save_script(script: TestScript) -> str:
-    lines: list[str] = []
-    for step in script.steps:
-        if step.comment:
-            if lines:
-                lines.append("")
-            lines.append(f"# {step.comment}")
-        lines.append(f"> {step.command}")
-        lines.append(f"< {step.expected}")
-    return "\n".join(lines) + "\n"
+    return format_steps((s.command, s.expected, s.comment) for s in script.steps)

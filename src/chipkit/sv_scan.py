@@ -116,10 +116,10 @@ def mask_comments_and_strings(src: SourceFile) -> str:
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 
-# "module" and "endmodule" as whole words. Each alternative opens with a
-# literal, so the regex engine skips the text between candidates at C speed;
-# the lookbehind after that literal stands in for a leading \b.
-_MODULE_KW_RE = re.compile(r"e(?<!\we)ndmodule\b|m(?<!\wm)odule\b")
+# The tail that "module" and "endmodule" share, which re skips to at C speed;
+# _module_blocks looks back from each hit for "end" and for a word start.
+_MODULE_KW_RE = re.compile(r"module\b")
+_WORD_START_RE = re.compile(r"(?<!\w)")  # matched at a position with no \w before it
 _NAME_RE = re.compile(rf"\s*({_IDENT})")
 _PORT_ITEM_RE = re.compile(
     rf"^\s*(?:(input|output|inout)\s+)?"
@@ -228,18 +228,18 @@ def _module_blocks(file: SourceFile, masked: str) -> list[tuple[int, int]]:
     """
     open_kw: int | None = None
     blocks: list[tuple[int, int]] = []
-    for m in _MODULE_KW_RE.finditer(masked):
-        if m.group() == "module":
-            if open_kw is not None:
-                raise MalformedSource(file.path, file.line_of(m.start()),
-                                      "nested or unbalanced module keyword")
-            open_kw = m.start()
-        else:
+    for at in (m.start() for m in _MODULE_KW_RE.finditer(masked)):
+        if masked[at - 3:at] == "end" and _WORD_START_RE.match(masked, at - 3):
             if open_kw is None:
-                raise MalformedSource(file.path, file.line_of(m.start()),
+                raise MalformedSource(file.path, file.line_of(at - 3),
                                       "endmodule without matching module")
-            blocks.append((open_kw, m.start()))
+            blocks.append((open_kw, at - 3))
             open_kw = None
+        elif _WORD_START_RE.match(masked, at):
+            if open_kw is not None:
+                raise MalformedSource(file.path, file.line_of(at),
+                                      "nested or unbalanced module keyword")
+            open_kw = at
     if open_kw is not None:
         raise MalformedSource(file.path, file.line_of(open_kw), "module without endmodule")
     return blocks

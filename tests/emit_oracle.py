@@ -1,8 +1,9 @@
 """The self-test emitter that the direct step builder replaced: every step
 through TestScript.add, with its command and reply each formatted through
-read_command, write_command and format_word. Those helpers are gone from
-chipkit.script, so verbatim copies live here. Kept only as the oracle for the
-differential property test; chipkit never imports it."""
+read_command, write_command and format_word; and save_script as it was when
+it built the file's lines as a list and joined them. Those helpers are gone
+from chipkit.script, so verbatim copies live here. Kept only as oracles for
+the differential property tests; chipkit never imports it."""
 
 from __future__ import annotations
 
@@ -53,3 +54,15 @@ def emit_selftest(db, cfg, db_hash=None) -> TestScript:
         sc.add(read_command(base + probe), format_word(cfg.unmapped_value),
                "offset with no register reads the unmapped constant")
     return sc
+
+
+def save_script(script: TestScript) -> str:
+    lines: list[str] = []
+    for step in script.steps:
+        if step.comment:
+            if lines:
+                lines.append("")
+            lines.append(f"# {step.comment}")
+        lines.append(f"> {step.command}")
+        lines.append(f"< {step.expected}")
+    return "\n".join(lines) + "\n"

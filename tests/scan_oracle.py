@@ -1,11 +1,12 @@
-"""Reference versions of the scanner's low-level helpers and keyword passes.
+r"""Reference versions of the scanner's low-level helpers and keyword passes.
 
 These are the straightforward implementations that the regex-driven code in
 chipkit.sv_scan replaced: one-index-at-a-time masking and bracket walking, a
-module keyword search that opens with \b, a lint loop over every
-identifier, and port-group parsing that splits the group at its top-level
-commas and matches each item on its own. They are kept only as oracles for the differential property tests
-and are never imported by chipkit.
+module keyword search that opens with \b (and the alternation that followed
+it), a lint loop over every identifier, and port-group parsing that splits the
+group at its top-level commas and matches each item on its own. They are kept
+only as oracles for the differential property tests and are never imported by
+chipkit.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ class RuleSet(NamedTuple):
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _MODULE_KW_RE = re.compile(r"\b(module|endmodule)\b")
+# the keyword search sv_scan made before it led with the literal "module" and
+# looked back for "end": an alternation that stops at every 'e' and 'm'
+ALTERNATION_KW_RE = re.compile(r"e(?<!\we)ndmodule\b|m(?<!\wm)odule\b")
 _WORD_RE = re.compile(_IDENT)
 _INST_RE = re.compile(
     rf"\b({_IDENT})\s+({_IDENT})\s*\(\s*(\.[^;]*?)\)\s*;", re.S)
@@ -110,11 +114,12 @@ def split_top_commas(text: str, base: int) -> list[tuple[str, int]]:
     return [(t, off) for t, off in parts if t.strip()]
 
 
-def module_blocks(file: SourceFile, masked: str) -> list[tuple[int, int]]:
+def module_blocks(file: SourceFile, masked: str,
+                  keywords: re.Pattern = _MODULE_KW_RE) -> list[tuple[int, int]]:
     open_kw: int | None = None
     blocks: list[tuple[int, int]] = []
-    for m in _MODULE_KW_RE.finditer(masked):
-        if m.group(1) == "module":
+    for m in keywords.finditer(masked):
+        if m.group() == "module":
             if open_kw is not None:
                 raise MalformedSource(file.path, file.line_of(m.start()),
                                       "nested or unbalanced module keyword")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chipkit import busmodel, cli, emit, memmap, regdb, script
+from chipkit import busmodel, cli, memmap, regdb, script
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -35,7 +35,6 @@ class _Called(Exception):
 
 def test_by_name_aliases_are_the_layer_functions(tmp_path, monkeypatch):
     assert busmodel.db_hash is regdb.db_hash
-    assert emit.save_script is script.save_script
     assert cli.load_memory_map is memmap.load_memory_map
     # run-test imports load_script when it runs, so it calls a wrap of it
     def wrapped(text):

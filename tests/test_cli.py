@@ -743,6 +743,51 @@ class TestDuplicatePaths:
         assert cli._rtl_files(["rtl/timer_unit.sv", "rtl", "./rtl/dsp_core.sv"]) == [
             Path("rtl/timer_unit.sv"), Path("rtl/dsp_core.sv"), Path("rtl/io_ctrl.sv")]
 
+    def test_walk_lists_what_rglob_listed(self, tmp_path, monkeypatch):
+        """The scandir walk against the rglob walk it replaced, verbatim below,
+        on every kind of entry the two could treat differently."""
+        def rglob_rtl_files(paths):
+            files = {}
+            for p in paths:
+                path = Path(p)
+                if path.is_dir():
+                    found = sorted(q for q in path.rglob("*")
+                                   if q.suffix in (".sv", ".svh") and q.is_file())
+                elif path.exists():
+                    found = [path]
+                else:
+                    raise cli.InputError(f"no such file or directory: {p}")
+                for q in found:
+                    files.setdefault(q.resolve(), q)
+            return list(files.values())
+
+        monkeypatch.chdir(tmp_path)
+        rtl, other = tmp_path / "rtl", tmp_path / "other"
+        for name in ("a/b.sv", "a-b.sv", ".h.sv", "..sv", ".sv", ".svh", "x.svh", "x.svx",
+                     "x.sv.bak", "top.v", ".hidden/c.sv", "a/deep/e.svh", "d.sv/f.sv"):
+            (rtl / name).parent.mkdir(parents=True, exist_ok=True)
+            (rtl / name).write_text("")
+        (other / "g.sv").parent.mkdir()
+        (other / "g.sv").write_text("")
+        (other / "plain.txt").write_text("")
+        (rtl / "link.sv").symlink_to(other / "g.sv")            # a link to a file: kept
+        (rtl / "alias.sv").symlink_to(rtl / "a-b.sv")           # the same file twice
+        (rtl / "txt.sv").symlink_to(other / "plain.txt")        # named by the link
+        (rtl / "linked").symlink_to(other, target_is_directory=True)  # not descended
+        (rtl / "dir.sv").symlink_to(other, target_is_directory=True)  # not a file
+        (rtl / "dangling.sv").symlink_to(tmp_path / "missing.sv")
+        (rtl / "loop.sv").symlink_to(rtl / "loop.sv")
+        cases = [["rtl"], ["./rtl/"], [str(rtl)], ["rtl", "rtl/a"], ["rtl/a", "rtl"],
+                 ["other/g.sv", "rtl"], ["rtl", "other"], ["rtl/link.sv", "rtl/txt.sv"],
+                 ["rtl/linked", "rtl"], ["rtl/dir.sv"], [".", "rtl"]]
+        for paths in cases:
+            assert cli._rtl_files(paths) == rglob_rtl_files(paths), paths
+        assert cli._rtl_files(["rtl"]) == [Path("rtl", name) for name in (
+            "..sv", ".h.sv", ".hidden/c.sv", "a/b.sv", "a/deep/e.svh", "a-b.sv",
+            "d.sv/f.sv", "link.sv", "txt.sv", "x.svh")]
+        with pytest.raises(cli.InputError, match="no such file or directory: rtl/dangling.sv"):
+            cli._rtl_files(["rtl/dangling.sv"])
+
 
 def _loaded_modules(proj, argv, stdin="", err=""):
     """Exit code, stdout lines and the modules that running chipkit argv

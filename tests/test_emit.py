@@ -8,7 +8,7 @@ from chipkit import DataError, emit, regdb, sv_scan
 from chipkit.emit import EmitConfig, PadDb, load_pad_db
 from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import RETIRED, RegDb, RegEntry, db_hash, update_db
-from chipkit.script import format_word
+from chipkit.script import format_word, scan_script
 from chipkit.sv_scan import CsrCandidate, DiagCandidate, SourceFile, lint, parse_modules
 
 CFG = EmitConfig(block_name="myblk", base_address=0x70000000, csr_region_size_bytes=0x1000)
@@ -217,34 +217,40 @@ class TestSwViews:
             ["name reserved for the ID register"]
 
 
+def selftest_steps(db, cfg):
+    """(command, expected) of each step of the self-test emit writes."""
+    return [(command, expected) for command, expected, _ in
+            scan_script(emit.emit_selftest(db, cfg))]
+
+
 class TestSelftest:
     def test_walking_ones_masked_to_width(self):
         cfg = EmitConfig(block_name="b", base_address=0x50000000)
-        sc = emit.emit_selftest(make_db(cand("cfg_a", 4)), cfg)
-        cmds = [s.command for s in sc.steps]
+        steps = selftest_steps(make_db(cand("cfg_a", 4)), cfg)
+        cmds = [command for command, _ in steps]
         i = cmds.index("W 0x50000004 0x0000000f")
-        assert sc.steps[i + 1].command == "R 0x50000004"
-        assert sc.steps[i + 1].expected == "0x0000000f"
+        assert steps[i + 1][0] == "R 0x50000004"
+        assert steps[i + 1][1] == "0x0000000f"
 
     def test_empty_db_id_step_only(self):
-        sc = emit.emit_selftest(RegDb(), CFG)
-        assert len(sc.steps) == 1
-        assert sc.steps[0].command == "R 0x70000000"
-        assert sc.steps[0].expected == format_word(db_hash(RegDb()))
+        steps = selftest_steps(RegDb(), CFG)
+        assert len(steps) == 1
+        assert steps[0][0] == "R 0x70000000"
+        assert steps[0][1] == format_word(db_hash(RegDb()))
 
     def test_ro_entry_write_then_unchanged(self):
         db = make_db(cand("sts_x", 8, "RO"))
         db.entry("sts_x").reset_value = 0x42
-        sc = emit.emit_selftest(db, CFG)
-        writes = [s for s in sc.steps if s.command.startswith("W 0x70000004")]
-        assert len(writes) == 1 and writes[0].expected == "OK"
-        reads = [s for s in sc.steps if s.command == "R 0x70000004"]
-        assert all(s.expected == "0x00000042" for s in reads)
+        steps = selftest_steps(db, CFG)
+        writes = [s for s in steps if s[0].startswith("W 0x70000004")]
+        assert len(writes) == 1 and writes[0][1] == "OK"
+        reads = [s for s in steps if s[0] == "R 0x70000004"]
+        assert all(expected == "0x00000042" for _, expected in reads)
 
     def test_unmapped_probe_present(self):
-        sc = emit.emit_selftest(GAIN_DB, CFG)
-        assert sc.steps[-1].command == "R 0x70000008"
-        assert sc.steps[-1].expected == format_word(CFG.unmapped_value)
+        steps = selftest_steps(GAIN_DB, CFG)
+        assert steps[-1][0] == "R 0x70000008"
+        assert steps[-1][1] == format_word(CFG.unmapped_value)
 
 
 class TestMemmapHeader:
@@ -332,7 +338,7 @@ class TestCrossArtifactConsistency:
         rtl = emit.emit_csr_rtl(db, CFG)
         md = emit.emit_markdown(db, CFG)
         c_text, py_text = emit.emit_sw_views(db, CFG)
-        sc = emit.emit_selftest(db, CFG)
+        selftest = emit.emit_selftest(db, CFG)
 
         def from_rtl():
             return dict(re.findall(r"// (\w+) @ (0x[0-9a-f]{8}) \((?:RW|RO)", rtl))
@@ -351,11 +357,15 @@ class TestCrossArtifactConsistency:
             return {n: format_word(a) for n, (a, _, _) in namespace["REGISTERS"].items()}
 
         def from_selftest():
+            # one comment line per step, on the line before it
+            comments = [line[2:] for line in selftest.splitlines() if line.startswith("# ")]
+            steps = list(scan_script(selftest))
+            assert len(comments) == len(steps)
             out = {}
-            for step in sc.steps:
-                name = step.comment.split(":")[0]
+            for comment, (command, _, _) in zip(comments, steps):
+                name = comment.split(":")[0]
                 if name in ("cfg_a", "cfg_b", "sts_c", "id"):
-                    out.setdefault(name, step.command.split()[1])
+                    out.setdefault(name, command.split()[1])
             return out
 
         names = {"cfg_a", "cfg_b", "sts_c"}

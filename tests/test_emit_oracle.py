@@ -1,9 +1,11 @@
-"""Differential property: the self-test emitter that appends its steps
-directly agrees with the one that adds each step through the script helpers
-(emit_oracle), step for step and byte for byte once saved, on databases with
-active and retired registers, in regions from too small to roomy, at any
-aligned base and with any unmapped value."""
+"""Differential properties against emit_oracle. The self-test emitter, which
+writes its text from a stream of steps, agrees byte for byte with the one that
+added each step through the script helpers, saved as the line list was, on
+databases with active and retired registers, in regions from too small to
+roomy, at any aligned base and with any unmapped value. format_steps, which
+joins a run of steps at a time, agrees with that line list on any steps."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +13,7 @@ import emit_oracle
 import strategies
 from chipkit import ChipkitError, emit
 from chipkit.regdb import EmitConfig
-from chipkit.script import save_script
+from chipkit.script import ScriptStep, TestScript, format_steps, save_script
 
 
 @st.composite
@@ -25,13 +27,37 @@ def emit_configs(draw):
 
 def _outcome(fn, *args):
     try:
-        script = fn(*args)
+        return "ok", fn(*args)
     except ChipkitError as exc:
         return type(exc).__name__, str(exc)
-    return "ok", script.steps, save_script(script)
 
 
 @settings(max_examples=300, deadline=None)
 @given(db=strategies.reg_dbs(), cfg=emit_configs())
 def test_selftest_matches_oracle(db, cfg):
-    assert _outcome(emit.emit_selftest, db, cfg) == _outcome(emit_oracle.emit_selftest, db, cfg)
+    assert _outcome(emit.emit_selftest, db, cfg) == \
+        _outcome(lambda *args: emit_oracle.save_script(emit_oracle.emit_selftest(*args)), db, cfg)
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_TEXT, _TEXT, st.one_of(st.just(""), _TEXT)), max_size=40))
+def test_format_steps_matches_the_line_list(rows):
+    """Empty scripts, comments or none on the first and later steps, and any
+    characters."""
+    steps = TestScript([ScriptStep(*row) for row in rows])
+    expected = emit_oracle.save_script(steps)
+    assert format_steps(iter(rows)) == expected
+    assert save_script(steps) == expected
+
+
+@pytest.mark.parametrize("commented", [lambda i: True, lambda i: i % 3 == 0, lambda i: i % 3])
+def test_format_steps_across_its_joins(commented):
+    """Scripts that run across the 256-step joins, with and without a comment
+    on the steps at either side of each join."""
+    rows = [(f"R 0x{i:08x}", f"0x{i:08x}", f"step {i}" if commented(i) else "")
+            for i in range(700)]
+    assert format_steps(rows) == emit_oracle.save_script(
+        TestScript([ScriptStep(*row) for row in rows]))

@@ -197,8 +197,8 @@ def test_scan_and_replay_match_the_line_loader(chunks, cut, stop_on_fail):
 
 
 def _replays(test, text, build, stop_on_fail):
-    """A TestScript replayed by the line loop, by run_script, and saved as
-    text then loaded and replayed by run_script, each on a model from build."""
+    """A TestScript replayed by the line loop and by run_script, and its text
+    loaded and replayed by run_script, each on a model from build."""
     runs = []
     for run, script_ in ((host_oracle.run_script, test), (uart_host.run_script, test),
                          (uart_host.run_script, script.load_script(text))):
@@ -214,10 +214,11 @@ def test_generated_selftest_replays_as_before(db, other, stop_on_fail):
     """A self-test that emit builds replays as before, against its own
     database and against another."""
     cfg = EmitConfig(block_name="b", base_address=0x50000000, csr_region_size_bytes=0x1000)
-    test = emit.emit_selftest(db, cfg)
+    text = emit.emit_selftest(db, cfg)
+    test = host_oracle.load_script(text)
     for model_db in (db, other):
         old, new, loaded = _replays(
-            test, save_script(test),
+            test, text,
             lambda: busmodel.build_soc(_SCRIPT_MAP, [("csr0", model_db)]), stop_on_fail)
         assert old == new == loaded
 

@@ -1,18 +1,26 @@
-"""Memory the bring-up path allocates, as tracemalloc counts it: every Python
-allocation, the backtracking state of re included, and nothing that depends on
-timing. A scan that keeps a list of steps, or matches a whole text with a
-repeated group, fails here."""
+"""Memory the bring-up and generate paths allocate, as tracemalloc counts it:
+every Python allocation, the backtracking state of re included, and nothing
+that depends on timing. A scan that keeps a list of steps, matches a whole
+text with a repeated group, or a self-test built as records or lines, fails
+here."""
 
 import tracemalloc
 import zlib
 
-from chipkit import busmodel, script, uart_host
+from chipkit import busmodel, emit, script, uart_host
+from chipkit.emit import Pad, PadDb
 from chipkit.memmap import MemoryMap, Region
-from chipkit.regdb import RegDb, RegEntry, load_canonical_db, load_db, save_db
+from chipkit.regdb import (EmitConfig, RegDb, RegEntry, db_hash, diag_select_bits,
+                           load_canonical_db, load_db, save_db)
+from chipkit.sv_scan import DiagCandidate
 
 # peak traced bytes of load_script + run_script on SCRIPT_TEXT when load_script
 # built a ScriptStep per step (Python 3.11.7); the model's own words count too
 LINE_LOOP_PEAK = 6_620_834
+# peak traced bytes of render_targets with all nine targets on _render_inputs()
+# when the self-test was a list of ScriptStep records saved through a list of
+# lines (Python 3.11.7)
+RECORD_SELFTEST_PEAK = 11_815_195
 
 MAP = MemoryMap([Region("sram0", "sram", 0x60000000, 0x10000)])
 
@@ -68,3 +76,35 @@ def test_one_pass_over_4000_rows_peaks_no_higher_than_load_db():
     loaded, peak = _peak(load_canonical_db, text)
     assert loaded == (expected, zlib.crc32(text.encode("utf-8")))
     assert peak <= csv_peak
+
+
+def _render_inputs():
+    """4,000 registers, some retired, in a 64 KiB region, with the diag mux's
+    select register, 100 taps and 40 pads: every target renders."""
+    entries = [RegEntry(f"{'cfg' if i % 3 else 'sts'}_r{i:04d}", 1 + i % 32,
+                        "RW" if i % 3 else "RO", i % 2, 4 + 4 * i, f"blk_{i // 40:03d}",
+                        ["", "gain stage", "a | b"][i % 3], "retired" if i % 50 == 0 else "active")
+               for i in range(4000)]
+    entries.append(RegEntry("cfg_diag_sel", 2 * diag_select_bits(100), "RW", 0,
+                            4 + 4 * 4000, "blk_diag_mux"))
+    db = RegDb(entries)
+    cfg = EmitConfig(block_name="blk", base_address=0x70000000, csr_region_size_bytes=0x10000)
+    memmap = MemoryMap([Region("csr0", "csr", 0x70000000, 0x10000),
+                        Region("sram0", "sram", 0x60000000, 0x100000)])
+    diags = [DiagCandidate(f"diag_{i:03d}", f"blk_{i:03d}") for i in range(100)]
+    pads = PadDb(tuple(Pad(f"p{i}", "NESW"[i % 4], i // 4, "PADCELL", f"sig{i}")
+                       for i in range(40)))
+    return db, cfg, memmap, diags, pads
+
+
+def test_generate_renders_the_selftest_straight_to_text():
+    db, cfg, memmap, diags, pads = _render_inputs()
+    hash32 = db_hash(db)
+    out, peak = _peak(emit.render_targets, db, cfg, memmap, diags, pads, hash32)
+    assert len(out) == 9
+    assert peak < 0.7 * RECORD_SELFTEST_PEAK
+    # the text, and the joined runs of steps it is joined from; one join of a
+    # string per step peaks at 3x
+    text, peak = _peak(emit.emit_selftest, db, cfg, lambda: hash32)
+    assert text == out["blk_selftest.txt"]
+    assert peak < 2.5 * len(text)

@@ -99,6 +99,27 @@ def test_module_blocks_match_oracle(text):
     assert _blocks(sv_scan._module_blocks, text) == _blocks(scan_oracle.module_blocks, text)
 
 
+# keywords and their pieces, glued to ASCII and non-ASCII word characters
+# (a letter, 'ß', the Arabic-Indic digit three, a superscript two, '_') and
+# to characters that are not (a middle dot, an em space, ';', '\n'); a head of
+# up to three such characters puts the first keyword at offsets 0 to 3
+GLUE = ["a", "9", "_", "é", "ß", "\u0663", "\u00b2", "\u00b7", "\u2003", ";", " ", "\n"]
+GLUED_TOKENS = ["module", "endmodule", "end", "e", "m", "nd", "odule", "module;"] + GLUE
+glued_texts = st.tuples(st.text(st.sampled_from(GLUE), max_size=3),
+                        st.lists(st.sampled_from(GLUED_TOKENS), max_size=30).map("".join)
+                        ).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=glued_texts)
+def test_literal_led_search_matches_the_alternation(text):
+    """Blocks, or the first error (nested, unbalanced or unmatched keywords),
+    as the alternation pattern found them."""
+    assert _blocks(sv_scan._module_blocks, text) == _blocks(
+        lambda f, masked: scan_oracle.module_blocks(f, masked, scan_oracle.ALTERNATION_KW_RE),
+        text)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(text=keyword_texts, enabled=st.frozensets(st.sampled_from(scan_oracle.ALL_RULES)))
 def test_lint_matches_oracle(text, enabled):
@@ -163,10 +184,22 @@ def test_lint_keyword_boundaries(text, rules):
     ("module m; émodule endmodule", [(0, 18)]),   # \b is Unicode-aware here
     ("module m; 9module endmodule", [(0, 18)]),
     ("module m;endmodule\nmodule n;endmodule", [(0, 9), (19, 28)]),
+    ("module m; \u0663endmodule \u00b7endmodule", [(0, 22)]),  # a digit is \w, a dot not
+    ("module m; ßmodule endmodule", [(0, 18)]),
+    ("module m; xendmodule_ endmodulé endmodule", [(0, 32)]),
+    ("module m;\nendmodule", [(0, 10)]),
+    ("amodule m; module n;endmodule", [(11, 20)]),
+    ("\u2003\u00b7 module m;endmodule", [(3, 12)]),
+    ("endmodule", "t.sv:1: endmodule without matching module"),
+    (" endmodule", "t.sv:1: endmodule without matching module"),
+    ("module m; end module endmodule", "t.sv:1: nested or unbalanced module keyword"),
+    ("module m;\nmodule", "t.sv:2: nested or unbalanced module keyword"),
+    ("\nmodule m;\nendmodulex", "t.sv:2: module without endmodule"),
 ])
 def test_module_keyword_boundaries(text, blocks):
-    assert _blocks(sv_scan._module_blocks, text) == ("ok", blocks)
-    assert _blocks(scan_oracle.module_blocks, text) == ("ok", blocks)
+    expected = ("err", blocks) if isinstance(blocks, str) else ("ok", blocks)
+    assert _blocks(sv_scan._module_blocks, text) == expected
+    assert _blocks(scan_oracle.module_blocks, text) == expected
 
 
 # The parts of a port item, as (well formed, broken) choices. An item breaks

@@ -232,12 +232,13 @@ class TestServe:
     def test_script_serve_equivalence(self):
         db = make_db()
         cfg = emit.EmitConfig(block_name="b", base_address=0x50000000)
-        sc = emit.emit_selftest(db, cfg)
-        _, out = run_session(make_soc(db), [s.command for s in sc.steps])
+        text = emit.emit_selftest(db, cfg)
+        steps = list(scan_script(text))
+        _, out = run_session(make_soc(db), [command for command, _, _ in steps])
         via_serve = out.splitlines()
-        report = run_script(make_soc(db), sc)
+        report = run_script(make_soc(db), text)
         assert report.ok
-        assert via_serve == [s.expected for s in sc.steps]
+        assert via_serve == [expected for _, expected, _ in steps]
 
     def test_stats_conservation(self):
         soc = make_soc()
