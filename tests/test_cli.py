@@ -1,7 +1,9 @@
 import argparse
 import csv
+import gc
 import hashlib
 import io
+import os
 import socket
 import subprocess
 import sys
@@ -872,3 +874,79 @@ class TestConfigPlumbing:
             [sys.executable, "-m", "chipkit", "lint", "rtl"],
             capture_output=True, text=True, cwd=proj)
         assert result.returncode == 0
+
+
+def _lint_violations(proj):
+    (proj / "lint").mkdir()
+    for path in (Path(__file__).parent / "fixtures" / "lint").iterdir():
+        (proj / "lint" / path.name).write_text(path.read_text())
+    return ["lint", "lint"]
+
+
+def _failing_step(proj):
+    _bootstrap(proj)
+    db = regdb.load_db((proj / "regs.csv").read_text())
+    db.entry("cfg_gain").reset_value = 1
+    (proj / "regs.csv").write_text(regdb.save_db(db))
+    return list(_SELFTEST)
+
+
+# (case, setup returning argv, exit code): each code a process can end with
+ENTRY_CASES = [
+    ("clean-lint", _args("lint", "rtl", bootstrap=False), 0),
+    ("lint-violations", _lint_violations, 1),
+    ("failing-step", _failing_step, 1),
+    ("missing-file", _args("lint", "missing.sv", bootstrap=False), 2),
+    ("validation-error", _duplicate_offset, 3),
+]
+
+
+class TestProcessEntry:
+    """cli.run is the one process entry; main stays a plain library call."""
+
+    @pytest.mark.parametrize("module", ["chipkit", "chipkit.cli"])
+    @pytest.mark.parametrize("setup, code", [case[1:] for case in ENTRY_CASES],
+                             ids=[case[0] for case in ENTRY_CASES])
+    def test_process_exits_as_main_returns(self, proj, capsys, module, setup, code):
+        argv = setup(proj)
+        capsys.readouterr()
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        # stdout block-buffered, as on any pipe by default, so an exit that
+        # skipped its flush would lose the output
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        result = subprocess.run([sys.executable, "-m", module, *argv],
+                                capture_output=True, text=True, cwd=proj, env=env)
+        assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
+    def test_main_leaves_nothing_frozen(self, proj):
+        _bootstrap(proj)
+        assert main(["run-test", "--script", "gen/demo_selftest.txt"]) == 0
+        assert main(["lint", "missing.sv"]) == 2
+        assert gc.get_freeze_count() == 0
+
+    def test_run_freezes_then_exits_with_mains_code(self, proj):
+        probe = ("import gc, sys\n"
+                 "from chipkit import cli\n"
+                 "sys.argv = ['chipkit', 'lint', 'missing.sv']\n"
+                 "try:\n"
+                 "    cli.run()\n"
+                 "except SystemExit as exc:\n"
+                 "    print(exc.code, gc.get_freeze_count() > 0)\n")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, cwd=proj)
+        assert result.stdout == "2 True\n"
+        assert result.stderr == "error: no such file or directory: missing.sv\n"
+
+    def test_exception_escaping_main_freezes_nothing(self, monkeypatch):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "main", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.run()
+        assert gc.get_freeze_count() == 0
+
+    def test_installed_command_is_run(self):
+        text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        assert 'chipkit = "chipkit.cli:run"' in text
