@@ -8,9 +8,9 @@ longer than MAX_LINE characters is answered ``ERR PARSE`` naming its first 16
 characters and ``...``; the rest of it, up to its LF, is skipped. With a
 prompt, ``> `` is sent when a session starts and after every line but ``Q``.
 
-execute_line answers every line; run_script, serve and serve_tcp only read,
-write and count. The serving loop is the sole owner of the model for a
-session; a second concurrent connection is refused busy.
+execute_line answers every line, and _session frames the lines of serve and
+serve_tcp alike, a last line still open at EOF included. The serving loop is
+the sole owner of the model for a session; a second connection is refused busy.
 """
 
 from __future__ import annotations
@@ -53,13 +53,6 @@ class ParseError(Exception):
         self.token = token
 
 
-class Command(NamedTuple):
-    """Names the fields of the bare (op, addr, data) tuple parse_command returns."""
-    op: str  # R | W | ? | Q
-    addr: int | None = None
-    data: int | None = None
-
-
 def _offending_token(text: str) -> str:
     """The token to name in ERR PARSE for a line _COMMAND_RE rejected."""
     parts = re.split(r"[ \t]+", text)
@@ -77,8 +70,8 @@ def _offending_token(text: str) -> str:
 
 
 def parse_command(line: str):
-    """(op, addr, data) for a line, equal to its Command, or None for a blank
-    line. Raises ParseError."""
+    """(op, addr, data) for a line, op one of R W ? Q and the absent numbers
+    None, or None for a blank line. Raises ParseError."""
     text = line.strip()
     if not text:
         return None
@@ -93,8 +86,8 @@ def parse_command(line: str):
     return verb.upper(), None, None
 
 
-def execute(soc: SocModel, cmd: Command) -> str:
-    """One response line per command, a Command or its bare tuple; never raises."""
+def execute(soc: SocModel, cmd: tuple[str, int | None, int | None]) -> str:
+    """One response line per (op, addr, data) command; never raises."""
     op, addr, data = cmd
     if op == "R":
         result = busmodel.bus_read(soc, addr)
@@ -195,21 +188,45 @@ def _reply(soc: SocModel, raw: bytes, summary: SessionSummary, prompt: bool) -> 
     return out
 
 
+def _session(soc: SocModel, recv, send, summary: SessionSummary, prompt: bool) -> None:
+    """Answer one session's lines until Q or EOF: recv() returns the next bytes
+    (b"" at EOF) and send(data) delivers a reply. A line still open at EOF is
+    answered, unless it is the rest of an overlong line already answered."""
+    if prompt:
+        send(b"> ")
+    held = b""  # the start of a line whose LF has not arrived
+    skipping = False  # the rest of an answered overlong line is still arriving
+    while chunk := recv():
+        lines = (held + chunk).split(b"\n")
+        held = lines.pop()
+        if skipping and lines:
+            del lines[0]
+            skipping = False
+        if skipping:
+            held = b""
+        elif len(held) > _MAX_LINE_BYTES:
+            lines.append(held)
+            held, skipping = b"", True
+        for raw in lines:
+            out = _reply(soc, raw, summary, prompt)
+            if out:
+                send(out)
+            if summary.quit_seen:
+                return
+    if held:
+        send(_reply(soc, held, summary, prompt))
+
+
 def serve(soc: SocModel, rfile, wfile, prompt: bool = False) -> SessionSummary:
-    """Line loop over byte streams; ends on Q, EOF, or stream failure."""
+    """Serve one session over byte streams; ends on Q, EOF, or stream failure."""
     summary = SessionSummary(sessions=1)
+
+    def send(data: bytes) -> None:
+        wfile.write(data)
+        wfile.flush()
+
     try:
-        if prompt:
-            wfile.write(b"> ")
-            wfile.flush()
-        while not summary.quit_seen:
-            raw = rfile.readline(_MAX_LINE_BYTES + 1)
-            if not raw:
-                break
-            wfile.write(_reply(soc, raw.removesuffix(b"\n"), summary, prompt))
-            wfile.flush()
-            while len(raw) > _MAX_LINE_BYTES and not raw.endswith(b"\n"):
-                raw = rfile.readline(_MAX_LINE_BYTES + 1)  # the rest of an overlong line
+        _session(soc, lambda: rfile.read1(4096), send, summary, prompt)
     except OSError:
         pass
     return summary
@@ -251,65 +268,36 @@ def serve_tcp(soc: SocModel, listener: socket.socket, prompt: bool = False) -> S
     """
     import selectors  # like socket, loaded only to serve TCP
     summary = SessionSummary()
-    sel = selectors.DefaultSelector()
-    sel.register(listener, selectors.EVENT_READ)
-    active: socket.socket | None = None
-    buffer = b""  # the start of a line whose LF has not arrived
-    skipping = False  # the rest of an answered overlong line is still arriving
-    try:
+
+    def recv() -> bytes:
+        # the active connection's traffic (an EOF too) goes before a connect,
+        # so a client that disconnected and at once reconnected is not
+        # refused against its own dead session
         while True:
-            events = sel.select()
-            # handle session traffic (including EOFs) before new connects, so a
-            # client that disconnected and immediately reconnected is not
-            # refused against its own dead session
-            events.sort(key=lambda item: 1 if item[0].fileobj is listener else 0)
-            for key, _ in events:
-                if key.fileobj is listener:
-                    conn, _addr = listener.accept()
-                    if active is not None:
-                        try:
-                            conn.sendall(BUSY_LINE.encode() + b"\n")
-                        except OSError:
-                            pass  # the refused client is gone already
-                        finally:
-                            conn.close()
-                        continue
-                    active = conn
-                    buffer, skipping = b"", False
-                    summary.sessions += 1
-                    sel.register(conn, selectors.EVENT_READ)
-                    if prompt:
-                        try:
-                            conn.sendall(b"> ")
-                        except OSError:
-                            pass  # its next recv ends the session
-                    continue
-                conn = key.fileobj
-                try:
-                    chunk = conn.recv(4096)
-                    lines = (buffer + chunk).split(b"\n")
-                    buffer = lines.pop()
-                    if skipping and lines:
-                        del lines[0]
-                        skipping = False
-                    if skipping:
-                        buffer = b""
-                    elif len(buffer) > _MAX_LINE_BYTES:
-                        lines.append(buffer)
-                        buffer, skipping = b"", True
-                    for raw in lines:
-                        out = _reply(soc, raw, summary, prompt)
-                        if out:
-                            conn.sendall(out)
-                        if summary.quit_seen:
-                            sel.unregister(conn)
-                            _drain_and_close(conn)
-                            return summary
-                except OSError:
-                    chunk = b""  # reset or broken pipe: the session is over
-                if not chunk:
-                    sel.unregister(conn)
-                    conn.close()
-                    active = None
-    finally:
-        sel.close()
+            for key, _ in sel.select():
+                if key.fileobj is conn:
+                    return conn.recv(4096)
+            busy, _addr = listener.accept()
+            try:
+                busy.sendall(BUSY_LINE.encode() + b"\n")
+            except OSError:
+                pass  # the refused client is gone already
+            finally:
+                busy.close()
+
+    with selectors.DefaultSelector() as sel:
+        sel.register(listener, selectors.EVENT_READ)
+        while not summary.quit_seen:
+            conn, _addr = listener.accept()
+            summary.sessions += 1
+            sel.register(conn, selectors.EVENT_READ)
+            try:
+                _session(soc, recv, conn.sendall, summary, prompt)
+            except OSError:
+                pass  # a reset or a failed send ends only this session
+            sel.unregister(conn)
+            if summary.quit_seen:
+                _drain_and_close(conn)
+            else:
+                conn.close()
+    return summary

@@ -17,7 +17,7 @@ from chipkit.busmodel import (
     WORD_MASK, BusError, SocModel, SramStore)
 from chipkit.memmap import MemoryMap, Region
 from chipkit.script import ScriptStep, TestScript
-from chipkit.uart_host import Command, ParseError, StepFailure, TestReport, execute_line
+from chipkit.uart_host import ParseError, StepFailure, TestReport, execute_line
 
 _HEX_RE = re.compile(r"^(0[xX])?[0-9a-fA-F]+$")
 
@@ -32,7 +32,7 @@ def _parse_word(token: str) -> int:
 
 
 def parse_command(line: str):
-    """Command for a line, or None for a blank line. Raises ParseError."""
+    """(op, addr, data) for a line, or None for a blank line. Raises ParseError."""
     text = line.strip()
     if not text:
         return None
@@ -43,21 +43,21 @@ def parse_command(line: str):
             raise ParseError(text)
         if len(parts) > 2:
             raise ParseError(parts[2])
-        return Command("R", addr=_parse_word(parts[1]))
+        return "R", _parse_word(parts[1]), None
     if verb == "W":
         if len(parts) < 3:
             raise ParseError(text)
         if len(parts) > 3:
             raise ParseError(parts[3])
-        return Command("W", addr=_parse_word(parts[1]), data=_parse_word(parts[2]))
+        return "W", _parse_word(parts[1]), _parse_word(parts[2])
     if verb == "?":
         if len(parts) > 1:
             raise ParseError(parts[1])
-        return Command("?")
+        return "?", None, None
     if verb == "Q":
         if len(parts) > 1:
             raise ParseError(parts[1])
-        return Command("Q")
+        return "Q", None, None
     raise ParseError(parts[0])
 
 

@@ -12,7 +12,7 @@ from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import ChangeReport, DbError, EmitConfig, NamingConvention, RegDb, RegEntry
 from chipkit.script import ScriptStep, TestScript
 from chipkit.sv_scan import ModuleDecl, SourceFile
-from chipkit.uart_host import Command, SessionSummary, StepFailure, TestReport, parse_command
+from chipkit.uart_host import SessionSummary, StepFailure, TestReport, parse_command
 
 
 def _set(cls, *args):
@@ -70,7 +70,6 @@ CASES = [
      dict(memmap=MemoryMap([_SRAM]), csr_blocks={"c": None}, srams={"s": None},
           fault=FaultConfig("mask_data_bit", 3, "s"), stats=_set(Stats)(reads=1),
           bases=(0x1000,), targets=((0x2000, 0x1000, None),))),
-    ("Command", Command, dict(op="W", addr=4, data=5), dict(op="R", addr=8, data=None)),
     ("StepFailure", StepFailure, dict(index=1, command="R 0x4", expected="OK", actual="x"),
      dict(index=2, command="R 0x8", expected="0x0", actual="y")),
     ("TestReport", TestReport, dict(total=2, passed=1, failures=[]),
@@ -130,8 +129,8 @@ def test_slots_only_and_unhashable_when_mutable(build, values, others):
 
 
 def test_command_equals_the_bare_tuple_parse_command_returns():
-    assert parse_command("W 4 5") == ("W", 4, 5) == Command("W", 4, 5)
-    assert parse_command("q") == ("Q", None, None) == Command("Q")
+    assert parse_command("W 4 5") == ("W", 4, 5)
+    assert parse_command("q") == ("Q", None, None)
 
 
 # (a valid record, changes that make it invalid, the DataError message)

@@ -2,12 +2,14 @@ import io
 import re
 import socket
 import struct
+import sys
 import threading
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from chipkit import busmodel, emit, uart_host
 from chipkit.memmap import MemoryMap, Region
@@ -16,7 +18,6 @@ from chipkit.script import ScriptStep, TestScript, load_script, save_script, sca
 from chipkit.sv_scan import CsrCandidate
 from chipkit.uart_host import (
     MAX_LINE,
-    Command,
     ParseError,
     execute,
     execute_line,
@@ -45,11 +46,11 @@ def make_soc(db=None):
 
 class TestParse:
     def test_read_verbatim(self):
-        assert parse_command("R 0x70000000") == Command("R", addr=0x70000000)
+        assert parse_command("R 0x70000000") == ("R", 0x70000000, None)
 
     def test_write(self):
         assert parse_command("W 0x50000004 0xdead0001") == \
-            Command("W", addr=0x50000004, data=0xDEAD0001)
+            ("W", 0x50000004, 0xDEAD0001)
 
     def test_bad_token_reported(self):
         with pytest.raises(ParseError) as err:
@@ -61,17 +62,17 @@ class TestParse:
         assert parse_command("   \t ") is None
 
     def test_case_insensitive_verbs(self):
-        assert parse_command("r 10") == Command("R", addr=0x10)
-        assert parse_command("w 10 2") == Command("W", addr=0x10, data=2)
+        assert parse_command("r 10") == ("R", 0x10, None)
+        assert parse_command("w 10 2") == ("W", 0x10, 2)
 
     def test_bare_hex(self):
-        assert parse_command("R 70000000") == Command("R", addr=0x70000000)
+        assert parse_command("R 70000000") == ("R", 0x70000000, None)
 
     def test_tabs_and_padding(self):
-        assert parse_command("  R\t0x4  ") == Command("R", addr=4)
+        assert parse_command("  R\t0x4  ") == ("R", 4, None)
 
     def test_crlf_tolerated(self):
-        assert parse_command("R 0x4\r") == Command("R", addr=4)
+        assert parse_command("R 0x4\r") == ("R", 4, None)
 
     def test_value_too_wide(self):
         with pytest.raises(ParseError):
@@ -92,29 +93,29 @@ class TestParse:
         assert err.value.token == "X"
 
     def test_help_and_quit(self):
-        assert parse_command("?") == Command("?")
-        assert parse_command("q") == Command("Q")
+        assert parse_command("?") == ("?", None, None)
+        assert parse_command("q") == ("Q", None, None)
 
 
 class TestExecute:
     def test_read_format(self):
         soc = make_soc()
-        assert execute(soc, Command("R", addr=0x50000004)) == "0x0000000f"
+        assert execute(soc, ("R", 0x50000004, None)) == "0x0000000f"
 
     def test_unmapped_read(self):
-        assert execute(make_soc(), Command("R", addr=0x10)) == "ERR UNMAPPED"
+        assert execute(make_soc(), ("R", 0x10, None)) == "ERR UNMAPPED"
 
     def test_misaligned(self):
-        assert execute(make_soc(), Command("R", addr=0x50000001)) == "ERR MISALIGNED"
+        assert execute(make_soc(), ("R", 0x50000001, None)) == "ERR MISALIGNED"
 
     def test_xread(self):
-        assert execute(make_soc(), Command("R", addr=0x60000000)) == "ERR XREAD"
+        assert execute(make_soc(), ("R", 0x60000000, None)) == "ERR XREAD"
 
     def test_write_ok(self):
-        assert execute(make_soc(), Command("W", addr=0x60000000, data=1)) == "OK"
+        assert execute(make_soc(), ("W", 0x60000000, 1)) == "OK"
 
     def test_help_single_line(self):
-        text = execute(make_soc(), Command("?"))
+        text = execute(make_soc(), ("?", None, None))
         assert "\n" not in text and "R <addr>" in text
 
     def test_parse_error_line(self):
@@ -373,9 +374,17 @@ class TestResponseProperties:
         assert len(out.splitlines()) == len(lines)
 
 
-def _tcp_session(soc, data: bytes, prompt: bool = False):
-    """Serve one TCP session that sends data and half-closes; returns what the
-    client received and the server's summary."""
+def _read_to_eof(conn) -> bytes:
+    out = b""
+    while chunk := conn.recv(65536):
+        out += chunk
+    return out
+
+
+def _tcp_session(soc, data: bytes, prompt: bool = False, quit_after: bool = False):
+    """Serve one TCP session that sends data and half-closes, and with
+    quit_after a second that sends Q; returns what the first client received
+    and the server's summary."""
     listener = open_listener()
     result = {}
     t = threading.Thread(
@@ -385,9 +394,9 @@ def _tcp_session(soc, data: bytes, prompt: bool = False):
         with socket.create_connection(listener.getsockname(), timeout=10) as conn:
             conn.sendall(data)
             conn.shutdown(socket.SHUT_WR)
-            out = b""
-            while chunk := conn.recv(65536):
-                out += chunk
+            out = _read_to_eof(conn)
+        if quit_after:
+            assert _client(listener.getsockname()[1], ["Q"]) == "OK\n"
     finally:
         t.join(timeout=10)
         listener.close()
@@ -406,6 +415,48 @@ class TestQuitWithUnreadInput:
         assert (summary.lines, summary.responses, summary.quit_seen) == (51, 51, True)
 
 
+class TestUnendedLastLine:
+    """A line still open at EOF is answered over stdio and TCP alike, unless
+    it is the rest of an overlong line already answered."""
+
+    @pytest.mark.parametrize("data, expected", [
+        pytest.param(b"W 0x60000000 0x5\nR 0x60000000", b"OK\n0x00000005\n", id="read"),
+        pytest.param(b"R 0x50000004\r", b"0x0000000f\n", id="only-line-CR"),
+        # an open blank line is a line with no response
+        pytest.param(b"W 0x60000000 0x5\n \t", b"OK\n", id="blank"),
+        # answered once, when it overflows the hold
+        pytest.param(b"x" * 5000, b"ERR PARSE xxxxxxxxxxxxxxxx...\n", id="overlong"),
+    ])
+    def test_stdio_and_tcp_alike(self, data, expected):
+        soc_stdio, soc_tcp = make_soc(), make_soc()
+        wfile = io.BytesIO()
+        stdio = serve(soc_stdio, io.BytesIO(data), wfile)
+        tcp_out, tcp = _tcp_session(soc_tcp, data, quit_after=True)
+        assert wfile.getvalue() == tcp_out == expected
+        lines, responses = data.count(b"\n") + 1, expected.count(b"\n")
+        # the TCP summary also counts the second client's Q
+        assert (stdio.lines, stdio.responses) == (tcp.lines - 1, tcp.responses - 1) == \
+            (lines, responses)
+        assert soc_stdio.stats == soc_tcp.stats
+
+
+class _Chunks:
+    """An rfile whose read1 returns data cut at the given offsets, and every
+    4,096 bytes after a cut, in order, then b"" for EOF."""
+
+    def __init__(self, data: bytes, cuts):
+        self.chunks = []
+        start = 0
+        for end in [*sorted(set(cuts) & set(range(1, len(data)))), len(data)]:
+            self.chunks += [data[i:min(i + 4096, end)] for i in range(start, end, 4096)]
+            start = end
+
+    def read1(self, size: int) -> bytes:
+        chunk = self.chunks.pop(0) if self.chunks else b""
+        assert len(chunk) <= size
+        return chunk
+
+
 class TestLineCap:
     """A line longer than MAX_LINE gets one bounded ERR PARSE, and reading
     resumes at the next line, on both servers."""
@@ -417,6 +468,28 @@ class TestLineCap:
         wfile = io.BytesIO()
         summary = serve(make_soc(), io.BytesIO(self.STREAM), wfile)
         assert wfile.getvalue() == self.EXPECTED
+        assert (summary.lines, summary.responses, summary.quit_seen) == (3, 3, True)
+
+    @pytest.mark.parametrize("line", [
+        pytest.param("x" * 4096, id="4096"),
+        pytest.param("x" * 4097, id="4097"),
+        # its first 1,024 characters fill the 4,096-byte hold without being
+        # over the cap, so answering a full hold would name all of them
+        pytest.param("\U0001d54f" * (MAX_LINE + 1), id="1025-four-byte-chars"),
+    ])
+    @pytest.mark.parametrize("cuts", [
+        pytest.param(lambda n: range(1 << 13), id="1-byte"),
+        pytest.param(lambda n: (), id="4096-byte"),
+        pytest.param(lambda n: (n,), id="LF-in-the-next-chunk"),
+        pytest.param(lambda n: (n - 1,), id="LF-in-the-same-chunk"),
+    ])
+    def test_stdio_chunks_around_the_hold(self, line, cuts):
+        # a line of up to 4,096 bytes is held whole, a longer one answered as
+        # it overflows the hold; each gets the same one ERR PARSE
+        raw = line.encode()
+        wfile = io.BytesIO()
+        summary = serve(make_soc(), _Chunks(raw + self.STREAM[1 << 20:], cuts(len(raw))), wfile)
+        assert wfile.getvalue() == f"ERR PARSE {line[:16]}...\n0x0000000f\nOK\n".encode()
         assert (summary.lines, summary.responses, summary.quit_seen) == (3, 3, True)
 
     def test_tcp(self):
@@ -487,3 +560,176 @@ class TestTransportEquivalence:
         assert (stdio.lines, stdio.responses, stdio.quit_seen) == \
             (tcp.lines, tcp.responses, tcp.quit_seen) == (len(served), len(via_script), True)
         assert soc_script.stats == soc_stdio.stats == soc_tcp.stats
+
+
+_ADDRS = ["0x60000000", "0x60000004", "0x60000008"]
+_session_lines = st.one_of(
+    st.sampled_from(_ADDRS).map("R {}".format),
+    st.tuples(st.sampled_from(_ADDRS), st.integers(0, 0xFFFFFFFF)).map(
+        lambda pair: f"W {pair[0]} 0x{pair[1]:x}"),
+    st.lists(st.sampled_from(["R", "W", "?", " ", "\t", "\r", "0x6000000", "0x50000004",
+                              "junk", "é"]), max_size=4).map("".join),
+)
+
+
+class SessionMachine(RuleBasedStateMachine):
+    """serve_tcp, in prompt mode, against a line-level model of its sessions.
+
+    Every rule but connect first connects if no session is open. The model
+    answers each line the client completes with execute_line on a shadow
+    model that sees exactly those lines, and an overlong line once: at its LF,
+    or as soon as more of it was sent than the 4 * MAX_LINE bytes a server
+    holds of a line. Every rule waits for the answers it expects, whose
+    prompts show that the server has read what was sent. A quit ends the
+    server, and a new one serves the same model, so state has to persist
+    across sessions and servers for the shadow's reads to agree.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.soc, self.shadow = make_soc(), make_soc()
+        self.client = None
+        self._start_server()
+
+    def _start_server(self):
+        self.listener = open_listener()
+        self.result = {}
+        self.server = threading.Thread(target=lambda: self.result.update(
+            summary=serve_tcp(self.soc, self.listener, prompt=True)), daemon=True)
+        self.server.start()
+        self.summary = uart_host.SessionSummary()  # what the server must report
+
+    def _answer(self, raw: bytes) -> bytes:
+        self.summary.lines += 1
+        response, self.summary.quit_seen = execute_line(
+            self.shadow, raw.decode("utf-8", errors="replace"))
+        out = b""
+        if response is not None:
+            self.summary.responses += 1
+            out = response.encode() + b"\n"
+        return out if self.summary.quit_seen else out + b"> "
+
+    def _send(self, data: bytes) -> None:
+        expected = b""
+        *ended, rest = data.split(b"\n")
+        for piece in ended:
+            line, self.open_line = self.open_line + piece, b""
+            if not self.answered:
+                expected += self._answer(line)
+            self.answered = False
+        self.open_line += rest
+        if len(self.open_line) > 4 * MAX_LINE and not self.answered:
+            expected += self._answer(self.open_line)
+            self.answered = True
+        self.client.sendall(data)
+        got = b""
+        while len(got) < len(expected) and (chunk := self.client.recv(65536)):
+            got += chunk
+        assert got == expected
+
+    def _open(self):
+        if self.client is None:
+            self.connect()
+
+    def _drop_client(self):
+        self.client.close()
+        self.client = None
+
+    @precondition(lambda self: self.client is None)
+    @rule()
+    def connect(self):
+        deadline = time.monotonic() + 5
+        while True:
+            client = socket.create_connection(self.listener.getsockname(), timeout=5)
+            greeting = client.recv(2)
+            if greeting == b">":
+                greeting += client.recv(1)
+            if greeting == b"> ":
+                break
+            # the server is still ending the session of a client that reset
+            assert greeting + _read_to_eof(client) == b"ERR BUSY\n"
+            client.close()
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        self.client = client
+        self.summary.sessions += 1
+        self.open_line, self.answered = b"", False
+
+    @rule(lines=st.lists(_session_lines, min_size=1, max_size=4), cut=st.integers(min_value=0))
+    def send_split(self, lines, cut):
+        self._open()
+        data = "".join(line + "\n" for line in lines).encode()
+        cut %= len(data) + 1
+        self._send(data[:cut])
+        self._send(data[cut:])
+
+    @rule(line=_session_lines, cut=st.integers(min_value=0))
+    def half_line(self, line, cut):
+        self._open()
+        data = line.encode()
+        self._send(data[:cut % (len(data) + 1)])
+
+    @rule(char=st.sampled_from(["x", "é", "\U0001d54f"]),
+          count=st.sampled_from([MAX_LINE + 1, 2 * MAX_LINE + 1, 5 * MAX_LINE]),
+          ended=st.booleans())
+    def overlong_line(self, char, count, ended):
+        self._open()
+        self._send((char * count).encode() + b"\n" * ended)
+
+    @rule()
+    def close(self):
+        self._open()
+        expected = self._answer(self.open_line) if self.open_line and not self.answered else b""
+        self.client.shutdown(socket.SHUT_WR)
+        assert _read_to_eof(self.client) == expected
+        self._drop_client()
+
+    @rule()
+    def reset(self):
+        self._open()
+        self.client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        self._drop_client()
+
+    @rule()
+    def busy_client(self):
+        self._open()
+        with socket.create_connection(self.listener.getsockname(), timeout=5) as other:
+            assert _read_to_eof(other) == b"ERR BUSY\n"
+
+    def _quit(self):
+        self._open()
+        self._send(b"\nQ\n" if self.open_line else b"Q\n")
+        self.client.shutdown(socket.SHUT_WR)
+        assert _read_to_eof(self.client) == b""
+        self._drop_client()
+        self.server.join(timeout=10)
+        assert not self.server.is_alive()
+        self.listener.close()
+        assert self.result["summary"] == self.summary
+
+    @rule()
+    def quit(self):
+        self._quit()
+        self._start_server()
+
+    @invariant()
+    def server_is_up(self):
+        assert self.server.is_alive()
+
+    @invariant()
+    def bus_counts_equal_the_traffic_sent(self):
+        assert self.soc.stats == self.shadow.stats
+
+    def teardown(self):
+        try:
+            # a failed step leaves the session in no known state; an example
+            # that ran out of data ends with a BaseException, not an Exception
+            if not isinstance(sys.exc_info()[1], Exception):
+                self._quit()
+        finally:
+            self.listener.close()
+
+
+SessionMachine.TestCase.settings = settings(
+    max_examples=30, stateful_step_count=15, deadline=None)
+TestSessionMachine = SessionMachine.TestCase
