@@ -20,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from chipkit import uart_host  # noqa: E402
 from chipkit.busmodel import FaultConfig, build_soc, gen_region_test  # noqa: E402
 from chipkit.memmap import MemoryMap, Region  # noqa: E402
+from chipkit.script import save_script  # noqa: E402
 
 
 def main() -> int:
@@ -29,8 +30,9 @@ def main() -> int:
 
     size = args.size_kb * 1024
     memmap = MemoryMap([Region("sram0", "sram", 0x60000000, size)])
-    script = gen_region_test(memmap, "sram0")
-    print(f"region: {args.size_kb} KiB at 0x60000000, test script: {len(script.steps)} steps")
+    rows = gen_region_test(memmap, "sram0")
+    script = save_script(rows)
+    print(f"region: {args.size_kb} KiB at 0x60000000, test script: {len(rows)} steps")
 
     baseline = uart_host.run_script(build_soc(memmap, []), script)
     print(f"fault-free run: {'PASS' if baseline.ok else 'FAIL'} "
@@ -46,8 +48,10 @@ def main() -> int:
         report = uart_host.run_script(soc, script, stop_on_fail=True)
         caught = not report.ok
         detected += caught
-        where = (f"step {report.failures[0].index}: "
-                 f"{script.steps[report.failures[0].index].comment}" if caught else "MISSED")
+        where = "MISSED"
+        if caught:  # the step's comment names what it checked
+            index = report.failures[0].index
+            where = f"step {index}: {rows[index][2]}"
         print(f"  {fault.kind}({fault.bit:2d}) -> {'detected' if caught else 'missed':9} {where}")
 
     print(f"detected {detected}/{len(faults)} injected faults")

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from . import Checked, DataError, InputError, Record
 from .memmap import MemoryMap, Region
-from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ID_REG_OFFSET, RegDb, UNMAPPED_READ_VALUE, db_hash
-from .script import RESP_OK, ScriptStep, TestScript, format_word
+from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ID_REG_OFFSET, RegDb, UNMAPPED_READ_VALUE
+from .script import RESP_OK, format_word
 
 WORD_MASK = 0xFFFFFFFF
 
@@ -65,11 +65,12 @@ class Stats(Record):
 
 
 class CsrBlock:
-    """Behavioral register file for one csr region, built from its database."""
+    """Behavioral register file for one csr region, built from its database
+    and that database's db_hash, which the ID register reads."""
 
-    def __init__(self, region: Region, db: RegDb, unmapped_value: int, id_hash: int | None = None):
+    def __init__(self, region: Region, db: RegDb, hash32: int, unmapped_value: int):
         self.region = region
-        self.hash = db_hash(db) if id_hash is None else id_hash
+        self.hash = hash32
         self.unmapped_value = unmapped_value & WORD_MASK
         self.entries = {}
         self.by_offset = {}
@@ -147,18 +148,17 @@ class SocModel(Record):
 
 def build_soc(
     memmap: MemoryMap,
-    dbs: list[tuple[str, RegDb]],
+    dbs: list[tuple[str, RegDb, int]],
     sram_mode: str = SRAM_STRICT_X,
     seed: int = 0,
     fault: FaultConfig | None = None,
     unmapped_value: int = UNMAPPED_READ_VALUE,
-    id_hashes: dict[str, int] | None = None,
 ) -> SocModel:
     """Assemble the model: reset-valued registers, fully uninitialized SRAM.
-    id_hashes gives, per csr region, the db_hash of its database if known."""
+    dbs gives, per csr region, its database and that database's db_hash."""
     if sram_mode not in (SRAM_STRICT_X, SRAM_RANDOM):
         raise DataError(f"unknown sram mode {sram_mode!r}")
-    db_map = dict(dbs)
+    db_map = {name: (db, hash32) for name, db, hash32 in dbs}
     unknown = set(db_map) - {r.name for r in memmap.regions}
     if unknown:
         raise DataError(f"database bound to unknown region: {', '.join(sorted(unknown))}")
@@ -167,8 +167,7 @@ def build_soc(
         if region.kind == "csr":
             if region.name not in db_map:
                 raise DataError(f"csr region {region.name} has no register database")
-            soc.csr_blocks[region.name] = CsrBlock(region, db_map[region.name], unmapped_value,
-                                                   (id_hashes or {}).get(region.name))
+            soc.csr_blocks[region.name] = CsrBlock(region, *db_map[region.name], unmapped_value)
         else:
             soc.srams[region.name] = SramStore(region, sram_mode, seed)
     if fault is not None:
@@ -260,8 +259,9 @@ def _marker(bit: int) -> int:
 _BASE_MARKER = 0xC0DE00FF
 
 
-def gen_region_test(memmap: MemoryMap, region_name: str) -> TestScript:
-    """Address-bit and data-bit toggle test for one sram-backed region.
+def gen_region_test(memmap: MemoryMap, region_name: str) -> list[tuple[str, str, str]]:
+    """Address-bit and data-bit toggle test for one sram-backed region, as the
+    (command, expected, comment) rows that save_script writes.
 
     Writes a unique marker at the base and at each power-of-two offset, reads
     them all back (any single masked address line aliases two markers), then
@@ -275,14 +275,14 @@ def gen_region_test(memmap: MemoryMap, region_name: str) -> TestScript:
 
     at_base, base_marker = format_word(base), format_word(_BASE_MARKER)
     probes = [(k, format_word(base + (1 << k)), format_word(_marker(k))) for k in probe_bits]
-    steps = [ScriptStep(f"W {at_base} {base_marker}", RESP_OK, "marker at base")]
-    steps += [ScriptStep(f"W {addr} {marker}", RESP_OK, f"marker at address bit {k}")
-              for k, addr, marker in probes]
-    steps.append(ScriptStep(f"R {at_base}", base_marker, "base marker intact"))
-    steps += [ScriptStep(f"R {addr}", marker, f"address bit {k} marker intact")
-              for k, addr, marker in probes]
+    rows = [(f"W {at_base} {base_marker}", RESP_OK, "marker at base")]
+    rows += [(f"W {addr} {marker}", RESP_OK, f"marker at address bit {k}")
+             for k, addr, marker in probes]
+    rows.append((f"R {at_base}", base_marker, "base marker intact"))
+    rows += [(f"R {addr}", marker, f"address bit {k} marker intact")
+             for k, addr, marker in probes]
     for j in range(32):
         pattern = format_word(1 << j)
-        steps += [ScriptStep(f"W {at_base} {pattern}", RESP_OK, f"data bit {j} pattern"),
-                  ScriptStep(f"R {at_base}", pattern, f"data bit {j} read back")]
-    return TestScript(steps)
+        rows += [(f"W {at_base} {pattern}", RESP_OK, f"data bit {j} pattern"),
+                 (f"R {at_base}", pattern, f"data bit {j} read back")]
+    return rows

@@ -353,8 +353,7 @@ def cmd_generate(cfg: ProjectConfig) -> int:
     if "pads" in cfg.emit.targets and cfg.pads_path:
         pads = emit.load_pad_db(Path(cfg.pads_path).read_text(encoding="utf-8"))
 
-    rendered = emit.render_targets(db, cfg.emit, memmap=memmap, diags=diags, pads=pads,
-                                   hash32=hash32)
+    rendered = emit.render_targets(db, cfg.emit, hash32, memmap=memmap, diags=diags, pads=pads)
     out_dir = Path(cfg.out_dir)
     for name, text in sorted(rendered.items()):
         _write_atomic(out_dir / name, text)
@@ -380,18 +379,15 @@ def _build_model(cfg: ProjectConfig) -> busmodel.SocModel:
     from . import busmodel
     memmap = _load_map(cfg)
     csr_regions = [r for r in memmap.regions if r.kind == "csr"]
-    dbs, id_hashes = [], {}
+    dbs = []
     if csr_regions:
         if len(csr_regions) > 1:
             raise DataError(
                 "one database drives one csr region; map declares "
                 + ", ".join(r.name for r in csr_regions))
-        name = csr_regions[0].name
-        db, id_hash = _load_db_checked(cfg)
-        dbs, id_hashes = [(name, db)], {name: id_hash}
+        dbs = [(csr_regions[0].name, *_load_db_checked(cfg))]
     return busmodel.build_soc(memmap, dbs, sram_mode=cfg.sram_mode, seed=cfg.sram_seed,
-                              fault=cfg.fault, unmapped_value=cfg.emit.unmapped_value,
-                              id_hashes=id_hashes)
+                              fault=cfg.fault, unmapped_value=cfg.emit.unmapped_value)
 
 
 def cmd_sim(cfg: ProjectConfig) -> int:

@@ -4,14 +4,14 @@ All emitters are pure functions of the register database (plus auxiliary
 inputs) and produce byte-identical output for identical input, so generated
 files can be golden-tested and diffed in version control. Every artifact
 carries the database content hash in its banner, tying it to the database
-revision it was rendered from.
+revision it was rendered from; the caller takes that hash once and passes it
+to each emitter.
 """
 
 from __future__ import annotations
 
-import functools
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from . import DataError, InputError
@@ -19,7 +19,7 @@ from . import regdb as rdb
 from .memmap import MemoryMap
 from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ALL_TARGETS, ID_REG_NAME, ID_REG_OFFSET, RETIRED
 from .regdb import EmitConfig, RegDb, RegEntry
-from .script import RESP_OK, format_steps, format_word
+from .script import RESP_OK, format_word, save_script
 from .sv_scan import DiagCandidate
 
 _SIDES = ("N", "E", "S", "W")
@@ -108,11 +108,6 @@ def _free_offset(db: RegDb, cfg: EmitConfig) -> int | None:
     return None
 
 
-def _hash(db: RegDb, db_hash: Callable[[], int] | None) -> int:
-    """The database hash from the caller's shared source, else computed here."""
-    return rdb.db_hash(db) if db_hash is None else db_hash()
-
-
 def _sv_banner(title: str, hash32: int) -> list[str]:
     rule = "// " + "-" * 66
     return [
@@ -126,12 +121,10 @@ def _sv_banner(title: str, hash32: int) -> list[str]:
 # ---------------------------------------------------------------------------
 # RTL
 
-def emit_csr_rtl(db: RegDb, cfg: EmitConfig,
-                 db_hash: Callable[[], int] | None = None) -> str:
+def emit_csr_rtl(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
     """Synthesizable register block: write decode, one flop bank per RW entry,
     read mux over all offsets with the ID register at 0x0."""
     _check_region(db, cfg)
-    hash32 = _hash(db, db_hash)
     entries = _sorted_entries(db)
     active = [e for e in entries if e.state == ACTIVE]
     retired = [e for e in entries if e.state == RETIRED]
@@ -228,10 +221,8 @@ def emit_csr_rtl(db: RegDb, cfg: EmitConfig,
     return "\n".join(lines)
 
 
-def emit_instantiation_template(db: RegDb, cfg: EmitConfig,
-                                db_hash: Callable[[], int] | None = None) -> str:
+def emit_instantiation_template(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
     """Copy-paste instantiation of the generated block, one named connection per port."""
-    hash32 = _hash(db, db_hash)
     active = [e for e in _sorted_entries(db) if e.state == ACTIVE]
     mod = f"{cfg.block_name}_csr"
     conns = [("clock", "clock"), ("reset_n", "reset_n")]
@@ -265,9 +256,7 @@ def _doc_rows(db: RegDb, cfg: EmitConfig, hash32: int):
     return rows
 
 
-def emit_markdown(db: RegDb, cfg: EmitConfig,
-                  db_hash: Callable[[], int] | None = None) -> str:
-    hash32 = _hash(db, db_hash)
+def emit_markdown(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
     header = "| name | address | width | access | reset | description |"
     divider = "|---|---|---|---|---|---|"
 
@@ -293,10 +282,8 @@ def emit_markdown(db: RegDb, cfg: EmitConfig,
     return "\n".join(lines) + "\n"
 
 
-def emit_sw_views(db: RegDb, cfg: EmitConfig,
-                  db_hash: Callable[[], int] | None = None) -> tuple[str, str]:
+def emit_sw_views(db: RegDb, cfg: EmitConfig, hash32: int) -> tuple[str, str]:
     """C header and Python definitions for the active register set."""
-    hash32 = _hash(db, db_hash)
     block = _macro_name(cfg.block_name)
     guard = f"{block}_REGS_H"
     rows = _doc_rows(db, cfg, hash32)
@@ -339,12 +326,11 @@ def emit_sw_views(db: RegDb, cfg: EmitConfig,
 # ---------------------------------------------------------------------------
 # self test
 
-def emit_selftest(db: RegDb, cfg: EmitConfig,
-                  db_hash: Callable[[], int] | None = None) -> str:
+def emit_selftest(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
     """Bring-up script text: ID check, write/read-back over every active
     register, and one probe of an in-region offset with no register behind it."""
     _check_region(db, cfg)
-    return format_steps(_selftest_rows(db, cfg, _hash(db, db_hash)))
+    return save_script(_selftest_rows(db, cfg, hash32))
 
 
 def _selftest_rows(db: RegDb, cfg: EmitConfig, hash32: int) -> Iterator[tuple[str, str, str]]:
@@ -394,8 +380,7 @@ def emit_memmap_header(memmap: MemoryMap) -> str:
 # ---------------------------------------------------------------------------
 # diagnostic mux
 
-def emit_diag_mux(diags: list[DiagCandidate], db: RegDb, cfg: EmitConfig,
-                  db_hash: Callable[[], int] | None = None) -> str:
+def emit_diag_mux(diags: list[DiagCandidate], db: RegDb, cfg: EmitConfig, hash32: int) -> str:
     """Observation mux: every diagnostic tap in, cfg.diag_pins out, per-pin
     select fields sliced from the memory-mapped cfg_diag_sel register."""
     n_pins = cfg.diag_pins
@@ -411,7 +396,6 @@ def emit_diag_mux(diags: list[DiagCandidate], db: RegDb, cfg: EmitConfig,
             f"cfg_diag_sel is {sel_entry.width_bits} bits; need {sel_bits * n_pins} "
             f"for {len(names)} signals on {n_pins} pins")
 
-    hash32 = _hash(db, db_hash)
     mod = f"{cfg.block_name}_diag_mux"
     lines = _sv_banner(f"{mod}: diagnostic pin observation mux", hash32)
     lines += ["", f"module {mod} ("]
@@ -488,42 +472,39 @@ def output_name(target: str, cfg: EmitConfig) -> str:
 def render_targets(
     db: RegDb,
     cfg: EmitConfig,
+    hash32: int,
     memmap: MemoryMap | None = None,
     diags: list[DiagCandidate] | None = None,
     pads: PadDb | None = None,
-    hash32: int | None = None,
 ) -> dict[str, str]:
-    """Render every configured target to text, keyed by output file name.
-    hash32 is db_hash(db), if the caller knows it.
+    """Render every configured target to text, keyed by output file name;
+    hash32 is the db_hash of db, which the caller takes once.
 
     Raises before returning anything, so callers can write the whole tree
     atomically or not at all.
     """
-    # taken once, by the first emitter that needs it, after that emitter's own
-    # checks: errors surface in the same order as with one hash per emitter
-    db_hash = functools.cache(lambda: rdb.db_hash(db)) if hash32 is None else lambda: hash32
     out: dict[str, str] = {}
     c_text = py_text = None
     for target in cfg.targets:
         name = output_name(target, cfg)
         if target == "rtl":
-            out[name] = emit_csr_rtl(db, cfg, db_hash)
+            out[name] = emit_csr_rtl(db, cfg, hash32)
         elif target == "inst":
-            out[name] = emit_instantiation_template(db, cfg, db_hash)
+            out[name] = emit_instantiation_template(db, cfg, hash32)
         elif target == "md":
-            out[name] = emit_markdown(db, cfg, db_hash)
+            out[name] = emit_markdown(db, cfg, hash32)
         elif target in ("c", "py"):
             if c_text is None:
-                c_text, py_text = emit_sw_views(db, cfg, db_hash)
+                c_text, py_text = emit_sw_views(db, cfg, hash32)
             out[name] = c_text if target == "c" else py_text
         elif target == "test":
-            out[name] = emit_selftest(db, cfg, db_hash)
+            out[name] = emit_selftest(db, cfg, hash32)
         elif target == "memmap":
             if memmap is None:
                 raise DataError("memmap target needs a memory map file")
             out[name] = emit_memmap_header(memmap)
         elif target == "diag":
-            out[name] = emit_diag_mux(diags or [], db, cfg, db_hash)
+            out[name] = emit_diag_mux(diags or [], db, cfg, hash32)
         elif target == "pads":
             out[name] = emit_pad_script(pads if pads is not None else PadDb())
     return out

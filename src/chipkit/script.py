@@ -6,8 +6,10 @@ File format, one step per ``>``/``<`` pair::
     > R 0x50000000
     < 0xdeadbeef
 
-Scripts are both a generator output and a simulator input, so formatting
-helpers for the wire format live here rather than in the protocol host.
+Scripts are both a generator output and a simulator input, and travel
+between them as text only: save_script writes it from (command, expected,
+comment) rows and load_script checks it. So the wire-format helpers live here
+rather than in the protocol host.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import re
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
-from . import InputError, Record
+from . import InputError
 
 RESP_OK = "OK"
 
@@ -31,23 +33,6 @@ _SCAN_RE = re.compile(_STEP.format(g="(") + _LINE)
 # a run of steps taken whole, bounded so that re holds little state, else any
 # one line
 _CHECK_RE = re.compile("(?:" + _STEP.format(g="(?:") + "){1,16}" + _LINE)
-
-
-class ScriptStep(Record):
-    __slots__ = ("command", "expected", "comment")
-
-    def __init__(self, command: str, expected: str, comment: str = ""):
-        self.command = command
-        self.expected = expected
-        self.comment = comment
-
-
-class TestScript(Record):
-    __test__ = False  # keep pytest from collecting this as a test class
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: list[ScriptStep] | None = None):
-        self.steps = [] if steps is None else steps
 
 
 def format_word(value: int) -> str:
@@ -112,7 +97,7 @@ def _step_texts(rows: Iterable[tuple[str, str, str]]) -> Iterator[str]:
         sep = "\n"
 
 
-def format_steps(rows: Iterable[tuple[str, str, str]]) -> str:
+def save_script(rows: Iterable[tuple[str, str, str]]) -> str:
     """Script text of (command, expected, comment) rows, each comment on the
     line before its step; no rows give one empty line. Joins 256 steps at a
     time, so it holds about the text twice over, never a string for every
@@ -122,7 +107,3 @@ def format_steps(rows: Iterable[tuple[str, str, str]]) -> str:
     while chunk := "".join(islice(texts, 256)):
         chunks.append(chunk)
     return "".join(chunks) or "\n"
-
-
-def save_script(script: TestScript) -> str:
-    return format_steps((s.command, s.expected, s.comment) for s in script.steps)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import Record, busmodel
 from .busmodel import BusError, SocModel
-from .script import RESP_OK, TestScript, scan_script
+from .script import RESP_OK, scan_script
 
 HELP_LINE = "R <addr> | W <addr> <data> | ? (help) | Q (quit)"
 BUSY_LINE = "ERR BUSY"
@@ -138,14 +138,12 @@ class TestReport(NamedTuple):
         return self.passed == self.total
 
 
-def run_script(soc: SocModel, script: TestScript | str, stop_on_fail: bool = False) -> TestReport:
-    """Replay a TestScript, or script text load_script accepted: a step the
-    scan decoded goes to execute, any other to execute_line."""
-    steps = scan_script(script) if isinstance(script, str) else \
-        ((step.command, step.expected, None) for step in script.steps)
+def run_script(soc: SocModel, text: str, stop_on_fail: bool = False) -> TestReport:
+    """Replay script text that load_script accepted: a step the scan decoded
+    goes to execute, any other to execute_line."""
     failures = []
     i = -1
-    for i, (command, expected, words) in enumerate(steps):
+    for i, (command, expected, words) in enumerate(scan_script(text)):
         actual = execute(soc, words) if words else (execute_line(soc, command)[0] or "")
         if actual != expected:
             failures.append(StepFailure(i, command, expected, actual))
@@ -267,6 +265,7 @@ def serve_tcp(soc: SocModel, listener: socket.socket, prompt: bool = False) -> S
     serial.
     """
     import selectors  # like socket, loaded only to serve TCP
+    import socket
     summary = SessionSummary()
 
     def recv() -> bytes:
@@ -292,6 +291,10 @@ def serve_tcp(soc: SocModel, listener: socket.socket, prompt: bool = False) -> S
             summary.sessions += 1
             sel.register(conn, selectors.EVENT_READ)
             try:
+                # each reply goes out at once: under Nagle's algorithm a reply
+                # waits until the one before is acknowledged, and a client
+                # with lines in flight delays its acknowledgements
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 _session(soc, recv, conn.sendall, summary, prompt)
             except OSError:
                 pass  # a reset or a failed send ends only this session

@@ -2,14 +2,17 @@
 through TestScript.add, with its command and reply each formatted through
 read_command, write_command and format_word; and save_script as it was when
 it built the file's lines as a list and joined them. Those helpers are gone
-from chipkit.script, so verbatim copies live here. Kept only as oracles for
-the differential property tests; chipkit never imports it."""
+from chipkit.script, so verbatim copies live here; the emitter takes the
+database hash from its caller, as every emitter now does, and builds
+host_oracle's copies of the records. Kept only as oracles for the
+differential property tests; chipkit never imports it."""
 
 from __future__ import annotations
 
-from chipkit.emit import _check_region, _free_offset, _hash, _sorted_entries
+from chipkit.emit import _check_region, _free_offset, _sorted_entries
 from chipkit.regdb import ACCESS_RW, ACTIVE, ID_REG_NAME, ID_REG_OFFSET
-from chipkit.script import RESP_OK, ScriptStep, TestScript, format_word
+from chipkit.script import RESP_OK, format_word
+from host_oracle import ScriptStep, TestScript
 
 
 class _Script(TestScript):
@@ -27,9 +30,8 @@ def write_command(addr: int, data: int) -> str:
     return f"W {format_word(addr)} {format_word(data)}"
 
 
-def emit_selftest(db, cfg, db_hash=None) -> TestScript:
+def emit_selftest(db, cfg, hash32) -> TestScript:
     _check_region(db, cfg)
-    hash32 = _hash(db, db_hash)
     base = cfg.base_address
     sc = _Script()
     sc.add(read_command(base + ID_REG_OFFSET), format_word(hash32),

@@ -2,8 +2,10 @@
 
 These are the implementations that the precompiled command grammar, the
 one-pass script scanner and replay, the stored decode index and the
-direct-decode bus path replaced. They are kept only as oracles for the
-differential property tests and are never imported by chipkit.
+direct-decode bus path replaced, with the ScriptStep and TestScript records
+that the script reader built before scripts travelled as text only. They are
+kept only as oracles for the differential property tests and are never
+imported by chipkit.
 """
 
 from __future__ import annotations
@@ -11,12 +13,11 @@ from __future__ import annotations
 import bisect
 import re
 
-from chipkit import InputError
+from chipkit import InputError, Record
 from chipkit.busmodel import (
     ERR_MISALIGNED, ERR_UNMAPPED, ERR_XREAD, FAULT_ADDRESS_BIT, FAULT_DATA_BIT, SRAM_STRICT_X,
     WORD_MASK, BusError, SocModel, SramStore)
 from chipkit.memmap import MemoryMap, Region
-from chipkit.script import ScriptStep, TestScript
 from chipkit.uart_host import ParseError, StepFailure, TestReport, execute_line
 
 _HEX_RE = re.compile(r"^(0[xX])?[0-9a-fA-F]+$")
@@ -59,6 +60,23 @@ def parse_command(line: str):
             raise ParseError(parts[1])
         return "Q", None, None
     raise ParseError(parts[0])
+
+
+class ScriptStep(Record):
+    __slots__ = ("command", "expected", "comment")
+
+    def __init__(self, command: str, expected: str, comment: str = ""):
+        self.command = command
+        self.expected = expected
+        self.comment = comment
+
+
+class TestScript(Record):
+    __test__ = False  # keep pytest from collecting this as a test class
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: list[ScriptStep] | None = None):
+        self.steps = [] if steps is None else steps
 
 
 class _Script(TestScript):

@@ -20,8 +20,8 @@ from chipkit import DataError, busmodel, cli, emit, regdb, sv_scan, uart_host
 from chipkit.busmodel import BusError, FaultConfig, build_soc, bus_read, bus_write, gen_region_test
 from chipkit.cli import main
 from chipkit.memmap import MemoryMap, Region, load_memory_map
-from chipkit.regdb import RegDb, load_db, save_db, update_db
-from chipkit.script import ScriptStep, TestScript
+from chipkit.regdb import RegDb, db_hash, load_db, save_db, update_db
+from chipkit.script import load_script, save_script
 from chipkit.sv_scan import CsrCandidate, SourceFile, lint, parse_modules
 
 
@@ -93,7 +93,7 @@ def test_criterion_2_code_volume():
     cfg = emit.EmitConfig(block_name="blk", base_address=0x50000000,
                           csr_region_size_bytes=0x1000)
     start = time.perf_counter()
-    rtl = emit.emit_csr_rtl(db, cfg)
+    rtl = emit.emit_csr_rtl(db, cfg, db_hash(db))
     elapsed = time.perf_counter() - start
     lines = rtl.count("\n")
     _report(2, "hundred registers exceed a thousand RTL lines",
@@ -120,7 +120,7 @@ def test_criterion_4_default_slave_totality():
         Region("sram0", "sram", 0x60000000, 0x10000),
     ])
     db, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 8, "RW", "m", 1)])
-    soc = build_soc(memmap, [("csr0", db)], sram_mode="random", seed=1)
+    soc = build_soc(memmap, [("csr0", db, db_hash(db))], sram_mode="random", seed=1)
 
     def oracle_mapped(addr):
         # independent interval arithmetic over the raw region list
@@ -143,14 +143,14 @@ def test_criterion_5_bit_toggle_fault_detection():
         Region("sram0", "sram", 0x60000000, 0x10000),  # 64 KB
     ])
     db, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 8, "RW", "m", 1)])
-    script = gen_region_test(memmap, "sram0")
+    script = save_script(gen_region_test(memmap, "sram0"))
 
-    clean = uart_host.run_script(build_soc(memmap, [("csr0", db)]), script)
+    clean = uart_host.run_script(build_soc(memmap, [("csr0", db, db_hash(db))]), script)
     faults = [FaultConfig("mask_address_bit", k, "sram0") for k in range(2, 16)]
     faults += [FaultConfig("mask_data_bit", j, "sram0") for j in range(32)]
     detected = 0
     for fault in faults:
-        soc = build_soc(memmap, [("csr0", db)], fault=fault)
+        soc = build_soc(memmap, [("csr0", db, db_hash(db))], fault=fault)
         if not uart_host.run_script(soc, script).ok:
             detected += 1
     # the stated fault sets enumerate 14 address bits + 32 data bits = 46 faults
@@ -298,7 +298,7 @@ def test_criterion_9_protocol_conformance():
             commands.append(f"R 0x{rng.randrange(1 << 33):x}")  # may overflow 32 bits
 
     import io
-    soc_a = build_soc(memmap, [("csr0", db)])
+    soc_a = build_soc(memmap, [("csr0", db, db_hash(db))])
     rfile = io.BytesIO(("".join(c + "\n" for c in commands)).encode())
     wfile = io.BytesIO()
     uart_host.serve(soc_a, rfile, wfile)
@@ -309,8 +309,8 @@ def test_criterion_9_protocol_conformance():
         re.fullmatch(r"0x[0-9a-f]{8}", resp) or resp.startswith("ERR ")
         for cmd, resp in zip(commands, responses) if cmd.upper().startswith("R"))
 
-    soc_b = build_soc(memmap, [("csr0", db)])
-    script = TestScript([ScriptStep(cmd, resp) for cmd, resp in zip(commands, responses)])
+    soc_b = build_soc(memmap, [("csr0", db, db_hash(db))])
+    script = load_script(save_script((cmd, resp, "") for cmd, resp in zip(commands, responses)))
     replay = uart_host.run_script(soc_b, script)
     _report(9, "protocol conformance",
             count_ok and read_format_ok and replay.ok,

@@ -47,9 +47,15 @@ def make_db():
     return db
 
 
+def csr_dbs(db=None, region="csr0"):
+    """build_soc's dbs for one csr region: the region, its database and the hash."""
+    db = db or make_db()
+    return [(region, db, db_hash(db))]
+
+
 @pytest.fixture
 def soc():
-    return build_soc(MAP, [("csr0", make_db())])
+    return build_soc(MAP, csr_dbs())
 
 
 class TestBuild:
@@ -72,14 +78,14 @@ class TestBuild:
 
     def test_db_for_unknown_region(self):
         with pytest.raises(DataError, match="^database bound to unknown region: nope$"):
-            build_soc(MemoryMap([]), [("nope", make_db())])
+            build_soc(MemoryMap([]), csr_dbs(region="nope"))
 
     def test_entry_outside_region(self):
         tiny = MemoryMap([Region("csr0", "csr", 0x50000000, 0x8)])
         db, _ = update_db(RegDb(), [CsrCandidate(f"cfg_{i}", 1, "RW", "m", i) for i in range(3)])
         with pytest.raises(DataError, match=r"^entry cfg_1 at offset 0x8 does not fit region "
                                             r"csr0 \(size 0x8\)$"):
-            build_soc(tiny, [("csr0", db)])
+            build_soc(tiny, csr_dbs(db))
 
 
 class TestReadWrite:
@@ -117,9 +123,9 @@ class TestReadWrite:
         assert bus_read(soc, addr) == 0xCAFE0001
 
     def test_random_mode_deterministic_and_unmarked(self):
-        a = build_soc(MAP, [("csr0", make_db())], sram_mode="random", seed=7)
-        b = build_soc(MAP, [("csr0", make_db())], sram_mode="random", seed=7)
-        c = build_soc(MAP, [("csr0", make_db())], sram_mode="random", seed=8)
+        a = build_soc(MAP, csr_dbs(), sram_mode="random", seed=7)
+        b = build_soc(MAP, csr_dbs(), sram_mode="random", seed=7)
+        c = build_soc(MAP, csr_dbs(), sram_mode="random", seed=8)
         addr = SRAM_BASE + 0x123 * 4
         va = bus_read(a, addr)
         assert va == bus_read(a, addr) == bus_read(b, addr)
@@ -140,13 +146,13 @@ class TestRandomFill:
     INDICES = range(0, 64, 3)
 
     def test_fill_algorithm(self):
-        soc = build_soc(MAP, [("csr0", make_db())], sram_mode="random", seed=3)
+        soc = build_soc(MAP, csr_dbs(), sram_mode="random", seed=3)
         key = zlib.crc32(b"3:sram0")
         assert _fills(soc, "sram0", self.INDICES) == \
             [zlib.crc32(i.to_bytes(4, "little"), key) for i in self.INDICES]
 
     def test_depends_only_on_seed_region_and_index(self):
-        soc = build_soc(MAP, [("csr0", make_db())], sram_mode="random", seed=3)
+        soc = build_soc(MAP, csr_dbs(), sram_mode="random", seed=3)
         fills = _fills(soc, "sram0", self.INDICES)
         bus_write(soc, SRAM_BASE + 4, 0x1234)  # another word written
         assert _fills(soc, "sram0", self.INDICES) == fills  # stable across reads
@@ -155,7 +161,7 @@ class TestRandomFill:
                                      Region("uart0", "peripheral", 0x0, 0x100)]),
                           [], sram_mode="random", seed=3)
         assert _fills(moved, "sram0", self.INDICES) == fills
-        other_seed = build_soc(MAP, [("csr0", make_db())], sram_mode="random", seed=4)
+        other_seed = build_soc(MAP, csr_dbs(), sram_mode="random", seed=4)
         assert _fills(other_seed, "sram0", self.INDICES) != fills
         # regions of one model differ at every index
         assert all(a != b for a, b in zip(_fills(soc, "uart0", self.INDICES), fills))
@@ -165,7 +171,7 @@ class TestRandomFill:
                  "Region; soc = build_soc(MemoryMap([Region('sram0', 'sram', 0x60000000, "
                  "0x10000)]), [], sram_mode='random', seed=3); "
                  f"print([soc.srams['sram0'].fill_word(i) for i in {list(self.INDICES)}])")
-        soc = build_soc(MAP, [("csr0", make_db())], sram_mode="random", seed=3)
+        soc = build_soc(MAP, csr_dbs(), sram_mode="random", seed=3)
         expected = str(_fills(soc, "sram0", self.INDICES))
         for hash_seed in ("1", "2"):  # a fill from hash() would differ between these
             out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -249,7 +255,7 @@ class TestProperties:
     @settings(max_examples=200)
     @given(offset=st.integers(0, 0xFFF), value=st.integers(0, 0xFFFFFFFF))
     def test_read_your_write_sram(self, offset, value):
-        soc = build_soc(MAP, [("csr0", make_db())])
+        soc = build_soc(MAP, csr_dbs())
         addr = SRAM_BASE + offset * 4
         assert bus_write(soc, addr, value) is None
         assert bus_read(soc, addr) == value
@@ -257,7 +263,7 @@ class TestProperties:
     @settings(max_examples=200)
     @given(value=st.integers(0, 0xFFFFFFFF))
     def test_read_your_write_csr(self, value):
-        soc = build_soc(MAP, [("csr0", make_db())])
+        soc = build_soc(MAP, csr_dbs())
         bus_write(soc, CSR_BASE + 4, value)
         assert bus_read(soc, CSR_BASE + 4) == (value & 0xF)
 
@@ -274,22 +280,23 @@ class TestRegionTest:
 
     def test_1k_region_probe_bits(self):
         m = MemoryMap([Region("sram0", "sram", 0x60000000, 0x400)])
-        sc = gen_region_test(m, "sram0")
-        probe_writes = [s for s in sc.steps if "address bit" in s.comment and s.command.startswith("W")]
+        rows = gen_region_test(m, "sram0")
+        probe_writes = [command for command, _, comment in rows
+                        if "address bit" in comment and command.startswith("W")]
         assert len(probe_writes) == 8  # bits 2..9
-        assert probe_writes[0].command.split()[1] == "0x60000004"
-        assert probe_writes[-1].command.split()[1] == "0x60000200"
+        assert probe_writes[0].split()[1] == "0x60000004"
+        assert probe_writes[-1].split()[1] == "0x60000200"
 
     def test_single_word_region(self):
         m = MemoryMap([Region("s", "sram", 0x60000000, 0x4)])
-        sc = gen_region_test(m, "s")
-        assert not any("address bit" in s.comment for s in sc.steps)
-        data_steps = [s for s in sc.steps if "data bit" in s.comment and s.command.startswith("W")]
+        rows = gen_region_test(m, "s")
+        assert not any("address bit" in comment for _, _, comment in rows)
+        data_steps = [command for command, _, comment in rows
+                      if "data bit" in comment and command.startswith("W")]
         assert len(data_steps) == 32
 
     def test_passes_on_fault_free_model(self, soc):
-        sc = gen_region_test(MAP, "sram0")
-        report = uart_host.run_script(soc, sc)
+        report = uart_host.run_script(soc, save_script(gen_region_test(MAP, "sram0")))
         assert report.ok, uart_host.format_report(report)
 
     def test_csr_region_rejected(self):
@@ -299,29 +306,29 @@ class TestRegionTest:
     @pytest.mark.parametrize("bit", [2, 7, 15])
     def test_address_fault_detected(self, bit):
         fault = FaultConfig("mask_address_bit", bit, "sram0")
-        soc = build_soc(MAP, [("csr0", make_db())], fault=fault)
-        report = uart_host.run_script(soc, gen_region_test(MAP, "sram0"))
+        soc = build_soc(MAP, csr_dbs(), fault=fault)
+        rows = gen_region_test(MAP, "sram0")
+        report = uart_host.run_script(soc, save_script(rows))
         assert not report.ok
-        assert any(f"bit {bit}" in gen_region_test(MAP, "sram0").steps[f.index].comment
-                   or "base" in gen_region_test(MAP, "sram0").steps[f.index].comment
+        assert any(f"bit {bit}" in rows[f.index][2] or "base" in rows[f.index][2]
                    for f in report.failures)
 
     @pytest.mark.parametrize("bit", [0, 13, 31])
     def test_data_fault_detected(self, bit):
         fault = FaultConfig("mask_data_bit", bit, "sram0")
-        soc = build_soc(MAP, [("csr0", make_db())], fault=fault)
-        report = uart_host.run_script(soc, gen_region_test(MAP, "sram0"))
+        soc = build_soc(MAP, csr_dbs(), fault=fault)
+        rows = gen_region_test(MAP, "sram0")
+        report = uart_host.run_script(soc, save_script(rows))
         assert not report.ok
-        failing_comments = {gen_region_test(MAP, "sram0").steps[f.index].comment
-                            for f in report.failures}
+        failing_comments = {rows[f.index][2] for f in report.failures}
         assert any(f"data bit {bit} read back" == c for c in failing_comments)
 
     def test_fault_on_csr_region_rejected(self):
         with pytest.raises(DataError, match="^fault target 'csr0' is not an sram-backed region$"):
-            build_soc(MAP, [("csr0", make_db())], fault=FaultConfig("mask_address_bit", 3, "csr0"))
+            build_soc(MAP, csr_dbs(), fault=FaultConfig("mask_address_bit", 3, "csr0"))
 
     def test_bad_fault_spec(self):
         with pytest.raises(DataError, match="^unknown fault kind 'zap'$"):
-            build_soc(MAP, [("csr0", make_db())], fault=FaultConfig("zap", 3, "sram0"))
+            build_soc(MAP, csr_dbs(), fault=FaultConfig("zap", 3, "sram0"))
         with pytest.raises(DataError, match=r"^fault bit 32 outside \[0, 32\)$"):
-            build_soc(MAP, [("csr0", make_db())], fault=FaultConfig("mask_data_bit", 32, "sram0"))
+            build_soc(MAP, csr_dbs(), fault=FaultConfig("mask_data_bit", 32, "sram0"))

@@ -24,6 +24,7 @@ def cand(name, width=8, access="RW", origin="m1"):
 
 
 GAIN_DB = make_db(cand("cfg_gain", 8))
+EMPTY_HASH = db_hash(RegDb())
 
 
 def big_db(n=100):
@@ -32,72 +33,76 @@ def big_db(n=100):
 
 class TestCsrRtl:
     def test_hundred_entries_over_thousand_lines(self):
-        text = emit.emit_csr_rtl(big_db(), CFG)
+        db = big_db()
+        text = emit.emit_csr_rtl(db, CFG, db_hash(db))
         assert text.count("\n") > 1000
 
     def test_empty_db_still_parses(self):
-        text = emit.emit_csr_rtl(RegDb(), CFG)
+        text = emit.emit_csr_rtl(RegDb(), CFG, EMPTY_HASH)
         mods = parse_modules(SourceFile("gen.sv", text))
         assert [m.name for m in mods] == ["myblk_csr"]
         assert f"32'h{db_hash(RegDb()):08x}" in text
 
     def test_rw_entry_becomes_output_port(self):
-        text = emit.emit_csr_rtl(GAIN_DB, CFG)
+        text = emit.emit_csr_rtl(GAIN_DB, CFG, db_hash(GAIN_DB))
         mods = parse_modules(SourceFile("gen.sv", text))
         port = {p.name: p for p in mods[0].ports}["cfg_gain"]
         assert (port.direction, port.width_bits) == ("output", 8)
 
     def test_ro_entry_becomes_input_port(self):
-        text = emit.emit_csr_rtl(make_db(cand("sts_done", 1, "RO")), CFG)
+        db = make_db(cand("sts_done", 1, "RO"))
+        text = emit.emit_csr_rtl(db, CFG, db_hash(db))
         port = {p.name: p for p in parse_modules(SourceFile("g.sv", text))[0].ports}["sts_done"]
         assert (port.direction, port.width_bits) == ("input", 1)
 
     def test_retired_entries_comment_only(self):
         db, _ = update_db(GAIN_DB, [], scanned_modules={"m1"})
         assert db.entry("cfg_gain").state == RETIRED
-        text = emit.emit_csr_rtl(db, CFG)
+        text = emit.emit_csr_rtl(db, CFG, db_hash(db))
         assert "retired: cfg_gain" in text
         assert "cfg_gain" not in [p.name for p in parse_modules(SourceFile("g.sv", text))[0].ports]
 
     def test_reset_value_in_macro(self):
         db = make_db(cand("cfg_mode", 4))
         db.entry("cfg_mode").reset_value = 0x5
-        assert "4'h5" in emit.emit_csr_rtl(db, CFG)
+        assert "4'h5" in emit.emit_csr_rtl(db, CFG, db_hash(db))
 
     def test_region_too_small(self):
         small = EmitConfig(block_name="b", base_address=0, csr_region_size_bytes=4)
         with pytest.raises(DataError, match=r"^region size 0x4 too small for 1 entries plus "
                                             r"the ID register \(need 0x8\)$"):
-            emit.emit_csr_rtl(GAIN_DB, small)
+            emit.emit_csr_rtl(GAIN_DB, small, db_hash(GAIN_DB))
 
     def test_monotone_line_count(self):
-        counts = [emit.emit_csr_rtl(big_db(n), CFG).count("\n") for n in (0, 1, 5, 20)]
+        counts = [emit.emit_csr_rtl(db, CFG, db_hash(db)).count("\n")
+                  for db in map(big_db, (0, 1, 5, 20))]
         assert counts == sorted(counts) and len(set(counts)) == len(counts)
 
 
 class TestInstantiation:
     def test_empty_db_bus_ports_only(self):
-        text = emit.emit_instantiation_template(RegDb(), CFG)
+        text = emit.emit_instantiation_template(RegDb(), CFG, EMPTY_HASH)
         pins = re.findall(r"\.(\w+)\s*\(", text)
         assert pins == ["clock", "reset_n", "sel", "wr_en", "addr", "wdata", "rdata", "ready"]
 
     def test_entries_listed(self):
-        text = emit.emit_instantiation_template(make_db(cand("cfg_a"), cand("sts_b", 1, "RO")), CFG)
+        db = make_db(cand("cfg_a"), cand("sts_b", 1, "RO"))
+        text = emit.emit_instantiation_template(db, CFG, db_hash(db))
         assert ".cfg_a" in text and ".sts_b" in text
 
     def test_parses_inside_wrapper(self):
-        inst = emit.emit_instantiation_template(GAIN_DB, CFG)
+        inst = emit.emit_instantiation_template(GAIN_DB, CFG, db_hash(GAIN_DB))
         wrapper = "module wrap (input logic clock, input logic reset_n);\n" + inst + "\nendmodule\n"
         assert [m.name for m in parse_modules(SourceFile("w.sv", wrapper))] == ["wrap"]
 
 
 class TestMarkdown:
     def test_absolute_address(self):
-        text = emit.emit_markdown(GAIN_DB, CFG)
+        text = emit.emit_markdown(GAIN_DB, CFG, db_hash(GAIN_DB))
         assert "| cfg_gain | 0x70000004 | 8 | RW |" in text
 
     def test_empty_db_id_row_only(self):
-        text = emit.emit_markdown(RegDb(), CFG)
+        text = emit.emit_markdown(RegDb(), CFG, EMPTY_HASH)
         rows = [l for l in text.splitlines() if l.startswith("| ") and "---" not in l
                 and not l.startswith("| name")]
         assert len(rows) == 1 and rows[0].startswith("| id | 0x70000000 | 32 | RO |")
@@ -105,43 +110,44 @@ class TestMarkdown:
     def test_pipe_escaped(self):
         db = make_db(cand("cfg_a"))
         db.entry("cfg_a").description = "bits|fields"
-        assert "bits\\|fields" in emit.emit_markdown(db, CFG)
+        assert "bits\\|fields" in emit.emit_markdown(db, CFG, db_hash(db))
 
     def test_retired_section(self):
         db, _ = update_db(GAIN_DB, [], scanned_modules={"m1"})
-        text = emit.emit_markdown(db, CFG)
+        text = emit.emit_markdown(db, CFG, db_hash(db))
         assert "## Retired registers" in text
         assert text.index("cfg_gain") > text.index("Retired")
-        assert "Retired" not in emit.emit_markdown(GAIN_DB, CFG)
+        assert "Retired" not in emit.emit_markdown(GAIN_DB, CFG, db_hash(GAIN_DB))
 
 
 class TestSwViews:
     def test_c_define_rendering(self):
-        c_text, _ = emit.emit_sw_views(GAIN_DB, CFG)
+        c_text, _ = emit.emit_sw_views(GAIN_DB, CFG, db_hash(GAIN_DB))
         assert "#define MYBLK_CFG_GAIN_ADDR 0x70000004" in c_text
         assert "#define MYBLK_CFG_GAIN_WIDTH 8" in c_text
         assert "#ifndef MYBLK_REGS_H" in c_text
 
     def test_empty_db_guards_and_id_only(self):
-        c_text, py_text = emit.emit_sw_views(RegDb(), CFG)
+        c_text, py_text = emit.emit_sw_views(RegDb(), CFG, EMPTY_HASH)
         assert c_text.count("_ADDR ") == 2  # BASE_ADDR and ID_ADDR
         assert "MYBLK_ID_ADDR 0x70000000" in c_text
         assert '"id": (0x70000000, 32, "RO"),' in py_text
 
     def test_offset_order(self):
-        c_text, py_text = emit.emit_sw_views(make_db(cand("cfg_b"), cand("cfg_a")), CFG)
+        db = make_db(cand("cfg_b"), cand("cfg_a"))
+        c_text, py_text = emit.emit_sw_views(db, CFG, db_hash(db))
         assert c_text.index("CFG_B_ADDR") < c_text.index("CFG_A_ADDR")
         assert py_text.index('"cfg_b"') < py_text.index('"cfg_a"')
 
     def test_python_view_importable(self, tmp_path):
-        _, py_text = emit.emit_sw_views(GAIN_DB, CFG)
+        _, py_text = emit.emit_sw_views(GAIN_DB, CFG, db_hash(GAIN_DB))
         namespace = {}
         exec(py_text, namespace)
         assert namespace["REGISTERS"]["cfg_gain"] == (0x70000004, 8, "RW")
 
     def test_sanitization(self):
         cfg = EmitConfig(block_name="my_blk2", base_address=0x50000000)
-        c_text, _ = emit.emit_sw_views(GAIN_DB, cfg)
+        c_text, _ = emit.emit_sw_views(GAIN_DB, cfg, db_hash(GAIN_DB))
         assert "MY_BLK2_CFG_GAIN_ADDR" in c_text
 
     @settings(max_examples=200, deadline=None)
@@ -150,7 +156,7 @@ class TestSwViews:
         """Every active register and the ID register, with address, width
         and access, read back from both views; and the database hash."""
         assume(not regdb.validate_db(db))
-        c_text, py_text = emit.emit_sw_views(db, CFG)
+        c_text, py_text = emit.emit_sw_views(db, CFG, db_hash(db))
         base = CFG.base_address
         expected = {regdb.ID_REG_NAME: (base + regdb.ID_REG_OFFSET, 32, "RO")}
         expected.update((e.name, (base + e.offset_bytes, e.width_bits, e.access))
@@ -179,7 +185,7 @@ class TestSwViews:
         """The register table has the ID row, then one row per active register
         in offset order, with address, width, access and reset from the database."""
         assume(not regdb.validate_db(db))
-        text = emit.emit_markdown(db, CFG)
+        text = emit.emit_markdown(db, CFG, db_hash(db))
         table = text.split("|---|---|---|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
         rows = [re.match(r"\| (\w+) \| (0x[0-9a-f]{8}) \| (\d+) \| (RW|RO) \| 0x([0-9a-f]+) \| ",
                          line) for line in table.splitlines()]
@@ -201,7 +207,7 @@ class TestSwViews:
         """The C header would define one macro twice: MYBLK_CFG_A_ADDR, or
         the ID register's MYBLK_ID_ADDR, or MYBLK_BASE_ADDR."""
         db = make_db(*[cand(n) for n in names])
-        macros = re.findall(r"^#define (\w+) ", emit.emit_sw_views(db, CFG)[0], re.M)
+        macros = re.findall(r"^#define (\w+) ", emit.emit_sw_views(db, CFG, db_hash(db))[0], re.M)
         assert len(set(macros)) < len(macros)
         assert [(p.entry, p.message) for p in regdb.validate_db(db)] == problems
 
@@ -220,7 +226,7 @@ class TestSwViews:
 def selftest_steps(db, cfg):
     """(command, expected) of each step of the self-test emit writes."""
     return [(command, expected) for command, expected, _ in
-            scan_script(emit.emit_selftest(db, cfg))]
+            scan_script(emit.emit_selftest(db, cfg, db_hash(db)))]
 
 
 class TestSelftest:
@@ -283,33 +289,38 @@ def diag_db(width=4):
 class TestDiagMux:
     def test_four_signals_two_pins(self):
         diags = [DiagCandidate(f"diag_{c}", "m") for c in "abcd"]
-        text = emit.emit_diag_mux(diags, diag_db(4), CFG)
+        db = diag_db(4)
+        text = emit.emit_diag_mux(diags, db, CFG, db_hash(db))
         assert "input  logic [3:0] cfg_diag_sel" in text
         assert "case (cfg_diag_sel[1:0])" in text
         assert "case (cfg_diag_sel[3:2])" in text
 
     def test_single_signal_single_pin_passthrough(self):
-        text = emit.emit_diag_mux([DiagCandidate("diag_only", "m")], diag_db(1), ONE_PIN)
+        db = diag_db(1)
+        text = emit.emit_diag_mux([DiagCandidate("diag_only", "m")], db, ONE_PIN, db_hash(db))
         assert "cfg_diag_sel" not in text.split("database hash")[1]
         assert "always_comb pin0_val = diag_only;" in text
 
     def test_no_signals_is_error(self):
+        db = diag_db()
         with pytest.raises(DataError, match="^diagnostic mux needs at least one signal$"):
-            emit.emit_diag_mux([], diag_db(), ONE_PIN)
+            emit.emit_diag_mux([], db, ONE_PIN, db_hash(db))
 
     def test_select_register_too_narrow(self):
         diags = [DiagCandidate(f"diag_{c}", "m") for c in "abcd"]
+        db = diag_db(width=2)
         with pytest.raises(DataError, match="^cfg_diag_sel is 2 bits; need 4 for 4 signals on 2 pins$"):
-            emit.emit_diag_mux(diags, diag_db(width=2), CFG)
+            emit.emit_diag_mux(diags, db, CFG, db_hash(db))
 
     def test_missing_select_register(self):
         with pytest.raises(DataError, match=r"^database has no cfg_diag_sel entry "
                                             r"\(run update with diag enabled\)$"):
-            emit.emit_diag_mux([DiagCandidate("diag_a", "m")], RegDb(), CFG)
+            emit.emit_diag_mux([DiagCandidate("diag_a", "m")], RegDb(), CFG, EMPTY_HASH)
 
     def test_out_of_range_select_goes_to_zero(self):
         diags = [DiagCandidate(f"diag_{c}", "m") for c in "abc"]
-        text = emit.emit_diag_mux(diags, diag_db(2), ONE_PIN)
+        db = diag_db(2)
+        text = emit.emit_diag_mux(diags, db, ONE_PIN, db_hash(db))
         assert "default: pin0_val = 1'b0;" in text
 
 
@@ -335,10 +346,10 @@ class TestPadScript:
 class TestCrossArtifactConsistency:
     def test_addresses_identical_everywhere(self):
         db = make_db(cand("cfg_a", 8), cand("cfg_b", 16), cand("sts_c", 1, "RO"))
-        rtl = emit.emit_csr_rtl(db, CFG)
-        md = emit.emit_markdown(db, CFG)
-        c_text, py_text = emit.emit_sw_views(db, CFG)
-        selftest = emit.emit_selftest(db, CFG)
+        rtl = emit.emit_csr_rtl(db, CFG, db_hash(db))
+        md = emit.emit_markdown(db, CFG, db_hash(db))
+        c_text, py_text = emit.emit_sw_views(db, CFG, db_hash(db))
+        selftest = emit.emit_selftest(db, CFG, db_hash(db))
 
         def from_rtl():
             return dict(re.findall(r"// (\w+) @ (0x[0-9a-f]{8}) \((?:RW|RO)", rtl))
@@ -384,23 +395,31 @@ class TestDeterminismAndClosure:
         diags = [DiagCandidate("diag_z", "m1")]
         db2, _ = update_db(db, [cand("cfg_a"), cand("sts_b", 1, "RO"),
                                 CsrCandidate("cfg_diag_sel", 2, "RW", "myblk_diag_mux", 0)])
-        first = emit.render_targets(db2, CFG, memmap=m, diags=diags, pads=PadDb())
-        second = emit.render_targets(db2, CFG, memmap=m, diags=diags, pads=PadDb())
+        hash32 = db_hash(db2)
+        first = emit.render_targets(db2, CFG, hash32, memmap=m, diags=diags, pads=PadDb())
+        second = emit.render_targets(db2, CFG, hash32, memmap=m, diags=diags, pads=PadDb())
         assert first == second
+        assert first[emit.output_name("rtl", CFG)] == emit.emit_csr_rtl(db2, CFG, hash32)
+        assert first[emit.output_name("md", CFG)] == emit.emit_markdown(db2, CFG, hash32)
         assert set(first) == {"myblk_csr.sv", "myblk_csr_inst.sv", "myblk_regs.md",
                               "myblk_regs.h", "myblk_regs.py", "myblk_selftest.txt",
                               "soc_memmap.svh", "myblk_diag_mux.sv", "pads_place.tcl"}
 
+    def test_memmap_target_needs_a_map(self):
+        with pytest.raises(DataError, match="^memmap target needs a memory map file$"):
+            emit.render_targets(GAIN_DB, EmitConfig(targets=("rtl", "memmap")), db_hash(GAIN_DB))
+
     def test_reparse_closure_zero_lint(self):
         db = make_db(cand("cfg_a", 32), cand("cfg_b", 1), cand("sts_c", 7, "RO"))
-        rtl_src = SourceFile("csr.sv", emit.emit_csr_rtl(db, CFG))
+        rtl_src = SourceFile("csr.sv", emit.emit_csr_rtl(db, CFG, db_hash(db)))
         diags = []
         assert len(parse_modules(rtl_src, diags)) == 1
         assert diags == []
         assert lint(rtl_src) == []
 
+        db = diag_db(2)
         mux_src = SourceFile("mux.sv", emit.emit_diag_mux(
-            [DiagCandidate("diag_a", "m"), DiagCandidate("diag_b", "m")], diag_db(2), CFG))
+            [DiagCandidate("diag_a", "m"), DiagCandidate("diag_b", "m")], db, CFG, db_hash(db)))
         mux_diags = []
         assert len(parse_modules(mux_src, mux_diags)) == 1
         assert mux_diags == []
@@ -415,53 +434,3 @@ class TestDeterminismAndClosure:
             EmitConfig(base_address=0x100, csr_region_size_bytes=0x1000)
         with pytest.raises(DataError, match="^unknown targets: bogus$"):
             EmitConfig(targets=("rtl", "bogus"))
-
-
-class TestOneHashPerRender:
-    @pytest.fixture
-    def hash_calls(self, monkeypatch):
-        calls = []
-        real = regdb.db_hash
-
-        def counting(db):
-            calls.append(db)
-            return real(db)
-
-        monkeypatch.setattr(regdb, "db_hash", counting)
-        return calls
-
-    def _full_render(self):
-        db = make_db(cand("cfg_a"), cand("sts_b", 1, "RO"),
-                     CsrCandidate("cfg_diag_sel", 2, "RW", "myblk_diag_mux", 0))
-        m = MemoryMap([Region("csr0", "csr", 0x70000000, 0x1000)])
-        return db, emit.render_targets(db, CFG, memmap=m, diags=[DiagCandidate("diag_z", "m1")],
-                                       pads=PadDb())
-
-    def test_render_targets_hashes_once(self, hash_calls):
-        db, out = self._full_render()
-        assert len(out) == len(emit.ALL_TARGETS)
-        assert hash_calls == [db]
-
-    def test_render_matches_direct_emitters(self, hash_calls):
-        db, out = self._full_render()
-        assert out[emit.output_name("rtl", CFG)] == emit.emit_csr_rtl(db, CFG)
-        assert out[emit.output_name("md", CFG)] == emit.emit_markdown(db, CFG)
-        assert len(hash_calls) == 3  # called directly, each emitter hashes for itself
-
-    def test_no_hash_without_hashing_target(self, hash_calls):
-        cfg = EmitConfig(block_name="myblk", base_address=0x70000000, targets=("pads",))
-        emit.render_targets(GAIN_DB, cfg)
-        assert hash_calls == []
-
-    def test_config_errors_precede_the_hash(self, hash_calls):
-        # an unallocated entry makes db_hash itself raise DataError
-        db = RegDb(entries=[RegEntry("cfg_a", 8, "RW"), RegEntry("cfg_b", 8, "RW")])
-        small = EmitConfig(block_name="myblk", base_address=0x70000000, csr_region_size_bytes=8)
-        with pytest.raises(DataError, match=r"^region size 0x8 too small for 2 entries plus "
-                                            r"the ID register \(need 0xc\)$"):
-            emit.render_targets(db, small)
-        with pytest.raises(DataError, match="^memmap target needs a memory map file$"):
-            emit.render_targets(db, EmitConfig(targets=("memmap", "rtl")))
-        with pytest.raises(DataError, match="^entry cfg_a has no offset; allocate before saving$"):
-            emit.render_targets(db, EmitConfig(targets=("md",)))
-        assert len(hash_calls) == 1

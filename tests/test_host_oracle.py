@@ -72,6 +72,7 @@ def test_parse_command_word_width_boundary():
 _CSR_DB, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 5, "RW", "m", 1),
                                  CsrCandidate("sts_b", 32, "RO", "m", 2),
                                  CsrCandidate("cfg_c", 32, "RW", "m", 3)])
+_CSR_HASH = db_hash(_CSR_DB)
 
 
 _SCRIPT_MAP = MemoryMap([Region("csr0", "csr", 0x50000000, 0x1000),
@@ -81,7 +82,7 @@ _SCRIPT_MAP = MemoryMap([Region("csr0", "csr", 0x50000000, 0x1000),
 def _replay(load, run, text: str, stop_on_fail: bool = False):
     """The formatted report and the model's state after loading and replaying
     text, or the error that loading raised."""
-    soc = busmodel.build_soc(_SCRIPT_MAP, [("csr0", _CSR_DB)])
+    soc = busmodel.build_soc(_SCRIPT_MAP, [("csr0", _CSR_DB, _CSR_HASH)])
     try:
         script_ = load(text)
     except InputError as err:
@@ -120,7 +121,7 @@ ADDRS = [0x50000000, 0x50000004, 0x50000008, 0x5000000c, 0x50000ffc, 0x60000000,
 DATA = [0, 1, 0x1f, 0xdeadbeef, 0xffffffff]
 ANSWERS = ["OK", "0x00000000", "0x00000001", "0xdeadbeef", "0x0000001f", "ERR XREAD",
            "ERR UNMAPPED", "ERR MISALIGNED", "ERR PARSE X", "ERR PARSE", "ok", "",
-           f"0x{db_hash(_CSR_DB):08x}"]
+           f"0x{_CSR_HASH:08x}"]
 # (before, after, line break) for one line
 FRAMES = st.sampled_from([(a, b, eol) for a in PADDING for b in PADDING for eol in LINE_BREAKS])
 # steps as save_script writes an R or W of format_word words
@@ -197,10 +198,10 @@ def test_scan_and_replay_match_the_line_loader(chunks, cut, stop_on_fail):
 
 
 def _replays(test, text, build, stop_on_fail):
-    """A TestScript replayed by the line loop and by run_script, and its text
-    loaded and replayed by run_script, each on a model from build."""
+    """A TestScript replayed by the line loop, and its text loaded and
+    replayed by run_script, each on a model from build."""
     runs = []
-    for run, script_ in ((host_oracle.run_script, test), (uart_host.run_script, test),
+    for run, script_ in ((host_oracle.run_script, test),
                          (uart_host.run_script, script.load_script(text))):
         soc = build()
         report = run(soc, script_, stop_on_fail)
@@ -214,28 +215,31 @@ def test_generated_selftest_replays_as_before(db, other, stop_on_fail):
     """A self-test that emit builds replays as before, against its own
     database and against another."""
     cfg = EmitConfig(block_name="b", base_address=0x50000000, csr_region_size_bytes=0x1000)
-    text = emit.emit_selftest(db, cfg)
+    text = emit.emit_selftest(db, cfg, db_hash(db))
     test = host_oracle.load_script(text)
     for model_db in (db, other):
-        old, new, loaded = _replays(
+        old, new = _replays(
             test, text,
-            lambda: busmodel.build_soc(_SCRIPT_MAP, [("csr0", model_db)]), stop_on_fail)
-        assert old == new == loaded
+            lambda: busmodel.build_soc(_SCRIPT_MAP, [("csr0", model_db, db_hash(model_db))]),
+            stop_on_fail)
+        assert old == new
 
 
 def test_region_test_replays_as_before():
     """The fault sweep's region test replays as before under every fault."""
-    test = busmodel.gen_region_test(_SCRIPT_MAP, "sram0")
+    rows = busmodel.gen_region_test(_SCRIPT_MAP, "sram0")
+    test = host_oracle.TestScript([host_oracle.ScriptStep(*row) for row in rows])
     faults = [None] + [busmodel.FaultConfig(kind, bit, "sram0")
                        for kind in (busmodel.FAULT_ADDRESS_BIT, busmodel.FAULT_DATA_BIT)
                        for bit in (0, 2, 7, 15, 31)]
     for fault in faults:
         for stop_on_fail in (False, True):
-            old, new, loaded = _replays(
-                test, save_script(test),
-                lambda: busmodel.build_soc(_SCRIPT_MAP, [("csr0", _CSR_DB)], fault=fault),
+            old, new = _replays(
+                test, save_script(rows),
+                lambda: busmodel.build_soc(_SCRIPT_MAP, [("csr0", _CSR_DB, _CSR_HASH)],
+                                           fault=fault),
                 stop_on_fail)
-            assert old == new == loaded, fault
+            assert old == new, fault
 
 
 @st.composite
@@ -312,7 +316,7 @@ def _state(soc):
 def test_bus_path_matches_oracle(case):
     regions, mode, seed, fault, ops = case
     memmap = MemoryMap(regions)
-    dbs = [(r.name, _CSR_DB) for r in regions if r.kind == "csr"]
+    dbs = [(r.name, _CSR_DB, _CSR_HASH) for r in regions if r.kind == "csr"]
     soc, ref = (busmodel.build_soc(memmap, dbs, sram_mode=mode, seed=seed, fault=fault)
                 for _ in range(2))
     for is_write, addr, data in ops:

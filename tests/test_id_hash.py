@@ -101,10 +101,8 @@ def _id_register(text: str) -> tuple[int, int]:
     commands read it, and db_hash of the database that text loads as."""
     db = load_db(text)
     loaded = load_canonical_db(text)
-    if loaded is None:  # the model hashes the database itself
-        soc = busmodel.build_soc(MAP, [("csr0", db)])
-    else:
-        soc = busmodel.build_soc(MAP, [("csr0", loaded[0])], id_hashes={"csr0": loaded[1]})
+    # a text that is not canonical is loaded and hashed apart, as the commands do
+    soc = busmodel.build_soc(MAP, [("csr0", *((db, db_hash(db)) if loaded is None else loaded))])
     return busmodel.bus_read(soc, BASE), db_hash(db)
 
 

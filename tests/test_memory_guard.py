@@ -100,11 +100,11 @@ def _render_inputs():
 def test_generate_renders_the_selftest_straight_to_text():
     db, cfg, memmap, diags, pads = _render_inputs()
     hash32 = db_hash(db)
-    out, peak = _peak(emit.render_targets, db, cfg, memmap, diags, pads, hash32)
+    out, peak = _peak(emit.render_targets, db, cfg, hash32, memmap, diags, pads)
     assert len(out) == 9
     assert peak < 0.7 * RECORD_SELFTEST_PEAK
     # the text, and the joined runs of steps it is joined from; one join of a
     # string per step peaks at 3x
-    text, peak = _peak(emit.emit_selftest, db, cfg, lambda: hash32)
+    text, peak = _peak(emit.emit_selftest, db, cfg, hash32)
     assert text == out["blk_selftest.txt"]
     assert peak < 2.5 * len(text)

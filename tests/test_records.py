@@ -10,7 +10,6 @@ from chipkit.busmodel import BusError, FaultConfig, SocModel, Stats
 from chipkit.emit import Pad, PadDb
 from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import ChangeReport, DbError, EmitConfig, NamingConvention, RegDb, RegEntry
-from chipkit.script import ScriptStep, TestScript
 from chipkit.sv_scan import ModuleDecl, SourceFile
 from chipkit.uart_host import SessionSummary, StepFailure, TestReport, parse_command
 
@@ -55,9 +54,6 @@ CASES = [
     ("Region", Region, dict(name="r", kind="sram", base=0, size_bytes=4),
      dict(name="q", kind="csr", base=4, size_bytes=8)),
     ("MemoryMap", MemoryMap, dict(regions=(_SRAM,)), dict(regions=())),
-    ("ScriptStep", ScriptStep, dict(command="R 0x4", expected="OK", comment="c"),
-     dict(command="R 0x8", expected="0x00000000", comment="")),
-    ("TestScript", TestScript, dict(steps=[ScriptStep("R 0x4", "OK")]), dict(steps=[])),
     ("BusError", BusError, dict(kind="Unmapped", address=4),
      dict(kind="Misaligned", address=8)),
     ("FaultConfig", FaultConfig, dict(kind="mask_data_bit", bit=3, target_region="s"),

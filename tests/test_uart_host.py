@@ -13,12 +13,14 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from chipkit import busmodel, emit, uart_host
 from chipkit.memmap import MemoryMap, Region
-from chipkit.regdb import RegDb, update_db
-from chipkit.script import ScriptStep, TestScript, load_script, save_script, scan_script
+from chipkit.regdb import RegDb, db_hash, update_db
+from chipkit.script import load_script, save_script, scan_script
 from chipkit.sv_scan import CsrCandidate
 from chipkit.uart_host import (
     MAX_LINE,
     ParseError,
+    StepFailure,
+    TestReport,
     execute,
     execute_line,
     open_listener,
@@ -41,7 +43,8 @@ def make_db(reset=0xF):
 
 
 def make_soc(db=None):
-    return busmodel.build_soc(MAP, [("csr0", db or make_db())])
+    db = db or make_db()
+    return busmodel.build_soc(MAP, [("csr0", db, db_hash(db))])
 
 
 class TestParse:
@@ -131,48 +134,53 @@ class TestRunScript:
     def test_generated_selftest_passes(self):
         db = make_db()
         cfg = emit.EmitConfig(block_name="b", base_address=0x50000000)
-        report = run_script(make_soc(db), emit.emit_selftest(db, cfg))
+        report = run_script(make_soc(db), emit.emit_selftest(db, cfg, db_hash(db)))
         assert report.ok and report.total == report.passed > 0
 
     def test_different_db_fails_id_step(self):
         db = make_db()
         other = make_db(reset=0x3)
         cfg = emit.EmitConfig(block_name="b", base_address=0x50000000)
-        report = run_script(make_soc(other), emit.emit_selftest(db, cfg))
+        report = run_script(make_soc(other), emit.emit_selftest(db, cfg, db_hash(db)))
         assert not report.ok
         assert report.failures[0].index == 0  # ID step
 
     def test_single_wrong_expectation(self):
-        sc = TestScript([
-            ScriptStep("W 0x60000000 0x1", "OK"),
-            ScriptStep("R 0x60000000", "0x00000002"),
-            ScriptStep("R 0x60000000", "0x00000001"),
+        sc = save_script([
+            ("W 0x60000000 0x1", "OK", ""),
+            ("R 0x60000000", "0x00000002", ""),
+            ("R 0x60000000", "0x00000001", ""),
         ])
         report = run_script(make_soc(), sc)
         assert report.total == 3 and report.passed == 2
         assert [f.index for f in report.failures] == [1]
 
     def test_stop_on_fail(self):
-        sc = TestScript([ScriptStep("R 0x0", "0x0"), ScriptStep("W 0x60000000 0x1", "OK")])
+        sc = save_script([("R 0x0", "0x0", ""), ("W 0x60000000 0x1", "OK", "")])
         report = run_script(make_soc(), sc, stop_on_fail=True)
         assert report.total == 1 and not report.ok
 
     def test_invariant_passed_plus_failures(self):
-        sc = TestScript([ScriptStep("R 0x0", "nope"), ScriptStep("W 0x60000000 0x1", "OK")])
+        sc = save_script([("R 0x0", "nope", ""), ("W 0x60000000 0x1", "OK", "")])
         report = run_script(make_soc(), sc)
         assert report.passed + len(report.failures) == report.total == 2
 
 
 class TestScriptFile:
     def test_round_trip(self):
-        """A saved script replays as the script it was saved from."""
-        sc = TestScript([ScriptStep("R 0x4", "0x00000000", "first"),
-                         ScriptStep("W 0x4 0x1", "OK"),
-                         ScriptStep("W 0x60000000 0x00000001", "OK", "a decoded step"),
-                         ScriptStep("R 0x60000000", "0x00000002")])
-        text = save_script(sc)
+        """A saved script holds the steps of the rows it was saved from, and
+        replays them, decoded or not."""
+        rows = [("R 0x4", "0x00000000", "first"),
+                ("W 0x4 0x1", "OK", ""),
+                ("W 0x60000000 0x00000001", "OK", "a decoded step"),
+                ("R 0x60000000", "0x00000002", "")]
+        text = save_script(rows)
         assert load_script(text) == text
-        assert run_script(make_soc(), load_script(text)) == run_script(make_soc(), sc)
+        assert [step[:2] for step in scan_script(text)] == [row[:2] for row in rows]
+        assert run_script(make_soc(), load_script(text)) == TestReport(4, 1, [
+            StepFailure(0, "R 0x4", "0x00000000", "ERR UNMAPPED"),
+            StepFailure(1, "W 0x4 0x1", "OK", "ERR UNMAPPED"),
+            StepFailure(3, "R 0x60000000", "0x00000002", "0x00000001")])
 
     def test_comments_and_blanks(self):
         text = "# leading note\n\n> R 0x4\n< OK\n"
@@ -233,7 +241,7 @@ class TestServe:
     def test_script_serve_equivalence(self):
         db = make_db()
         cfg = emit.EmitConfig(block_name="b", base_address=0x50000000)
-        text = emit.emit_selftest(db, cfg)
+        text = emit.emit_selftest(db, cfg, db_hash(db))
         steps = list(scan_script(text))
         _, out = run_session(make_soc(db), [command for command, _, _ in steps])
         via_serve = out.splitlines()
@@ -404,6 +412,39 @@ def _tcp_session(soc, data: bytes, prompt: bool = False, quit_after: bool = Fals
     return out, result["summary"]
 
 
+class TestPipelinedTcp:
+    """A client that keeps several lines in flight gets each batch of replies
+    at once: without TCP_NODELAY on the session's socket, every reply but a
+    batch's first waited for the client's delayed acknowledgement, and 200
+    reads took 4.4 s two at a time and 1.7 s five at a time."""
+
+    @pytest.mark.parametrize("in_flight", [2, 5])
+    def test_200_reads_in_under_a_second(self, in_flight):
+        listener = open_listener()
+        t = threading.Thread(target=serve_tcp, args=(make_soc(), listener), daemon=True)
+        t.start()
+        try:
+            with socket.create_connection(listener.getsockname(), timeout=10) as conn:
+                batch, replies = b"R 0x50000004\n" * in_flight, b"0x0000000f\n" * in_flight
+                start = time.monotonic()
+                for _ in range(200 // in_flight):
+                    conn.sendall(batch)
+                    out = b""
+                    while len(out) < len(replies):
+                        chunk = conn.recv(4096)
+                        assert chunk, "server closed the session"
+                        out += chunk
+                    assert out == replies
+                elapsed = time.monotonic() - start
+                conn.sendall(b"Q\n")
+                assert _read_to_eof(conn) == b"OK\n"
+        finally:
+            t.join(timeout=10)
+            listener.close()
+        assert not t.is_alive()
+        assert elapsed < 1.0, f"200 reads, {in_flight} in flight, took {elapsed:.2f} s"
+
+
 class TestQuitWithUnreadInput:
     def test_no_answer_lost_after_q(self):
         # closing on Q with this client's input unread made the kernel reset
@@ -534,18 +575,19 @@ _lines = st.one_of(
 
 
 class TestTransportEquivalence:
-    """run_script, serve over byte streams and serve_tcp answer the same
-    lines alike and leave the model alike."""
+    """execute_line line by line, serve over byte streams and serve_tcp answer
+    the same lines alike and leave the model alike."""
 
     @settings(max_examples=40, deadline=None)
     @given(before=st.lists(_lines, max_size=12), quit_line=st.sampled_from(["Q", " q\r", "\tQ"]),
            after=st.lists(_lines, max_size=3))
     def test_same_responses_summaries_and_stats(self, before, quit_line, after):
         served = before + [quit_line]
-        # a script expecting nothing records every response as a failure
-        soc_script = make_soc()
-        report = run_script(soc_script, TestScript([ScriptStep(l, "") for l in served]))
-        via_script = [f.actual for f in report.failures]
+        # each line on its own, as run_script answers a step it does not
+        # decode; a script's text cannot hold a CR or an overlong line
+        soc_lines = make_soc()
+        via_lines = [response for response in (execute_line(soc_lines, l)[0] for l in served)
+                     if response is not None]
 
         soc_stdio = make_soc()
         wfile = io.BytesIO()
@@ -556,10 +598,10 @@ class TestTransportEquivalence:
 
         via_stdio = wfile.getvalue().decode().split("\n")
         assert via_stdio.pop() == ""
-        assert via_script == via_stdio == tcp_out.decode().split("\n")[:-1]
+        assert via_lines == via_stdio == tcp_out.decode().split("\n")[:-1]
         assert (stdio.lines, stdio.responses, stdio.quit_seen) == \
-            (tcp.lines, tcp.responses, tcp.quit_seen) == (len(served), len(via_script), True)
-        assert soc_script.stats == soc_stdio.stats == soc_tcp.stats
+            (tcp.lines, tcp.responses, tcp.quit_seen) == (len(served), len(via_lines), True)
+        assert soc_lines.stats == soc_stdio.stats == soc_tcp.stats
 
 
 _ADDRS = ["0x60000000", "0x60000004", "0x60000008"]
