@@ -103,7 +103,7 @@ def run(argv: list[str], workdir: Path) -> None:
 
 
 def live_session(workdir: Path) -> None:
-    cfg = cli.load_config_file(str(workdir / "chipkit.cfg"))
+    cfg = cli._apply(cli.ProjectConfig(), cli._ini_values(str(workdir / "chipkit.cfg")))
     soc = cli._build_model(cfg)
     listener = uart_host.open_listener()
     port = listener.getsockname()[1]

@@ -188,10 +188,6 @@ def _ini_values(path: str) -> dict:
             for s, text in texts.items()}
 
 
-def load_config_file(path: str) -> ProjectConfig:
-    return _apply(ProjectConfig(), _ini_values(path))
-
-
 # ---------------------------------------------------------------------------
 # scanning
 

@@ -18,7 +18,7 @@ from . import DataError, InputError
 from . import regdb as rdb
 from .memmap import MemoryMap
 from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ALL_TARGETS, ID_REG_NAME, ID_REG_OFFSET, RETIRED
-from .regdb import EmitConfig, RegDb, RegEntry
+from .regdb import OFFSET_KEY, EmitConfig, RegDb, RegEntry
 from .script import RESP_OK, format_word, save_script
 from .sv_scan import DiagCandidate
 
@@ -84,7 +84,7 @@ def _bits(width: int) -> str:
 
 
 def _sorted_entries(db: RegDb) -> list[RegEntry]:
-    return sorted(db.entries, key=lambda e: e.offset_bytes)
+    return sorted(db.entries, key=OFFSET_KEY)
 
 
 def _check_region(db: RegDb, cfg: EmitConfig) -> None:
@@ -128,86 +128,67 @@ def emit_csr_rtl(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
     entries = _sorted_entries(db)
     active = [e for e in entries if e.state == ACTIVE]
     retired = [e for e in entries if e.state == RETIRED]
-    addr_w = cfg.csr_region_size_bytes.bit_length() - 1
-    addr_digits = max(1, (addr_w + 3) // 4)
-
-    def off_lit(offset: int) -> str:
-        return f"{addr_w}'h{offset:0{addr_digits}x}"
-
-    def pad_type(width: int) -> str:
-        return f"logic [{width - 1}:0]" if width > 1 else "logic"
-
-    widest = max([e.width_bits for e in active], default=1)
-    type_col = len(pad_type(max(widest, 32)))
-
-    def port(direction: str, width: int, name: str, last: bool = False) -> str:
-        return f"  {direction:<6} {pad_type(width):<{type_col}} {name}{'' if last else ','}"
-
-    lines = _sv_banner(f"{cfg.block_name}_csr: memory-mapped control and status registers", hash32)
-    lines += ["", '`include "RTL.svh"', "", f"module {cfg.block_name}_csr ("]
-    lines += [port("input", 1, "clock"), port("input", 1, "reset_n")]
-    lines += ["", "  // bus slave interface"]
-    lines += [port("input", 1, "sel"), port("input", 1, "wr_en"),
-              port("input", addr_w, "addr"), port("input", 32, "wdata"),
-              port("output", 32, "rdata")]
     rw = [e for e in active if e.access == ACCESS_RW]
     ro = [e for e in active if e.access == ACCESS_RO]
-    lines += [port("output", 1, "ready", last=not (rw or ro))]
+    base = cfg.base_address
+    addr_w = cfg.csr_region_size_bytes.bit_length() - 1
+    # an offset's literal is lit, then the offset formatted by digits
+    lit, digits = f"{addr_w}'h", f"0{max(1, (addr_w + 3) // 4)}x"
+
+    # the strings that depend on a width alone, made once per width in use
+    widths = {e.width_bits for e in active}
+    types = {w: f"logic [{w - 1}:0]" if w > 1 else "logic" for w in widths | {1, 32, addr_w}}
+    type_col = len(types[max(widths | {32})])
+    port_types = {w: f"{t:<{type_col}}" for w, t in types.items()}
+    slices = {w: "wdata" if w == 32 else "wdata[0]" if w == 1 else f"wdata[{w - 1}:0]"
+              for w in widths}
+    bits = {w: _bits(w) for w in widths}
+
+    bit, word = port_types[1], port_types[32]
+    lines = _sv_banner(f"{cfg.block_name}_csr: memory-mapped control and status registers", hash32)
+    lines += ["", '`include "RTL.svh"', "", f"module {cfg.block_name}_csr ("]
+    lines += [f"  input  {bit} clock,", f"  input  {bit} reset_n,", "", "  // bus slave interface",
+              f"  input  {bit} sel,", f"  input  {bit} wr_en,",
+              f"  input  {port_types[addr_w]} addr,", f"  input  {word} wdata,",
+              f"  output {word} rdata,", f"  output {bit} ready,"]
     if rw:
         lines += ["", "  // control register outputs"]
-        for i, e in enumerate(rw):
-            lines.append(port("output", e.width_bits, e.name, last=(i == len(rw) - 1 and not ro)))
+        lines += [f"  output {port_types[e.width_bits]} {e.name}," for e in rw]
     if ro:
         lines += ["", "  // status inputs"]
-        for i, e in enumerate(ro):
-            lines.append(port("input", e.width_bits, e.name, last=(i == len(ro) - 1)))
-    lines += [");", ""]
-
-    lines += ["logic wr_stb;", "always_comb wr_stb = sel & wr_en;"]
+        lines += [f"  input  {port_types[e.width_bits]} {e.name}," for e in ro]
+    lines[-1] = lines[-1][:-1]  # no comma after the last port
+    lines += [");", "", "logic wr_stb;", "always_comb wr_stb = sel & wr_en;"]
 
     rule = "// " + "-" * 66
     for e in rw:
-        abs_addr = cfg.base_address + e.offset_bytes
-        slice_ = "wdata" if e.width_bits == 32 else (
-            "wdata[0]" if e.width_bits == 1 else f"wdata[{e.width_bits - 1}:0]")
-        reset_lit = f"{e.width_bits}'h{e.reset_value:x}"
-        lines += [
-            "",
-            rule,
-            f"// {e.name} @ {format_word(abs_addr)} (RW, {_bits(e.width_bits)}, reset 0x{e.reset_value:x})",
-            f"logic {e.name}_wr_en;",
-            f"{pad_type(e.width_bits)} {e.name}_next;",
-            f"always_comb {e.name}_wr_en = wr_stb & (addr == {off_lit(e.offset_bytes)});",
-            f"always_comb {e.name}_next = {slice_};",
-            f"`FF({e.name}_next, {e.name}, clock, {e.name}_wr_en, reset_n, {reset_lit});",
-        ]
-
-    for e in ro:
-        abs_addr = cfg.base_address + e.offset_bytes
-        lines += [
-            "",
-            rule,
-            f"// {e.name} @ {format_word(abs_addr)} (RO, {_bits(e.width_bits)}, reset 0x{e.reset_value:x})",
-            "// driven by the attached design; read-only through the bus",
-        ]
+        n, w, off, reset = e.name, e.width_bits, e.offset_bytes, e.reset_value
+        lines.append(
+            f"\n{rule}\n// {n} @ 0x{(base + off) & 0xffffffff:08x} "
+            f"(RW, {bits[w]}, reset 0x{reset:x})\n"
+            f"logic {n}_wr_en;\n{types[w]} {n}_next;\n"
+            f"always_comb {n}_wr_en = wr_stb & (addr == {lit}{off:{digits}});\n"
+            f"always_comb {n}_next = {slices[w]};\n"
+            f"`FF({n}_next, {n}, clock, {n}_wr_en, reset_n, {w}'h{reset:x});")
+    lines += [f"\n{rule}\n// {e.name} @ 0x{(base + e.offset_bytes) & 0xffffffff:08x} "
+              f"(RO, {bits[e.width_bits]}, reset 0x{e.reset_value:x})\n"
+              "// driven by the attached design; read-only through the bus" for e in ro]
 
     if retired:
         lines += ["", rule, "// retired registers (offsets stay reserved)"]
-        for e in retired:
-            lines.append(f"// retired: {e.name} @ {format_word(cfg.base_address + e.offset_bytes)}")
+        lines += [f"// retired: {e.name} @ 0x{(base + e.offset_bytes) & 0xffffffff:08x}"
+                  for e in retired]
 
-    def read_expr(e: RegEntry) -> str:
-        if e.width_bits == 32:
-            return e.name
-        return f"{{{32 - e.width_bits}'d0, {e.name}}}"
-
-    lines += ["", rule, f"// read mux; {ID_REG_NAME} register @ {format_word(cfg.base_address + ID_REG_OFFSET)}",
+    lines += ["", rule, f"// read mux; {ID_REG_NAME} register @ {format_word(base + ID_REG_OFFSET)}",
               "logic [31:0] rdata_next;",
               "always_comb begin",
               "  case (addr)",
-              f"    {off_lit(ID_REG_OFFSET)}: rdata_next = 32'h{hash32:08x};  // {ID_REG_NAME}"]
+              f"    {lit}{ID_REG_OFFSET:{digits}}: rdata_next = 32'h{hash32:08x};"
+              f"  // {ID_REG_NAME}"]
     for e in active:
-        lines.append(f"    {off_lit(e.offset_bytes)}: rdata_next = {read_expr(e)};  // {e.name}")
+        n, w = e.name, e.width_bits
+        value = n if w == 32 else f"{{{32 - w}'d0, {n}}}"
+        lines.append(f"    {lit}{e.offset_bytes:{digits}}: rdata_next = {value};  // {n}")
     lines += [f"    default: rdata_next = 32'h{cfg.unmapped_value:08x};  // no register here",
               "  endcase",
               "end",
@@ -231,9 +212,8 @@ def emit_instantiation_template(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
     pin_col = max(len(pin) for pin, _ in conns)
     lines = _sv_banner(f"instantiation template for {mod}", hash32)
     lines += ["", f"{mod} u_{mod} ("]
-    for i, (pin, sig) in enumerate(conns):
-        comma = "" if i == len(conns) - 1 else ","
-        lines.append(f"  .{pin:<{pin_col}} ({sig}){comma}")
+    lines += [f"  .{pin:<{pin_col}} ({sig})," for pin, sig in conns]
+    lines[-1] = lines[-1][:-1]  # no comma after the last connection
     lines += [");", ""]
     return "\n".join(lines)
 
@@ -241,27 +221,27 @@ def emit_instantiation_template(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
 # ---------------------------------------------------------------------------
 # documentation and software views
 
-def _md_escape(text: str) -> str:
-    return text.replace("|", "\\|").replace("\n", " ")
-
-
 def _doc_rows(db: RegDb, cfg: EmitConfig, hash32: int):
-    id_row = (ID_REG_NAME, cfg.base_address + ID_REG_OFFSET, 32, ACCESS_RO,
+    """(name, address word, width, access, reset, description) of the ID
+    register and of each active entry, by offset."""
+    base = cfg.base_address
+    id_row = (ID_REG_NAME, format_word(base + ID_REG_OFFSET), 32, ACCESS_RO,
               hash32, "register map content hash")
-    rows = [id_row]
-    for e in _sorted_entries(db):
-        if e.state == ACTIVE:
-            rows.append((e.name, cfg.base_address + e.offset_bytes, e.width_bits,
-                         e.access, e.reset_value, e.description))
-    return rows
+    return [id_row] + [(e.name, f"0x{(base + e.offset_bytes) & 0xffffffff:08x}", e.width_bits,
+                        e.access, e.reset_value, e.description)
+                       for e in _sorted_entries(db) if e.state == ACTIVE]
 
 
 def emit_markdown(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
     header = "| name | address | width | access | reset | description |"
     divider = "|---|---|---|---|---|---|"
 
-    def row(name, addr, width, access, reset, desc):
-        return f"| {name} | {format_word(addr)} | {width} | {access} | 0x{reset:x} | {_md_escape(desc)} |"
+    def table(rows) -> list[str]:
+        out = []
+        for name, addr, width, access, reset, desc in rows:
+            desc = desc.replace("|", "\\|").replace("\n", " ")
+            out.append(f"| {name} | {addr} | {width} | {access} | 0x{reset:x} | {desc} |")
+        return out
 
     lines = [
         f"# {cfg.block_name} register map",
@@ -271,14 +251,14 @@ def emit_markdown(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
         header,
         divider,
     ]
-    lines += [row(*r) for r in _doc_rows(db, cfg, hash32)]
+    lines += table(_doc_rows(db, cfg, hash32))
     retired = [e for e in _sorted_entries(db) if e.state == RETIRED]
     if retired:
         lines += ["", "## Retired registers", "",
                   "Offsets stay reserved; reads return the unmapped constant.", "",
                   header, divider]
-        lines += [row(e.name, cfg.base_address + e.offset_bytes, e.width_bits,
-                      e.access, e.reset_value, e.description) for e in retired]
+        lines += table((e.name, f"0x{(cfg.base_address + e.offset_bytes) & 0xffffffff:08x}",
+                        e.width_bits, e.access, e.reset_value, e.description) for e in retired)
     return "\n".join(lines) + "\n"
 
 
@@ -287,6 +267,10 @@ def emit_sw_views(db: RegDb, cfg: EmitConfig, hash32: int) -> tuple[str, str]:
     block = _macro_name(cfg.block_name)
     guard = f"{block}_REGS_H"
     rows = _doc_rows(db, cfg, hash32)
+    # an ASCII identifier is its own macro name, upper-cased
+    macros = [_macro_name(row[0]) if not (row[0].isascii() and row[0].isidentifier())
+              else row[0].upper() for row in rows]
+    bits = {w: _bits(w) for w in {row[2] for row in rows}}
 
     c_lines = [
         f"/* {cfg.block_name} register definitions",
@@ -297,14 +281,9 @@ def emit_sw_views(db: RegDb, cfg: EmitConfig, hash32: int) -> tuple[str, str]:
         "",
         f"#define {block}_BASE_ADDR {format_word(cfg.base_address)}",
     ]
-    for name, addr, width, access, reset, _desc in rows:
-        macro = f"{block}_{_macro_name(name)}"
-        c_lines += [
-            "",
-            f"/* {name}: {access}, {_bits(width)}, reset 0x{reset:x} */",
-            f"#define {macro}_ADDR {format_word(addr)}",
-            f"#define {macro}_WIDTH {width}",
-        ]
+    c_lines += [f"\n/* {name}: {access}, {bits[width]}, reset 0x{reset:x} */\n"
+                f"#define {block}_{macro}_ADDR {addr}\n#define {block}_{macro}_WIDTH {width}"
+                for (name, addr, width, access, reset, _), macro in zip(rows, macros)]
     c_lines += ["", f"#endif /* {guard} */", ""]
 
     py_lines = [
@@ -316,8 +295,8 @@ def emit_sw_views(db: RegDb, cfg: EmitConfig, hash32: int) -> tuple[str, str]:
         "# name: (address, width_bits, access)",
         "REGISTERS = {",
     ]
-    for name, addr, width, access, _reset, _desc in rows:
-        py_lines.append(f'    "{name}": ({format_word(addr)}, {width}, "{access}"),')
+    py_lines += [f'    "{name}": ({addr}, {width}, "{access}"),'
+                 for name, addr, width, access, _, _ in rows]
     py_lines += ["}", ""]
 
     return "\n".join(c_lines), "\n".join(py_lines)
@@ -341,10 +320,10 @@ def _selftest_rows(db: RegDb, cfg: EmitConfig, hash32: int) -> Iterator[tuple[st
     for e in _sorted_entries(db):
         if e.state != ACTIVE:
             continue
-        name, addr = e.name, format_word(base + e.offset_bytes)
-        read, reset = f"R {addr}", format_word(e.reset_value)
+        name, addr = e.name, f"0x{(base + e.offset_bytes) & 0xffffffff:08x}"
+        read, reset = f"R {addr}", f"0x{e.reset_value & 0xffffffff:08x}"
         if e.access == ACCESS_RW:
-            ones = format_word((1 << e.width_bits) - 1)
+            ones = f"0x{((1 << e.width_bits) - 1) & 0xffffffff:08x}"
             yield read, reset, f"{name}: reset value"
             yield f"W {addr} {ones}", RESP_OK, f"{name}: set all {e.width_bits} writable bits"
             yield read, ones, f"{name}: read back ones"

@@ -41,7 +41,7 @@ REQUIRED_COLUMNS = ("name", "width", "access", "reset", "offset", "origin_module
 CANONICAL_COLUMNS = REQUIRED_COLUMNS + ("state",)
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_OFFSET_KEY = operator.attrgetter("offset_bytes")
+OFFSET_KEY = operator.attrgetter("offset_bytes")
 # names, upper-cased, whose macros the C header defines for itself
 _RESERVED_NAMES = {ID_REG_NAME.upper(): "name reserved for the ID register",
                    "BASE": "name reserved for the base address"}
@@ -78,10 +78,10 @@ class NamingConvention(Checked, _NamingFields):
             raise DataError(f"bad match_mode {self.match_mode!r}")
         return self
 
-    def matches(self, affix: str, name: str) -> bool:
-        if self.match_mode == "prefix":
-            return name.startswith(affix)
-        return name.endswith(affix)
+    @property
+    def has_affix(self):
+        """has_affix(name, affix): str.startswith or str.endswith, by match_mode."""
+        return str.startswith if self.match_mode == "prefix" else str.endswith
 
 
 ALL_TARGETS = ("rtl", "inst", "md", "c", "py", "test", "memmap", "diag", "pads")
@@ -260,7 +260,7 @@ def save_db(db: RegDb) -> str:
         pick((e.name, str(e.width_bits), e.access, f"0x{e.reset_value:x}",
               f"0x{e.offset_bytes:x}", e.origin_module, e.description, e.state,
               *[e.extra.get(c, "") for c in extras]))
-        for e in sorted(db.entries, key=_OFFSET_KEY))
+        for e in sorted(db.entries, key=OFFSET_KEY))
     return buf.getvalue()
 
 
@@ -435,8 +435,8 @@ def update_db(
             by_name[cand.name] = entry
             report.added.append(cand.name)
             continue
-        changed = False
-        if entry.state == RETIRED:
+        reactivated = entry.state == RETIRED
+        if reactivated:
             if entry.access != cand.access:
                 where = "unallocated" if entry.offset_bytes is None \
                     else f"0x{entry.offset_bytes:x}"
@@ -445,16 +445,13 @@ def update_db(
                     f"{entry.access} entry at offset {where}")
             entry.state = ACTIVE
             report.modified.append((cand.name, "state", RETIRED, ACTIVE))
-            changed = True
-        for label, attr, val in (("width", "width_bits", cand.width_bits),
-                                 ("access", "access", cand.access),
-                                 ("origin_module", "origin_module", cand.origin_module)):
-            old = getattr(entry, attr)
-            if old != val:
-                setattr(entry, attr, val)
-                report.modified.append((cand.name, label, old, val))
-                changed = True
-        if not changed:
+        # the scan-owned fields, as CsrCandidate holds them after its name
+        old, now = (entry.width_bits, entry.access, entry.origin_module), cand[1:4]
+        if old != now:
+            entry.width_bits, entry.access, entry.origin_module = now
+            report.modified += [(cand.name, label, a, b) for label, a, b
+                                in zip(("width", "access", "origin_module"), old, now) if a != b]
+        elif not reactivated:
             report.unchanged_count += 1
 
     for entry in new.entries:
@@ -464,7 +461,7 @@ def update_db(
             report.retired.append(entry.name)
 
     _allocate_in_place(new.entries, region_size_bytes)
-    new.entries.sort(key=_OFFSET_KEY)
+    new.entries.sort(key=OFFSET_KEY)
     return new, report
 
 

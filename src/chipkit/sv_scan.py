@@ -285,6 +285,8 @@ def _parse_ports(file, masked, group, name, diags):
     start, end = group
     ports: list[Port] = []
     names = set()
+    # file.line_of(offset), without a method call per port
+    line_starts, bisect_right = file._line_starts, bisect.bisect_right
     # whole, new, well-formed items go by _PORT_RE; from the first other item
     # on, the group is split and each item matched and diagnosed on its own
     while (m := _PORT_RE.match(masked, start, end)) is not None:
@@ -293,7 +295,7 @@ def _parse_ports(file, masked, group, name, diags):
         if pname in names or (packed and packed[0] < packed[1]):
             break
         width = packed[0] - packed[1] + 1 if packed else 1
-        ports.append(Port(pname, direction, width, packed, file.line_of(m.start(1))))
+        ports.append(Port(pname, direction, width, packed, bisect_right(line_starts, m.start(1))))
         names.add(pname)
         start = m.end()
     prev: Port | None = ports[-1] if ports else None
@@ -354,33 +356,30 @@ def extract_csr_candidates(
     """
     diags = diagnostics if diagnostics is not None else []
     out: list[CsrCandidate] = []
+    has_affix, ctrl, stat = conv.has_affix, conv.control_prefix, conv.status_prefix
     for port in module.ports:
-        is_ctrl = conv.matches(conv.control_prefix, port.name)
-        is_stat = conv.matches(conv.status_prefix, port.name)
+        name = port.name
+        is_ctrl = has_affix(name, ctrl)
+        is_stat = has_affix(name, stat)
         if not (is_ctrl or is_stat):
             continue
         if is_ctrl and is_stat:
             diags.append(Diagnostic(DIAG_SKIP, module.path, port.line,
-                                    f"{port.name} matches both control and status affixes"))
+                                    f"{name} matches both control and status affixes"))
             continue
         want_dir = "input" if is_ctrl else "output"
         if port.direction != want_dir:
             diags.append(Diagnostic(
                 DIAG_DIRECTION, module.path, port.line,
-                f"{port.name} in {module.name}: expected {want_dir}, found {port.direction}"))
+                f"{name} in {module.name}: expected {want_dir}, found {port.direction}"))
             continue
         if port.width_bits > MAX_CSR_WIDTH:
             diags.append(Diagnostic(
                 DIAG_WIDTH, module.path, port.line,
-                f"{port.name} in {module.name}: width {port.width_bits} exceeds {MAX_CSR_WIDTH}"))
+                f"{name} in {module.name}: width {port.width_bits} exceeds {MAX_CSR_WIDTH}"))
             continue
-        out.append(CsrCandidate(
-            name=port.name,
-            width_bits=port.width_bits,
-            access=ACCESS_RW if is_ctrl else ACCESS_RO,
-            origin_module=module.name,
-            source_line=port.line,
-        ))
+        out.append(CsrCandidate(name, port.width_bits, ACCESS_RW if is_ctrl else ACCESS_RO,
+                                module.name, port.line))
     return out
 
 
@@ -392,15 +391,16 @@ def extract_diag_candidates(
     """Single-bit diagnostic outputs, in declaration order."""
     diags = diagnostics if diagnostics is not None else []
     out: list[DiagCandidate] = []
+    has_affix, diag = conv.has_affix, conv.diag_prefix
     for port in module.ports:
-        if port.direction != "output" or not conv.matches(conv.diag_prefix, port.name):
+        if port.direction != "output" or not has_affix(port.name, diag):
             continue
         if port.width_bits != 1:
             diags.append(Diagnostic(
                 DIAG_WIDTH, module.path, port.line,
                 f"{port.name} in {module.name}: diagnostic taps must be 1 bit wide"))
             continue
-        out.append(DiagCandidate(name=port.name, origin_module=module.name))
+        out.append(DiagCandidate(port.name, module.name))
     return out
 
 

@@ -1,8 +1,10 @@
-"""The database reader, writer and copy that the one-pass reader, the
-one-picker writer and the constructor copy replaced: a lambda per cell on
-load, an if chain per cell on save, and on copy a copy.copy of each entry
-(every slot its class declares) with a dict of its own for extra. Kept only
-as the oracle for the differential property tests; chipkit never imports it."""
+"""The database reader, writer, copy and merge that the one-pass reader, the
+one-picker writer, the constructor copy and the tuple-compare merge replaced:
+a lambda per cell on load, an if chain per cell on save, on copy a copy.copy
+of each entry (every slot its class declares) with a dict of its own for
+extra, and on merge a getattr and setattr per scan-owned field of each known
+candidate. Kept only as the oracle for the differential property tests;
+chipkit never imports it."""
 
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ import io
 
 from chipkit import DataError, InputError
 from chipkit.regdb import (
-    ACCESS_RO, ACCESS_RW, ACTIVE, CANONICAL_COLUMNS, REQUIRED_COLUMNS, RETIRED, RegDb, RegEntry,
-    _parse_int)
+    ACCESS_RO, ACCESS_RW, ACTIVE, CANONICAL_COLUMNS, OFFSET_KEY, REQUIRED_COLUMNS, RETIRED,
+    ChangeReport, CsrCandidate, RegDb, RegEntry, _allocate_in_place, _copy_db, _parse_int)
 
 
 def load_db(csv_text: str) -> RegDb:
@@ -113,3 +115,72 @@ def copy_db(db: RegDb) -> RegDb:
         entry.extra = dict(e.extra)
         entries.append(entry)
     return RegDb(entries=entries, columns=list(db.columns))
+
+
+def update_db(
+    db: RegDb,
+    candidates: list[CsrCandidate],
+    scanned_modules: set[str] | None = None,
+    region_size_bytes: int | None = None,
+) -> tuple[RegDb, ChangeReport]:
+    """Merge one scan run into the database.
+
+    New candidates are appended and allocated; known ones get their
+    scan-owned fields refreshed in place with offsets, resets, descriptions
+    and extra columns untouched. Active entries whose origin module was
+    rescanned but which matched no candidate are retired (offset kept);
+    entries from modules outside this scan are left alone. A retired entry
+    reappearing with the same access type is reactivated at its old offset.
+    """
+    seen = set()
+    for c in candidates:
+        if c.name in seen:
+            raise InputError(f"duplicate candidate name {c.name}")
+        seen.add(c.name)
+    if scanned_modules is None:
+        scanned_modules = {c.origin_module for c in candidates}
+
+    new = _copy_db(db)
+    report = ChangeReport()
+    by_name = {e.name: e for e in new.entries}
+
+    for cand in candidates:
+        entry = by_name.get(cand.name)
+        if entry is None:
+            entry = RegEntry(name=cand.name, width_bits=cand.width_bits, access=cand.access,
+                             origin_module=cand.origin_module)
+            new.entries.append(entry)
+            by_name[cand.name] = entry
+            report.added.append(cand.name)
+            continue
+        changed = False
+        if entry.state == RETIRED:
+            if entry.access != cand.access:
+                where = "unallocated" if entry.offset_bytes is None \
+                    else f"0x{entry.offset_bytes:x}"
+                raise DataError(
+                    f"candidate {cand.name} ({cand.access}) collides with a retired "
+                    f"{entry.access} entry at offset {where}")
+            entry.state = ACTIVE
+            report.modified.append((cand.name, "state", RETIRED, ACTIVE))
+            changed = True
+        for label, attr, val in (("width", "width_bits", cand.width_bits),
+                                 ("access", "access", cand.access),
+                                 ("origin_module", "origin_module", cand.origin_module)):
+            old = getattr(entry, attr)
+            if old != val:
+                setattr(entry, attr, val)
+                report.modified.append((cand.name, label, old, val))
+                changed = True
+        if not changed:
+            report.unchanged_count += 1
+
+    for entry in new.entries:
+        if entry.state == ACTIVE and entry.origin_module in scanned_modules \
+                and entry.name not in seen:
+            entry.state = RETIRED
+            report.retired.append(entry.name)
+
+    _allocate_in_place(new.entries, region_size_bytes)
+    new.entries.sort(key=OFFSET_KEY)
+    return new, report

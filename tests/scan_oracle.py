@@ -3,10 +3,12 @@ r"""Reference versions of the scanner's low-level helpers and keyword passes.
 These are the straightforward implementations that the regex-driven code in
 chipkit.sv_scan replaced: one-index-at-a-time masking and bracket walking, a
 module keyword search that opens with \b (and the alternation that followed
-it), a lint loop over every identifier, and port-group parsing that splits the
-group at its top-level commas and matches each item on its own. They are kept
-only as oracles for the differential property tests and are never imported by
-chipkit.
+it), a lint loop over every identifier, port-group parsing that splits the
+group at its top-level commas and matches each item on its own, and the
+candidate extractors as they were when they tested each affix per port
+through NamingConvention.matches and built each candidate by keyword. They
+are kept only as oracles for the differential property tests and are never
+imported by chipkit.
 """
 
 from __future__ import annotations
@@ -14,14 +16,20 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
+from chipkit.regdb import ACCESS_RO, ACCESS_RW, CsrCandidate, NamingConvention
 from chipkit.sv_scan import (
     _CONN_RE,
     _NON_INSTANCE_WORDS,
     _RULE_MESSAGES,
+    DIAG_DIRECTION,
     DIAG_SKIP,
+    DIAG_WIDTH,
+    MAX_CSR_WIDTH,
+    DiagCandidate,
     Diagnostic,
     LintViolation,
     MalformedSource,
+    ModuleDecl,
     Port,
     SourceFile,
 )
@@ -236,3 +244,73 @@ def parse_ports(file, masked, group, name, diags):
         ports.append(port)
         prev = port
     return ports
+
+
+def _matches(conv: NamingConvention, affix: str, name: str) -> bool:
+    """NamingConvention.matches, which the extractors called once per affix."""
+    if conv.match_mode == "prefix":
+        return name.startswith(affix)
+    return name.endswith(affix)
+
+
+def extract_csr_candidates(
+    module: ModuleDecl,
+    conv: NamingConvention,
+    diagnostics: list[Diagnostic] | None = None,
+) -> list[CsrCandidate]:
+    """Register candidates from a module's ports, in declaration order.
+
+    Control-affixed inputs become RW (the register block drives them); status-
+    affixed outputs become RO. Wrong direction or width over 32 bits yields a
+    diagnostic and no candidate.
+    """
+    diags = diagnostics if diagnostics is not None else []
+    out: list[CsrCandidate] = []
+    for port in module.ports:
+        is_ctrl = _matches(conv, conv.control_prefix, port.name)
+        is_stat = _matches(conv, conv.status_prefix, port.name)
+        if not (is_ctrl or is_stat):
+            continue
+        if is_ctrl and is_stat:
+            diags.append(Diagnostic(DIAG_SKIP, module.path, port.line,
+                                    f"{port.name} matches both control and status affixes"))
+            continue
+        want_dir = "input" if is_ctrl else "output"
+        if port.direction != want_dir:
+            diags.append(Diagnostic(
+                DIAG_DIRECTION, module.path, port.line,
+                f"{port.name} in {module.name}: expected {want_dir}, found {port.direction}"))
+            continue
+        if port.width_bits > MAX_CSR_WIDTH:
+            diags.append(Diagnostic(
+                DIAG_WIDTH, module.path, port.line,
+                f"{port.name} in {module.name}: width {port.width_bits} exceeds {MAX_CSR_WIDTH}"))
+            continue
+        out.append(CsrCandidate(
+            name=port.name,
+            width_bits=port.width_bits,
+            access=ACCESS_RW if is_ctrl else ACCESS_RO,
+            origin_module=module.name,
+            source_line=port.line,
+        ))
+    return out
+
+
+def extract_diag_candidates(
+    module: ModuleDecl,
+    conv: NamingConvention,
+    diagnostics: list[Diagnostic] | None = None,
+) -> list[DiagCandidate]:
+    """Single-bit diagnostic outputs, in declaration order."""
+    diags = diagnostics if diagnostics is not None else []
+    out: list[DiagCandidate] = []
+    for port in module.ports:
+        if port.direction != "output" or not _matches(conv, conv.diag_prefix, port.name):
+            continue
+        if port.width_bits != 1:
+            diags.append(Diagnostic(
+                DIAG_WIDTH, module.path, port.line,
+                f"{port.name} in {module.name}: diagnostic taps must be 1 bit wide"))
+            continue
+        out.append(DiagCandidate(name=port.name, origin_module=module.name))
+    return out

@@ -61,7 +61,7 @@ def test_criterion_1_end_to_end_pipeline(proj, capsys):
     all_steps = m is not None and m.group(1) == m.group(2) and int(m.group(2)) > 0
 
     # a live sim session answers the ID read with the database hash
-    soc = cli._build_model(cli.load_config_file(str(proj / "chipkit.cfg")))
+    soc = cli._build_model(cli._apply(cli.ProjectConfig(), cli._ini_values(str(proj / "chipkit.cfg"))))
     listener = uart_host.open_listener()
     port = listener.getsockname()[1]
     thread = threading.Thread(target=uart_host.serve_tcp, args=(soc, listener), daemon=True)
@@ -200,51 +200,33 @@ def test_criterion_7_database_laws():
         cases["round_trip"] = cases.get("round_trip", 0) + 1
 
     @law_settings
-    @given(db=dbst.reg_dbs(), cands=dbst.candidate_lists())
-    def idempotent(db, cands):
-        try:
-            db1, _ = update_db(db, cands)
-        except DataError as exc:
-            if "collides with a retired" not in str(exc):
-                raise
-            return
-        db2, report = update_db(db1, cands)
-        assert db2 == db1 and report.empty
-        cases["idempotent"] = cases.get("idempotent", 0) + 1
-
-    @law_settings
-    @given(db=dbst.reg_dbs(), cands=dbst.candidate_lists())
-    def offset_stability(db, cands):
-        before = {e.name: e.offset_bytes for e in db.entries}
-        try:
-            db1, _ = update_db(db, cands)
-        except DataError as exc:
-            if "collides with a retired" not in str(exc):
-                raise
-            return
-        assert all(db1.entry(n).offset_bytes == off for n, off in before.items())
-        cases["stability"] = cases.get("stability", 0) + 1
-
-    @law_settings
     @given(db=dbst.reg_dbs(), rounds=st.lists(dbst.candidate_lists(), min_size=1, max_size=3))
-    def no_offset_reuse(db, rounds):
-        owner = {}
-        for d in [db]:
-            for e in d.entries:
-                owner[e.offset_bytes] = e.name
-        for cands in rounds:
+    def update_laws(db, rounds):
+        """The three laws of update_db on one draw: the first merge is
+        idempotent and keeps every offset, and no merge gives an offset to a
+        second name."""
+        owner = {e.offset_bytes: e.name for e in db.entries}
+        for i, cands in enumerate(rounds):
             try:
-                db, _ = update_db(db, cands)  # noqa: PLW2901
+                new, _ = update_db(db, cands)
             except DataError as exc:
                 if "collides with a retired" not in str(exc):
                     raise
                 continue
-            for e in db.entries:
-                assert owner.setdefault(e.offset_bytes, e.name) == e.name
+            if i == 0:
+                assert all(new.entry(e.name).offset_bytes == e.offset_bytes
+                           for e in db.entries), "offset_stability"
+                cases["stability"] = cases.get("stability", 0) + 1
+                again, report = update_db(new, cands)
+                assert again == new and report.empty, "idempotent"
+                cases["idempotent"] = cases.get("idempotent", 0) + 1
+            for e in new.entries:
+                assert owner.setdefault(e.offset_bytes, e.name) == e.name, "no_offset_reuse"
+            db = new  # noqa: PLW2901
         cases["no_reuse"] = cases.get("no_reuse", 0) + 1
 
     failures = []
-    for law in (round_trip, idempotent, offset_stability, no_offset_reuse):
+    for law in (round_trip, update_laws):
         try:
             law()
         except AssertionError as exc:

@@ -259,7 +259,7 @@ class TestSim:
         from chipkit import uart_host
         from chipkit.cli import _build_model
 
-        cfg = cli.load_config_file(str(proj / "chipkit.cfg"))
+        cfg = cli._apply(cli.ProjectConfig(), cli._ini_values(str(proj / "chipkit.cfg")))
         soc = _build_model(cfg)
         listener = uart_host.open_listener()
         port = listener.getsockname()[1]

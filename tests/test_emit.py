@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import RETIRED, RegDb, RegEntry, db_hash, update_db
 from chipkit.script import format_word, scan_script
 from chipkit.sv_scan import CsrCandidate, DiagCandidate, SourceFile, lint, parse_modules
+from test_memory_guard import _render_inputs
 
 CFG = EmitConfig(block_name="myblk", base_address=0x70000000, csr_region_size_bytes=0x1000)
 
@@ -404,6 +406,20 @@ class TestDeterminismAndClosure:
         assert set(first) == {"myblk_csr.sv", "myblk_csr_inst.sv", "myblk_regs.md",
                               "myblk_regs.h", "myblk_regs.py", "myblk_selftest.txt",
                               "soc_memmap.svh", "myblk_diag_mux.sv", "pads_place.tcl"}
+
+    # sha256 of each rendered file's name, then its text, in name order, for
+    # test_memory_guard's 4,000-register inputs with all nine targets; taken
+    # before the emitters rendered one block per register
+    SCALE_SHA256 = "f451a93df35861b504c5d462e679e70d5b624c473c4bc69e8c57dd6e3069ae1d"
+
+    def test_render_targets_at_scale_is_byte_identical(self):
+        db, cfg, memmap, diags, pads = _render_inputs()
+        out = emit.render_targets(db, cfg, db_hash(db), memmap, diags, pads)
+        digest = hashlib.sha256()
+        for name in sorted(out):
+            digest.update(name.encode())
+            digest.update(out[name].encode())
+        assert (len(out), digest.hexdigest()) == (9, self.SCALE_SHA256)
 
     def test_memmap_target_needs_a_map(self):
         with pytest.raises(DataError, match="^memmap target needs a memory map file$"):

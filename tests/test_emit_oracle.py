@@ -4,7 +4,10 @@ added each step through the script helpers, saved as the line list was, on
 databases with active and retired registers, in regions from too small to
 roomy, at any aligned base and with any unmapped value. save_script, which
 joins a run of steps at a time, agrees with that line list on any steps. The
-two writer tests keep the names they had when the writer was format_steps."""
+two writer tests keep the names they had when the writer was format_steps.
+The register block, instantiation template, Markdown and software views,
+rendered one f-string block per register, agree with the per-field renderers
+on the same databases and on hand-picked ones that no validation would pass."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 import emit_oracle
 import strategies
 from chipkit import ChipkitError, emit
-from chipkit.regdb import EmitConfig, db_hash
+from chipkit.regdb import ACTIVE, RETIRED, EmitConfig, RegDb, RegEntry, db_hash
 from chipkit.script import save_script
 from host_oracle import ScriptStep, TestScript
 
@@ -63,3 +66,67 @@ def test_format_steps_across_its_joins(commented):
             for i in range(700)]
     assert save_script(rows) == emit_oracle.save_script(
         TestScript([ScriptStep(*row) for row in rows]))
+
+
+_VIEWS = ("emit_csr_rtl", "emit_instantiation_template", "emit_markdown", "emit_sw_views")
+
+
+def _views_match(db, cfg, hash32):
+    for view in _VIEWS:
+        assert _outcome(getattr(emit, view), db, cfg, hash32) == \
+            _outcome(getattr(emit_oracle, view), db, cfg, hash32), view
+
+
+@settings(max_examples=300, deadline=None)
+@given(db=strategies.reg_dbs(), cfg=emit_configs(), hash32=st.integers(0, 0xFFFFFFFF))
+def test_register_views_match_oracle(db, cfg, hash32):
+    _views_match(db, cfg, hash32)
+
+
+def _db(*rows):
+    """Entries (name, width, access, reset, state, description) at 0x4, 0x8, ..."""
+    return RegDb([RegEntry(name, width, access, reset, 4 + 4 * i, "m", desc, state)
+                  for i, (name, width, access, reset, state, desc) in enumerate(rows)])
+
+
+# the port list's last comma moves with which of the RW and RO groups exist
+_DBS = {
+    "empty": _db(),
+    "rw-only": _db(("cfg_a", 1, "RW", 1, ACTIVE, ""), ("cfg_b", 32, "RW", 0xFFFFFFFF, ACTIVE, "")),
+    "ro-only": _db(("sts_a", 32, "RO", 0x80000000, ACTIVE, ""), ("sts_b", 1, "RO", 0, ACTIVE, "")),
+    "all-retired": _db(("cfg_a", 7, "RW", 5, RETIRED, "old"), ("sts_b", 32, "RO", 0, RETIRED, "")),
+    "rw-ro-retired": _db(("cfg_a", 1, "RW", 0, ACTIVE, ""), ("sts_b", 32, "RO", 3, ACTIVE, ""),
+                         ("cfg_c", 32, "RW", 9, RETIRED, ""), ("sts_d", 1, "RO", 1, ACTIVE, "")),
+    "descriptions": _db(("cfg_a", 8, "RW", 0, ACTIVE, "a | b"),
+                        ("cfg_b", 8, "RW", 0, ACTIVE, "two\nlines"),
+                        ("sts_c", 8, "RO", 0, ACTIVE, 'the "fast" path, it\'s |\n|'),
+                        ("sts_d", 8, "RO", 0, RETIRED, "gone | \"for\" good\n")),
+    # unvalidated: names that are no C identifier as they stand (one has a
+    # letter that upper-cases to two), then widths and resets outside 1-32 bits
+    "odd-names": _db(("a-b", 8, "RW", 0, ACTIVE, ""), ("9lives", 4, "RO", 0, ACTIVE, ""),
+                     ("stra\u00dfe", 8, "RW", 0, ACTIVE, ""), ("x y", 8, "RO", 0, ACTIVE, ""),
+                     ("\u00e9t\u00e9", 8, "RW", 0, ACTIVE, ""), ("_", 1, "RO", 0, RETIRED, "")),
+    "odd-widths": _db(("cfg_zero", 0, "RW", 0, ACTIVE, ""), ("cfg_wide", 33, "RW", 1 << 32, ACTIVE, ""),
+                      ("sts_wide", 128, "RO", -1, ACTIVE, ""), ("cfg_neg", -2, "RW", 7, ACTIVE, "")),
+}
+_CONFIGS = {
+    "roomy": EmitConfig(block_name="blk", base_address=0x40000000, csr_region_size_bytes=0x1000),
+    "top-of-space": EmitConfig(block_name="top", base_address=0xFFFFFF00, csr_region_size_bytes=0x100,
+                               unmapped_value=0),
+    "too-small": EmitConfig(block_name="blk", base_address=0, csr_region_size_bytes=8),
+    # an address bus wider than any register, and addresses past 32 bits
+    "huge": EmitConfig(block_name="huge", base_address=0, csr_region_size_bytes=1 << 36),
+}
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS.values(), ids=_CONFIGS.keys())
+@pytest.mark.parametrize("db", _DBS.values(), ids=_DBS.keys())
+def test_register_views_match_oracle_on_edge_databases(db, cfg):
+    _views_match(db, cfg, 0x1234ABCD)
+
+
+def test_register_views_match_oracle_past_32_bit_addresses():
+    db = RegDb([RegEntry("cfg_far", 32, "RW", 1, (1 << 32) + 4, "m", "past 4 GiB"),
+                RegEntry("sts_far", 1, "RO", 0, (1 << 33) + 8, "m", ""),
+                RegEntry("cfg_gone", 8, "RW", 0, (1 << 34) + 12, "m", "", RETIRED)])
+    _views_match(db, _CONFIGS["huge"], 0)

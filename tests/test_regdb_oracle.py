@@ -1,8 +1,11 @@
 """Differential properties: the one-pass database reader and the one-picker
 writer agree with the per-cell versions in regdb_oracle, on canonical and
 extra columns in any order, with or without a state column, and on every
-malformed-row error; and the constructor copy that update_db starts from
-agrees with a slot-by-slot copy.copy."""
+malformed-row error; the constructor copy that update_db starts from
+agrees with a slot-by-slot copy.copy; and update_db, which compares the
+scan-owned fields as one tuple, agrees with the merge that took a getattr and
+setattr per field, on candidates that refresh, widen, move, reactivate or
+collide with known entries and on new ones."""
 
 import csv
 import io
@@ -101,3 +104,38 @@ def test_copy_db_matches_oracle(db, extra, states):
     for new, old in zip(copied.entries, db.entries):
         assert type(new) is type(old)
         assert new is not old and new.extra is not old.extra
+
+
+@st.composite
+def merges(draw):
+    """A database, candidates that mostly name its entries with drawn fields,
+    the scanned modules (None: the candidates' own) and a region size."""
+    db = draw(strategies.reg_dbs())
+    known = {e.name: e for e in db.entries}
+    names = st.sampled_from(sorted(known)) | strategies.names if known else strategies.names
+    cands = []
+    for line, name in enumerate(draw(st.lists(names, max_size=8)), 1):
+        e = known.get(name)  # a known entry's fields are each kept or drawn anew
+        fields = [draw(drawn if e is None else st.just(getattr(e, attr)) | drawn)
+                  for attr, drawn in (("width_bits", st.integers(1, 32)),
+                                      ("access", strategies.access),
+                                      ("origin_module", strategies.module_names))]
+        cands.append(regdb.CsrCandidate(name, *fields, line))
+    scanned = draw(st.none() | st.sets(strategies.module_names))
+    return db, cands, scanned, draw(st.sampled_from([None, 16, 64, 1 << 12]))
+
+
+def _merge(update_db, db, cands, scanned, size):
+    try:
+        return update_db(db, cands, scanned, size)
+    except ChipkitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=merges())
+def test_update_db_matches_oracle(case):
+    db, *rest = case
+    before = regdb.save_db(db)
+    assert _merge(regdb.update_db, db, *rest) == _merge(regdb_oracle.update_db, db, *rest)
+    assert regdb.save_db(db) == before

@@ -28,6 +28,21 @@ def test_fault_sweep_detects_every_injected_fault(tmp_path):
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == FAULT_SWEEP_SHA256
 
 
+def test_fault_sweep_stops_quietly_when_its_reader_leaves(tmp_path):
+    """As under `| head -5`: five lines read, then the pipe closed while the
+    sweep still has faults to print. Unbuffered, so each line is written as it
+    is printed and the first write after the close fails."""
+    proc = subprocess.Popen([sys.executable, "-u", str(SCRIPTS / "fault_sweep.py")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path)
+    lines = [proc.stdout.readline() for _ in range(5)]
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    proc.wait(timeout=120)
+    assert lines[-1].startswith(b"  mask_address_bit")
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+
 def test_demo_project_runs_end_to_end(tmp_path):
     result = run_helper("demo_project.py", "--workdir", str(tmp_path / "demo"), cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr

@@ -2,7 +2,10 @@
 oracles in scan_oracle, on text dense in the characters that open, close or
 escape comments, strings and brackets, and on text dense in the keywords and
 the characters around them that decide where a module block or a lint
-keyword starts and ends."""
+keyword starts and ends. The candidate extractors agree with the ones that
+tested each affix through a method call, on ports whose names carry any mix
+of the affixes, under prefix and postfix conventions, some with an affix that
+begins another."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,8 @@ from hypothesis import strategies as st
 
 import scan_oracle
 from chipkit import sv_scan
-from chipkit.sv_scan import MalformedSource, SourceFile
+from chipkit.regdb import NamingConvention
+from chipkit.sv_scan import MalformedSource, ModuleDecl, Port, SourceFile
 
 # every character the scanners branch on, plus filler; the openers and the
 # newline are repeated so comments, strings and lines start often
@@ -273,3 +277,33 @@ def test_parse_ports_cases_match_oracle(group):
     text = "module m (" + group + ");\n"
     span = (len("module m ("), len("module m (") + len(group))
     assert _ports(sv_scan._parse_ports, text, span) == _ports(scan_oracle.parse_ports, text, span)
+
+
+_AFFIXES = ["", "", "cfg_", "sts_", "diag_", "_cfg", "_sts", "_diag", "c", "cfg_s"]
+port_names = st.builds(lambda head, core, tail: head + core + tail, st.sampled_from(_AFFIXES),
+                       st.sampled_from(["a", "x_1", "cfg", "sts_"]), st.sampled_from(_AFFIXES))
+conventions = st.sampled_from([
+    NamingConvention(),
+    NamingConvention("_cfg", "_sts", "_diag", "postfix"),
+    NamingConvention(control_prefix="cfg_s", status_prefix="cfg_"),  # one affix begins the other
+    NamingConvention("c", "s", "d", "postfix"),
+])
+
+
+@st.composite
+def modules(draw):
+    ports = [Port(name, draw(st.sampled_from(["input", "output", "inout"])), width,
+                  None if width == 1 else (width - 1, 0), line)
+             for line, (name, width) in enumerate(
+                 draw(st.lists(st.tuples(port_names, st.integers(1, 40)), max_size=12)), 1)]
+    return ModuleDecl("m", ports, "m.sv", (1, len(ports) + 2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(module=modules(), conv=conventions)
+def test_extractors_match_oracle(module, conv):
+    for extract in ("extract_csr_candidates", "extract_diag_candidates"):
+        got, expected = [], []
+        assert getattr(sv_scan, extract)(module, conv, got) == \
+            getattr(scan_oracle, extract)(module, conv, expected), extract
+        assert got == expected, extract
