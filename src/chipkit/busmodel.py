@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import Checked, DataError, InputError, Record
 from .memmap import MemoryMap, Region
-from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ID_REG_OFFSET, RegDb, UNMAPPED_READ_VALUE
+from .regdb import ACCESS_RW, ACTIVE, ID_REG_OFFSET, RegDb, UNMAPPED_READ_VALUE
 from .script import RESP_OK, format_word
 
 WORD_MASK = 0xFFFFFFFF
@@ -69,12 +69,10 @@ class CsrBlock:
     and that database's db_hash, which the ID register reads."""
 
     def __init__(self, region: Region, db: RegDb, hash32: int, unmapped_value: int):
-        self.region = region
         self.hash = hash32
         self.unmapped_value = unmapped_value & WORD_MASK
-        self.entries = {}
-        self.by_offset = {}
-        self.values = {}
+        self.values = {}  # byte offset -> value, per active entry
+        self.rw_masks = {}  # byte offset -> width mask, per active RW entry
         for e in db.entries:
             if e.state != ACTIVE:
                 continue
@@ -82,26 +80,20 @@ class CsrBlock:
                 raise DataError(
                     f"entry {e.name} at offset 0x{e.offset_bytes:x} does not fit "
                     f"region {region.name} (size 0x{region.size_bytes:x})")
-            self.entries[e.name] = e
-            self.by_offset[e.offset_bytes] = e
-            self.values[e.name] = e.reset_value & self._mask(e.width_bits)
-
-    @staticmethod
-    def _mask(width: int) -> int:
-        return (1 << width) - 1
+            mask = (1 << e.width_bits) - 1
+            self.values[e.offset_bytes] = e.reset_value & mask
+            if e.access == ACCESS_RW:
+                self.rw_masks[e.offset_bytes] = mask
 
     def read(self, offset: int) -> int:
         if offset == ID_REG_OFFSET:
             return self.hash
-        entry = self.by_offset.get(offset)
-        if entry is None:
-            return self.unmapped_value
-        return self.values[entry.name]
+        return self.values.get(offset, self.unmapped_value)
 
     def write(self, offset: int, data: int) -> None:
-        entry = self.by_offset.get(offset)
-        if entry is not None and entry.access == ACCESS_RW:
-            self.values[entry.name] = data & self._mask(entry.width_bits)
+        mask = self.rw_masks.get(offset)
+        if mask is not None:
+            self.values[offset] = data & mask
 
 
 class SramStore:
@@ -221,32 +213,6 @@ def bus_write(soc: SocModel, addr: int, data: int):
             target.write(addr - base, data & WORD_MASK)
             return None
     return _error(soc, ERR_UNMAPPED, addr)
-
-
-def set_status(soc: SocModel, region: str, name: str, value: int) -> None:
-    """Drive an RO entry's readable value, emulating the attached design."""
-    block = soc.csr_blocks.get(region)
-    if block is None:
-        raise InputError(f"no csr region named {region!r}")
-    entry = block.entries.get(name)
-    if entry is None:
-        raise InputError(f"no active entry {name!r} in region {region!r}")
-    if entry.access != ACCESS_RO:
-        raise InputError(f"{name} is {entry.access}; set_status drives RO entries only")
-    block.values[name] = value & block._mask(entry.width_bits)
-
-
-def get_control(soc: SocModel, region: str, name: str) -> int:
-    """Observe an RW entry's current value, emulating the attached design."""
-    block = soc.csr_blocks.get(region)
-    if block is None:
-        raise InputError(f"no csr region named {region!r}")
-    entry = block.entries.get(name)
-    if entry is None:
-        raise InputError(f"no active entry {name!r} in region {region!r}")
-    if entry.access != ACCESS_RW:
-        raise InputError(f"{name} is {entry.access}; get_control observes RW entries only")
-    return block.values[name]
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,6 @@ CONFIG_ENV = "CHIPKIT_CONFIG"
 
 EXIT_OK = 0
 EXIT_CHECK = 1
-EXIT_IO = 2
-EXIT_DATA = 3
 
 
 class ProjectConfig(Record):
@@ -204,27 +202,19 @@ def _rtl_files(paths: list) -> list[Path]:
     for p in paths:
         path = Path(p)
         if path.is_dir():
-            found = []  # (parts below path, path, real path or None)
-            dirs = [(str(path), os.path.realpath(path), ())]
-            while dirs:
-                top, real_top, parts = dirs.pop()
-                try:
-                    entries = list(os.scandir(top))
-                except OSError:
-                    continue
-                for entry in entries:
-                    name, dot = entry.name, entry.name.rfind(".")
-                    linked = entry.is_symlink()
-                    if not linked and entry.is_dir():
-                        dirs.append((entry.path, os.path.join(real_top, name), parts + (name,)))
-                    # os.path.isfile, as a link loop raises from DirEntry.is_file
-                    elif dot > 0 and name[dot:] in (".sv", ".svh") and (
-                            os.path.isfile(entry.path) if linked else entry.is_file()):
-                        found.append((parts + (name,), entry.path,
-                                      None if linked else os.path.join(real_top, name)))
+            top, real_top = str(path), os.path.realpath(path)
+            found = []  # (path parts, path, real path or None)
+            for folder, _, names in os.walk(top):
+                real_folder = real_top + folder[len(top):]  # walk enters no link
+                for name in names:
+                    dot, file = name.rfind("."), os.path.join(folder, name)
+                    # os.path.isfile drops dangling links, link loops and non-regular files
+                    if dot > 0 and name[dot:] in (".sv", ".svh") and os.path.isfile(file):
+                        found.append((file.split(os.sep), file, None if os.path.islink(file)
+                                      else os.path.join(real_folder, name)))
             found.sort()
         elif path.exists():
-            found = [((), str(path), None)]
+            found = [([], str(path), None)]
         else:
             raise InputError(f"no such file or directory: {p}")
         for _, file, real in found:
@@ -249,10 +239,13 @@ def _scan_modules(cfg: ProjectConfig, diagnostics: list) -> Iterator[sv_scan.Mod
 
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    os.umask(umask := os.umask(0o077))  # reads the umask, which os.umask only swaps
+    mode = path.stat().st_mode & 0o7777 if path.exists() else 0o666 & ~umask  # as open() gives
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        os.chmod(tmp, mode)  # mkstemp made it 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -293,7 +286,7 @@ def cmd_update(cfg: ProjectConfig) -> int:
                             "rename the conflicting RTL port")
         candidates = candidates + [regdb.CsrCandidate(
             name="cfg_diag_sel", width_bits=sel_width, access=regdb.ACCESS_RW,
-            origin_module=diag_origin, source_line=0)]
+            origin_module=diag_origin)]
         scanned_for_update.add(diag_origin)
     elif any(e.origin_module == diag_origin for e in db.entries):
         # diag generation switched off: retire the stale select register
@@ -345,7 +338,7 @@ def cmd_generate(cfg: ProjectConfig) -> int:
     if "diag" in cfg.emit.targets:
         diags = [d for module in _scan_modules(cfg, [])
                  for d in sv_scan.extract_diag_candidates(module, cfg.naming)]
-    pads = None
+    pads = ()
     if "pads" in cfg.emit.targets and cfg.pads_path:
         pads = emit.load_pad_db(Path(cfg.pads_path).read_text(encoding="utf-8"))
 
@@ -464,10 +457,10 @@ def main(argv=None) -> int:
         return exc.exit_code
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return InputError.exit_code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return DataError.exit_code
 
 
 def run() -> None:

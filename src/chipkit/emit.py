@@ -33,11 +33,7 @@ class Pad(NamedTuple):
     signal: str
 
 
-class PadDb(NamedTuple):
-    pads: tuple[Pad, ...] = ()
-
-
-def load_pad_db(csv_text: str) -> PadDb:
+def load_pad_db(csv_text: str) -> tuple[Pad, ...]:
     rows = list(rdb.csv_rows(csv_text, "pad row"))
     if not rows:
         raise InputError("empty pad file (missing header row)")
@@ -66,7 +62,7 @@ def load_pad_db(csv_text: str) -> PadDb:
         slots.add((side, order))
         pads.append(Pad(row[idx["name"]].strip(), side, order,
                         row[idx["cell"]].strip(), row[idx["signal"]].strip()))
-    return PadDb(tuple(pads))
+    return tuple(pads)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +413,10 @@ def emit_diag_mux(diags: list[DiagCandidate], db: RegDb, cfg: EmitConfig, hash32
 # ---------------------------------------------------------------------------
 # pad placement
 
-def emit_pad_script(pads: PadDb) -> str:
+def emit_pad_script(pads: tuple[Pad, ...]) -> str:
     lines = ["# pad placement directives", "# generated file, do not edit"]
     for side in _SIDES:
-        group = sorted((p for p in pads.pads if p.side == side), key=lambda p: p.order_index)
+        group = sorted((p for p in pads if p.side == side), key=lambda p: p.order_index)
         if not group:
             continue
         lines.append("")
@@ -454,7 +450,7 @@ def render_targets(
     hash32: int,
     memmap: MemoryMap | None = None,
     diags: list[DiagCandidate] | None = None,
-    pads: PadDb | None = None,
+    pads: tuple[Pad, ...] = (),
 ) -> dict[str, str]:
     """Render every configured target to text, keyed by output file name;
     hash32 is the db_hash of db, which the caller takes once.
@@ -485,5 +481,5 @@ def render_targets(
         elif target == "diag":
             out[name] = emit_diag_mux(diags or [], db, cfg, hash32)
         elif target == "pads":
-            out[name] = emit_pad_script(pads if pads is not None else PadDb())
+            out[name] = emit_pad_script(pads)
     return out

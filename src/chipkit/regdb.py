@@ -52,7 +52,6 @@ class CsrCandidate(NamedTuple):
     width_bits: int
     access: str
     origin_module: str
-    source_line: int
 
 
 # settings of the scanner and the emitters, kept out of both so that building a
@@ -446,7 +445,7 @@ def update_db(
             entry.state = ACTIVE
             report.modified.append((cand.name, "state", RETIRED, ACTIVE))
         # the scan-owned fields, as CsrCandidate holds them after its name
-        old, now = (entry.width_bits, entry.access, entry.origin_module), cand[1:4]
+        old, now = (entry.width_bits, entry.access, entry.origin_module), cand[1:]
         if old != now:
             entry.width_bits, entry.access, entry.origin_module = now
             report.modified += [(cand.name, label, a, b) for label, a, b

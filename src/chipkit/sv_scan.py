@@ -55,17 +55,11 @@ class SourceFile(Record):
         """1-based line number of a byte offset into content."""
         return bisect.bisect_right(self._line_starts, offset)
 
-    def line_text(self, line: int) -> str:
-        start = self._line_starts[line - 1]
-        end = self.content.find("\n", start)
-        return self.content[start:] if end < 0 else self.content[start:end]
-
 
 class Port(NamedTuple):
     name: str
     direction: str  # input | output | inout
     width_bits: int
-    packed_range: tuple[int, int] | None = None  # (msb, lsb)
     line: int = 0
 
 
@@ -73,7 +67,6 @@ class ModuleDecl(NamedTuple):
     name: str
     ports: list[Port]
     path: str = ""
-    line_span: tuple[int, int] = (0, 0)
 
 
 class Diagnostic(NamedTuple):
@@ -176,17 +169,17 @@ def _split_top_commas(text: str, base: int) -> list[tuple[str, int]]:
     return [(t, off) for t, off in parts if t.strip()]
 
 
-def _parse_range(spec: str | None) -> tuple[int, tuple[int, int] | None] | None:
-    """Width and (msb, lsb) for a packed range spec; None if not a literal range."""
+def _parse_range(spec: str | None) -> int | None:
+    """Width of a packed range spec; None if not a literal range."""
     if spec is None:
-        return 1, None
+        return 1
     m = _LITERAL_RANGE_RE.match(spec)
     if not m:
         return None
     msb, lsb = int(m.group(1)), int(m.group(2))
     if msb < lsb:
         return None
-    return msb - lsb + 1, (msb, lsb)
+    return msb - lsb + 1
 
 
 def parse_modules(file: SourceFile, diagnostics: list[Diagnostic] | None = None) -> list[ModuleDecl]:
@@ -211,12 +204,7 @@ def parse_modules(file: SourceFile, diagnostics: list[Diagnostic] | None = None)
 
         port_group = _parse_header(file, masked, name_m.end(), end_kw, name, diags)
         ports = _parse_ports(file, masked, port_group, name, diags) if port_group else []
-        modules.append(ModuleDecl(
-            name=name,
-            ports=ports,
-            path=file.path,
-            line_span=(file.line_of(kw_start), file.line_of(end_kw)),
-        ))
+        modules.append(ModuleDecl(name, ports, file.path))
         seen_names.add(name)
     return modules
 
@@ -291,11 +279,10 @@ def _parse_ports(file, masked, group, name, diags):
     # on, the group is split and each item matched and diagnosed on its own
     while (m := _PORT_RE.match(masked, start, end)) is not None:
         direction, msb, lsb, pname = m.groups()
-        packed = None if msb is None else (int(msb), int(lsb))
-        if pname in names or (packed and packed[0] < packed[1]):
+        width = 1 if msb is None else int(msb) - int(lsb) + 1
+        if pname in names or width < 1:
             break
-        width = packed[0] - packed[1] + 1 if packed else 1
-        ports.append(Port(pname, direction, width, packed, bisect_right(line_starts, m.start(1))))
+        ports.append(Port(pname, direction, width, bisect_right(line_starts, m.start(1))))
         names.add(pname)
         start = m.end()
     prev: Port | None = ports[-1] if ports else None
@@ -318,21 +305,20 @@ def _parse_ports(file, masked, group, name, diags):
                 diags.append(Diagnostic(DIAG_SKIP, file.path, line,
                                         f"port {pname} in {name} has no direction (non-ANSI list?)"))
                 continue
-            port = Port(pname, prev.direction, prev.width_bits, prev.packed_range, line)
+            port = Port(pname, prev.direction, prev.width_bits, line)
         elif direction is None:
             diags.append(Diagnostic(DIAG_SKIP, file.path, line,
                                     f"port {pname} in {name} has no direction"))
             prev = None
             continue
         else:
-            parsed = _parse_range(range_spec)
-            if parsed is None:
+            width = _parse_range(range_spec)
+            if width is None:
                 diags.append(Diagnostic(DIAG_SKIP, file.path, line,
                                         f"non-literal packed range on port {pname} in {name}"))
                 prev = None
                 continue
-            width, packed = parsed
-            port = Port(pname, direction, width, packed, line)
+            port = Port(pname, direction, width, line)
         if port.name in names:
             diags.append(Diagnostic(DIAG_SKIP, file.path, line,
                                     f"duplicate port name {port.name} in {name}"))
@@ -379,7 +365,7 @@ def extract_csr_candidates(
                 f"{name} in {module.name}: width {port.width_bits} exceeds {MAX_CSR_WIDTH}"))
             continue
         out.append(CsrCandidate(name, port.width_bits, ACCESS_RW if is_ctrl else ACCESS_RO,
-                                module.name, port.line))
+                                module.name))
     return out
 
 
@@ -420,7 +406,6 @@ class LintViolation(NamedTuple):
     rule_id: str
     file: str
     line: int
-    excerpt: str
     message: str
 
 
@@ -474,9 +459,8 @@ def lint(file: SourceFile) -> list[LintViolation]:
     violations: list[LintViolation] = []
 
     def add(rule: str, offset: int):
-        line = file.line_of(offset)
-        violations.append(LintViolation(rule, file.path, line,
-                                        file.line_text(line).strip(), _RULE_MESSAGES[rule]))
+        violations.append(LintViolation(rule, file.path, file.line_of(offset),
+                                        _RULE_MESSAGES[rule]))
 
     reversed_text = masked[::-1]
     for m in _KEYWORD_RE.finditer(masked):

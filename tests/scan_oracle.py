@@ -154,9 +154,8 @@ def lint(file: SourceFile, rules: RuleSet | None = None) -> list[LintViolation]:
     def add(rule: str, offset: int):
         if rule not in rules.enabled:
             return
-        line = file.line_of(offset)
-        violations.append(LintViolation(rule, file.path, line,
-                                        file.line_text(line).strip(), _RULE_MESSAGES[rule]))
+        violations.append(LintViolation(rule, file.path, file.line_of(offset),
+                                        _RULE_MESSAGES[rule]))
 
     for m in _WORD_RE.finditer(masked):
         word = m.group()
@@ -185,16 +184,16 @@ def lint(file: SourceFile, rules: RuleSet | None = None) -> list[LintViolation]:
     return violations
 
 
-def parse_range(spec: str | None) -> tuple[int, tuple[int, int] | None] | None:
+def parse_range(spec: str | None) -> int | None:
     if spec is None:
-        return 1, None
+        return 1
     m = _LITERAL_RANGE_RE.match(spec)
     if not m:
         return None
     msb, lsb = int(m.group(1)), int(m.group(2))
     if msb < lsb:
         return None
-    return msb - lsb + 1, (msb, lsb)
+    return msb - lsb + 1
 
 
 def parse_ports(file, masked, group, name, diags):
@@ -221,21 +220,20 @@ def parse_ports(file, masked, group, name, diags):
                 diags.append(Diagnostic(DIAG_SKIP, file.path, line,
                                         f"port {pname} in {name} has no direction (non-ANSI list?)"))
                 continue
-            port = Port(pname, prev.direction, prev.width_bits, prev.packed_range, line)
+            port = Port(pname, prev.direction, prev.width_bits, line)
         elif direction is None:
             diags.append(Diagnostic(DIAG_SKIP, file.path, line,
                                     f"port {pname} in {name} has no direction"))
             prev = None
             continue
         else:
-            parsed = parse_range(range_spec)
-            if parsed is None:
+            width = parse_range(range_spec)
+            if width is None:
                 diags.append(Diagnostic(DIAG_SKIP, file.path, line,
                                         f"non-literal packed range on port {pname} in {name}"))
                 prev = None
                 continue
-            width, packed = parsed
-            port = Port(pname, direction, width, packed, line)
+            port = Port(pname, direction, width, line)
         if port.name in names:
             diags.append(Diagnostic(DIAG_SKIP, file.path, line,
                                     f"duplicate port name {port.name} in {name}"))
@@ -291,7 +289,6 @@ def extract_csr_candidates(
             width_bits=port.width_bits,
             access=ACCESS_RW if is_ctrl else ACCESS_RO,
             origin_module=module.name,
-            source_line=port.line,
         ))
     return out
 

@@ -51,7 +51,6 @@ def candidate_lists(draw, max_candidates=6):
             width_bits=draw(st.integers(1, 32)),
             access=draw(access),
             origin_module=draw(module_names),
-            source_line=i + 1,
         )
-        for i, n in enumerate(cand_names)
+        for n in cand_names
     ]

@@ -88,7 +88,7 @@ def test_criterion_1_end_to_end_pipeline(proj, capsys):
 
 
 def test_criterion_2_code_volume():
-    db, _ = update_db(RegDb(), [CsrCandidate(f"cfg_r{i:03d}", 8, "RW", "blk", i)
+    db, _ = update_db(RegDb(), [CsrCandidate(f"cfg_r{i:03d}", 8, "RW", "blk")
                                 for i in range(100)])
     cfg = emit.EmitConfig(block_name="blk", base_address=0x50000000,
                           csr_region_size_bytes=0x1000)
@@ -119,7 +119,7 @@ def test_criterion_4_default_slave_totality():
         Region("csr0", "csr", 0x50000000, 0x1000),
         Region("sram0", "sram", 0x60000000, 0x10000),
     ])
-    db, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 8, "RW", "m", 1)])
+    db, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 8, "RW", "m")])
     soc = build_soc(memmap, [("csr0", db, db_hash(db))], sram_mode="random", seed=1)
 
     def oracle_mapped(addr):
@@ -142,7 +142,7 @@ def test_criterion_5_bit_toggle_fault_detection():
         Region("csr0", "csr", 0x50000000, 0x1000),
         Region("sram0", "sram", 0x60000000, 0x10000),  # 64 KB
     ])
-    db, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 8, "RW", "m", 1)])
+    db, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 8, "RW", "m")])
     script = save_script(gen_region_test(memmap, "sram0"))
 
     clean = uart_host.run_script(build_soc(memmap, [("csr0", db, db_hash(db))]), script)
@@ -257,8 +257,8 @@ def test_criterion_9_protocol_conformance():
         Region("csr0", "csr", 0x50000000, 0x1000),
         Region("sram0", "sram", 0x60000000, 0x10000),
     ])
-    db, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 16, "RW", "m", 1),
-                                CsrCandidate("sts_b", 8, "RO", "m", 2)])
+    db, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 16, "RW", "m"),
+                                CsrCandidate("sts_b", 8, "RO", "m")])
 
     rng = random.Random(0xFACE)
     commands = []

@@ -20,13 +20,12 @@ from chipkit.busmodel import (
     bus_read,
     bus_write,
     gen_region_test,
-    get_control,
-    set_status,
 )
 from chipkit.memmap import MemoryMap, Region, load_memory_map
-from chipkit.regdb import RegDb, UNMAPPED_READ_VALUE, db_hash, update_db
+from chipkit.regdb import ACCESS_RW, ACTIVE, RegDb, UNMAPPED_READ_VALUE, db_hash, update_db
 from chipkit.script import save_script
 from chipkit.sv_scan import CsrCandidate
+from strategies import reg_dbs
 
 MAP = MemoryMap([
     Region("uart0", "peripheral", 0x40000000, 0x100),
@@ -40,8 +39,8 @@ SRAM_BASE = 0x60000000
 
 def make_db():
     db, _ = update_db(RegDb(), [
-        CsrCandidate("cfg_a", 4, "RW", "m1", 1),
-        CsrCandidate("sts_b", 8, "RO", "m1", 2),
+        CsrCandidate("cfg_a", 4, "RW", "m1"),
+        CsrCandidate("sts_b", 8, "RO", "m1"),
     ])
     db.entry("cfg_a").reset_value = 0x5
     return db
@@ -64,7 +63,6 @@ class TestBuild:
         assert set(soc.srams) == {"uart0", "sram0"}
 
     def test_reset_values_visible_immediately(self, soc):
-        assert get_control(soc, "csr0", "cfg_a") == 0x5
         assert bus_read(soc, CSR_BASE + 4) == 0x5
 
     def test_zero_region_map_everything_unmapped(self):
@@ -82,7 +80,7 @@ class TestBuild:
 
     def test_entry_outside_region(self):
         tiny = MemoryMap([Region("csr0", "csr", 0x50000000, 0x8)])
-        db, _ = update_db(RegDb(), [CsrCandidate(f"cfg_{i}", 1, "RW", "m", i) for i in range(3)])
+        db, _ = update_db(RegDb(), [CsrCandidate(f"cfg_{i}", 1, "RW", "m") for i in range(3)])
         with pytest.raises(DataError, match=r"^entry cfg_1 at offset 0x8 does not fit region "
                                             r"csr0 \(size 0x8\)$"):
             build_soc(tiny, csr_dbs(db))
@@ -179,31 +177,6 @@ class TestRandomFill:
             assert out.stdout.strip() == expected
 
 
-class TestStatusControl:
-    def test_set_status_then_read(self, soc):
-        set_status(soc, "csr0", "sts_b", 0x21)
-        assert bus_read(soc, CSR_BASE + 8) == 0x21
-
-    def test_set_status_masks(self, soc):
-        set_status(soc, "csr0", "sts_b", 0x1FF)
-        assert bus_read(soc, CSR_BASE + 8) == 0xFF
-
-    def test_get_control_after_write(self, soc):
-        bus_write(soc, CSR_BASE + 4, 0x3)
-        assert get_control(soc, "csr0", "cfg_a") == 0x3
-
-    def test_usage_errors(self, soc):
-        with pytest.raises(InputError, match="^cfg_a is RW; set_status drives RO entries only$"):
-            set_status(soc, "csr0", "cfg_a", 1)  # RW name
-        with pytest.raises(InputError,
-                           match="^sts_b is RO; get_control observes RW entries only$"):
-            get_control(soc, "csr0", "sts_b")
-        with pytest.raises(InputError, match="^no csr region named 'nope'$"):
-            set_status(soc, "nope", "sts_b", 1)
-        with pytest.raises(InputError, match="^no active entry 'missing' in region 'csr0'$"):
-            set_status(soc, "csr0", "missing", 1)
-
-
 def snapshot(soc):
     return (
         {n: dict(b.values) for n, b in soc.csr_blocks.items()},
@@ -266,6 +239,45 @@ class TestProperties:
         soc = build_soc(MAP, csr_dbs())
         bus_write(soc, CSR_BASE + 4, value)
         assert bus_read(soc, CSR_BASE + 4) == (value & 0xF)
+
+
+@st.composite
+def csr_sessions(draw):
+    """A database, a csr region it fits, an unmapped value, and R/W steps as
+    (word index, data to write or None to read)."""
+    size = draw(st.sampled_from([0x40, 0x80]))
+    steps = st.tuples(st.integers(0, size // 4 - 1), st.none() | st.integers(0, 0xFFFFFFFF))
+    return (draw(reg_dbs()), draw(st.sampled_from([0x0, 0x50000000, 0xFFFFFF80])), size,
+            draw(st.integers(0, 0xFFFFFFFF)), draw(st.lists(steps, max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_sessions())
+def test_csr_region_matches_a_reference_built_from_the_rows(session):
+    """Every word of a csr region, through build_soc and the bus, against a
+    dict made from the database rows alone: the ID hash at 0x0; an active
+    entry's reset value, or for an RW one its last write cut to its width; and
+    the unmapped value for retired entries and free offsets."""
+    db, base, size, unmapped, steps = session
+    hash32 = db_hash(db)
+    soc = build_soc(MemoryMap([Region("csr0", "csr", base, size)]), [("csr0", db, hash32)],
+                    unmapped_value=unmapped)
+    expected = {offset: unmapped for offset in range(4, size, 4)}
+    expected[0] = hash32
+    rw_widths = {}
+    for row in db.entries:
+        if row.state == ACTIVE:
+            expected[row.offset_bytes] = row.reset_value
+            if row.access == ACCESS_RW:
+                rw_widths[row.offset_bytes] = row.width_bits
+    for word, data in steps:
+        if data is None:
+            assert bus_read(soc, base + 4 * word) == expected[4 * word]
+        else:
+            assert bus_write(soc, base + 4 * word, data) is None
+            if 4 * word in rw_widths:
+                expected[4 * word] = data % (1 << rw_widths[4 * word])
+    assert {offset: bus_read(soc, base + offset) for offset in expected} == expected
 
 
 class TestRegionTest:

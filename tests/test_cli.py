@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import socket
+import stat
 import subprocess
 import sys
 import threading
@@ -188,6 +189,33 @@ class TestGenerate:
         assert main(["generate"]) == 0
         assert main(["lint", str(proj / "gen" / "demo_csr.sv"),
                      str(proj / "gen" / "demo_diag_mux.sv")]) == 0
+
+
+class TestFileModes:
+    """A written file gets the mode open() would give it, and a rewritten one
+    keeps its own: mkstemp's 0600 never reaches an output."""
+
+    @pytest.fixture(autouse=True)
+    def umask_022(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    def test_new_outputs_follow_the_umask(self, proj):
+        assert main(["update"]) == 0
+        assert main(["generate"]) == 0
+        for path in [proj / "regs.csv", *(proj / "gen").iterdir()]:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
+
+    def test_an_update_keeps_the_database_mode(self, proj):
+        assert main(["update"]) == 0
+        regs = proj / "regs.csv"
+        regs.chmod(0o640)
+        before = regs.read_bytes()
+        _edit(proj, "rtl/timer_unit.sv", "[3:0]  cfg_prescale", "[4:0]  cfg_prescale")
+        assert main(["update"]) == 0
+        assert regs.read_bytes() != before
+        assert stat.S_IMODE(regs.stat().st_mode) == 0o640
 
 
 class TestLint:
@@ -746,7 +774,7 @@ class TestDuplicatePaths:
             Path("rtl/timer_unit.sv"), Path("rtl/dsp_core.sv"), Path("rtl/io_ctrl.sv")]
 
     def test_walk_lists_what_rglob_listed(self, tmp_path, monkeypatch):
-        """The scandir walk against the rglob walk it replaced, verbatim below,
+        """The directory walk against the rglob walk it replaced, verbatim below,
         on every kind of entry the two could treat differently."""
         def rglob_rtl_files(paths):
             files = {}

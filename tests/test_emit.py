@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 
 import strategies
 from chipkit import DataError, emit, regdb, sv_scan
-from chipkit.emit import EmitConfig, PadDb, load_pad_db
+from chipkit.emit import EmitConfig, load_pad_db
 from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import RETIRED, RegDb, RegEntry, db_hash, update_db
 from chipkit.script import format_word, scan_script
@@ -22,7 +22,7 @@ def make_db(*cands):
 
 
 def cand(name, width=8, access="RW", origin="m1"):
-    return CsrCandidate(name, width, access, origin, 1)
+    return CsrCandidate(name, width, access, origin)
 
 
 GAIN_DB = make_db(cand("cfg_gain", 8))
@@ -284,7 +284,7 @@ ONE_PIN = CFG._replace(diag_pins=1)
 
 
 def diag_db(width=4):
-    db, _ = update_db(RegDb(), [CsrCandidate("cfg_diag_sel", width, "RW", "myblk_diag_mux", 0)])
+    db, _ = update_db(RegDb(), [CsrCandidate("cfg_diag_sel", width, "RW", "myblk_diag_mux")])
     return db
 
 
@@ -337,7 +337,7 @@ class TestPadScript:
         assert "place_pad p0 -side N -order 0 -cell C -signal s0" in text
 
     def test_empty_pad_db_banner_only(self):
-        text = emit.emit_pad_script(PadDb())
+        text = emit.emit_pad_script(())
         assert all(l.startswith("#") for l in text.strip().splitlines())
 
     def test_duplicate_slot_rejected(self):
@@ -396,10 +396,10 @@ class TestDeterminismAndClosure:
         m = MemoryMap([Region("csr0", "csr", 0x70000000, 0x1000)])
         diags = [DiagCandidate("diag_z", "m1")]
         db2, _ = update_db(db, [cand("cfg_a"), cand("sts_b", 1, "RO"),
-                                CsrCandidate("cfg_diag_sel", 2, "RW", "myblk_diag_mux", 0)])
+                                CsrCandidate("cfg_diag_sel", 2, "RW", "myblk_diag_mux")])
         hash32 = db_hash(db2)
-        first = emit.render_targets(db2, CFG, hash32, memmap=m, diags=diags, pads=PadDb())
-        second = emit.render_targets(db2, CFG, hash32, memmap=m, diags=diags, pads=PadDb())
+        first = emit.render_targets(db2, CFG, hash32, memmap=m, diags=diags, pads=())
+        second = emit.render_targets(db2, CFG, hash32, memmap=m, diags=diags, pads=())
         assert first == second
         assert first[emit.output_name("rtl", CFG)] == emit.emit_csr_rtl(db2, CFG, hash32)
         assert first[emit.output_name("md", CFG)] == emit.emit_markdown(db2, CFG, hash32)

@@ -69,9 +69,9 @@ def test_parse_command_word_width_boundary():
 
 
 # a csr region needs at least 0x10 bytes for the ID register and these three
-_CSR_DB, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 5, "RW", "m", 1),
-                                 CsrCandidate("sts_b", 32, "RO", "m", 2),
-                                 CsrCandidate("cfg_c", 32, "RW", "m", 3)])
+_CSR_DB, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 5, "RW", "m"),
+                                 CsrCandidate("sts_b", 32, "RO", "m"),
+                                 CsrCandidate("cfg_c", 32, "RW", "m")])
 _CSR_HASH = db_hash(_CSR_DB)
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 import zlib
 
 from chipkit import busmodel, emit, script, uart_host
-from chipkit.emit import Pad, PadDb
+from chipkit.emit import Pad
 from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import (EmitConfig, RegDb, RegEntry, db_hash, diag_select_bits,
                            load_canonical_db, load_db, save_db)
@@ -92,8 +92,7 @@ def _render_inputs():
     memmap = MemoryMap([Region("csr0", "csr", 0x70000000, 0x10000),
                         Region("sram0", "sram", 0x60000000, 0x100000)])
     diags = [DiagCandidate(f"diag_{i:03d}", f"blk_{i:03d}") for i in range(100)]
-    pads = PadDb(tuple(Pad(f"p{i}", "NESW"[i % 4], i // 4, "PADCELL", f"sig{i}")
-                       for i in range(40)))
+    pads = tuple(Pad(f"p{i}", "NESW"[i % 4], i // 4, "PADCELL", f"sig{i}") for i in range(40))
     return db, cfg, memmap, diags, pads
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from chipkit import DataError, cli
 from chipkit.busmodel import BusError, FaultConfig, SocModel, Stats
-from chipkit.emit import Pad, PadDb
+from chipkit.emit import Pad
 from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import ChangeReport, DbError, EmitConfig, NamingConvention, RegDb, RegEntry
 from chipkit.sv_scan import ModuleDecl, SourceFile
@@ -85,11 +85,10 @@ CASES = [
       "stop_on_fail": True, "prompt": True}),
     ("SourceFile", SourceFile, dict(path="a.sv", content="module m;\nendmodule\n"),
      dict(path="b.sv", content="")),
-    ("ModuleDecl", ModuleDecl, dict(name="m", ports=[], path="a.sv", line_span=(1, 2)),
-     dict(name="n", ports=[None], path="b.sv", line_span=(1, 3))),
+    ("ModuleDecl", ModuleDecl, dict(name="m", ports=[], path="a.sv"),
+     dict(name="n", ports=[None], path="b.sv")),
     ("Pad", Pad, dict(name="p", side="N", order_index=0, cell_type="PDIN", signal="clk"),
      dict(name="q", side="S", order_index=1, cell_type="PDOUT", signal="rst")),
-    ("PadDb", PadDb, dict(pads=(Pad("p", "N", 0, "PDIN", "clk"),)), dict(pads=())),
 ]
 
 _IDS = [case[0] for case in CASES]

@@ -23,7 +23,7 @@ HEADER = "name,width,access,reset,offset,origin_module,description,state\n"
 
 
 def cand(name, width=8, access="RW", origin="m1"):
-    return CsrCandidate(name, width, access, origin, 1)
+    return CsrCandidate(name, width, access, origin)
 
 
 class TestLoadSave:

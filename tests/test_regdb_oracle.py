@@ -114,13 +114,13 @@ def merges(draw):
     known = {e.name: e for e in db.entries}
     names = st.sampled_from(sorted(known)) | strategies.names if known else strategies.names
     cands = []
-    for line, name in enumerate(draw(st.lists(names, max_size=8)), 1):
+    for name in draw(st.lists(names, max_size=8)):
         e = known.get(name)  # a known entry's fields are each kept or drawn anew
         fields = [draw(drawn if e is None else st.just(getattr(e, attr)) | drawn)
                   for attr, drawn in (("width_bits", st.integers(1, 32)),
                                       ("access", strategies.access),
                                       ("origin_module", strategies.module_names))]
-        cands.append(regdb.CsrCandidate(name, *fields, line))
+        cands.append(regdb.CsrCandidate(name, *fields))
     scanned = draw(st.none() | st.sets(strategies.module_names))
     return db, cands, scanned, draw(st.sampled_from([None, 16, 64, 1 << 12]))
 

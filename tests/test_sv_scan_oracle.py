@@ -292,11 +292,10 @@ conventions = st.sampled_from([
 
 @st.composite
 def modules(draw):
-    ports = [Port(name, draw(st.sampled_from(["input", "output", "inout"])), width,
-                  None if width == 1 else (width - 1, 0), line)
+    ports = [Port(name, draw(st.sampled_from(["input", "output", "inout"])), width, line)
              for line, (name, width) in enumerate(
                  draw(st.lists(st.tuples(port_names, st.integers(1, 40)), max_size=12)), 1)]
-    return ModuleDecl("m", ports, "m.sv", (1, len(ports) + 2))
+    return ModuleDecl("m", ports, "m.sv")
 
 
 @settings(max_examples=500, deadline=None)

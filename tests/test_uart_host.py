@@ -37,7 +37,7 @@ MAP = MemoryMap([
 
 
 def make_db(reset=0xF):
-    db, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 4, "RW", "m1", 1)])
+    db, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 4, "RW", "m1")])
     db.entry("cfg_a").reset_value = reset
     return db
 
