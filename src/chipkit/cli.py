@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 check failures, 2 I/O or parse errors (InputError),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import sys
@@ -237,19 +238,30 @@ def _scan_modules(cfg: ProjectConfig, diagnostics: list) -> Iterator[sv_scan.Mod
             yield module
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _stage(path: Path, text: str) -> str:
+    """Writes text to a new temp file beside path and returns the temp file's
+    name. The temp file has path's mode, or for a new file 0666 less the umask,
+    as open() gives, so an os.replace onto path is the whole write."""
     os.umask(umask := os.umask(0o077))  # reads the umask, which os.umask only swaps
-    mode = path.stat().st_mode & 0o7777 if path.exists() else 0o666 & ~umask  # as open() gives
+    mode = path.stat().st_mode & 0o7777 if path.exists() else 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.chmod(tmp, mode)  # mkstemp made it 0600
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return tmp
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = _stage(path, text)
+    try:
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -342,11 +354,39 @@ def cmd_generate(cfg: ProjectConfig) -> int:
     if "pads" in cfg.emit.targets and cfg.pads_path:
         pads = emit.load_pad_db(Path(cfg.pads_path).read_text(encoding="utf-8"))
 
-    rendered = emit.render_targets(db, cfg.emit, hash32, memmap=memmap, diags=diags, pads=pads)
+    # one render_targets call per output, except c and py, which one
+    # emit_sw_views call renders together: each group's texts are staged and
+    # dropped before the next group renders, and no output is replaced until
+    # every group has rendered, so a failure leaves the tree as it was
+    sw = tuple(t for t in cfg.emit.targets if t in ("c", "py"))
+    groups = dict.fromkeys(sw if t in sw else (t,) for t in cfg.emit.targets)
     out_dir = Path(cfg.out_dir)
-    for name, text in sorted(rendered.items()):
-        _write_atomic(out_dir / name, text)
-        print(f"wrote {out_dir / name}")
+    made: list[Path] = []  # the directories made here, outermost first
+    staged: dict[str, str] = {}  # output name -> temp file
+    try:
+        for folder in reversed((out_dir, *out_dir.parents)) if groups else ():
+            if not folder.exists():
+                folder.mkdir()
+                made.append(folder)
+        for group in groups:
+            rendered = emit.render_targets(db, cfg.emit._replace(targets=group), hash32,
+                                           memmap=memmap, diags=diags, pads=pads)
+            for name in rendered:
+                staged[name] = _stage(out_dir / name, rendered[name])
+            del rendered  # the next group renders without these texts
+        for name in sorted(staged):
+            os.replace(staged[name], out_dir / name)
+            print(f"wrote {out_dir / name}")
+    except BaseException:
+        # the temp files no replace took, then the directories made here if
+        # they are empty; a failure to remove one never hides the first error
+        for tmp in staged.values():
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        for folder in reversed(made):
+            with contextlib.suppress(OSError):
+                folder.rmdir()
+        raise
     return EXIT_OK
 
 

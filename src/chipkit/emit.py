@@ -48,7 +48,7 @@ def load_pad_db(csv_text: str) -> tuple[Pad, ...]:
     for rownum, row in enumerate(rows[1:], 2):
         if not row:
             continue
-        if len(row) < len(header):
+        if len(row) != len(header):
             raise InputError(f"pad row {rownum}: expected {len(header)} fields, found {len(row)}")
         side = row[idx["side"]].strip().upper()
         if side not in _SIDES:
@@ -455,8 +455,10 @@ def render_targets(
     """Render every configured target to text, keyed by output file name;
     hash32 is the db_hash of db, which the caller takes once.
 
-    Raises before returning anything, so callers can write the whole tree
-    atomically or not at all.
+    Raises before returning anything. `generate` calls it once per output,
+    with c and py in one call since one emit_sw_views call renders both, and
+    writes each result to temp files before the next call, so it holds one
+    artifact's text at a time and replaces no output until all have rendered.
     """
     out: dict[str, str] = {}
     c_text = py_text = None

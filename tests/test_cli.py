@@ -174,6 +174,53 @@ class TestGenerate:
         after = tree_digest(proj / "gen") if (proj / "gen").exists() else None
         assert before == after
 
+    def test_failed_render_replaces_nothing(self, proj, capsys):
+        # a database without cfg_diag_sel: the diag target fails after rtl
+        # through memmap have rendered
+        assert main(["update", "--targets", "rtl"]) == 0
+        assert main(["generate", "--targets", "rtl,md,c"]) == 0
+        gen = proj / "gen"
+        (gen / "demo_regs.md").chmod(0o640)
+        modes = {p.name: p.stat().st_mode for p in gen.iterdir()}  # no .<name>.* temp file
+        before = tree_digest(gen)
+        capsys.readouterr()
+        assert main(["generate"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: database has no cfg_diag_sel entry (run update with diag enabled)")
+        assert tree_digest(gen) == before
+        assert {p.name: p.stat().st_mode for p in gen.iterdir()} == modes
+
+    def test_failed_render_makes_no_directory(self, proj):
+        assert main(["update", "--targets", "rtl"]) == 0
+        assert main(["generate", "--out", "a/b/gen"]) == 3
+        assert not (proj / "a").exists()
+
+    def test_rendered_lengths_add_up_to_the_written_text(self, proj, monkeypatch):
+        """What the benchmark's traced launcher reads: emit.bytes_out is the
+        summed lengths of render_targets' results, and emit_sw_views renders
+        the C and Python views in one call."""
+        from chipkit import emit
+        assert main(["update"]) == 0
+        render, sw_views = emit.render_targets, emit.emit_sw_views
+        lengths, sw_calls = [], []
+
+        def measured_render(*args, **kwargs):
+            out = render(*args, **kwargs)
+            lengths.append(sum(len(text) for text in out.values()))
+            return out
+
+        def counted_sw_views(*args):
+            sw_calls.append(args)
+            return sw_views(*args)
+
+        monkeypatch.setattr(emit, "render_targets", measured_render)
+        monkeypatch.setattr(emit, "emit_sw_views", counted_sw_views)
+        assert main(["generate"]) == 0
+        written = [p.read_text(encoding="utf-8") for p in (proj / "gen").iterdir()]
+        assert len(written) == 9
+        assert sum(lengths) == sum(map(len, written))
+        assert len(sw_calls) == 1
+
     def test_deterministic_tree(self, proj):
         assert main(["update"]) == 0
         assert main(["generate", "--out", "gen1"]) == 0
@@ -393,10 +440,13 @@ def _malformed_pads(proj):
     return ["generate"]
 
 
-def _short_pad_row(proj):
-    _bootstrap(proj)
-    _edit(proj, "pads.csv", "pad_clk,N,0,PDIN,clock", "pad_clk,N")
-    return ["generate"]
+def _pad_row(row):
+    """Replaces the first pad row with row after update and generate have run."""
+    def setup(proj):
+        _bootstrap(proj)
+        _edit(proj, "pads.csv", "pad_clk,N,0,PDIN,clock", row)
+        return ["generate"]
+    return setup
 
 
 def _malformed_script(proj):
@@ -545,7 +595,10 @@ EXIT_CODE_TABLE = [
      "error: unmapped value 0x100000000 outside 32 bits\n"),
     # a malformed pad file exits 2 like a malformed regs.csv or map (it exited 3)
     ("malformed-pads", _malformed_pads, 2, "error: pad row 2: side must be one of N/E/S/W\n"),
-    ("short-pad-row", _short_pad_row, 2, "error: pad row 2: expected 5 fields, found 2\n"),
+    ("short-pad-row", _pad_row("pad_clk,N"), 2, "error: pad row 2: expected 5 fields, found 2\n"),
+    # a cell past the header is rejected, as in regs.csv (it was dropped)
+    ("long-pad-row", _pad_row("pad_clk,N,0,PDIN,clock,stray"), 2,
+     "error: pad row 2: expected 5 fields, found 6\n"),
     ("malformed-script", _malformed_script, 2,
      "error: line 2: expected '< <response>' after command\n"),
     # an INI value names its setting as the flag's error does (it named the key)

@@ -7,7 +7,7 @@ here."""
 import tracemalloc
 import zlib
 
-from chipkit import busmodel, emit, script, uart_host
+from chipkit import busmodel, cli, emit, script, uart_host
 from chipkit.emit import Pad
 from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import (EmitConfig, RegDb, RegEntry, db_hash, diag_select_bits,
@@ -21,6 +21,9 @@ LINE_LOOP_PEAK = 6_620_834
 # when the self-test was a list of ScriptStep records saved through a list of
 # lines (Python 3.11.7)
 RECORD_SELFTEST_PEAK = 11_815_195
+# peak traced bytes of cli.cmd_generate on _write_project() when it rendered
+# every artifact before it wrote any (Python 3.11.7)
+RENDER_ALL_PEAK = 6_446_294
 
 MAP = MemoryMap([Region("sram0", "sram", 0x60000000, 0x10000)])
 
@@ -107,3 +110,32 @@ def test_generate_renders_the_selftest_straight_to_text():
     text, peak = _peak(emit.emit_selftest, db, cfg, hash32)
     assert text == out["blk_selftest.txt"]
     assert peak < 2.5 * len(text)
+
+
+def _write_project(root):
+    """_render_inputs() as a project on disk: the database, map and pad files,
+    and one RTL module with the 100 taps; every target renders."""
+    db, emit_cfg, memmap, diags, pads = _render_inputs()
+    (root / "regs.csv").write_text(save_db(db), encoding="utf-8")
+    (root / "soc.map").write_text("".join(f"region {r.name} {r.kind} {r.base:#x} {r.size_bytes:#x}\n"
+                                          for r in memmap.regions))
+    (root / "pads.csv").write_text("name,side,order,cell,signal\n" + "".join(
+        f"{p.name},{p.side},{p.order_index},{p.cell_type},{p.signal}\n" for p in pads))
+    (root / "taps.sv").write_text("module blk_taps (\n" + ",\n".join(
+        f"  output logic {d.name}" for d in diags) + "\n);\nendmodule\n")
+    cfg = cli.ProjectConfig()
+    cfg.rtl_paths = [str(root / "taps.sv")]
+    cfg.db_path, cfg.out_dir = str(root / "regs.csv"), str(root / "gen")
+    cfg.map_path, cfg.pads_path = str(root / "soc.map"), str(root / "pads.csv")
+    cfg.emit = emit_cfg
+    return cfg
+
+
+def test_generate_holds_one_rendered_artifact_at_a_time(tmp_path):
+    """The peak grows with the largest output, not with the sum of all nine."""
+    cfg = _write_project(tmp_path)
+    assert cli.cmd_generate(cfg) == 0  # a warm run: the outputs exist, as in an edit loop
+    code, peak = _peak(cli.cmd_generate, cfg)
+    assert code == 0
+    assert len(list((tmp_path / "gen").iterdir())) == 9
+    assert peak <= 0.85 * RENDER_ALL_PEAK
