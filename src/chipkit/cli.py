@@ -255,6 +255,16 @@ def _stage(path: Path, text: str) -> str:
     return tmp
 
 
+def _holds(path: Path, text: str) -> bool:
+    """Whether path holds text's UTF-8 bytes; the sizes are compared first,
+    then the bytes 64 KiB at a time."""
+    data = text.encode("utf-8")
+    with contextlib.suppress(OSError), open(path, "rb") as old:
+        return os.fstat(old.fileno()).st_size == len(data) and all(
+            old.read(1 << 16) == data[at:at + (1 << 16)] for at in range(0, len(data), 1 << 16))
+    return False
+
+
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = _stage(path, text)
@@ -355,14 +365,14 @@ def cmd_generate(cfg: ProjectConfig) -> int:
         pads = emit.load_pad_db(Path(cfg.pads_path).read_text(encoding="utf-8"))
 
     # one render_targets call per output, except c and py, which one
-    # emit_sw_views call renders together: each group's texts are staged and
-    # dropped before the next group renders, and no output is replaced until
-    # every group has rendered, so a failure leaves the tree as it was
+    # emit_sw_views call renders together: each group's changed texts are
+    # staged and dropped before the next renders, and none replaces its output
+    # until every group has rendered, so a failure leaves the tree as it was
     sw = tuple(t for t in cfg.emit.targets if t in ("c", "py"))
     groups = dict.fromkeys(sw if t in sw else (t,) for t in cfg.emit.targets)
     out_dir = Path(cfg.out_dir)
     made: list[Path] = []  # the directories made here, outermost first
-    staged: dict[str, str] = {}  # output name -> temp file
+    staged: dict[str, str | None] = {}  # output name -> temp file, None if unchanged
     try:
         for folder in reversed((out_dir, *out_dir.parents)) if groups else ():
             if not folder.exists():
@@ -372,15 +382,17 @@ def cmd_generate(cfg: ProjectConfig) -> int:
             rendered = emit.render_targets(db, cfg.emit._replace(targets=group), hash32,
                                            memmap=memmap, diags=diags, pads=pads)
             for name in rendered:
-                staged[name] = _stage(out_dir / name, rendered[name])
+                staged[name] = None if _holds(out_dir / name, rendered[name]) \
+                    else _stage(out_dir / name, rendered[name])
             del rendered  # the next group renders without these texts
         for name in sorted(staged):
-            os.replace(staged[name], out_dir / name)
-            print(f"wrote {out_dir / name}")
+            if staged[name] is not None:
+                os.replace(staged[name], out_dir / name)
+            print(f"{'unchanged' if staged[name] is None else 'wrote'} {out_dir / name}")
     except BaseException:
         # the temp files no replace took, then the directories made here if
         # they are empty; a failure to remove one never hides the first error
-        for tmp in staged.values():
+        for tmp in filter(None, staged.values()):
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
         for folder in reversed(made):

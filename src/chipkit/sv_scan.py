@@ -4,7 +4,8 @@ Extracts module declarations (ANSI port lists, packed ranges with literal
 integer bounds), classifies register and diagnostic candidates by naming
 convention, and applies keyword-level style lint. Comments and string
 literals are blanked before any matching, so the scanner never reacts to
-commented-out code.
+commented-out code. Whole-file passes skip to what they act on with
+str.find, and a file's line table is built when a line is first asked for.
 
 Constructs outside the subset (parameter lists, non-literal ranges, unpacked
 arrays, non-ANSI headers) are skipped with a diagnostic rather than aborting;
@@ -44,8 +45,11 @@ class SourceFile(Record):
     def __init__(self, path: str, content: str):
         self.path = path
         self.content = content
-        lines = content.split("\n")
-        self._line_starts = list(accumulate([len(line) + 1 for line in lines[:-1]], initial=0))
+        self._line_starts = None  # built by the first line_of
+
+    def __eq__(self, other):  # the line table, built or not, takes no part
+        return (self.path, self.content) == (other.path, other.content) \
+            if other.__class__ is self.__class__ else NotImplemented
 
     @classmethod
     def from_path(cls, path) -> "SourceFile":
@@ -53,6 +57,8 @@ class SourceFile(Record):
 
     def line_of(self, offset: int) -> int:
         """1-based line number of a byte offset into content."""
+        if self._line_starts is None:
+            self._line_starts = [0, *accumulate(len(line) + 1 for line in self.content.split("\n")[:-1])]
         return bisect.bisect_right(self._line_starts, offset)
 
 
@@ -81,30 +87,43 @@ class DiagCandidate(NamedTuple):
     origin_module: str
 
 
-# One match per comment or string, in scan order. A block comment with no
-# closing "*/" falls through to the bare "/*" alternative, whose group 1 is
-# set. A string ends at its closing quote, at an unescaped newline (left
-# unmasked) or at the end of the text; a backslash escapes any next
-# character, a newline included. Every alternative starts with a literal
-# '/' or '"', which lets the regex engine skip the text in between at C speed.
-_MASKABLE_RE = re.compile(r'''//[^\n]*|/\*.*?\*/|/(\*)|"(?:[^"\\\n]|\\(?:.|\Z))*"?''', re.S)
-_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+# A string up to its closing quote, an unescaped newline (left unmasked) or
+# the end of the text; a backslash escapes any next character, newline too.
+_STRING_RE = re.compile(r'"[^"\\\n]*(?:\\(?:.|\Z)[^"\\\n]*)*"?', re.S)
+
+
+def _find(text: str, sub: str, start: int) -> int:  # text.find, with len(text) for not found
+    return len(text) if (at := text.find(sub, start)) < 0 else at
 
 
 def mask_comments_and_strings(src: SourceFile) -> str:
     """Blank comments and string literals, preserving offsets and newlines.
 
-    A precompiled regex jumps from one "//", "/*" or '"' to the next; the text
-    between them is kept verbatim and each comment or string is replaced by
-    spaces, except for the newlines inside it.
+    str.find skips to each '/' or '"' and on to the newline or "*/" ending a
+    comment; _STRING_RE matches a string. A text with none is returned as is.
     """
-    def blank(m: re.Match) -> str:
-        if m.group(1):
-            raise MalformedSource(src.path, src.line_of(m.start()), "unterminated block comment")
-        text = m.group()
-        return _NOT_NEWLINE_RE.sub(" ", text) if "\n" in text else " " * len(text)
-
-    return _MASKABLE_RE.sub(blank, src.content)
+    text, pieces, kept = src.content, [], 0  # text[:kept] is in pieces
+    slash, quote = _find(text, "/", 0), _find(text, '"', 0)
+    while (at := slash if slash < quote else quote) < len(text):
+        if at == quote:
+            end = _STRING_RE.match(text, at).end()
+        elif text.startswith("//", at):
+            end = _find(text, "\n", at)
+        elif text.startswith("/*", at):
+            end = text.find("*/", at + 2) + 2
+            if end == 1:  # no "*/"
+                raise MalformedSource(src.path, src.line_of(at), "unterminated block comment")
+        else:  # a slash that opens nothing
+            slash = _find(text, "/", at + 1)
+            continue
+        blank = text[at:end]
+        pieces += text[kept:at], "\n".join([" " * len(line) for line in blank.split("\n")]) \
+            if "\n" in blank else " " * len(blank)
+        kept = end
+        slash = slash if slash >= end else _find(text, "/", end)
+        quote = quote if quote >= end else _find(text, '"', end)
+    pieces.append(text[kept:])
+    return "".join(pieces) if kept else text
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -273,8 +292,8 @@ def _parse_ports(file, masked, group, name, diags):
     start, end = group
     ports: list[Port] = []
     names = set()
-    # file.line_of(offset), without a method call per port
-    line_starts, bisect_right = file._line_starts, bisect.bisect_right
+    # file.line_of(offset), counting the newlines from one port to the next
+    line, counted = file.line_of(start), start
     # whole, new, well-formed items go by _PORT_RE; from the first other item
     # on, the group is split and each item matched and diagnosed on its own
     while (m := _PORT_RE.match(masked, start, end)) is not None:
@@ -282,7 +301,8 @@ def _parse_ports(file, masked, group, name, diags):
         width = 1 if msb is None else int(msb) - int(lsb) + 1
         if pname in names or width < 1:
             break
-        ports.append(Port(pname, direction, width, bisect_right(line_starts, m.start(1))))
+        line, counted = line + masked.count("\n", counted, m.start(1)), m.start(1)
+        ports.append(Port(pname, direction, width, line))
         names.add(pname)
         start = m.end()
     prev: Port | None = ports[-1] if ports else None
@@ -409,11 +429,11 @@ class LintViolation(NamedTuple):
     message: str
 
 
-# The W001-W004 keywords where an ASCII identifier ends. Each alternative
-# opens with a literal, so the regex engine skips the text between candidates
-# at C speed. Read backwards from such a keyword, ASCII digits and then a
-# letter or '_' mean it continues an identifier, as in "_wire" or "a9wire".
+# The W001-W004 keywords where an ASCII identifier ends, confirmed where str.find
+# puts a "wire", "reg" or "always". Read backwards from one, ASCII digits, then a
+# letter or '_', mean it continues an identifier, as in "_wire" or "a9wire".
 _KEYWORD_RE = re.compile(r"(?:wire|reg|always(?:_ff)?)(?![A-Za-z0-9_])")
+_KEYWORD_RULES = {"wire": "W001", "reg": "W002", "always": "W003", "always_ff": "W004"}
 _IDENT_BEFORE_REVERSED_RE = re.compile(r"[0-9]*[A-Za-z_]")
 _INST_RE = re.compile(
     rf"\b({_IDENT})\s+({_IDENT})\s*\(\s*(\.[^;]*?)\)\s*;", re.S)
@@ -463,20 +483,18 @@ def lint(file: SourceFile) -> list[LintViolation]:
                                         _RULE_MESSAGES[rule]))
 
     reversed_text = masked[::-1]
-    for m in _KEYWORD_RE.finditer(masked):
-        if _IDENT_BEFORE_REVERSED_RE.match(reversed_text, len(masked) - m.start()):
+    hits = []  # where each "wire", "reg" and "always" starts
+    for word in ("wire", "reg", "always"):
+        at = -1
+        while (at := masked.find(word, at + 1)) >= 0:
+            hits.append(at)
+    for at in sorted(hits):
+        m = _KEYWORD_RE.match(masked, at)
+        if m is None or _IDENT_BEFORE_REVERSED_RE.match(reversed_text, len(masked) - at):
             continue
-        word = m.group()
-        if word == "wire":
-            add("W001", m.start())
-        elif word == "reg":
-            add("W002", m.start())
-        elif word == "always":
-            rest = masked[m.end():m.end() + 80].lstrip()
-            if rest.startswith("@"):
-                add("W003", m.start())
-        else:
-            add("W004", m.start())
+        rule = _KEYWORD_RULES[m.group()]  # W003 if '@' is the next non-space in 80 characters
+        if rule != "W003" or masked[m.end():m.end() + 80].lstrip().startswith("@"):
+            add(rule, at)
 
     for m in _instantiations(masked, reversed_text):
         head, inst = m.group(1), m.group(2)

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import os
+import shutil
 import socket
 import stat
 import subprocess
@@ -220,6 +221,53 @@ class TestGenerate:
         assert len(written) == 9
         assert sum(lengths) == sum(map(len, written))
         assert len(sw_calls) == 1
+
+    @staticmethod
+    def _files(gen: Path) -> dict:
+        return {p.name: (p.stat().st_mtime_ns, p.stat().st_ino) for p in gen.iterdir()}
+
+    @staticmethod
+    def _reported(out: str) -> dict:
+        """Output name -> the word generate printed for it, in printed order."""
+        return {Path(path).name: word for word, path in (line.split(" ", 1)
+                                                         for line in out.splitlines())}
+
+    def test_repeat_generate_replaces_no_output(self, proj, capsys):
+        assert main(["update"]) == 0
+        assert main(["generate"]) == 0
+        gen = proj / "gen"
+        for path in gen.iterdir():  # a time that no write now gives a file
+            os.utime(path, ns=(10**18, 10**18))
+        before = self._files(gen)
+        capsys.readouterr()
+        assert main(["generate"]) == 0
+        assert self._files(gen) == before
+        reported = self._reported(capsys.readouterr().out)
+        assert list(reported) == sorted(before)
+        assert set(reported.values()) == {"unchanged"}
+
+    def test_database_edit_replaces_only_the_outputs_that_change(self, proj, capsys):
+        assert main(["update"]) == 0
+        assert main(["generate"]) == 0
+        gen = proj / "gen"
+        for path in gen.iterdir():
+            os.utime(path, ns=(10**18, 10**18))
+        before = self._files(gen)
+        old = {p.name: p.read_bytes() for p in gen.iterdir()}
+        _edit(proj, "regs.csv", "0x4,dsp_core,,active", "0x4,dsp_core,gain stage,active")
+        assert main(["generate", "--out", "fresh"]) == 0
+        new = {p.name: p.read_bytes() for p in (proj / "fresh").iterdir()}
+        changed = {name for name in new if new[name] != old[name]}
+        # the database hash is in every artifact but the map header and pad script
+        assert changed == set(new) - {"soc_memmap.svh", "pads_place.tcl"}
+        capsys.readouterr()
+        assert main(["generate"]) == 0
+        after = self._files(gen)
+        assert {name for name in after if after[name] != before[name]} == changed
+        assert {p.name: p.read_bytes() for p in gen.iterdir()} == new
+        reported = self._reported(capsys.readouterr().out)
+        assert list(reported) == sorted(new)
+        assert reported == {name: "wrote" if name in changed else "unchanged" for name in new}
 
     def test_deterministic_tree(self, proj):
         assert main(["update"]) == 0
@@ -692,8 +740,13 @@ class TestOnePassEquivalence:
         real_load_db = regdb.load_db
         monkeypatch.setattr(regdb, "load_db", lambda t: csv_reads.append(t) or real_load_db(t))
         results, reads = [], []
+        # both runs start from the bootstrap tree, so generate leaves alone,
+        # and reports unchanged, the same outputs in each
+        shutil.copytree(proj / "gen", proj / "gen0")
         for one_pass in (regdb.load_canonical_db, lambda text: None):
             monkeypatch.setattr(regdb, "load_canonical_db", one_pass)
+            shutil.rmtree(proj / "gen")
+            shutil.copytree(proj / "gen0", proj / "gen")
             (proj / "regs.csv").write_text(text, encoding="utf-8")
             capsys.readouterr()
             code = main(list(argv))

@@ -55,8 +55,6 @@ _LINE_IDS = {
     "emit.py:_NOT_ALNUM_RE": "emit.py:75",
     "regdb.py:_IDENT_RE": "regdb.py:43",
     "regdb.py:_DB_ROW_RE": "regdb.py:278",
-    "sv_scan.py:_MASKABLE_RE": "sv_scan.py:97",
-    "sv_scan.py:_NOT_NEWLINE_RE": "sv_scan.py:98",
     "sv_scan.py:_MODULE_KW_RE": "sv_scan.py:121",
     "sv_scan.py:_WORD_START_RE": "sv_scan.py:122",
     "sv_scan.py:_LITERAL_RANGE_RE": "sv_scan.py:131",

@@ -1,4 +1,4 @@
-"""Differential properties: the regex-driven scanner helpers agree with the
+"""Differential properties: the scanner's fast helpers agree with the
 oracles in scan_oracle, on text dense in the characters that open, close or
 escape comments, strings and brackets, and on text dense in the keywords and
 the characters around them that decide where a module block or a lint
@@ -6,6 +6,8 @@ keyword starts and ends. The candidate extractors agree with the ones that
 tested each affix through a method call, on ports whose names carry any mix
 of the affixes, under prefix and postfix conventions, some with an affix that
 begins another."""
+
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,56 @@ def test_unterminated_comment_error_matches_oracle(head, tail):
 def test_unterminated_comment_line(text, line):
     with pytest.raises(MalformedSource, match=f"^t.sv:{line}: unterminated block comment$"):
         sv_scan.mask_comments_and_strings(SourceFile("t.sv", text))
+
+
+# Longer texts: up to ten runs of the alphabet above with a carriage return
+# and non-ASCII letters, so that comments and strings span several lines,
+# CRLFs and multi-byte characters; and the fixture RTL, whole.
+LONG_ALPHABET = ALPHABET + ["\r", "é", "\u2003"]
+long_texts = st.lists(st.text(alphabet=st.sampled_from(LONG_ALPHABET), max_size=40),
+                      max_size=10).map("".join)
+FIXTURE_RTL = sorted((Path(__file__).parent / "fixtures").rglob("*.sv"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=long_texts)
+def test_mask_matches_oracle_on_long_texts(text):
+    got = _mask(sv_scan.mask_comments_and_strings, text)
+    assert got == _mask(scan_oracle.mask_comments_and_strings, text)
+    assert (got[1] is text) == (got[1] == text)  # a text with nothing to blank is itself
+
+
+@pytest.mark.parametrize("path", FIXTURE_RTL, ids=lambda path: path.name)
+def test_mask_matches_oracle_on_fixture_rtl(path):
+    text = path.read_text(encoding="utf-8")
+    assert _mask(sv_scan.mask_comments_and_strings, text) == \
+        _mask(scan_oracle.mask_comments_and_strings, text)
+
+
+# the alphabet above with a carriage return, a vertical tab and a non-ASCII
+# letter: str.splitlines would start a line after the first two, line_of not
+LINE_ALPHABET = ALPHABET + ["\r", "\x0b", "é"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=st.sampled_from(LINE_ALPHABET), max_size=60))
+def test_line_of_counts_the_newlines_before(text):
+    offsets = range(len(text) + 3)  # and past the end
+    expected = [text.count("\n", 0, k) + 1 for k in offsets]
+    # each offset as the first one asked, which builds the table, then every
+    # offset of one file, all but the first from the table built
+    assert [SourceFile("t.sv", text).line_of(k) for k in offsets] == expected
+    built = SourceFile("t.sv", text)
+    assert [built.line_of(k) for k in offsets] == expected
+    assert built == SourceFile("t.sv", text) and SourceFile("t.sv", text) == built
+
+
+def test_equality_ignores_whether_the_line_table_is_built():
+    text = "module m;\nendmodule\n"
+    built, fresh = SourceFile("t.sv", text), SourceFile("t.sv", text)
+    assert built.line_of(len(text)) == 3
+    assert built == fresh and fresh == built and not built != fresh
+    assert built != SourceFile("u.sv", text) and fresh != SourceFile("t.sv", text + "\n")
 
 
 @st.composite
@@ -225,26 +277,38 @@ PORT_PARTS = [
 ]
 
 
+# Each part with the space before it is one draw from every (space, part)
+# pair, at most 12 x 11 of them, a size hypothesis still draws near uniformly
+# from; the strategies are built once, not on every draw.
+SPACED_PARTS = [tuple(st.sampled_from([space + part for space in SPACES for part in parts])
+                      for parts in choices) for choices in PORT_PARTS]
+BROKEN_PART = st.integers(-len(PORT_PARTS), len(PORT_PARTS) - 1)  # < 0: none
+ANY_SPACE = st.sampled_from(SPACES)
+
+
 @st.composite
 def port_items(draw):
-    broken = draw(st.integers(-len(PORT_PARTS), len(PORT_PARTS) - 1))  # < 0: none
-    parts = [draw(st.sampled_from(bad if i == broken else good))
-             for i, (good, bad) in enumerate(PORT_PARTS)]
-    return "".join(draw(st.sampled_from(SPACES)) + part for part in parts) \
-        + draw(st.sampled_from(SPACES))
+    broken = draw(BROKEN_PART)
+    return "".join(draw(bad if i == broken else good)
+                   for i, (good, bad) in enumerate(SPACED_PARTS)) + draw(ANY_SPACE)
+
+
+GROUP_ITEMS = st.lists(st.one_of(port_items(), port_items(),
+                                 st.sampled_from(PORT_PARTS[4][0] + SPACES)), max_size=8)
+SEPARATORS = st.sampled_from([",", ",", ",", ", ", ",\n", ",,"])
+HEADS = st.sampled_from(["module m (", "\nmodule m (", "module m\n  (\n"])
 
 
 @st.composite
 def port_groups(draw):
     """(text, (start, end)): a module header and a group of port items, bare
     names and blanks, joined by one comma or two, maybe with a trailing one."""
-    bare = st.sampled_from(PORT_PARTS[4][0] + SPACES)
-    items = draw(st.lists(st.one_of(port_items(), port_items(), bare), max_size=8))
-    seps = [draw(st.sampled_from([",", ",", ",", ", ", ",\n", ",,"])) for _ in items]
+    items = draw(GROUP_ITEMS)
+    seps = [draw(SEPARATORS) for _ in items]
     group = "".join(item + sep for item, sep in zip(items, seps))
     if group and draw(st.booleans()):
         group = group[:-len(seps[-1])]  # no trailing comma
-    head = draw(st.sampled_from(["module m (", "\nmodule m (", "module m\n  (\n"]))
+    head = draw(HEADS)
     return head + group + ");\n", (len(head), len(head) + len(group))
 
 
