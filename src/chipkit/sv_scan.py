@@ -6,6 +6,9 @@ convention, and applies keyword-level style lint. Comments and string
 literals are blanked before any matching, so the scanner never reacts to
 commented-out code. Whole-file passes skip to what they act on with
 str.find, and a file's line table is built when a line is first asked for.
+One findall cuts each port list into its well-formed items, and ports and
+header notes are numbered by counting newlines on from the module before, so
+a file whose ports all take that path builds no line table.
 
 Constructs outside the subset (parameter lists, non-literal ranges, unpacked
 arrays, non-ANSI headers) are skipped with a diagnostic rather than aborting;
@@ -87,6 +90,11 @@ class DiagCandidate(NamedTuple):
     origin_module: str
 
 
+# Builds a NamedTuple from a tuple of all its fields in half the time its
+# keyword-taking __new__ does; for the records made once per port.
+_new_tuple = tuple.__new__
+
+
 # A string up to its closing quote, an unescaped newline (left unmasked) or
 # the end of the text; a backslash escapes any next character, newline too.
 _STRING_RE = re.compile(r'"[^"\\\n]*(?:\\(?:.|\Z)[^"\\\n]*)*"?', re.S)
@@ -141,15 +149,19 @@ _PORT_ITEM_RE = re.compile(
     rf"({_IDENT})\s*(\[[^\]]*\])?\s*$"
 )
 _LITERAL_RANGE_RE = re.compile(r"^(\d+)\s*:\s*(\d+)$")
-# One whole port item off the masked text, up to its ',' or the group's end.
-# It admits no bracket but a range it closes itself, so each ',' it ends on is
-# one _split_top_commas would split at, and its groups are _PORT_ITEM_RE's.
+# findall cuts a port group into its leading whole, well-formed items, each as
+# (leading space, head, direction, msb, lsb, name, ',' or the group's end, ""),
+# where the head runs from the direction keyword to the name; from the first
+# item that is not one on, the rest of the group is the last field of one more
+# match. An item admits no bracket but a range it closes itself, so each ','
+# it ends on is one _split_top_commas would split at, and it reads as
+# _PORT_ITEM_RE would read it.
 _PORT_RE = re.compile(
-    rf"\s*(input|output|inout)\s+"
+    rf"(\s*)((input|output|inout)\s+"
     rf"(?:(?:logic|wire|reg|bit)\s*)?"
     rf"(?:(?:signed|unsigned)\s+)?"
-    rf"(?:\[\s*(\d+)\s*:\s*(\d+)\s*\]\s*)?"
-    rf"({_IDENT})\s*(?:,|\Z)"
+    rf"(?:\[\s*(\d+)\s*:\s*(\d+)\s*\]\s*)?)"
+    rf"({_IDENT})(\s*(?:,|\Z))|(.+)", re.S
 )
 
 
@@ -211,21 +223,28 @@ def parse_modules(file: SourceFile, diagnostics: list[Diagnostic] | None = None)
     masked = mask_comments_and_strings(file)
     modules: list[ModuleDecl] = []
     seen_names = set()
+    cursor = (0, 1)  # (offset, file.line_of(offset)), carried from module to module
     for kw_start, end_kw in _module_blocks(file, masked):
+        cursor = (kw_start, _line_at(masked, cursor, kw_start))
         name_m = _NAME_RE.match(masked, kw_start + len("module"))
         if not name_m or name_m.end() > end_kw:
-            raise MalformedSource(file.path, file.line_of(kw_start), "module missing a name")
+            raise MalformedSource(file.path, cursor[1], "module missing a name")
         name = name_m.group(1)
         if name in seen_names:
-            diags.append(Diagnostic(DIAG_SKIP, file.path, file.line_of(kw_start),
+            diags.append(Diagnostic(DIAG_SKIP, file.path, cursor[1],
                                     f"duplicate module name {name}; later declaration skipped"))
             continue
 
-        port_group = _parse_header(file, masked, name_m.end(), end_kw, name, diags)
-        ports = _parse_ports(file, masked, port_group, name, diags) if port_group else []
+        port_group = _parse_header(file, masked, name_m.end(), end_kw, name, diags, cursor)
+        ports = _parse_ports(file, masked, port_group, name, diags, cursor) if port_group else []
         modules.append(ModuleDecl(name, ports, file.path))
         seen_names.add(name)
     return modules
+
+
+def _line_at(masked: str, cursor: tuple[int, int], at: int) -> int:
+    """file.line_of(at), counted on from a cursor (offset, line) at or before at."""
+    return cursor[1] + masked.count("\n", cursor[0], at)
 
 
 def _module_blocks(file: SourceFile, masked: str) -> list[tuple[int, int]]:
@@ -252,8 +271,11 @@ def _module_blocks(file: SourceFile, masked: str) -> list[tuple[int, int]]:
     return blocks
 
 
-def _parse_header(file, masked, pos, limit, name, diags):
-    """Walk the header after the module name to its ';'; returns the port group span or None."""
+def _parse_header(file, masked, pos, limit, name, diags, cursor):
+    """Walk the header after the module name to its ';'; returns the port group span or None.
+
+    Diagnostics are numbered from cursor, an (offset, line) at or before pos.
+    """
     port_group = None
     noted_junk = False
     i = pos
@@ -268,7 +290,7 @@ def _parse_header(file, masked, pos, limit, name, diags):
             end = _match_paren(masked, j, limit) if j < limit and masked[j] == "(" else None
             if end is None:
                 raise MalformedSource(file.path, file.line_of(i), f"unterminated parameter list in {name}")
-            diags.append(Diagnostic(DIAG_SKIP, file.path, file.line_of(i),
+            diags.append(Diagnostic(DIAG_SKIP, file.path, _line_at(masked, cursor, i),
                                     f"parameter list of {name} skipped"))
             i = end
         elif c == "(" and port_group is None:
@@ -281,30 +303,36 @@ def _parse_header(file, masked, pos, limit, name, diags):
             return port_group
         else:
             if not noted_junk:
-                diags.append(Diagnostic(DIAG_SKIP, file.path, file.line_of(i),
+                diags.append(Diagnostic(DIAG_SKIP, file.path, _line_at(masked, cursor, i),
                                         f"unrecognized text in header of {name}"))
                 noted_junk = True
             i += 1
     raise MalformedSource(file.path, file.line_of(pos), f"module {name} header missing ';'")
 
 
-def _parse_ports(file, masked, group, name, diags):
+def _parse_ports(file, masked, group, name, diags, cursor):
+    """The ports of a group; cursor is an (offset, line) at or before its start."""
     start, end = group
     ports: list[Port] = []
     names = set()
-    # file.line_of(offset), counting the newlines from one port to the next
-    line, counted = file.line_of(start), start
-    # whole, new, well-formed items go by _PORT_RE; from the first other item
-    # on, the group is split and each item matched and diagnosed on its own
-    while (m := _PORT_RE.match(masked, start, end)) is not None:
-        direction, msb, lsb, pname = m.groups()
-        width = 1 if msb is None else int(msb) - int(lsb) + 1
-        if pname in names or width < 1:
+    line = _line_at(masked, cursor, start)
+    # whole, new, well-formed items go by one findall of _PORT_RE, each port
+    # numbered at its direction keyword; from the first other item on, the
+    # group is split and each item matched and diagnosed on its own
+    items = _PORT_RE.findall(masked, start, end)
+    for space, head, direction, msb, lsb, pname, sep, rest in items:
+        width = int(msb) - int(lsb) + 1 if msb else 1
+        if rest or pname in names or width < 1:
             break
-        line, counted = line + masked.count("\n", counted, m.start(1)), m.start(1)
-        ports.append(Port(pname, direction, width, line))
+        line += space.count("\n")
+        ports.append(_new_tuple(Port, (pname, direction, width, line)))
         names.add(pname)
-        start = m.end()
+        line += head.count("\n") + sep.count("\n")
+    else:
+        return ports
+    # the rest starts after the items the ports came from, one each
+    start += sum(len(space) + len(head) + len(pname) + len(sep)
+                 for space, head, _d, _m, _l, pname, sep, _r in items[:len(ports)])
     prev: Port | None = ports[-1] if ports else None
     for item, off in _split_top_commas(masked[start:end], start):
         line = file.line_of(off + len(item) - len(item.lstrip()))
@@ -384,8 +412,8 @@ def extract_csr_candidates(
                 DIAG_WIDTH, module.path, port.line,
                 f"{name} in {module.name}: width {port.width_bits} exceeds {MAX_CSR_WIDTH}"))
             continue
-        out.append(CsrCandidate(name, port.width_bits, ACCESS_RW if is_ctrl else ACCESS_RO,
-                                module.name))
+        out.append(_new_tuple(CsrCandidate, (name, port.width_bits,
+                                              ACCESS_RW if is_ctrl else ACCESS_RO, module.name)))
     return out
 
 

@@ -117,6 +117,39 @@ class TestUpdate:
         assert "Is a directory" not in capsys.readouterr().err
         assert len(regdb.load_db((proj / "regs.csv").read_text()).entries) == 13
 
+    def test_notes_on_the_second_module_of_a_file(self, proj, capsys):
+        """The notes of a module are numbered on from the module before it in
+        the same file, at each port's direction keyword."""
+        (proj / "rtl" / "pair.sv").write_text(
+            "// a clean module, then one with irregular ports\n"
+            "module pair_a (\n"
+            "  input  logic [3:0] cfg_one,\n"
+            "  output logic       sts_one\n"
+            ");\n"
+            "endmodule\n"
+            "\n"
+            "module pair_b #(parameter int W = 4) (\n"
+            "  input  logic [7:0]   cfg_two,\n"
+            "  input  logic         cfg_two,\n"
+            "  input  logic [W-1:0] cfg_wide,\n"
+            "  output logic [0:3]   sts_flip,\n"
+            "  output logic         sts_arr [2],\n"
+            "  output\n"
+            "    logic              cfg_out,\n"
+            "  output logic         diag_pair\n"
+            ");\n"
+            "endmodule\n")
+        assert main(["update"]) == 0
+        path = proj / "rtl" / "pair.sv"
+        assert capsys.readouterr().err.splitlines() == [
+            f"note: {path}:8: [Skip] parameter list of pair_b skipped",
+            f"note: {path}:10: [Skip] duplicate port name cfg_two in pair_b",
+            f"note: {path}:11: [Skip] non-literal packed range on port cfg_wide in pair_b",
+            f"note: {path}:12: [Skip] non-literal packed range on port sts_flip in pair_b",
+            f"note: {path}:13: [Skip] unpacked array port sts_arr in pair_b skipped",
+            f"note: {path}:14: [DirectionMismatch] cfg_out in pair_b: expected input, found output",
+        ]
+
     def test_flags_override_config(self, proj):
         assert main(["update", "--db", "alt.csv", "--targets", "rtl"]) == 0
         db = regdb.load_db((proj / "alt.csv").read_text())

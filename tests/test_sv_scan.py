@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from chipkit.sv_scan import (
     DIAG_DIRECTION,
     DIAG_SKIP,
     DIAG_WIDTH,
+    Diagnostic,
     MalformedSource,
     NamingConvention,
     SourceFile,
@@ -77,6 +80,46 @@ class TestParseModules:
         text = "\n\nmodule m (\n  input logic a\n);\nendmodule\n"
         m = parse_one(text)
         assert m.ports[0].line == 4
+
+    # several modules of one file, CRLF-ended, with a parameter list, comments
+    # and blank lines between the modules, and items that span lines
+    CLEAN_FILE = (
+        "// two blocks and their pads\r\n"
+        "\r\n"
+        "module first #(\r\n"
+        "  parameter int W = 8\r\n"
+        ") (\r\n"
+        "  input  logic        clock,\r\n"
+        "  input  logic [7:0]  cfg_mode,\r\n"
+        "  output\r\n"
+        "    logic [3:0]\r\n"
+        "    sts_level  ,\r\n"
+        "\r\n"
+        "  output logic diag_tick\r\n"
+        ");\r\n"
+        "endmodule\r\n"
+        "\r\n"
+        "/* between the modules:\r\n"
+        "   a block comment */\r\n"
+        "\r\n"
+        "module second (input logic a, input\r\n  logic [1:0] cfg_b,\r\n\r\n"
+        "  output logic sts_c);\r\n"
+        "endmodule\r\n"
+        "module third ();\r\nendmodule\r\n"
+        "module fourth\r\n(\r\n  inout wire pad\r\n);\r\nendmodule\r\n"
+    )
+
+    def test_clean_file_numbers_ports_without_a_line_table(self):
+        file, diags = src(self.CLEAN_FILE), []
+        mods = parse_modules(file, diags)
+        assert file._line_starts is None
+        assert [(m.name, [p.name for p in m.ports]) for m in mods] == [
+            ("first", ["clock", "cfg_mode", "sts_level", "diag_tick"]),
+            ("second", ["a", "cfg_b", "sts_c"]), ("third", []), ("fourth", ["pad"])]
+        keywords = [m.start() for m in re.finditer(r"\b(?:input|output|inout)\b", self.CLEAN_FILE)]
+        fresh = src(self.CLEAN_FILE)
+        assert [p.line for m in mods for p in m.ports] == [fresh.line_of(at) for at in keywords]
+        assert diags == [Diagnostic(DIAG_SKIP, "test.sv", 3, "parameter list of first skipped")]
 
     def test_comments_and_strings_skipped(self):
         text = """

@@ -2,10 +2,11 @@
 oracles in scan_oracle, on text dense in the characters that open, close or
 escape comments, strings and brackets, and on text dense in the keywords and
 the characters around them that decide where a module block or a lint
-keyword starts and ends. The candidate extractors agree with the ones that
-tested each affix through a method call, on ports whose names carry any mix
-of the affixes, under prefix and postfix conventions, some with an affix that
-begins another."""
+keyword starts and ends. A file of several modules parses, module by module,
+as the oracle parses each port group. The candidate extractors agree with
+the ones that tested each affix through a method call, on ports whose names
+carry any mix of the affixes, under prefix and postfix conventions, some
+with an affix that begins another."""
 
 from pathlib import Path
 
@@ -312,17 +313,25 @@ def port_groups(draw):
     return head + group + ");\n", (len(head), len(head) + len(group))
 
 
-def _ports(impl, text, group):
+def _ports(impl, text, group, *cursor):
+    """The ports and diagnostics of a group; sv_scan's parser also takes a
+    cursor, an (offset, line) at or before the group, to number lines from."""
     diags = []
-    ports = impl(SourceFile("t.sv", text), text, group, "m", diags)
+    ports = impl(SourceFile("t.sv", text), text, group, "m", diags, *cursor)
     return ports, diags
 
 
+def _cursor(text: str, offset: int) -> tuple[int, int]:
+    return offset, text.count("\n", 0, offset) + 1
+
+
 @settings(max_examples=600, deadline=None)
-@given(case=port_groups())
-def test_parse_ports_matches_oracle(case):
+@given(case=port_groups(), data=st.data())
+def test_parse_ports_matches_oracle(case, data):
     text, group = case
-    assert _ports(sv_scan._parse_ports, text, group) == _ports(scan_oracle.parse_ports, text, group)
+    cursor = _cursor(text, data.draw(st.integers(0, group[0]), label="cursor offset"))
+    assert _ports(sv_scan._parse_ports, text, group, cursor) == \
+        _ports(scan_oracle.parse_ports, text, group)
 
 
 @pytest.mark.parametrize("group", [
@@ -340,7 +349,45 @@ def test_parse_ports_matches_oracle(case):
 def test_parse_ports_cases_match_oracle(group):
     text = "module m (" + group + ");\n"
     span = (len("module m ("), len("module m (") + len(group))
-    assert _ports(sv_scan._parse_ports, text, span) == _ports(scan_oracle.parse_ports, text, span)
+    assert _ports(sv_scan._parse_ports, text, span, (0, 1)) == \
+        _ports(scan_oracle.parse_ports, text, span)
+
+
+# Files of one to four modules, each a port_groups draw, with blank lines,
+# comments and CRLFs between them. A draw whose parentheses do not balance
+# where its group ends is drawn again: the header parser would end that
+# group elsewhere, and the oracle takes the group it is given.
+BETWEEN = st.sampled_from(["", "\n", "\r\n", "\n\n", "// c\n", "/* a\nb */\r\n", "\r\n\r\n"])
+BALANCED_GROUPS = port_groups().filter(
+    lambda case: scan_oracle.match_paren(case[0], case[0].index("("), len(case[0])) == case[1][1] + 1)
+
+
+@st.composite
+def module_files(draw):
+    """(text, [(name, group span)]): modules m0, m1, ... one after another."""
+    text, spans = draw(BETWEEN), []
+    for i in range(draw(st.integers(1, 4))):
+        module, (start, end) = draw(BALANCED_GROUPS)
+        name = f"m{i}"
+        base = len(text) + len(name) - 1  # "module m" became "module m<i>"
+        spans.append((name, (base + start, base + end)))
+        text += module.replace("module m", f"module {name}", 1) + "endmodule\n" + draw(BETWEEN)
+    return text, spans
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=module_files())
+def test_parse_modules_matches_oracle_per_module(case):
+    """Every module's ports and diagnostics, numbered by a cursor carried
+    through the file, are the oracle's for its group, numbered by line_of."""
+    text, spans = case
+    file, diags = SourceFile("t.sv", text), []
+    masked = scan_oracle.mask_comments_and_strings(file)
+    expected = [ModuleDecl(name, scan_oracle.parse_ports(file, masked, span, name, diags), "t.sv")
+                for name, span in spans]
+    got_diags = []
+    assert sv_scan.parse_modules(SourceFile("t.sv", text), got_diags) == expected
+    assert got_diags == diags
 
 
 _AFFIXES = ["", "", "cfg_", "sts_", "diag_", "_cfg", "_sts", "_diag", "c", "cfg_s"]
