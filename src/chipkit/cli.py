@@ -363,6 +363,7 @@ def cmd_generate(cfg: ProjectConfig) -> int:
     pads = ()
     if "pads" in cfg.emit.targets and cfg.pads_path:
         pads = emit.load_pad_db(Path(cfg.pads_path).read_text(encoding="utf-8"))
+    regs = emit.prepare(db, cfg.emit, hash32)  # shared by every group, changed by none
 
     # one render_targets call per output, except c and py, which one
     # emit_sw_views call renders together: each group's changed texts are
@@ -379,7 +380,7 @@ def cmd_generate(cfg: ProjectConfig) -> int:
                 folder.mkdir()
                 made.append(folder)
         for group in groups:
-            rendered = emit.render_targets(db, cfg.emit._replace(targets=group), hash32,
+            rendered = emit.render_targets(regs._replace(cfg=cfg.emit._replace(targets=group)),
                                            memmap=memmap, diags=diags, pads=pads)
             for name in rendered:
                 staged[name] = None if _holds(out_dir / name, rendered[name]) \

@@ -4,21 +4,21 @@ All emitters are pure functions of the register database (plus auxiliary
 inputs) and produce byte-identical output for identical input, so generated
 files can be golden-tested and diffed in version control. Every artifact
 carries the database content hash in its banner, tying it to the database
-revision it was rendered from; the caller takes that hash once and passes it
-to each emitter.
+revision it was rendered from. The caller takes that hash once, and prepare()
+makes one RegMap of the database, its settings and the hash, which every
+register emitter renders from and none changes.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from typing import NamedTuple
 
 from . import DataError, InputError
 from . import regdb as rdb
 from .memmap import MemoryMap
 from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ALL_TARGETS, ID_REG_NAME, ID_REG_OFFSET, RETIRED
-from .regdb import OFFSET_KEY, EmitConfig, RegDb, RegEntry
+from .regdb import OFFSET_KEY, EmitConfig, RegDb
 from .script import RESP_OK, format_word, save_script
 from .sv_scan import DiagCandidate
 
@@ -79,10 +79,6 @@ def _bits(width: int) -> str:
     return "1 bit" if width == 1 else f"{width} bits"
 
 
-def _sorted_entries(db: RegDb) -> list[RegEntry]:
-    return sorted(db.entries, key=OFFSET_KEY)
-
-
 def _check_region(db: RegDb, cfg: EmitConfig) -> None:
     need = 4 * (len(db.entries) + 1)
     if cfg.csr_region_size_bytes < need:
@@ -114,25 +110,59 @@ def _sv_banner(title: str, hash32: int) -> list[str]:
     ]
 
 
+Row = tuple[str, str, int, str, int, str, int]
+
+
+class RegMap(NamedTuple):
+    """What the register emitters read, made once per database: the database,
+    its settings and hash, and a Row (name, address word, width, access, reset,
+    description, offset) per register. rows holds the ID register's and each
+    active entry's, by offset; rw and ro hold the same active rows by access,
+    and retired the retired entries'. No emitter changes it."""
+    db: RegDb
+    cfg: EmitConfig
+    hash32: int
+    rows: list[Row]
+    rw: list[Row]
+    ro: list[Row]
+    retired: list[Row]
+
+
+def prepare(db: RegDb, cfg: EmitConfig, hash32: int) -> RegMap:
+    """The RegMap of db under cfg; hash32 is the db_hash of db, which the
+    caller takes once. Every entry needs an offset, as validate_db requires."""
+    base = cfg.base_address
+    rows = [(ID_REG_NAME, format_word(base + ID_REG_OFFSET), 32, ACCESS_RO, hash32,
+             "register map content hash", ID_REG_OFFSET)]
+    rw, ro, retired = [], [], []
+    for e in sorted(db.entries, key=OFFSET_KEY):
+        row = (e.name, f"0x{(base + e.offset_bytes) & 0xffffffff:08x}", e.width_bits,
+               e.access, e.reset_value, e.description, e.offset_bytes)
+        if e.state == ACTIVE:
+            rows.append(row)
+            if e.access == ACCESS_RW:
+                rw.append(row)
+            elif e.access == ACCESS_RO:
+                ro.append(row)
+        elif e.state == RETIRED:
+            retired.append(row)
+    return RegMap(db, cfg, hash32, rows, rw, ro, retired)
+
+
 # ---------------------------------------------------------------------------
 # RTL
 
-def emit_csr_rtl(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
+def emit_csr_rtl(regs: RegMap) -> str:
     """Synthesizable register block: write decode, one flop bank per RW entry,
     read mux over all offsets with the ID register at 0x0."""
-    _check_region(db, cfg)
-    entries = _sorted_entries(db)
-    active = [e for e in entries if e.state == ACTIVE]
-    retired = [e for e in entries if e.state == RETIRED]
-    rw = [e for e in active if e.access == ACCESS_RW]
-    ro = [e for e in active if e.access == ACCESS_RO]
-    base = cfg.base_address
+    cfg, hash32, rw, ro = regs.cfg, regs.hash32, regs.rw, regs.ro
+    _check_region(regs.db, cfg)
     addr_w = cfg.csr_region_size_bytes.bit_length() - 1
     # an offset's literal is lit, then the offset formatted by digits
     lit, digits = f"{addr_w}'h", f"0{max(1, (addr_w + 3) // 4)}x"
 
     # the strings that depend on a width alone, made once per width in use
-    widths = {e.width_bits for e in active}
+    widths = {row[2] for row in regs.rows}  # the ID register's 32 among them
     types = {w: f"logic [{w - 1}:0]" if w > 1 else "logic" for w in widths | {1, 32, addr_w}}
     type_col = len(types[max(widths | {32})])
     port_types = {w: f"{t:<{type_col}}" for w, t in types.items()}
@@ -147,44 +177,44 @@ def emit_csr_rtl(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
               f"  input  {bit} sel,", f"  input  {bit} wr_en,",
               f"  input  {port_types[addr_w]} addr,", f"  input  {word} wdata,",
               f"  output {word} rdata,", f"  output {bit} ready,"]
+    # a run of one line per register (the ports, the read mux's cases) is joined
+    # on its own, so the last join holds one string per run, not one per line
     if rw:
-        lines += ["", "  // control register outputs"]
-        lines += [f"  output {port_types[e.width_bits]} {e.name}," for e in rw]
+        lines += ["", "  // control register outputs",
+                  "\n".join([f"  output {port_types[w]} {n}," for n, _, w, _, _, _, _ in rw])]
     if ro:
-        lines += ["", "  // status inputs"]
-        lines += [f"  input  {port_types[e.width_bits]} {e.name}," for e in ro]
+        lines += ["", "  // status inputs",
+                  "\n".join([f"  input  {port_types[w]} {n}," for n, _, w, _, _, _, _ in ro])]
     lines[-1] = lines[-1][:-1]  # no comma after the last port
     lines += [");", "", "logic wr_stb;", "always_comb wr_stb = sel & wr_en;"]
 
     rule = "// " + "-" * 66
-    for e in rw:
-        n, w, off, reset = e.name, e.width_bits, e.offset_bytes, e.reset_value
+    for n, addr, w, _, reset, _, off in rw:
         lines.append(
-            f"\n{rule}\n// {n} @ 0x{(base + off) & 0xffffffff:08x} "
+            f"\n{rule}\n// {n} @ {addr} "
             f"(RW, {bits[w]}, reset 0x{reset:x})\n"
             f"logic {n}_wr_en;\n{types[w]} {n}_next;\n"
             f"always_comb {n}_wr_en = wr_stb & (addr == {lit}{off:{digits}});\n"
             f"always_comb {n}_next = {slices[w]};\n"
             f"`FF({n}_next, {n}, clock, {n}_wr_en, reset_n, {w}'h{reset:x});")
-    lines += [f"\n{rule}\n// {e.name} @ 0x{(base + e.offset_bytes) & 0xffffffff:08x} "
-              f"(RO, {bits[e.width_bits]}, reset 0x{e.reset_value:x})\n"
-              "// driven by the attached design; read-only through the bus" for e in ro]
+    lines += [f"\n{rule}\n// {n} @ {addr} (RO, {bits[w]}, reset 0x{reset:x})\n"
+              "// driven by the attached design; read-only through the bus"
+              for n, addr, w, _, reset, _, _ in ro]
 
-    if retired:
+    if regs.retired:
         lines += ["", rule, "// retired registers (offsets stay reserved)"]
-        lines += [f"// retired: {e.name} @ 0x{(base + e.offset_bytes) & 0xffffffff:08x}"
-                  for e in retired]
+        lines += [f"// retired: {n} @ {addr}" for n, addr, *_ in regs.retired]
 
-    lines += ["", rule, f"// read mux; {ID_REG_NAME} register @ {format_word(base + ID_REG_OFFSET)}",
+    lines += ["", rule, f"// read mux; {ID_REG_NAME} register @ {regs.rows[0][1]}",
               "logic [31:0] rdata_next;",
               "always_comb begin",
-              "  case (addr)",
-              f"    {lit}{ID_REG_OFFSET:{digits}}: rdata_next = 32'h{hash32:08x};"
-              f"  // {ID_REG_NAME}"]
-    for e in active:
-        n, w = e.name, e.width_bits
+              "  case (addr)"]
+    cases = [f"    {lit}{ID_REG_OFFSET:{digits}}: rdata_next = 32'h{hash32:08x};  // {ID_REG_NAME}"]
+    for n, _, w, _, _, _, off in regs.rows[1:]:
         value = n if w == 32 else f"{{{32 - w}'d0, {n}}}"
-        lines.append(f"    {lit}{e.offset_bytes:{digits}}: rdata_next = {value};  // {n}")
+        cases.append(f"    {lit}{off:{digits}}: rdata_next = {value};  // {n}")
+    lines.append("\n".join(cases))
+    del cases  # its joined text alone stays
     lines += [f"    default: rdata_next = 32'h{cfg.unmapped_value:08x};  // no register here",
               "  endcase",
               "end",
@@ -198,15 +228,14 @@ def emit_csr_rtl(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
     return "\n".join(lines)
 
 
-def emit_instantiation_template(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
+def emit_instantiation_template(regs: RegMap) -> str:
     """Copy-paste instantiation of the generated block, one named connection per port."""
-    active = [e for e in _sorted_entries(db) if e.state == ACTIVE]
-    mod = f"{cfg.block_name}_csr"
+    mod = f"{regs.cfg.block_name}_csr"
     conns = [("clock", "clock"), ("reset_n", "reset_n")]
     conns += [(p, f"{mod}_{p}") for p in ("sel", "wr_en", "addr", "wdata", "rdata", "ready")]
-    conns += [(e.name, e.name) for e in active]
+    conns += [(row[0], row[0]) for row in regs.rows[1:]]
     pin_col = max(len(pin) for pin, _ in conns)
-    lines = _sv_banner(f"instantiation template for {mod}", hash32)
+    lines = _sv_banner(f"instantiation template for {mod}", regs.hash32)
     lines += ["", f"{mod} u_{mod} ("]
     lines += [f"  .{pin:<{pin_col}} ({sig})," for pin, sig in conns]
     lines[-1] = lines[-1][:-1]  # no comma after the last connection
@@ -217,24 +246,16 @@ def emit_instantiation_template(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
 # ---------------------------------------------------------------------------
 # documentation and software views
 
-def _doc_rows(db: RegDb, cfg: EmitConfig, hash32: int):
-    """(name, address word, width, access, reset, description) of the ID
-    register and of each active entry, by offset."""
-    base = cfg.base_address
-    id_row = (ID_REG_NAME, format_word(base + ID_REG_OFFSET), 32, ACCESS_RO,
-              hash32, "register map content hash")
-    return [id_row] + [(e.name, f"0x{(base + e.offset_bytes) & 0xffffffff:08x}", e.width_bits,
-                        e.access, e.reset_value, e.description)
-                       for e in _sorted_entries(db) if e.state == ACTIVE]
-
-
-def emit_markdown(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
+def emit_markdown(regs: RegMap) -> str:
+    cfg, hash32 = regs.cfg, regs.hash32
     header = "| name | address | width | access | reset | description |"
     divider = "|---|---|---|---|---|---|"
 
     def table(rows) -> list[str]:
         out = []
-        for name, addr, width, access, reset, desc in rows:
+        for name, addr, width, access, reset, desc, _ in rows:
+            if "\r" in desc:  # CR, LF and CRLF each end a line, and become one space
+                desc = desc.replace("\r\n", "\n").replace("\r", "\n")
             desc = desc.replace("|", "\\|").replace("\n", " ")
             out.append(f"| {name} | {addr} | {width} | {access} | 0x{reset:x} | {desc} |")
         return out
@@ -247,22 +268,20 @@ def emit_markdown(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
         header,
         divider,
     ]
-    lines += table(_doc_rows(db, cfg, hash32))
-    retired = [e for e in _sorted_entries(db) if e.state == RETIRED]
-    if retired:
+    lines += table(regs.rows)
+    if regs.retired:
         lines += ["", "## Retired registers", "",
                   "Offsets stay reserved; reads return the unmapped constant.", "",
                   header, divider]
-        lines += table((e.name, f"0x{(cfg.base_address + e.offset_bytes) & 0xffffffff:08x}",
-                        e.width_bits, e.access, e.reset_value, e.description) for e in retired)
+        lines += table(regs.retired)
     return "\n".join(lines) + "\n"
 
 
-def emit_sw_views(db: RegDb, cfg: EmitConfig, hash32: int) -> tuple[str, str]:
+def emit_sw_views(regs: RegMap) -> tuple[str, str]:
     """C header and Python definitions for the active register set."""
+    cfg, hash32, rows = regs.cfg, regs.hash32, regs.rows
     block = _macro_name(cfg.block_name)
     guard = f"{block}_REGS_H"
-    rows = _doc_rows(db, cfg, hash32)
     # an ASCII identifier is its own macro name, upper-cased
     macros = [_macro_name(row[0]) if not (row[0].isascii() and row[0].isidentifier())
               else row[0].upper() for row in rows]
@@ -279,7 +298,7 @@ def emit_sw_views(db: RegDb, cfg: EmitConfig, hash32: int) -> tuple[str, str]:
     ]
     c_lines += [f"\n/* {name}: {access}, {bits[width]}, reset 0x{reset:x} */\n"
                 f"#define {block}_{macro}_ADDR {addr}\n#define {block}_{macro}_WIDTH {width}"
-                for (name, addr, width, access, reset, _), macro in zip(rows, macros)]
+                for (name, addr, width, access, reset, _, _), macro in zip(rows, macros)]
     c_lines += ["", f"#endif /* {guard} */", ""]
 
     py_lines = [
@@ -292,7 +311,7 @@ def emit_sw_views(db: RegDb, cfg: EmitConfig, hash32: int) -> tuple[str, str]:
         "REGISTERS = {",
     ]
     py_lines += [f'    "{name}": ({addr}, {width}, "{access}"),'
-                 for name, addr, width, access, _, _ in rows]
+                 for name, addr, width, access, _, _, _ in rows]
     py_lines += ["}", ""]
 
     return "\n".join(c_lines), "\n".join(py_lines)
@@ -301,40 +320,36 @@ def emit_sw_views(db: RegDb, cfg: EmitConfig, hash32: int) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # self test
 
-def emit_selftest(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
+def emit_selftest(regs: RegMap) -> str:
     """Bring-up script text: ID check, write/read-back over every active
-    register, and one probe of an in-region offset with no register behind it."""
+    register, and one probe of an in-region offset with no register behind it.
+    Each register's steps are one block of text, as save_script writes them."""
+    db, cfg = regs.db, regs.cfg
     _check_region(db, cfg)
-    return save_script(_selftest_rows(db, cfg, hash32))
-
-
-def _selftest_rows(db: RegDb, cfg: EmitConfig, hash32: int) -> Iterator[tuple[str, str, str]]:
-    """The self-test's (command, expected, comment) rows, one at a time."""
-    base = cfg.base_address
-    yield (f"R {format_word(base + ID_REG_OFFSET)}", format_word(hash32),
-           f"{ID_REG_NAME} register carries the database hash")
-    for e in _sorted_entries(db):
-        if e.state != ACTIVE:
-            continue
-        name, addr = e.name, f"0x{(base + e.offset_bytes) & 0xffffffff:08x}"
-        read, reset = f"R {addr}", f"0x{e.reset_value & 0xffffffff:08x}"
-        if e.access == ACCESS_RW:
-            ones = f"0x{((1 << e.width_bits) - 1) & 0xffffffff:08x}"
-            yield read, reset, f"{name}: reset value"
-            yield f"W {addr} {ones}", RESP_OK, f"{name}: set all {e.width_bits} writable bits"
-            yield read, ones, f"{name}: read back ones"
-            yield f"W {addr} 0x00000000", RESP_OK, f"{name}: clear"
-            yield read, "0x00000000", f"{name}: read back zero"
+    id_name, id_addr = regs.rows[0][:2]
+    blocks = [save_script([(f"R {id_addr}", format_word(regs.hash32),
+                            f"{id_name} register carries the database hash")])]
+    for name, addr, width, access, reset, _, _ in regs.rows[1:]:
+        reset = f"0x{reset & 0xffffffff:08x}"
+        if access == ACCESS_RW:
+            ones = f"0x{((1 << width) - 1) & 0xffffffff:08x}"
+            blocks.append(f"\n# {name}: reset value\n> R {addr}\n< {reset}\n"
+                          f"\n# {name}: set all {width} writable bits\n> W {addr} {ones}\n< {RESP_OK}\n"
+                          f"\n# {name}: read back ones\n> R {addr}\n< {ones}\n"
+                          f"\n# {name}: clear\n> W {addr} 0x00000000\n< {RESP_OK}\n"
+                          f"\n# {name}: read back zero\n> R {addr}\n< 0x00000000\n")
         else:
-            yield read, reset, f"{name}: status value"
-            yield f"W {addr} 0xa5a5a5a5", RESP_OK, f"{name}: write is ignored"
-            yield read, reset, f"{name}: unchanged by write"
+            blocks.append(f"\n# {name}: status value\n> R {addr}\n< {reset}\n"
+                          f"\n# {name}: write is ignored\n> W {addr} 0xa5a5a5a5\n< {RESP_OK}\n"
+                          f"\n# {name}: unchanged by write\n> R {addr}\n< {reset}\n")
     # with no entries every offset is equally unmapped; the ID read already
     # proves the decode, so the degenerate script is that single step
     probe = _free_offset(db, cfg) if db.entries else None
     if probe is not None:
-        yield (f"R {format_word(base + probe)}", format_word(cfg.unmapped_value),
-               "offset with no register reads the unmapped constant")
+        blocks.append("\n# offset with no register reads the unmapped constant\n"
+                      f"> R {format_word(cfg.base_address + probe)}\n"
+                      f"< {format_word(cfg.unmapped_value)}\n")
+    return "".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +389,7 @@ def emit_diag_mux(diags: list[DiagCandidate], db: RegDb, cfg: EmitConfig, hash32
     mod = f"{cfg.block_name}_diag_mux"
     lines = _sv_banner(f"{mod}: diagnostic pin observation mux", hash32)
     lines += ["", f"module {mod} ("]
-    for d in diags:
-        lines.append(f"  input  logic {d.name},")
+    lines += [f"  input  logic {d.name}," for d in diags]
     if sel_bits:
         lines.append(f"  input  logic [{sel_bits * n_pins - 1}:0] cfg_diag_sel,")
     out_type = f"logic [{n_pins - 1}:0]" if n_pins > 1 else "logic"
@@ -385,21 +399,15 @@ def emit_diag_mux(diags: list[DiagCandidate], db: RegDb, cfg: EmitConfig, hash32
     for pin in range(n_pins):
         net = f"pin{pin}_val"
         pin_nets.append(net)
-        lines.append(f"// pin {pin}")
-        lines.append(f"logic {net};")
+        lines += [f"// pin {pin}", f"logic {net};"]
         if sel_bits == 0:
             lines.append(f"always_comb {net} = {names[0]};")
         else:
-            lo = pin * sel_bits
-            hi = lo + sel_bits - 1
+            lo, hi = pin * sel_bits, (pin + 1) * sel_bits - 1
             sel = f"cfg_diag_sel[{hi}:{lo}]" if sel_bits > 1 else f"cfg_diag_sel[{lo}]"
-            lines.append("always_comb begin")
-            lines.append(f"  case ({sel})")
-            for i, name in enumerate(names):
-                lines.append(f"    {sel_bits}'d{i}: {net} = {name};")
-            lines.append(f"    default: {net} = 1'b0;")
-            lines.append("  endcase")
-            lines.append("end")
+            lines += ["always_comb begin", f"  case ({sel})"]
+            lines += [f"    {sel_bits}'d{i}: {net} = {name};" for i, name in enumerate(names)]
+            lines += [f"    default: {net} = 1'b0;", "  endcase", "end"]
         lines.append("")
     if n_pins > 1:
         concat = ", ".join(reversed(pin_nets))
@@ -417,13 +425,10 @@ def emit_pad_script(pads: tuple[Pad, ...]) -> str:
     lines = ["# pad placement directives", "# generated file, do not edit"]
     for side in _SIDES:
         group = sorted((p for p in pads if p.side == side), key=lambda p: p.order_index)
-        if not group:
-            continue
-        lines.append("")
-        lines.append(f"# side {side}")
-        for p in group:
-            lines.append(f"place_pad {p.name} -side {p.side} -order {p.order_index} "
-                         f"-cell {p.cell_type} -signal {p.signal}")
+        if group:
+            lines += ["", f"# side {side}"]
+            lines += [f"place_pad {p.name} -side {p.side} -order {p.order_index} "
+                      f"-cell {p.cell_type} -signal {p.signal}" for p in group]
     return "\n".join(lines) + "\n"
 
 
@@ -445,37 +450,36 @@ def output_name(target: str, cfg: EmitConfig) -> str:
 
 
 def render_targets(
-    db: RegDb,
-    cfg: EmitConfig,
-    hash32: int,
+    regs: RegMap,
     memmap: MemoryMap | None = None,
     diags: list[DiagCandidate] | None = None,
     pads: tuple[Pad, ...] = (),
 ) -> dict[str, str]:
-    """Render every configured target to text, keyed by output file name;
-    hash32 is the db_hash of db, which the caller takes once.
+    """Render every target of regs.cfg to text, keyed by output file name.
 
-    Raises before returning anything. `generate` calls it once per output,
-    with c and py in one call since one emit_sw_views call renders both, and
-    writes each result to temp files before the next call, so it holds one
-    artifact's text at a time and replaces no output until all have rendered.
+    Raises before returning anything. `generate` prepares one RegMap and
+    calls this once per output, with c and py in one call since one
+    emit_sw_views call renders both, and writes each result to temp files
+    before the next call, so it holds one artifact's text at a time and
+    replaces no output until all have rendered.
     """
+    db, cfg, hash32 = regs.db, regs.cfg, regs.hash32
     out: dict[str, str] = {}
     c_text = py_text = None
     for target in cfg.targets:
         name = output_name(target, cfg)
         if target == "rtl":
-            out[name] = emit_csr_rtl(db, cfg, hash32)
+            out[name] = emit_csr_rtl(regs)
         elif target == "inst":
-            out[name] = emit_instantiation_template(db, cfg, hash32)
+            out[name] = emit_instantiation_template(regs)
         elif target == "md":
-            out[name] = emit_markdown(db, cfg, hash32)
+            out[name] = emit_markdown(regs)
         elif target in ("c", "py"):
             if c_text is None:
-                c_text, py_text = emit_sw_views(db, cfg, hash32)
+                c_text, py_text = emit_sw_views(regs)
             out[name] = c_text if target == "c" else py_text
         elif target == "test":
-            out[name] = emit_selftest(db, cfg, hash32)
+            out[name] = emit_selftest(regs)
         elif target == "memmap":
             if memmap is None:
                 raise DataError("memmap target needs a memory map file")

@@ -89,21 +89,16 @@ def load_script(text: str) -> str:
     return text
 
 
-def _step_texts(rows: Iterable[tuple[str, str, str]]) -> Iterator[str]:
-    sep = ""  # a blank line before each comment but one that opens the script
-    for command, expected, comment in rows:
-        yield (f"{sep}# {comment}\n> {command}\n< {expected}\n" if comment
-               else f"> {command}\n< {expected}\n")
-        sep = "\n"
-
-
 def save_script(rows: Iterable[tuple[str, str, str]]) -> str:
     """Script text of (command, expected, comment) rows, each comment on the
-    line before its step; no rows give one empty line. Joins 256 steps at a
-    time, so it holds about the text twice over, never a string for every
-    step."""
-    texts = _step_texts(rows)
+    line before its step, after a blank line unless it opens the script; no
+    rows give one empty line. Joins 256 steps at a time, so it holds about the
+    text twice over, never a string for every step."""
+    texts = (f"\n# {comment}\n> {command}\n< {expected}\n" if comment
+             else f"> {command}\n< {expected}\n" for command, expected, comment in rows)
     chunks = []
     while chunk := "".join(islice(texts, 256)):
         chunks.append(chunk)
+    if chunks and chunks[0][0] == "\n":  # the script opens with a comment
+        chunks[0] = chunks[0][1:]
     return "".join(chunks) or "\n"

@@ -8,7 +8,9 @@ here; the emitter takes the database hash from its caller, as every emitter
 now does, and builds host_oracle's copies of the records. The register
 block, instantiation template, Markdown and software-view emitters called
 format_word, _bits, _md_escape, _macro_name and local port, row and pad_type
-helpers per field; they and those helpers are copied verbatim below. Kept
+helpers per field; they and those helpers are copied verbatim below. All of
+them took (db, cfg, hash32), before the emitters took one RegMap, and sorted
+the entries by offset through _sorted_entries, copied verbatim too. Kept
 only as oracles for the differential property tests; chipkit never imports
 it."""
 
@@ -16,9 +18,9 @@ from __future__ import annotations
 
 import re
 
-from chipkit.emit import _check_region, _free_offset, _sorted_entries, _sv_banner
-from chipkit.regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ID_REG_NAME, ID_REG_OFFSET, RETIRED
-from chipkit.regdb import EmitConfig, RegDb, RegEntry
+from chipkit.emit import _check_region, _free_offset, _sv_banner
+from chipkit.regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ID_REG_NAME, ID_REG_OFFSET, OFFSET_KEY
+from chipkit.regdb import RETIRED, EmitConfig, RegDb, RegEntry
 from chipkit.script import RESP_OK, format_word
 from host_oracle import ScriptStep, TestScript
 
@@ -28,6 +30,10 @@ class _Script(TestScript):
 
     def add(self, command: str, expected: str, comment: str = "") -> None:
         self.steps.append(ScriptStep(command, expected, comment))
+
+
+def _sorted_entries(db: RegDb) -> list[RegEntry]:
+    return sorted(db.entries, key=OFFSET_KEY)
 
 
 def read_command(addr: int) -> str:

@@ -93,7 +93,7 @@ def test_criterion_2_code_volume():
     cfg = emit.EmitConfig(block_name="blk", base_address=0x50000000,
                           csr_region_size_bytes=0x1000)
     start = time.perf_counter()
-    rtl = emit.emit_csr_rtl(db, cfg, db_hash(db))
+    rtl = emit.emit_csr_rtl(emit.prepare(db, cfg, db_hash(db)))
     elapsed = time.perf_counter() - start
     lines = rtl.count("\n")
     _report(2, "hundred registers exceed a thousand RTL lines",

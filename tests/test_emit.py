@@ -36,75 +36,75 @@ def big_db(n=100):
 class TestCsrRtl:
     def test_hundred_entries_over_thousand_lines(self):
         db = big_db()
-        text = emit.emit_csr_rtl(db, CFG, db_hash(db))
+        text = emit.emit_csr_rtl(emit.prepare(db, CFG, db_hash(db)))
         assert text.count("\n") > 1000
 
     def test_empty_db_still_parses(self):
-        text = emit.emit_csr_rtl(RegDb(), CFG, EMPTY_HASH)
+        text = emit.emit_csr_rtl(emit.prepare(RegDb(), CFG, EMPTY_HASH))
         mods = parse_modules(SourceFile("gen.sv", text))
         assert [m.name for m in mods] == ["myblk_csr"]
         assert f"32'h{db_hash(RegDb()):08x}" in text
 
     def test_rw_entry_becomes_output_port(self):
-        text = emit.emit_csr_rtl(GAIN_DB, CFG, db_hash(GAIN_DB))
+        text = emit.emit_csr_rtl(emit.prepare(GAIN_DB, CFG, db_hash(GAIN_DB)))
         mods = parse_modules(SourceFile("gen.sv", text))
         port = {p.name: p for p in mods[0].ports}["cfg_gain"]
         assert (port.direction, port.width_bits) == ("output", 8)
 
     def test_ro_entry_becomes_input_port(self):
         db = make_db(cand("sts_done", 1, "RO"))
-        text = emit.emit_csr_rtl(db, CFG, db_hash(db))
+        text = emit.emit_csr_rtl(emit.prepare(db, CFG, db_hash(db)))
         port = {p.name: p for p in parse_modules(SourceFile("g.sv", text))[0].ports}["sts_done"]
         assert (port.direction, port.width_bits) == ("input", 1)
 
     def test_retired_entries_comment_only(self):
         db, _ = update_db(GAIN_DB, [], scanned_modules={"m1"})
         assert db.entry("cfg_gain").state == RETIRED
-        text = emit.emit_csr_rtl(db, CFG, db_hash(db))
+        text = emit.emit_csr_rtl(emit.prepare(db, CFG, db_hash(db)))
         assert "retired: cfg_gain" in text
         assert "cfg_gain" not in [p.name for p in parse_modules(SourceFile("g.sv", text))[0].ports]
 
     def test_reset_value_in_macro(self):
         db = make_db(cand("cfg_mode", 4))
         db.entry("cfg_mode").reset_value = 0x5
-        assert "4'h5" in emit.emit_csr_rtl(db, CFG, db_hash(db))
+        assert "4'h5" in emit.emit_csr_rtl(emit.prepare(db, CFG, db_hash(db)))
 
     def test_region_too_small(self):
         small = EmitConfig(block_name="b", base_address=0, csr_region_size_bytes=4)
         with pytest.raises(DataError, match=r"^region size 0x4 too small for 1 entries plus "
                                             r"the ID register \(need 0x8\)$"):
-            emit.emit_csr_rtl(GAIN_DB, small, db_hash(GAIN_DB))
+            emit.emit_csr_rtl(emit.prepare(GAIN_DB, small, db_hash(GAIN_DB)))
 
     def test_monotone_line_count(self):
-        counts = [emit.emit_csr_rtl(db, CFG, db_hash(db)).count("\n")
+        counts = [emit.emit_csr_rtl(emit.prepare(db, CFG, db_hash(db))).count("\n")
                   for db in map(big_db, (0, 1, 5, 20))]
         assert counts == sorted(counts) and len(set(counts)) == len(counts)
 
 
 class TestInstantiation:
     def test_empty_db_bus_ports_only(self):
-        text = emit.emit_instantiation_template(RegDb(), CFG, EMPTY_HASH)
+        text = emit.emit_instantiation_template(emit.prepare(RegDb(), CFG, EMPTY_HASH))
         pins = re.findall(r"\.(\w+)\s*\(", text)
         assert pins == ["clock", "reset_n", "sel", "wr_en", "addr", "wdata", "rdata", "ready"]
 
     def test_entries_listed(self):
         db = make_db(cand("cfg_a"), cand("sts_b", 1, "RO"))
-        text = emit.emit_instantiation_template(db, CFG, db_hash(db))
+        text = emit.emit_instantiation_template(emit.prepare(db, CFG, db_hash(db)))
         assert ".cfg_a" in text and ".sts_b" in text
 
     def test_parses_inside_wrapper(self):
-        inst = emit.emit_instantiation_template(GAIN_DB, CFG, db_hash(GAIN_DB))
+        inst = emit.emit_instantiation_template(emit.prepare(GAIN_DB, CFG, db_hash(GAIN_DB)))
         wrapper = "module wrap (input logic clock, input logic reset_n);\n" + inst + "\nendmodule\n"
         assert [m.name for m in parse_modules(SourceFile("w.sv", wrapper))] == ["wrap"]
 
 
 class TestMarkdown:
     def test_absolute_address(self):
-        text = emit.emit_markdown(GAIN_DB, CFG, db_hash(GAIN_DB))
+        text = emit.emit_markdown(emit.prepare(GAIN_DB, CFG, db_hash(GAIN_DB)))
         assert "| cfg_gain | 0x70000004 | 8 | RW |" in text
 
     def test_empty_db_id_row_only(self):
-        text = emit.emit_markdown(RegDb(), CFG, EMPTY_HASH)
+        text = emit.emit_markdown(emit.prepare(RegDb(), CFG, EMPTY_HASH))
         rows = [l for l in text.splitlines() if l.startswith("| ") and "---" not in l
                 and not l.startswith("| name")]
         assert len(rows) == 1 and rows[0].startswith("| id | 0x70000000 | 32 | RO |")
@@ -112,44 +112,69 @@ class TestMarkdown:
     def test_pipe_escaped(self):
         db = make_db(cand("cfg_a"))
         db.entry("cfg_a").description = "bits|fields"
-        assert "bits\\|fields" in emit.emit_markdown(db, CFG, db_hash(db))
+        assert "bits\\|fields" in emit.emit_markdown(emit.prepare(db, CFG, db_hash(db)))
+
+    @pytest.mark.parametrize("brk", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
+    def test_each_line_break_in_a_description_is_one_space(self, brk):
+        """CR, LF and CRLF each become one space, so every table row, active or
+        retired, stays one line to CommonMark and to str.splitlines."""
+        db = make_db(cand("cfg_a"), cand("cfg_b"))
+        for e in db.entries:
+            e.description = f"line one{brk}line two | x"
+        db.entry("cfg_b").state = RETIRED
+        md = emit.emit_markdown(emit.prepare(db, CFG, db_hash(db)))
+        lines = md.splitlines()
+        assert lines == md.split("\n")[:-1]
+        for name, addr in (("cfg_a", "0x70000004"), ("cfg_b", "0x70000008")):
+            assert f"| {name} | {addr} | 8 | RW | 0x0 | line one line two \\| x |" in lines
+
+    def test_crlf_in_a_quoted_cell_of_the_database_file(self):
+        """The canonical loader turns this file down, but load_db reads it and
+        validate_db passes it."""
+        text = ("name,width,access,reset,offset,origin_module,description,state\n"
+                'cfg_a,8,RW,0x0,0x4,m1,"line one\r\nline two | x",active\n')
+        assert regdb.load_canonical_db(text) is None
+        db = regdb.load_db(text)
+        assert regdb.validate_db(db) == []
+        md = emit.emit_markdown(emit.prepare(db, CFG, db_hash(db)))
+        assert "| cfg_a | 0x70000004 | 8 | RW | 0x0 | line one line two \\| x |" in md.splitlines()
 
     def test_retired_section(self):
         db, _ = update_db(GAIN_DB, [], scanned_modules={"m1"})
-        text = emit.emit_markdown(db, CFG, db_hash(db))
+        text = emit.emit_markdown(emit.prepare(db, CFG, db_hash(db)))
         assert "## Retired registers" in text
         assert text.index("cfg_gain") > text.index("Retired")
-        assert "Retired" not in emit.emit_markdown(GAIN_DB, CFG, db_hash(GAIN_DB))
+        assert "Retired" not in emit.emit_markdown(emit.prepare(GAIN_DB, CFG, db_hash(GAIN_DB)))
 
 
 class TestSwViews:
     def test_c_define_rendering(self):
-        c_text, _ = emit.emit_sw_views(GAIN_DB, CFG, db_hash(GAIN_DB))
+        c_text, _ = emit.emit_sw_views(emit.prepare(GAIN_DB, CFG, db_hash(GAIN_DB)))
         assert "#define MYBLK_CFG_GAIN_ADDR 0x70000004" in c_text
         assert "#define MYBLK_CFG_GAIN_WIDTH 8" in c_text
         assert "#ifndef MYBLK_REGS_H" in c_text
 
     def test_empty_db_guards_and_id_only(self):
-        c_text, py_text = emit.emit_sw_views(RegDb(), CFG, EMPTY_HASH)
+        c_text, py_text = emit.emit_sw_views(emit.prepare(RegDb(), CFG, EMPTY_HASH))
         assert c_text.count("_ADDR ") == 2  # BASE_ADDR and ID_ADDR
         assert "MYBLK_ID_ADDR 0x70000000" in c_text
         assert '"id": (0x70000000, 32, "RO"),' in py_text
 
     def test_offset_order(self):
         db = make_db(cand("cfg_b"), cand("cfg_a"))
-        c_text, py_text = emit.emit_sw_views(db, CFG, db_hash(db))
+        c_text, py_text = emit.emit_sw_views(emit.prepare(db, CFG, db_hash(db)))
         assert c_text.index("CFG_B_ADDR") < c_text.index("CFG_A_ADDR")
         assert py_text.index('"cfg_b"') < py_text.index('"cfg_a"')
 
     def test_python_view_importable(self, tmp_path):
-        _, py_text = emit.emit_sw_views(GAIN_DB, CFG, db_hash(GAIN_DB))
+        _, py_text = emit.emit_sw_views(emit.prepare(GAIN_DB, CFG, db_hash(GAIN_DB)))
         namespace = {}
         exec(py_text, namespace)
         assert namespace["REGISTERS"]["cfg_gain"] == (0x70000004, 8, "RW")
 
     def test_sanitization(self):
         cfg = EmitConfig(block_name="my_blk2", base_address=0x50000000)
-        c_text, _ = emit.emit_sw_views(GAIN_DB, cfg, db_hash(GAIN_DB))
+        c_text, _ = emit.emit_sw_views(emit.prepare(GAIN_DB, cfg, db_hash(GAIN_DB)))
         assert "MY_BLK2_CFG_GAIN_ADDR" in c_text
 
     @settings(max_examples=200, deadline=None)
@@ -158,7 +183,7 @@ class TestSwViews:
         """Every active register and the ID register, with address, width
         and access, read back from both views; and the database hash."""
         assume(not regdb.validate_db(db))
-        c_text, py_text = emit.emit_sw_views(db, CFG, db_hash(db))
+        c_text, py_text = emit.emit_sw_views(emit.prepare(db, CFG, db_hash(db)))
         base = CFG.base_address
         expected = {regdb.ID_REG_NAME: (base + regdb.ID_REG_OFFSET, 32, "RO")}
         expected.update((e.name, (base + e.offset_bytes, e.width_bits, e.access))
@@ -187,7 +212,7 @@ class TestSwViews:
         """The register table has the ID row, then one row per active register
         in offset order, with address, width, access and reset from the database."""
         assume(not regdb.validate_db(db))
-        text = emit.emit_markdown(db, CFG, db_hash(db))
+        text = emit.emit_markdown(emit.prepare(db, CFG, db_hash(db)))
         table = text.split("|---|---|---|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
         rows = [re.match(r"\| (\w+) \| (0x[0-9a-f]{8}) \| (\d+) \| (RW|RO) \| 0x([0-9a-f]+) \| ",
                          line) for line in table.splitlines()]
@@ -209,7 +234,8 @@ class TestSwViews:
         """The C header would define one macro twice: MYBLK_CFG_A_ADDR, or
         the ID register's MYBLK_ID_ADDR, or MYBLK_BASE_ADDR."""
         db = make_db(*[cand(n) for n in names])
-        macros = re.findall(r"^#define (\w+) ", emit.emit_sw_views(db, CFG, db_hash(db))[0], re.M)
+        c_text, _ = emit.emit_sw_views(emit.prepare(db, CFG, db_hash(db)))
+        macros = re.findall(r"^#define (\w+) ", c_text, re.M)
         assert len(set(macros)) < len(macros)
         assert [(p.entry, p.message) for p in regdb.validate_db(db)] == problems
 
@@ -228,7 +254,7 @@ class TestSwViews:
 def selftest_steps(db, cfg):
     """(command, expected) of each step of the self-test emit writes."""
     return [(command, expected) for command, expected, _ in
-            scan_script(emit.emit_selftest(db, cfg, db_hash(db)))]
+            scan_script(emit.emit_selftest(emit.prepare(db, cfg, db_hash(db))))]
 
 
 class TestSelftest:
@@ -348,10 +374,11 @@ class TestPadScript:
 class TestCrossArtifactConsistency:
     def test_addresses_identical_everywhere(self):
         db = make_db(cand("cfg_a", 8), cand("cfg_b", 16), cand("sts_c", 1, "RO"))
-        rtl = emit.emit_csr_rtl(db, CFG, db_hash(db))
-        md = emit.emit_markdown(db, CFG, db_hash(db))
-        c_text, py_text = emit.emit_sw_views(db, CFG, db_hash(db))
-        selftest = emit.emit_selftest(db, CFG, db_hash(db))
+        regs = emit.prepare(db, CFG, db_hash(db))
+        rtl = emit.emit_csr_rtl(regs)
+        md = emit.emit_markdown(regs)
+        c_text, py_text = emit.emit_sw_views(regs)
+        selftest = emit.emit_selftest(regs)
 
         def from_rtl():
             return dict(re.findall(r"// (\w+) @ (0x[0-9a-f]{8}) \((?:RW|RO)", rtl))
@@ -398,11 +425,12 @@ class TestDeterminismAndClosure:
         db2, _ = update_db(db, [cand("cfg_a"), cand("sts_b", 1, "RO"),
                                 CsrCandidate("cfg_diag_sel", 2, "RW", "myblk_diag_mux")])
         hash32 = db_hash(db2)
-        first = emit.render_targets(db2, CFG, hash32, memmap=m, diags=diags, pads=())
-        second = emit.render_targets(db2, CFG, hash32, memmap=m, diags=diags, pads=())
+        regs = emit.prepare(db2, CFG, hash32)
+        first = emit.render_targets(regs, memmap=m, diags=diags, pads=())
+        second = emit.render_targets(emit.prepare(db2, CFG, hash32), memmap=m, diags=diags, pads=())
         assert first == second
-        assert first[emit.output_name("rtl", CFG)] == emit.emit_csr_rtl(db2, CFG, hash32)
-        assert first[emit.output_name("md", CFG)] == emit.emit_markdown(db2, CFG, hash32)
+        assert first[emit.output_name("rtl", CFG)] == emit.emit_csr_rtl(regs)
+        assert first[emit.output_name("md", CFG)] == emit.emit_markdown(regs)
         assert set(first) == {"myblk_csr.sv", "myblk_csr_inst.sv", "myblk_regs.md",
                               "myblk_regs.h", "myblk_regs.py", "myblk_selftest.txt",
                               "soc_memmap.svh", "myblk_diag_mux.sv", "pads_place.tcl"}
@@ -414,7 +442,7 @@ class TestDeterminismAndClosure:
 
     def test_render_targets_at_scale_is_byte_identical(self):
         db, cfg, memmap, diags, pads = _render_inputs()
-        out = emit.render_targets(db, cfg, db_hash(db), memmap, diags, pads)
+        out = emit.render_targets(emit.prepare(db, cfg, db_hash(db)), memmap, diags, pads)
         digest = hashlib.sha256()
         for name in sorted(out):
             digest.update(name.encode())
@@ -423,11 +451,12 @@ class TestDeterminismAndClosure:
 
     def test_memmap_target_needs_a_map(self):
         with pytest.raises(DataError, match="^memmap target needs a memory map file$"):
-            emit.render_targets(GAIN_DB, EmitConfig(targets=("rtl", "memmap")), db_hash(GAIN_DB))
+            emit.render_targets(emit.prepare(GAIN_DB, EmitConfig(targets=("rtl", "memmap")),
+                                             db_hash(GAIN_DB)))
 
     def test_reparse_closure_zero_lint(self):
         db = make_db(cand("cfg_a", 32), cand("cfg_b", 1), cand("sts_c", 7, "RO"))
-        rtl_src = SourceFile("csr.sv", emit.emit_csr_rtl(db, CFG, db_hash(db)))
+        rtl_src = SourceFile("csr.sv", emit.emit_csr_rtl(emit.prepare(db, CFG, db_hash(db))))
         diags = []
         assert len(parse_modules(rtl_src, diags)) == 1
         assert diags == []

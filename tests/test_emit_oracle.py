@@ -1,13 +1,14 @@
 """Differential properties against emit_oracle. The self-test emitter, which
-writes its text from a stream of steps, agrees byte for byte with the one that
+writes one block of text per register, agrees byte for byte with the one that
 added each step through the script helpers, saved as the line list was, on
 databases with active and retired registers, in regions from too small to
 roomy, at any aligned base and with any unmapped value. save_script, which
 joins a run of steps at a time, agrees with that line list on any steps. The
 two writer tests keep the names they had when the writer was format_steps.
-The register block, instantiation template, Markdown and software views,
-rendered one f-string block per register, agree with the per-field renderers
-on the same databases and on hand-picked ones that no validation would pass."""
+The register block, instantiation template, Markdown, software views and
+self-test, rendered from one RegMap, agree with the per-field renderers on the
+same databases and on hand-picked ones that no validation would pass, errors
+included. A RegMap shared by every target renders as a fresh one per target."""
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 import emit_oracle
 import strategies
 from chipkit import ChipkitError, emit
+from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import ACTIVE, RETIRED, EmitConfig, RegDb, RegEntry, db_hash
 from chipkit.script import save_script
+from chipkit.sv_scan import DiagCandidate
 from host_oracle import ScriptStep, TestScript
 
 
@@ -31,18 +34,31 @@ def emit_configs(draw):
 
 
 def _outcome(fn, *args):
+    """The result, or the type and message of the error, so that two
+    renderers agree on what they raise as well as on what they write. A
+    ValueError is the self-test's shift by a negative width, which only the
+    unvalidated edge databases below reach."""
     try:
         return "ok", fn(*args)
-    except ChipkitError as exc:
+    except (ChipkitError, ValueError) as exc:
         return type(exc).__name__, str(exc)
+
+
+# the oracle of each emitter; an oracle takes the (db, cfg, hash32) that prepare() takes
+_ORACLES = {"emit_csr_rtl": emit_oracle.emit_csr_rtl,
+            "emit_instantiation_template": emit_oracle.emit_instantiation_template,
+            "emit_markdown": emit_oracle.emit_markdown,
+            "emit_sw_views": emit_oracle.emit_sw_views,
+            "emit_selftest": lambda *args: emit_oracle.save_script(
+                emit_oracle.emit_selftest(*args))}
 
 
 @settings(max_examples=300, deadline=None)
 @given(db=strategies.reg_dbs(), cfg=emit_configs())
 def test_selftest_matches_oracle(db, cfg):
     hash32 = db_hash(db)
-    assert _outcome(emit.emit_selftest, db, cfg, hash32) == _outcome(
-        lambda *args: emit_oracle.save_script(emit_oracle.emit_selftest(*args)), db, cfg, hash32)
+    assert _outcome(emit.emit_selftest, emit.prepare(db, cfg, hash32)) == \
+        _outcome(_ORACLES["emit_selftest"], db, cfg, hash32)
 
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
@@ -68,13 +84,10 @@ def test_format_steps_across_its_joins(commented):
         TestScript([ScriptStep(*row) for row in rows]))
 
 
-_VIEWS = ("emit_csr_rtl", "emit_instantiation_template", "emit_markdown", "emit_sw_views")
-
-
 def _views_match(db, cfg, hash32):
-    for view in _VIEWS:
-        assert _outcome(getattr(emit, view), db, cfg, hash32) == \
-            _outcome(getattr(emit_oracle, view), db, cfg, hash32), view
+    regs = emit.prepare(db, cfg, hash32)
+    for view, oracle in _ORACLES.items():
+        assert _outcome(getattr(emit, view), regs) == _outcome(oracle, db, cfg, hash32), view
 
 
 @settings(max_examples=300, deadline=None)
@@ -130,3 +143,40 @@ def test_register_views_match_oracle_past_32_bit_addresses():
                 RegEntry("sts_far", 1, "RO", 0, (1 << 33) + 8, "m", ""),
                 RegEntry("cfg_gone", 8, "RW", 0, (1 << 34) + 12, "m", "", RETIRED)])
     _views_match(db, _CONFIGS["huge"], 0)
+
+
+def _groups(targets):
+    """The targets in the groups cmd_generate renders them in: c and py
+    together, every other target alone."""
+    sw = tuple(t for t in targets if t in ("c", "py"))
+    return list(dict.fromkeys(sw if t in sw else (t,) for t in targets))
+
+
+_MAP = MemoryMap([Region("csr0", "csr", 0x40000000, 0x1000)])
+
+
+def _shared_map_renders_as_fresh(db, cfg, hash32):
+    """Every target rendered from one shared RegMap, in generate's group order
+    and then again in reverse, gives the bytes and errors of a fresh RegMap per
+    group: no emitter changes what it or another reads."""
+    def render(regs, group):
+        return _outcome(emit.render_targets, regs._replace(cfg=cfg._replace(targets=group)),
+                        _MAP, [DiagCandidate("diag_a", "m")])
+
+    groups = _groups(cfg.targets)
+    fresh = {group: render(emit.prepare(db, cfg, hash32), group) for group in groups}
+    shared = emit.prepare(db, cfg, hash32)
+    assert {group: render(shared, group) for group in groups} == fresh
+    assert {group: render(shared, group) for group in reversed(groups)} == fresh
+
+
+@settings(max_examples=150, deadline=None)
+@given(db=strategies.reg_dbs(), cfg=emit_configs(), hash32=st.integers(0, 0xFFFFFFFF))
+def test_shared_register_map_stays_unchanged(db, cfg, hash32):
+    _shared_map_renders_as_fresh(db, cfg, hash32)
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS.values(), ids=_CONFIGS.keys())
+@pytest.mark.parametrize("db", _DBS.values(), ids=_DBS.keys())
+def test_shared_register_map_stays_unchanged_on_edge_databases(db, cfg):
+    _shared_map_renders_as_fresh(db, cfg, 0x1234ABCD)

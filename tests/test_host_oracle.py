@@ -215,7 +215,7 @@ def test_generated_selftest_replays_as_before(db, other, stop_on_fail):
     """A self-test that emit builds replays as before, against its own
     database and against another."""
     cfg = EmitConfig(block_name="b", base_address=0x50000000, csr_region_size_bytes=0x1000)
-    text = emit.emit_selftest(db, cfg, db_hash(db))
+    text = emit.emit_selftest(emit.prepare(db, cfg, db_hash(db)))
     test = host_oracle.load_script(text)
     for model_db in (db, other):
         old, new = _replays(

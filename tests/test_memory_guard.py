@@ -102,12 +102,13 @@ def _render_inputs():
 def test_generate_renders_the_selftest_straight_to_text():
     db, cfg, memmap, diags, pads = _render_inputs()
     hash32 = db_hash(db)
-    out, peak = _peak(emit.render_targets, db, cfg, hash32, memmap, diags, pads)
+    out, peak = _peak(lambda: emit.render_targets(emit.prepare(db, cfg, hash32),
+                                                  memmap, diags, pads))
     assert len(out) == 9
     assert peak < 0.7 * RECORD_SELFTEST_PEAK
-    # the text, and the joined runs of steps it is joined from; one join of a
-    # string per step peaks at 3x
-    text, peak = _peak(emit.emit_selftest, db, cfg, hash32)
+    # the text, and the blocks it is joined from, one per register; one join
+    # of a string per step peaks at 3x
+    text, peak = _peak(emit.emit_selftest, emit.prepare(db, cfg, hash32))
     assert text == out["blk_selftest.txt"]
     assert peak < 2.5 * len(text)
 

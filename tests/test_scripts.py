@@ -2,6 +2,8 @@
 run each as users do so an API change that breaks them fails here."""
 
 import hashlib
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +48,22 @@ def test_fault_sweep_stops_quietly_when_its_reader_leaves(tmp_path):
 def test_demo_project_runs_end_to_end(tmp_path):
     result = run_helper("demo_project.py", "--workdir", str(tmp_path / "demo"), cwd=tmp_path)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_regen_digest_is_a_function_of_the_seed(tmp_path):
+    """Two runs on one seed print one digest, another seed another, and no
+    run leaves a file behind, in its temp directory or elsewhere. The three
+    run side by side."""
+    src = str(SCRIPTS.parent / "src")
+    (tmp_path / "temp").mkdir()
+    env = dict(os.environ, TMPDIR=str(tmp_path / "temp"))
+    runs = [subprocess.Popen([sys.executable, str(SCRIPTS / "regen_digest.py"), "--src", src,
+                              "--seed", seed, "--modules", "5"], cwd=tmp_path, env=env,
+                             text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for seed in ("5", "5", "6")]
+    outs = [run.communicate(timeout=120) for run in runs]
+    assert [run.returncode for run in runs] == [0, 0, 0], [err for _, err in outs]
+    digests = [out for out, _ in outs]
+    assert re.fullmatch(r"[0-9a-f]{64}\n", digests[0])
+    assert digests[0] == digests[1] != digests[2]
+    assert [p.name for p in tmp_path.rglob("*")] == ["temp"]

@@ -280,17 +280,24 @@ PORT_PARTS = [
 
 # Each part with the space before it is one draw from every (space, part)
 # pair, at most 12 x 11 of them, a size hypothesis still draws near uniformly
-# from; the strategies are built once, not on every draw.
+# from; the strategies are built once, not on every draw. A reversed range
+# is one of ten broken ranges, so it also is a broken part of its own, drawn
+# as often as any other: an item whole but for it is the one break that the
+# scanner's run of well-formed items must stop at by its value alone.
 SPACED_PARTS = [tuple(st.sampled_from([space + part for space in SPACES for part in parts])
                       for parts in choices) for choices in PORT_PARTS]
-BROKEN_PART = st.integers(-len(PORT_PARTS), len(PORT_PARTS) - 1)  # < 0: none
+REVERSED = len(PORT_PARTS)  # the broken part number of a reversed range
+REVERSED_RANGES = st.sampled_from([space + part for space in SPACES
+                                   for part in ("[0:7]", "[ 0 : 1 ]", "[3:\n31]")])
+BROKEN_PART = st.integers(-len(PORT_PARTS), REVERSED)  # < 0: none
 ANY_SPACE = st.sampled_from(SPACES)
 
 
 @st.composite
 def port_items(draw):
     broken = draw(BROKEN_PART)
-    return "".join(draw(bad if i == broken else good)
+    return "".join(draw(REVERSED_RANGES if broken == REVERSED and i == 3
+                        else bad if i == broken else good)
                    for i, (good, bad) in enumerate(SPACED_PARTS)) + draw(ANY_SPACE)
 
 

@@ -134,14 +134,14 @@ class TestRunScript:
     def test_generated_selftest_passes(self):
         db = make_db()
         cfg = emit.EmitConfig(block_name="b", base_address=0x50000000)
-        report = run_script(make_soc(db), emit.emit_selftest(db, cfg, db_hash(db)))
+        report = run_script(make_soc(db), emit.emit_selftest(emit.prepare(db, cfg, db_hash(db))))
         assert report.ok and report.total == report.passed > 0
 
     def test_different_db_fails_id_step(self):
         db = make_db()
         other = make_db(reset=0x3)
         cfg = emit.EmitConfig(block_name="b", base_address=0x50000000)
-        report = run_script(make_soc(other), emit.emit_selftest(db, cfg, db_hash(db)))
+        report = run_script(make_soc(other), emit.emit_selftest(emit.prepare(db, cfg, db_hash(db))))
         assert not report.ok
         assert report.failures[0].index == 0  # ID step
 
@@ -241,7 +241,7 @@ class TestServe:
     def test_script_serve_equivalence(self):
         db = make_db()
         cfg = emit.EmitConfig(block_name="b", base_address=0x50000000)
-        text = emit.emit_selftest(db, cfg, db_hash(db))
+        text = emit.emit_selftest(emit.prepare(db, cfg, db_hash(db)))
         steps = list(scan_script(text))
         _, out = run_session(make_soc(db), [command for command, _, _ in steps])
         via_serve = out.splitlines()
