@@ -129,10 +129,8 @@ SETTINGS = (
     Setting("--out", ("project", "out"), "out_dir", _path, "generate"),
     Setting("--map", ("project", "map"), "map_path", _path, "generate sim run-test"),
     Setting("--pads", ("project", "pads"), "pads_path", _path, "generate"),
-    Setting("--control-prefix", ("naming", "control_prefix"), "naming.control_prefix", _text,
-            "update generate"),
-    Setting("--status-prefix", ("naming", "status_prefix"), "naming.status_prefix", _text,
-            "update generate"),
+    Setting("--control-prefix", ("naming", "control_prefix"), "naming.control_prefix", _text, "update"),
+    Setting("--status-prefix", ("naming", "status_prefix"), "naming.status_prefix", _text, "update"),
     Setting("--diag-prefix", ("naming", "diag_prefix"), "naming.diag_prefix", _text,
             "update generate"),
     Setting("--match-mode", ("naming", "match_mode"), "naming.match_mode", _text,
@@ -300,9 +298,9 @@ def cmd_update(cfg: ProjectConfig) -> int:
         db = regdb.load_db(old_text) if loaded is None else loaded[0]
 
     diag_origin = f"{cfg.emit.block_name}_diag_mux"
-    wants_diag = "diag" in cfg.emit.targets and diag_candidates
-    if wants_diag:
-        sel_width = max(1, regdb.diag_select_bits(len(diag_candidates)) * cfg.emit.diag_pins)
+    if "diag" in cfg.emit.targets and diag_candidates:
+        sel_width = max(1, regdb.diag_select_bits([d.name for d in diag_candidates])
+                        * cfg.emit.diag_pins)
         if any(c.name == "cfg_diag_sel" for c in candidates):
             raise InputError("cfg_diag_sel is generated for the diagnostic mux; "
                             "rename the conflicting RTL port")
@@ -316,11 +314,21 @@ def cmd_update(cfg: ProjectConfig) -> int:
 
     new_db, report = regdb.update_db(db, candidates, scanned_modules=scanned_for_update,
                                      region_size_bytes=cfg.emit.csr_region_size_bytes)
+    _check_db(new_db, cfg.db_path)  # what the other commands would reject is not written
     print(regdb.format_change_report(report))
     text = regdb.save_db(new_db)
     if text != old_text:
         _write_atomic(db_file, text)
     return EXIT_OK
+
+
+def _check_db(db: regdb.RegDb, path: str) -> None:
+    """Prints each validate_db problem of db, the database of file path; raises if any."""
+    problems = regdb.validate_db(db)
+    for p in problems:
+        print(f"error: {p.entry or path}: {p.message}", file=sys.stderr)
+    if problems:
+        raise DataError(f"database {path} failed validation")
 
 
 def _load_db_checked(cfg: ProjectConfig) -> tuple[regdb.RegDb, int]:
@@ -330,11 +338,7 @@ def _load_db_checked(cfg: ProjectConfig) -> tuple[regdb.RegDb, int]:
     if loaded is not None:
         return loaded
     db = regdb.load_db(text)
-    problems = regdb.validate_db(db)
-    if problems:
-        for p in problems:
-            print(f"error: {p.entry or cfg.db_path}: {p.message}", file=sys.stderr)
-        raise DataError(f"database {cfg.db_path} failed validation")
+    _check_db(db, cfg.db_path)
     return db, regdb.db_hash(db)
 
 
@@ -358,7 +362,7 @@ def cmd_generate(cfg: ProjectConfig) -> int:
                 f"size {cfg.emit.csr_region_size_bytes:#x}")
     diags = None
     if "diag" in cfg.emit.targets:
-        diags = [d for module in _scan_modules(cfg, [])
+        diags = [d.name for module in _scan_modules(cfg, [])
                  for d in sv_scan.extract_diag_candidates(module, cfg.naming)]
     pads = ()
     if "pads" in cfg.emit.targets and cfg.pads_path:

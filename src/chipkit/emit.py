@@ -20,7 +20,6 @@ from .memmap import MemoryMap
 from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ALL_TARGETS, ID_REG_NAME, ID_REG_OFFSET, RETIRED
 from .regdb import OFFSET_KEY, EmitConfig, RegDb
 from .script import RESP_OK, format_word, save_script
-from .sv_scan import DiagCandidate
 
 _SIDES = ("N", "E", "S", "W")
 
@@ -370,26 +369,22 @@ def emit_memmap_header(memmap: MemoryMap) -> str:
 # ---------------------------------------------------------------------------
 # diagnostic mux
 
-def emit_diag_mux(diags: list[DiagCandidate], db: RegDb, cfg: EmitConfig, hash32: int) -> str:
-    """Observation mux: every diagnostic tap in, cfg.diag_pins out, per-pin
-    select fields sliced from the memory-mapped cfg_diag_sel register."""
-    n_pins = cfg.diag_pins
-    names = [d.name for d in diags]
-    if len(set(names)) != len(names):
-        raise DataError("duplicate diagnostic signal names across modules")
-    sel_bits = rdb.diag_select_bits(len(names))
-    sel_entry = db.entry("cfg_diag_sel")
-    if sel_entry is None:
-        raise DataError("database has no cfg_diag_sel entry (run update with diag enabled)")
-    if sel_bits and sel_entry.width_bits < sel_bits * n_pins:
-        raise DataError(
-            f"cfg_diag_sel is {sel_entry.width_bits} bits; need {sel_bits * n_pins} "
-            f"for {len(names)} signals on {n_pins} pins")
+def emit_diag_mux(regs: RegMap, names: list[str]) -> str:
+    """Observation mux: every diagnostic tap in names, regs.cfg.diag_pins out,
+    per-pin select fields sliced from the active RW cfg_diag_sel register."""
+    cfg, n_pins = regs.cfg, regs.cfg.diag_pins
+    sel_bits = rdb.diag_select_bits(names)
+    sel_width = next((row[2] for row in regs.rw if row[0] == "cfg_diag_sel"), None)
+    if sel_width is None:
+        raise DataError("database has no active RW cfg_diag_sel (run update with diag enabled)")
+    if sel_bits and sel_width < sel_bits * n_pins:
+        raise DataError(f"cfg_diag_sel is {sel_width} bits; need {sel_bits * n_pins} "
+                        f"for {len(names)} signals on {n_pins} pins")
 
     mod = f"{cfg.block_name}_diag_mux"
-    lines = _sv_banner(f"{mod}: diagnostic pin observation mux", hash32)
+    lines = _sv_banner(f"{mod}: diagnostic pin observation mux", regs.hash32)
     lines += ["", f"module {mod} ("]
-    lines += [f"  input  logic {d.name}," for d in diags]
+    lines += [f"  input  logic {name}," for name in names]
     if sel_bits:
         lines.append(f"  input  logic [{sel_bits * n_pins - 1}:0] cfg_diag_sel,")
     out_type = f"logic [{n_pins - 1}:0]" if n_pins > 1 else "logic"
@@ -452,10 +447,11 @@ def output_name(target: str, cfg: EmitConfig) -> str:
 def render_targets(
     regs: RegMap,
     memmap: MemoryMap | None = None,
-    diags: list[DiagCandidate] | None = None,
+    diags: list[str] | None = None,
     pads: tuple[Pad, ...] = (),
 ) -> dict[str, str]:
-    """Render every target of regs.cfg to text, keyed by output file name.
+    """Render every target of regs.cfg to text, keyed by output file name;
+    diags names the diagnostic taps.
 
     Raises before returning anything. `generate` prepares one RegMap and
     calls this once per output, with c and py in one call since one
@@ -463,7 +459,7 @@ def render_targets(
     before the next call, so it holds one artifact's text at a time and
     replaces no output until all have rendered.
     """
-    db, cfg, hash32 = regs.db, regs.cfg, regs.hash32
+    cfg = regs.cfg
     out: dict[str, str] = {}
     c_text = py_text = None
     for target in cfg.targets:
@@ -485,7 +481,7 @@ def render_targets(
                 raise DataError("memmap target needs a memory map file")
             out[name] = emit_memmap_header(memmap)
         elif target == "diag":
-            out[name] = emit_diag_mux(diags or [], db, cfg, hash32)
+            out[name] = emit_diag_mux(regs, diags or [])
         elif target == "pads":
             out[name] = emit_pad_script(pads)
     return out

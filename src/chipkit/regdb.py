@@ -391,11 +391,13 @@ def _allocate_in_place(entries: list[RegEntry], region_size_bytes: int | None) -
         used.add(cursor)
 
 
-def diag_select_bits(n_signals: int) -> int:
-    """Bits of one pin's field of cfg_diag_sel, the diagnostic mux's select."""
-    if n_signals < 1:
+def diag_select_bits(names: list[str]) -> int:
+    """Bits of one pin's field of cfg_diag_sel for the taps named: one or more, all distinct."""
+    if not names:
         raise DataError("diagnostic mux needs at least one signal")
-    return (n_signals - 1).bit_length()
+    if len(set(names)) != len(names):
+        raise DataError("duplicate diagnostic signal names across modules")
+    return (len(names) - 1).bit_length()
 
 
 def update_db(

@@ -5,10 +5,9 @@ integer bounds), classifies register and diagnostic candidates by naming
 convention, and applies keyword-level style lint. Comments and string
 literals are blanked before any matching, so the scanner never reacts to
 commented-out code. Whole-file passes skip to what they act on with
-str.find, and a file's line table is built when a line is first asked for.
-One findall cuts each port list into its well-formed items, and ports and
-header notes are numbered by counting newlines on from the module before, so
-a file whose ports all take that path builds no line table.
+str.find. One findall cuts each port list into its well-formed items. Every
+line number (of a port, a note, an error or a lint violation) is counted in
+newlines on from the last one numbered before it in the same pass.
 
 Constructs outside the subset (parameter lists, non-literal ranges, unpacked
 arrays, non-ANSI headers) are skipped with a diagnostic rather than aborting;
@@ -18,9 +17,7 @@ comment) raises MalformedSource.
 
 from __future__ import annotations
 
-import bisect
 import re
-from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -43,26 +40,15 @@ class MalformedSource(InputError):
 
 
 class SourceFile(Record):
-    __slots__ = ("path", "content", "_line_starts")
+    __slots__ = ("path", "content")
 
     def __init__(self, path: str, content: str):
         self.path = path
         self.content = content
-        self._line_starts = None  # built by the first line_of
-
-    def __eq__(self, other):  # the line table, built or not, takes no part
-        return (self.path, self.content) == (other.path, other.content) \
-            if other.__class__ is self.__class__ else NotImplemented
 
     @classmethod
     def from_path(cls, path) -> "SourceFile":
         return cls(str(path), Path(path).read_text(encoding="utf-8"))
-
-    def line_of(self, offset: int) -> int:
-        """1-based line number of a byte offset into content."""
-        if self._line_starts is None:
-            self._line_starts = [0, *accumulate(len(line) + 1 for line in self.content.split("\n")[:-1])]
-        return bisect.bisect_right(self._line_starts, offset)
 
 
 class Port(NamedTuple):
@@ -120,7 +106,7 @@ def mask_comments_and_strings(src: SourceFile) -> str:
         elif text.startswith("/*", at):
             end = text.find("*/", at + 2) + 2
             if end == 1:  # no "*/"
-                raise MalformedSource(src.path, src.line_of(at), "unterminated block comment")
+                raise MalformedSource(src.path, _line_at(text, at), "unterminated block comment")
         else:  # a slash that opens nothing
             slash = _find(text, "/", at + 1)
             continue
@@ -223,9 +209,9 @@ def parse_modules(file: SourceFile, diagnostics: list[Diagnostic] | None = None)
     masked = mask_comments_and_strings(file)
     modules: list[ModuleDecl] = []
     seen_names = set()
-    cursor = (0, 1)  # (offset, file.line_of(offset)), carried from module to module
+    cursor = (0, 1)  # (offset, its line), carried from module to module
     for kw_start, end_kw in _module_blocks(file, masked):
-        cursor = (kw_start, _line_at(masked, cursor, kw_start))
+        cursor = (kw_start, _line_at(masked, kw_start, cursor))
         name_m = _NAME_RE.match(masked, kw_start + len("module"))
         if not name_m or name_m.end() > end_kw:
             raise MalformedSource(file.path, cursor[1], "module missing a name")
@@ -242,9 +228,10 @@ def parse_modules(file: SourceFile, diagnostics: list[Diagnostic] | None = None)
     return modules
 
 
-def _line_at(masked: str, cursor: tuple[int, int], at: int) -> int:
-    """file.line_of(at), counted on from a cursor (offset, line) at or before at."""
-    return cursor[1] + masked.count("\n", cursor[0], at)
+def _line_at(text: str, at: int, cursor: tuple[int, int] = (0, 1)) -> int:
+    """The 1-based line of offset at, counted on from a cursor (offset, line)
+    at or before it; only LF ends a line."""
+    return cursor[1] + text.count("\n", cursor[0], at)
 
 
 def _module_blocks(file: SourceFile, masked: str) -> list[tuple[int, int]]:
@@ -257,17 +244,17 @@ def _module_blocks(file: SourceFile, masked: str) -> list[tuple[int, int]]:
     for at in (m.start() for m in _MODULE_KW_RE.finditer(masked)):
         if masked[at - 3:at] == "end" and _WORD_START_RE.match(masked, at - 3):
             if open_kw is None:
-                raise MalformedSource(file.path, file.line_of(at - 3),
+                raise MalformedSource(file.path, _line_at(masked, at - 3),
                                       "endmodule without matching module")
             blocks.append((open_kw, at - 3))
             open_kw = None
         elif _WORD_START_RE.match(masked, at):
             if open_kw is not None:
-                raise MalformedSource(file.path, file.line_of(at),
+                raise MalformedSource(file.path, _line_at(masked, at),
                                       "nested or unbalanced module keyword")
             open_kw = at
     if open_kw is not None:
-        raise MalformedSource(file.path, file.line_of(open_kw), "module without endmodule")
+        raise MalformedSource(file.path, _line_at(masked, open_kw), "module without endmodule")
     return blocks
 
 
@@ -289,25 +276,27 @@ def _parse_header(file, masked, pos, limit, name, diags, cursor):
                 j += 1
             end = _match_paren(masked, j, limit) if j < limit and masked[j] == "(" else None
             if end is None:
-                raise MalformedSource(file.path, file.line_of(i), f"unterminated parameter list in {name}")
-            diags.append(Diagnostic(DIAG_SKIP, file.path, _line_at(masked, cursor, i),
+                raise MalformedSource(file.path, _line_at(masked, i),
+                                      f"unterminated parameter list in {name}")
+            diags.append(Diagnostic(DIAG_SKIP, file.path, _line_at(masked, i, cursor),
                                     f"parameter list of {name} skipped"))
             i = end
         elif c == "(" and port_group is None:
             end = _match_paren(masked, i, limit)
             if end is None:
-                raise MalformedSource(file.path, file.line_of(i), f"unterminated port list in {name}")
+                raise MalformedSource(file.path, _line_at(masked, i),
+                                      f"unterminated port list in {name}")
             port_group = (i + 1, end - 1)
             i = end
         elif c == ";":
             return port_group
         else:
             if not noted_junk:
-                diags.append(Diagnostic(DIAG_SKIP, file.path, _line_at(masked, cursor, i),
+                diags.append(Diagnostic(DIAG_SKIP, file.path, _line_at(masked, i, cursor),
                                         f"unrecognized text in header of {name}"))
                 noted_junk = True
             i += 1
-    raise MalformedSource(file.path, file.line_of(pos), f"module {name} header missing ';'")
+    raise MalformedSource(file.path, _line_at(masked, pos), f"module {name} header missing ';'")
 
 
 def _parse_ports(file, masked, group, name, diags, cursor):
@@ -315,7 +304,7 @@ def _parse_ports(file, masked, group, name, diags, cursor):
     start, end = group
     ports: list[Port] = []
     names = set()
-    line = _line_at(masked, cursor, start)
+    line = _line_at(masked, start, cursor)
     # whole, new, well-formed items go by one findall of _PORT_RE, each port
     # numbered at its direction keyword; from the first other item on, the
     # group is split and each item matched and diagnosed on its own
@@ -333,9 +322,11 @@ def _parse_ports(file, masked, group, name, diags, cursor):
     # the rest starts after the items the ports came from, one each
     start += sum(len(space) + len(head) + len(pname) + len(sep)
                  for space, head, _d, _m, _l, pname, sep, _r in items[:len(ports)])
+    cursor = (start, line)
     prev: Port | None = ports[-1] if ports else None
     for item, off in _split_top_commas(masked[start:end], start):
-        line = file.line_of(off + len(item) - len(item.lstrip()))
+        at = off + len(item) - len(item.lstrip())
+        cursor = (at, line := _line_at(masked, at, cursor))
         m = _PORT_ITEM_RE.match(item)
         if not m:
             diags.append(Diagnostic(DIAG_SKIP, file.path, line,
@@ -505,10 +496,12 @@ def lint(file: SourceFile) -> list[LintViolation]:
         masked = mask_comments_and_strings(
             SourceFile(file.path, file.content + "*/"))
     violations: list[LintViolation] = []
+    cursor = (0, 1)  # (offset, line) of the last violation; offsets rise within a pass
 
     def add(rule: str, offset: int):
-        violations.append(LintViolation(rule, file.path, file.line_of(offset),
-                                        _RULE_MESSAGES[rule]))
+        nonlocal cursor
+        cursor = (offset, _line_at(masked, offset, cursor))
+        violations.append(LintViolation(rule, file.path, cursor[1], _RULE_MESSAGES[rule]))
 
     reversed_text = masked[::-1]
     hits = []  # where each "wire", "reg" and "always" starts
@@ -524,6 +517,7 @@ def lint(file: SourceFile) -> list[LintViolation]:
         if rule != "W003" or masked[m.end():m.end() + 80].lstrip().startswith("@"):
             add(rule, at)
 
+    cursor = (0, 1)
     for m in _instantiations(masked, reversed_text):
         head, inst = m.group(1), m.group(2)
         if head in _NON_INSTANCE_WORDS or inst in _NON_INSTANCE_WORDS:

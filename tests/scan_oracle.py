@@ -61,6 +61,11 @@ _PORT_ITEM_RE = re.compile(
 _LITERAL_RANGE_RE = re.compile(r"^(\d+)\s*:\s*(\d+)$")
 
 
+def line_of(file: SourceFile, offset: int) -> int:
+    """1-based line of an offset into file.content: one more than the LFs before it."""
+    return file.content.count("\n", 0, offset) + 1
+
+
 def mask_comments_and_strings(src: SourceFile) -> str:
     text = src.content
     out = list(text)
@@ -75,7 +80,7 @@ def mask_comments_and_strings(src: SourceFile) -> str:
         elif c == "/" and text.startswith("/*", i):
             end = text.find("*/", i + 2)
             if end < 0:
-                raise MalformedSource(src.path, src.line_of(i), "unterminated block comment")
+                raise MalformedSource(src.path, line_of(src, i), "unterminated block comment")
             for k in range(i, end + 2):
                 if out[k] != "\n":
                     out[k] = " "
@@ -129,17 +134,17 @@ def module_blocks(file: SourceFile, masked: str,
     for m in keywords.finditer(masked):
         if m.group() == "module":
             if open_kw is not None:
-                raise MalformedSource(file.path, file.line_of(m.start()),
+                raise MalformedSource(file.path, line_of(file, m.start()),
                                       "nested or unbalanced module keyword")
             open_kw = m.start()
         else:
             if open_kw is None:
-                raise MalformedSource(file.path, file.line_of(m.start()),
+                raise MalformedSource(file.path, line_of(file, m.start()),
                                       "endmodule without matching module")
             blocks.append((open_kw, m.start()))
             open_kw = None
     if open_kw is not None:
-        raise MalformedSource(file.path, file.line_of(open_kw), "module without endmodule")
+        raise MalformedSource(file.path, line_of(file, open_kw), "module without endmodule")
     return blocks
 
 
@@ -154,7 +159,7 @@ def lint(file: SourceFile, rules: RuleSet | None = None) -> list[LintViolation]:
     def add(rule: str, offset: int):
         if rule not in rules.enabled:
             return
-        violations.append(LintViolation(rule, file.path, file.line_of(offset),
+        violations.append(LintViolation(rule, file.path, line_of(file, offset),
                                         _RULE_MESSAGES[rule]))
 
     for m in _WORD_RE.finditer(masked):
@@ -202,7 +207,7 @@ def parse_ports(file, masked, group, name, diags):
     names = set()
     prev: Port | None = None
     for item, off in split_top_commas(masked[start:end], start):
-        line = file.line_of(off + len(item) - len(item.lstrip()))
+        line = line_of(file, off + len(item) - len(item.lstrip()))
         m = _PORT_ITEM_RE.match(item)
         if not m:
             diags.append(Diagnostic(DIAG_SKIP, file.path, line,

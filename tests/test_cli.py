@@ -150,6 +150,32 @@ class TestUpdate:
             f"note: {path}:14: [DirectionMismatch] cfg_out in pair_b: expected input, found output",
         ]
 
+    def test_names_differing_only_in_case_exit_3_nothing_written(self, proj, capsys):
+        """update writes no database that generate and run-test would reject."""
+        assert main(["update"]) == 0
+        before = (proj / "regs.csv").read_bytes()
+        (proj / "rtl" / "case_a.sv").write_text(
+            "module case_a (input logic [3:0] cfg_A);\nendmodule\n")
+        (proj / "rtl" / "case_b.sv").write_text(
+            "module case_b (input logic [3:0] cfg_a);\nendmodule\n")
+        capsys.readouterr()
+        assert main(["update"]) == 3
+        assert capsys.readouterr().err == (
+            "error: cfg_a: name differs from cfg_A only in case\n"
+            f"error: database {proj / 'regs.csv'} failed validation\n")
+        assert (proj / "regs.csv").read_bytes() == before
+        assert main(["generate"]) == 0
+
+    def test_duplicate_diag_taps_exit_3_nothing_written(self, proj, capsys):
+        assert main(["update"]) == 0
+        before = (proj / "regs.csv").read_bytes()
+        (proj / "rtl" / "tap_a.sv").write_text("module tap_a (output logic diag_x);\nendmodule\n")
+        (proj / "rtl" / "tap_b.sv").write_text("module tap_b (output logic diag_x);\nendmodule\n")
+        capsys.readouterr()
+        assert main(["update"]) == 3
+        assert capsys.readouterr().err == "error: duplicate diagnostic signal names across modules\n"
+        assert (proj / "regs.csv").read_bytes() == before
+
     def test_flags_override_config(self, proj):
         assert main(["update", "--db", "alt.csv", "--targets", "rtl"]) == 0
         db = regdb.load_db((proj / "alt.csv").read_text())
@@ -220,9 +246,21 @@ class TestGenerate:
         capsys.readouterr()
         assert main(["generate"]) == 3
         assert capsys.readouterr().err.startswith(
-            "error: database has no cfg_diag_sel entry (run update with diag enabled)")
+            "error: database has no active RW cfg_diag_sel (run update with diag enabled)")
         assert tree_digest(gen) == before
         assert {p.name: p.stat().st_mode for p in gen.iterdir()} == modes
+
+    def test_retired_select_register_replaces_nothing(self, proj, capsys):
+        """A mux is never rendered with a select input the register block lacks."""
+        assert main(["update"]) == 0
+        assert main(["generate"]) == 0
+        before = tree_digest(proj / "gen")
+        assert main(["update", "--targets", "rtl,md"]) == 0
+        assert "retired: cfg_diag_sel" in capsys.readouterr().out
+        assert main(["generate"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: database has no active RW cfg_diag_sel (run update with diag enabled)")
+        assert tree_digest(proj / "gen") == before
 
     def test_failed_render_makes_no_directory(self, proj):
         assert main(["update", "--targets", "rtl"]) == 0
@@ -830,9 +868,8 @@ class TestSettings:
     FLAGS = {
         "update": ["--block", "--control-prefix", "--db", "--diag-pins", "--diag-prefix",
                    "--match-mode", "--region-size", "--rtl", "--status-prefix", "--targets"],
-        "generate": ["--base", "--block", "--control-prefix", "--db", "--diag-pins",
-                     "--diag-prefix", "--map", "--match-mode", "--out", "--pads",
-                     "--region-size", "--rtl", "--status-prefix", "--targets",
+        "generate": ["--base", "--block", "--db", "--diag-pins", "--diag-prefix", "--map",
+                     "--match-mode", "--out", "--pads", "--region-size", "--rtl", "--targets",
                      "--unmapped-value"],
         "lint": [],
         "sim": ["--db", "--fault", "--listen", "--map", "--prompt", "--sram-mode",

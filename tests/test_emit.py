@@ -1,5 +1,7 @@
 import hashlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +12,7 @@ from chipkit.emit import EmitConfig, load_pad_db
 from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import RETIRED, RegDb, RegEntry, db_hash, update_db
 from chipkit.script import format_word, scan_script
-from chipkit.sv_scan import CsrCandidate, DiagCandidate, SourceFile, lint, parse_modules
+from chipkit.sv_scan import CsrCandidate, SourceFile, lint, parse_modules
 from test_memory_guard import _render_inputs
 
 CFG = EmitConfig(block_name="myblk", base_address=0x70000000, csr_region_size_bytes=0x1000)
@@ -309,47 +311,66 @@ class TestMemmapHeader:
 ONE_PIN = CFG._replace(diag_pins=1)
 
 
-def diag_db(width=4):
-    db, _ = update_db(RegDb(), [CsrCandidate("cfg_diag_sel", width, "RW", "myblk_diag_mux")])
+def diag_db(width=4, access="RW"):
+    db, _ = update_db(RegDb(), [CsrCandidate("cfg_diag_sel", width, access, "myblk_diag_mux")])
     return db
+
+
+def diag_mux(db, cfg, names):
+    return emit.emit_diag_mux(emit.prepare(db, cfg, db_hash(db)), names)
 
 
 class TestDiagMux:
     def test_four_signals_two_pins(self):
-        diags = [DiagCandidate(f"diag_{c}", "m") for c in "abcd"]
-        db = diag_db(4)
-        text = emit.emit_diag_mux(diags, db, CFG, db_hash(db))
+        text = diag_mux(diag_db(4), CFG, [f"diag_{c}" for c in "abcd"])
         assert "input  logic [3:0] cfg_diag_sel" in text
         assert "case (cfg_diag_sel[1:0])" in text
         assert "case (cfg_diag_sel[3:2])" in text
 
     def test_single_signal_single_pin_passthrough(self):
-        db = diag_db(1)
-        text = emit.emit_diag_mux([DiagCandidate("diag_only", "m")], db, ONE_PIN, db_hash(db))
+        text = diag_mux(diag_db(1), ONE_PIN, ["diag_only"])
         assert "cfg_diag_sel" not in text.split("database hash")[1]
         assert "always_comb pin0_val = diag_only;" in text
 
     def test_no_signals_is_error(self):
-        db = diag_db()
         with pytest.raises(DataError, match="^diagnostic mux needs at least one signal$"):
-            emit.emit_diag_mux([], db, ONE_PIN, db_hash(db))
+            diag_mux(diag_db(), ONE_PIN, [])
+
+    def test_duplicate_signals_are_an_error(self):
+        with pytest.raises(DataError, match="^duplicate diagnostic signal names across modules$"):
+            diag_mux(diag_db(), CFG, ["diag_a", "diag_b", "diag_a"])
 
     def test_select_register_too_narrow(self):
-        diags = [DiagCandidate(f"diag_{c}", "m") for c in "abcd"]
-        db = diag_db(width=2)
         with pytest.raises(DataError, match="^cfg_diag_sel is 2 bits; need 4 for 4 signals on 2 pins$"):
-            emit.emit_diag_mux(diags, db, CFG, db_hash(db))
+            diag_mux(diag_db(width=2), CFG, [f"diag_{c}" for c in "abcd"])
+
+    MISSING = r"^database has no active RW cfg_diag_sel \(run update with diag enabled\)$"
 
     def test_missing_select_register(self):
-        with pytest.raises(DataError, match=r"^database has no cfg_diag_sel entry "
-                                            r"\(run update with diag enabled\)$"):
-            emit.emit_diag_mux([DiagCandidate("diag_a", "m")], RegDb(), CFG, EMPTY_HASH)
+        with pytest.raises(DataError, match=self.MISSING):
+            emit.emit_diag_mux(emit.prepare(RegDb(), CFG, EMPTY_HASH), ["diag_a"])
+
+    def test_retired_select_register(self):
+        db = diag_db()
+        db.entries[0].state = RETIRED
+        with pytest.raises(DataError, match=self.MISSING):
+            diag_mux(db, CFG, ["diag_a", "diag_b"])
+
+    def test_read_only_select_register(self):
+        with pytest.raises(DataError, match=self.MISSING):
+            diag_mux(diag_db(access="RO"), CFG, ["diag_a", "diag_b"])
 
     def test_out_of_range_select_goes_to_zero(self):
-        diags = [DiagCandidate(f"diag_{c}", "m") for c in "abc"]
-        db = diag_db(2)
-        text = emit.emit_diag_mux(diags, db, ONE_PIN, db_hash(db))
+        text = diag_mux(diag_db(2), ONE_PIN, [f"diag_{c}" for c in "abc"])
         assert "default: pin0_val = 1'b0;" in text
+
+
+def test_emit_loads_no_scanner():
+    """The emitters render from the database and tap names alone."""
+    result = subprocess.run([sys.executable, "-c", "import sys, chipkit.emit; "
+                             "print(sorted(m for m in sys.modules if m.startswith('chipkit.')))"],
+                            capture_output=True, text=True, check=True)
+    assert "chipkit.emit" in result.stdout and "chipkit.sv_scan" not in result.stdout
 
 
 class TestPadScript:
@@ -421,7 +442,7 @@ class TestDeterminismAndClosure:
     def test_render_targets_deterministic(self):
         db = make_db(cand("cfg_a"), cand("sts_b", 1, "RO"))
         m = MemoryMap([Region("csr0", "csr", 0x70000000, 0x1000)])
-        diags = [DiagCandidate("diag_z", "m1")]
+        diags = ["diag_z"]
         db2, _ = update_db(db, [cand("cfg_a"), cand("sts_b", 1, "RO"),
                                 CsrCandidate("cfg_diag_sel", 2, "RW", "myblk_diag_mux")])
         hash32 = db_hash(db2)
@@ -463,8 +484,7 @@ class TestDeterminismAndClosure:
         assert lint(rtl_src) == []
 
         db = diag_db(2)
-        mux_src = SourceFile("mux.sv", emit.emit_diag_mux(
-            [DiagCandidate("diag_a", "m"), DiagCandidate("diag_b", "m")], db, CFG, db_hash(db)))
+        mux_src = SourceFile("mux.sv", diag_mux(db, CFG, ["diag_a", "diag_b"]))
         mux_diags = []
         assert len(parse_modules(mux_src, mux_diags)) == 1
         assert mux_diags == []

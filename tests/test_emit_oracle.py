@@ -20,7 +20,6 @@ from chipkit import ChipkitError, emit
 from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import ACTIVE, RETIRED, EmitConfig, RegDb, RegEntry, db_hash
 from chipkit.script import save_script
-from chipkit.sv_scan import DiagCandidate
 from host_oracle import ScriptStep, TestScript
 
 
@@ -161,7 +160,7 @@ def _shared_map_renders_as_fresh(db, cfg, hash32):
     group: no emitter changes what it or another reads."""
     def render(regs, group):
         return _outcome(emit.render_targets, regs._replace(cfg=cfg._replace(targets=group)),
-                        _MAP, [DiagCandidate("diag_a", "m")])
+                        _MAP, ["diag_a"])
 
     groups = _groups(cfg.targets)
     fresh = {group: render(emit.prepare(db, cfg, hash32), group) for group in groups}

@@ -12,7 +12,6 @@ from chipkit.emit import Pad
 from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import (EmitConfig, RegDb, RegEntry, db_hash, diag_select_bits,
                            load_canonical_db, load_db, save_db)
-from chipkit.sv_scan import DiagCandidate
 
 # peak traced bytes of load_script + run_script on SCRIPT_TEXT when load_script
 # built a ScriptStep per step (Python 3.11.7); the model's own words count too
@@ -88,13 +87,13 @@ def _render_inputs():
                         "RW" if i % 3 else "RO", i % 2, 4 + 4 * i, f"blk_{i // 40:03d}",
                         ["", "gain stage", "a | b"][i % 3], "retired" if i % 50 == 0 else "active")
                for i in range(4000)]
-    entries.append(RegEntry("cfg_diag_sel", 2 * diag_select_bits(100), "RW", 0,
+    diags = [f"diag_{i:03d}" for i in range(100)]
+    entries.append(RegEntry("cfg_diag_sel", 2 * diag_select_bits(diags), "RW", 0,
                             4 + 4 * 4000, "blk_diag_mux"))
     db = RegDb(entries)
     cfg = EmitConfig(block_name="blk", base_address=0x70000000, csr_region_size_bytes=0x10000)
     memmap = MemoryMap([Region("csr0", "csr", 0x70000000, 0x10000),
                         Region("sram0", "sram", 0x60000000, 0x100000)])
-    diags = [DiagCandidate(f"diag_{i:03d}", f"blk_{i:03d}") for i in range(100)]
     pads = tuple(Pad(f"p{i}", "NESW"[i % 4], i // 4, "PADCELL", f"sig{i}") for i in range(40))
     return db, cfg, memmap, diags, pads
 
@@ -123,7 +122,7 @@ def _write_project(root):
     (root / "pads.csv").write_text("name,side,order,cell,signal\n" + "".join(
         f"{p.name},{p.side},{p.order_index},{p.cell_type},{p.signal}\n" for p in pads))
     (root / "taps.sv").write_text("module blk_taps (\n" + ",\n".join(
-        f"  output logic {d.name}" for d in diags) + "\n);\nendmodule\n")
+        f"  output logic {d}" for d in diags) + "\n);\nendmodule\n")
     cfg = cli.ProjectConfig()
     cfg.rtl_paths = [str(root / "taps.sv")]
     cfg.db_path, cfg.out_dir = str(root / "regs.csv"), str(root / "gen")

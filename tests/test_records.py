@@ -96,12 +96,11 @@ _ARGS = [case[1:] for case in CASES]
 
 
 def _fields(record) -> set:
-    """The fields a record is built from: a NamedTuple's, or the slots that do
-    not start with '_'. A source file's _line_starts and a map's bases are
-    derived from its other fields."""
+    """The fields a record is built from: a NamedTuple's, or its slots. A
+    map's bases are derived from its other fields."""
     names = getattr(record, "_fields", None) or type(record).__slots__
     derived = {"bases"} if isinstance(record, MemoryMap) else set()
-    return {name for name in names if not name.startswith("_")} - derived
+    return set(names) - derived
 
 
 @pytest.mark.parametrize("build, values, others", _ARGS, ids=_IDS)

@@ -87,29 +87,20 @@ def test_mask_matches_oracle_on_fixture_rtl(path):
 
 
 # the alphabet above with a carriage return, a vertical tab and a non-ASCII
-# letter: str.splitlines would start a line after the first two, line_of not
+# letter: str.splitlines would start a line after the first two, _line_at not
 LINE_ALPHABET = ALPHABET + ["\r", "\x0b", "é"]
 
 
 @settings(max_examples=300, deadline=None)
 @given(text=st.text(alphabet=st.sampled_from(LINE_ALPHABET), max_size=60))
-def test_line_of_counts_the_newlines_before(text):
+def test_line_at_counts_the_newlines_before(text):
     offsets = range(len(text) + 3)  # and past the end
-    expected = [text.count("\n", 0, k) + 1 for k in offsets]
-    # each offset as the first one asked, which builds the table, then every
-    # offset of one file, all but the first from the table built
-    assert [SourceFile("t.sv", text).line_of(k) for k in offsets] == expected
-    built = SourceFile("t.sv", text)
-    assert [built.line_of(k) for k in offsets] == expected
-    assert built == SourceFile("t.sv", text) and SourceFile("t.sv", text) == built
-
-
-def test_equality_ignores_whether_the_line_table_is_built():
-    text = "module m;\nendmodule\n"
-    built, fresh = SourceFile("t.sv", text), SourceFile("t.sv", text)
-    assert built.line_of(len(text)) == 3
-    assert built == fresh and fresh == built and not built != fresh
-    assert built != SourceFile("u.sv", text) and fresh != SourceFile("t.sv", text + "\n")
+    expected = [len(text[:k].split("\n")) for k in offsets]
+    # each offset counted from the start of the text, and from every cursor
+    # at or before it that holds its own offset's line
+    assert [sv_scan._line_at(text, k) for k in offsets] == expected
+    assert all(sv_scan._line_at(text, k, (j, expected[j])) == expected[k]
+               for k in offsets for j in range(k + 1))
 
 
 @st.composite
@@ -206,6 +197,20 @@ def test_w005_matches_oracle(text):
     assert sv_scan.lint(file) == scan_oracle.lint(file)
 
 
+# whole statements that break a rule of each pass, between the pieces above
+STATEMENTS = ["sub u (.a(a));", "wire w;", "reg r;", "always @(x);", "always_ff @(x);", "\n", " "]
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.lists(st.one_of(keyword_texts, inst_texts, st.sampled_from(STATEMENTS)),
+                     max_size=8).map("".join))
+def test_lint_of_both_passes_matches_oracle(text):
+    """Keyword and instantiation violations interleaved in one file: each
+    pass numbers its own from the start of the file."""
+    file = SourceFile("t.sv", text)
+    assert sv_scan.lint(file) == scan_oracle.lint(file)
+
+
 @pytest.mark.parametrize("text, rules", [
     ("9wire x;", ["W001"]),        # a digit does not open an identifier
     ("09reg x;", ["W002"]),
@@ -227,6 +232,7 @@ def test_w005_matches_oracle(text):
     ("ésub u (.a(a));", []),
     ("x y sub u (.a(a));", ["W005"]),
     ("sub u (.a(a)) v w (.b(b));", ["W005"]),  # one match runs on to the ';'
+    ("sub u (.a(a));\nwire w;\nsub v (.b(b));", ["W005", "W001", "W005"]),  # lines of both passes
 ])
 def test_lint_keyword_boundaries(text, rules):
     file = SourceFile("t.sv", text)
@@ -386,7 +392,8 @@ def module_files(draw):
 @given(case=module_files())
 def test_parse_modules_matches_oracle_per_module(case):
     """Every module's ports and diagnostics, numbered by a cursor carried
-    through the file, are the oracle's for its group, numbered by line_of."""
+    through the file, are the oracle's for its group, numbered by counting
+    newlines from the start of the file."""
     text, spans = case
     file, diags = SourceFile("t.sv", text), []
     masked = scan_oracle.mask_comments_and_strings(file)
