@@ -23,7 +23,7 @@ import gc
 import os
 import sys
 import tempfile
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import NamedTuple
 
@@ -236,23 +236,6 @@ def _scan_modules(cfg: ProjectConfig, diagnostics: list) -> Iterator[sv_scan.Mod
             yield module
 
 
-def _stage(path: Path, text: str) -> str:
-    """Writes text to a new temp file beside path and returns the temp file's
-    name. The temp file has path's mode, or for a new file 0666 less the umask,
-    as open() gives, so an os.replace onto path is the whole write."""
-    os.umask(umask := os.umask(0o077))  # reads the umask, which os.umask only swaps
-    mode = path.stat().st_mode & 0o7777 if path.exists() else 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.chmod(tmp, mode)  # mkstemp made it 0600
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return tmp
-
-
 def _holds(path: Path, text: str) -> bool:
     """Whether path holds text's UTF-8 bytes; the sizes are compared first,
     then the bytes 64 KiB at a time."""
@@ -263,14 +246,51 @@ def _holds(path: Path, text: str) -> bool:
     return False
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = _stage(path, text)
+def _write_outputs(folder: Path, batches: Iterable[dict[str, str]]) -> dict[str, bool]:
+    """Writes each {file name: text} batch into folder; returns {file name: changed}.
+
+    A file that already holds its text is left alone. Each batch is staged in
+    temp files (.<name>.*) before the next is made, and none replaces its file
+    until all are; folder's missing directories are made only when something
+    is staged. On any failure the temp files and those directories are removed.
+    """
+    os.umask(umask := os.umask(0o077))  # reads the umask, which os.umask only swaps
+    made: list[Path] = []  # the directories made here, outermost first
+    staged: dict[str, str | None] = {}  # file name -> temp file, None if unchanged
     try:
-        os.replace(tmp, path)
+        for batch in batches:
+            for name in batch:
+                path = folder / name
+                if _holds(path, batch[name]):
+                    staged[name] = None
+                    continue
+                if not folder.exists():
+                    for parent in reversed((folder, *folder.parents)):
+                        if not parent.exists():
+                            parent.mkdir()
+                            made.append(parent)
+                # the mode open() would give: the file's own, or 0666 less the
+                # umask for a new one, so the replace is the whole write
+                mode = path.stat().st_mode & 0o7777 if path.exists() else 0o666 & ~umask
+                fd, staged[name] = tempfile.mkstemp(dir=folder, prefix=f".{name}.")
+                with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(batch[name])
+                os.chmod(staged[name], mode)  # mkstemp made it 0600
+            del batch  # the next batch is made without these texts
+        for name in sorted(staged):
+            if staged[name] is not None:
+                os.replace(staged[name], folder / name)
     except BaseException:
-        os.unlink(tmp)
+        # the temp files no replace took, then the directories made here if
+        # they are empty; a failure to remove one never hides the first error
+        for tmp in filter(None, staged.values()):
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        for parent in reversed(made):
+            with contextlib.suppress(OSError):
+                parent.rmdir()
         raise
+    return {name: staged[name] is not None for name in staged}
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +310,7 @@ def cmd_update(cfg: ProjectConfig) -> int:
         print(f"note: {d.path}:{d.line}: [{d.kind}] {d.message}", file=sys.stderr)
 
     db_file = Path(cfg.db_path)
-    old_text = db_file.read_text(encoding="utf-8") if db_file.exists() else None
-    if old_text is None:
-        db = regdb.RegDb()
-    else:
-        loaded = regdb.load_canonical_db(old_text)
-        db = regdb.load_db(old_text) if loaded is None else loaded[0]
+    db = _read_db(db_file.read_text(encoding="utf-8"))[0] if db_file.exists() else regdb.RegDb()
 
     diag_origin = f"{cfg.emit.block_name}_diag_mux"
     if "diag" in cfg.emit.targets and diag_candidates:
@@ -316,10 +331,15 @@ def cmd_update(cfg: ProjectConfig) -> int:
                                      region_size_bytes=cfg.emit.csr_region_size_bytes)
     _check_db(new_db, cfg.db_path)  # what the other commands would reject is not written
     print(regdb.format_change_report(report))
-    text = regdb.save_db(new_db)
-    if text != old_text:
-        _write_atomic(db_file, text)
+    _write_outputs(db_file.parent, [{db_file.name: regdb.save_db(new_db)}])
     return EXIT_OK
+
+
+def _read_db(text: str) -> tuple[regdb.RegDb, int | None]:
+    """The database in regs.csv text, and its db_hash if the one-pass reader
+    took the text; load_db reads, unchecked, every text that reader declines."""
+    loaded = regdb.load_canonical_db(text)
+    return (regdb.load_db(text), None) if loaded is None else loaded
 
 
 def _check_db(db: regdb.RegDb, path: str) -> None:
@@ -333,13 +353,11 @@ def _check_db(db: regdb.RegDb, path: str) -> None:
 
 def _load_db_checked(cfg: ProjectConfig) -> tuple[regdb.RegDb, int]:
     """The valid database in the database file, and its db_hash."""
-    text = Path(cfg.db_path).read_text(encoding="utf-8")
-    loaded = regdb.load_canonical_db(text)
-    if loaded is not None:
-        return loaded
-    db = regdb.load_db(text)
-    _check_db(db, cfg.db_path)
-    return db, regdb.db_hash(db)
+    db, hash32 = _read_db(Path(cfg.db_path).read_text(encoding="utf-8"))
+    if hash32 is None:
+        _check_db(db, cfg.db_path)
+        hash32 = regdb.db_hash(db)
+    return db, hash32
 
 
 def _load_map(cfg: ProjectConfig) -> MemoryMap:
@@ -370,40 +388,15 @@ def cmd_generate(cfg: ProjectConfig) -> int:
     regs = emit.prepare(db, cfg.emit, hash32)  # shared by every group, changed by none
 
     # one render_targets call per output, except c and py, which one
-    # emit_sw_views call renders together: each group's changed texts are
-    # staged and dropped before the next renders, and none replaces its output
-    # until every group has rendered, so a failure leaves the tree as it was
+    # emit_sw_views call renders together
     sw = tuple(t for t in cfg.emit.targets if t in ("c", "py"))
     groups = dict.fromkeys(sw if t in sw else (t,) for t in cfg.emit.targets)
     out_dir = Path(cfg.out_dir)
-    made: list[Path] = []  # the directories made here, outermost first
-    staged: dict[str, str | None] = {}  # output name -> temp file, None if unchanged
-    try:
-        for folder in reversed((out_dir, *out_dir.parents)) if groups else ():
-            if not folder.exists():
-                folder.mkdir()
-                made.append(folder)
-        for group in groups:
-            rendered = emit.render_targets(regs._replace(cfg=cfg.emit._replace(targets=group)),
-                                           memmap=memmap, diags=diags, pads=pads)
-            for name in rendered:
-                staged[name] = None if _holds(out_dir / name, rendered[name]) \
-                    else _stage(out_dir / name, rendered[name])
-            del rendered  # the next group renders without these texts
-        for name in sorted(staged):
-            if staged[name] is not None:
-                os.replace(staged[name], out_dir / name)
-            print(f"{'unchanged' if staged[name] is None else 'wrote'} {out_dir / name}")
-    except BaseException:
-        # the temp files no replace took, then the directories made here if
-        # they are empty; a failure to remove one never hides the first error
-        for tmp in filter(None, staged.values()):
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-        for folder in reversed(made):
-            with contextlib.suppress(OSError):
-                folder.rmdir()
-        raise
+    changed = _write_outputs(out_dir, (
+        emit.render_targets(regs._replace(cfg=cfg.emit._replace(targets=group)),
+                            memmap=memmap, diags=diags, pads=pads) for group in groups))
+    for name in sorted(changed):
+        print(f"{'wrote' if changed[name] else 'unchanged'} {out_dir / name}")
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import DataError, InputError
 from . import regdb as rdb
 from .memmap import MemoryMap
-from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ALL_TARGETS, ID_REG_NAME, ID_REG_OFFSET, RETIRED
+from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ID_REG_NAME, ID_REG_OFFSET, RETIRED
 from .regdb import OFFSET_KEY, EmitConfig, RegDb
 from .script import RESP_OK, format_word, save_script
 
@@ -454,10 +454,10 @@ def render_targets(
     diags names the diagnostic taps.
 
     Raises before returning anything. `generate` prepares one RegMap and
-    calls this once per output, with c and py in one call since one
-    emit_sw_views call renders both, and writes each result to temp files
-    before the next call, so it holds one artifact's text at a time and
-    replaces no output until all have rendered.
+    hands the writer a generator of calls, one per output, with c and py in
+    one call since one emit_sw_views call renders both. The writer stages
+    each result before it asks for the next, so `generate` holds one
+    artifact's text at a time, and replaces no output until all have rendered.
     """
     cfg = regs.cfg
     out: dict[str, str] = {}

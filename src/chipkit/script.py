@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from itertools import islice
 
 from . import InputError
 
@@ -92,13 +91,7 @@ def load_script(text: str) -> str:
 def save_script(rows: Iterable[tuple[str, str, str]]) -> str:
     """Script text of (command, expected, comment) rows, each comment on the
     line before its step, after a blank line unless it opens the script; no
-    rows give one empty line. Joins 256 steps at a time, so it holds about the
-    text twice over, never a string for every step."""
-    texts = (f"\n# {comment}\n> {command}\n< {expected}\n" if comment
-             else f"> {command}\n< {expected}\n" for command, expected, comment in rows)
-    chunks = []
-    while chunk := "".join(islice(texts, 256)):
-        chunks.append(chunk)
-    if chunks and chunks[0][0] == "\n":  # the script opens with a comment
-        chunks[0] = chunks[0][1:]
-    return "".join(chunks) or "\n"
+    rows give one empty line."""
+    return "".join(f"\n# {comment}\n> {command}\n< {expected}\n" if comment
+                   else f"> {command}\n< {expected}\n"
+                   for command, expected, comment in rows).removeprefix("\n") or "\n"

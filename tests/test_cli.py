@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,51 @@ class TestUpdate:
         assert main(["update"]) == 0
         assert "no changes" in capsys.readouterr().out
         assert (proj / "regs.csv").read_bytes() == before
+
+    def test_rerun_no_changes_replaces_nothing(self, proj):
+        assert main(["update"]) == 0
+        regs = proj / "regs.csv"
+        os.utime(regs, ns=(10**18, 10**18))  # a time that no write now gives a file
+        before = (regs.stat().st_mtime_ns, regs.stat().st_ino)
+        assert main(["update"]) == 0
+        assert (regs.stat().st_mtime_ns, regs.stat().st_ino) == before
+
+    def test_rerun_rewrites_crlf_endings_as_lf(self, proj, capsys):
+        """Bytes decide what is unchanged: a CRLF database, which the one-pass
+        reader declines, is rewritten in save_db's LF form."""
+        assert main(["update"]) == 0
+        regs = proj / "regs.csv"
+        canonical = regs.read_bytes()
+        regs.write_bytes(canonical.replace(b"\n", b"\r\n"))
+        assert main(["update"]) == 0
+        assert "no changes" in capsys.readouterr().out
+        assert regs.read_bytes() == canonical
+
+    @staticmethod
+    def _refuse_replace(monkeypatch):
+        def refused(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr(os, "replace", refused)
+
+    def test_failed_write_leaves_no_trace(self, proj, monkeypatch, capsys):
+        self._refuse_replace(monkeypatch)
+        before = sorted(proj.rglob("*"))
+        assert main(["update", "--db", "new/sub/regs.csv"]) == 2
+        assert capsys.readouterr().err == "error: replace refused\n"
+        assert not (proj / "new").exists()
+        assert sorted(proj.rglob("*")) == before  # no .regs.csv.* temp file either
+
+    def test_failed_write_keeps_the_database(self, proj, monkeypatch):
+        assert main(["update"]) == 0
+        regs = proj / "regs.csv"
+        regs.chmod(0o640)
+        before = regs.read_bytes()
+        _edit(proj, "rtl/timer_unit.sv", "[3:0]  cfg_prescale", "[4:0]  cfg_prescale")
+        self._refuse_replace(monkeypatch)
+        assert main(["update"]) == 2
+        assert regs.read_bytes() == before
+        assert stat.S_IMODE(regs.stat().st_mode) == 0o640
+        assert not list(proj.glob(".regs.csv.*"))
 
     def test_conflict_leaves_db_untouched(self, proj):
         assert main(["update"]) == 0
@@ -267,6 +313,13 @@ class TestGenerate:
         assert main(["generate", "--out", "a/b/gen"]) == 3
         assert not (proj / "a").exists()
 
+    def test_no_targets_make_no_directory(self, proj, capsys):
+        assert main(["update"]) == 0
+        capsys.readouterr()
+        assert main(["generate", "--targets", "", "--out", "none/gen"]) == 0
+        assert capsys.readouterr().out == ""
+        assert not (proj / "none").exists()
+
     def test_rendered_lengths_add_up_to_the_written_text(self, proj, monkeypatch):
         """What the benchmark's traced launcher reads: emit.bytes_out is the
         summed lengths of render_targets' results, and emit_sw_views renders
@@ -355,6 +408,26 @@ class TestGenerate:
         assert main(["generate"]) == 0
         assert main(["lint", str(proj / "gen" / "demo_csr.sv"),
                      str(proj / "gen" / "demo_diag_mux.sv")]) == 0
+
+
+class TestWriteOutputs:
+    def test_each_batch_is_dropped_before_the_next_is_made(self, tmp_path):
+        class Batch(dict):  # unlike a dict, weakly referable
+            pass
+
+        made = []
+
+        def batches():
+            for i in range(3):
+                assert all(ref() is None for ref in made), "an earlier batch is still held"
+                batch = Batch({f"out{i}.txt": f"text {i}\n"})
+                made.append(weakref.ref(batch))
+                yield batch
+                del batch
+
+        changed = cli._write_outputs(tmp_path / "gen", batches())
+        assert changed == {"out0.txt": True, "out1.txt": True, "out2.txt": True}
+        assert (tmp_path / "gen" / "out2.txt").read_text() == "text 2\n"
 
 
 class TestFileModes:
