@@ -146,8 +146,8 @@ def main() -> int:
     db = str(workdir / "regs.csv")
     run(["lint", rtl], workdir)
     run(["update", "--rtl", rtl, "--db", db], workdir)
-    run(["generate", "--rtl", rtl, "--db", db, "--out", str(workdir / "gen"),
-         "--map", str(workdir / "soc.map")], workdir)
+    run(["generate", "--db", db, "--out", str(workdir / "gen"), "--map", str(workdir / "soc.map")],
+        workdir)
     run(["run-test", "--script", str(workdir / "gen" / "demo_selftest.txt"),
          "--db", db, "--map", str(workdir / "soc.map")], workdir)
     live_session(workdir)

@@ -124,17 +124,15 @@ class Setting(NamedTuple):
 
 
 SETTINGS = (
-    Setting("--rtl", ("project", "rtl"), "rtl_paths", _paths, "update generate"),
+    Setting("--rtl", ("project", "rtl"), "rtl_paths", _paths, "update"),
     Setting("--db", ("project", "db"), "db_path", _path, "update generate sim run-test"),
     Setting("--out", ("project", "out"), "out_dir", _path, "generate"),
     Setting("--map", ("project", "map"), "map_path", _path, "generate sim run-test"),
     Setting("--pads", ("project", "pads"), "pads_path", _path, "generate"),
     Setting("--control-prefix", ("naming", "control_prefix"), "naming.control_prefix", _text, "update"),
     Setting("--status-prefix", ("naming", "status_prefix"), "naming.status_prefix", _text, "update"),
-    Setting("--diag-prefix", ("naming", "diag_prefix"), "naming.diag_prefix", _text,
-            "update generate"),
-    Setting("--match-mode", ("naming", "match_mode"), "naming.match_mode", _text,
-            "update generate"),
+    Setting("--diag-prefix", ("naming", "diag_prefix"), "naming.diag_prefix", _text, "update"),
+    Setting("--match-mode", ("naming", "match_mode"), "naming.match_mode", _text, "update"),
     Setting("--block", ("emit", "block_name"), "emit.block_name", _text, "update generate"),
     Setting("--base", ("emit", "base_address"), "emit.base_address", _int("base address"),
             "generate"),
@@ -236,10 +234,9 @@ def _scan_modules(cfg: ProjectConfig, diagnostics: list) -> Iterator[sv_scan.Mod
             yield module
 
 
-def _holds(path: Path, text: str) -> bool:
-    """Whether path holds text's UTF-8 bytes; the sizes are compared first,
-    then the bytes 64 KiB at a time."""
-    data = text.encode("utf-8")
+def _holds(path: Path, data: bytes) -> bool:
+    """Whether path holds data; the sizes are compared first, then the bytes
+    64 KiB at a time."""
     with contextlib.suppress(OSError), open(path, "rb") as old:
         return os.fstat(old.fileno()).st_size == len(data) and all(
             old.read(1 << 16) == data[at:at + (1 << 16)] for at in range(0, len(data), 1 << 16))
@@ -249,10 +246,11 @@ def _holds(path: Path, text: str) -> bool:
 def _write_outputs(folder: Path, batches: Iterable[dict[str, str]]) -> dict[str, bool]:
     """Writes each {file name: text} batch into folder; returns {file name: changed}.
 
-    A file that already holds its text is left alone. Each batch is staged in
-    temp files (.<name>.*) before the next is made, and none replaces its file
-    until all are; folder's missing directories are made only when something
-    is staged. On any failure the temp files and those directories are removed.
+    Each text is encoded to UTF-8 once; a file that already holds those bytes
+    is left alone. Each batch is staged in temp files (.<name>.*) before the
+    next is made, and none replaces its file until all are; folder's missing
+    directories are made only when something is staged. On any failure the
+    temp files and those directories are removed.
     """
     os.umask(umask := os.umask(0o077))  # reads the umask, which os.umask only swaps
     made: list[Path] = []  # the directories made here, outermost first
@@ -260,8 +258,8 @@ def _write_outputs(folder: Path, batches: Iterable[dict[str, str]]) -> dict[str,
     try:
         for batch in batches:
             for name in batch:
-                path = folder / name
-                if _holds(path, batch[name]):
+                path, data = folder / name, batch[name].encode("utf-8")
+                if _holds(path, data):
                     staged[name] = None
                     continue
                 if not folder.exists():
@@ -273,10 +271,10 @@ def _write_outputs(folder: Path, batches: Iterable[dict[str, str]]) -> dict[str,
                 # umask for a new one, so the replace is the whole write
                 mode = path.stat().st_mode & 0o7777 if path.exists() else 0o666 & ~umask
                 fd, staged[name] = tempfile.mkstemp(dir=folder, prefix=f".{name}.")
-                with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-                    handle.write(batch[name])
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
                 os.chmod(staged[name], mode)  # mkstemp made it 0600
-            del batch  # the next batch is made without these texts
+            batch = data = None  # the next batch is made without these texts or bytes
         for name in sorted(staged):
             if staged[name] is not None:
                 os.replace(staged[name], folder / name)
@@ -313,22 +311,25 @@ def cmd_update(cfg: ProjectConfig) -> int:
     db = _read_db(db_file.read_text(encoding="utf-8"))[0] if db_file.exists() else regdb.RegDb()
 
     diag_origin = f"{cfg.emit.block_name}_diag_mux"
-    if "diag" in cfg.emit.targets and diag_candidates:
-        sel_width = max(1, regdb.diag_select_bits([d.name for d in diag_candidates])
-                        * cfg.emit.diag_pins)
-        if any(c.name == "cfg_diag_sel" for c in candidates):
-            raise InputError("cfg_diag_sel is generated for the diagnostic mux; "
-                            "rename the conflicting RTL port")
-        candidates = candidates + [regdb.CsrCandidate(
-            name="cfg_diag_sel", width_bits=sel_width, access=regdb.ACCESS_RW,
-            origin_module=diag_origin)]
-        scanned_for_update.add(diag_origin)
-    elif any(e.origin_module == diag_origin for e in db.entries):
-        # diag generation switched off: retire the stale select register
-        scanned_for_update.add(diag_origin)
+    taps = None
+    if "diag" in cfg.emit.targets:
+        sel = next((e for e in db.entries if e.name == regdb.DIAG_SEL), None)
+        held = regdb.parse_taps(sel.extra.get(regdb.TAPS_COLUMN, "") if sel else "")
+        taps = regdb.merge_taps(held, diag_candidates, scanned_for_update)
+        sel_bits = regdb.diag_select_bits(taps)
+        if any(not t.retired for t in taps):
+            if any(c.name == regdb.DIAG_SEL for c in candidates):
+                raise InputError(f"{regdb.DIAG_SEL} is generated for the diagnostic mux; "
+                                 "rename the conflicting RTL port")
+            candidates = candidates + [regdb.CsrCandidate(
+                regdb.DIAG_SEL, max(1, sel_bits * cfg.emit.diag_pins), regdb.ACCESS_RW,
+                diag_origin)]
+    # with no tap active, or diag generation switched off, the select register retires
+    scanned_for_update.add(diag_origin)
 
     new_db, report = regdb.update_db(db, candidates, scanned_modules=scanned_for_update,
-                                     region_size_bytes=cfg.emit.csr_region_size_bytes)
+                                     region_size_bytes=cfg.emit.csr_region_size_bytes,
+                                     taps=taps)
     _check_db(new_db, cfg.db_path)  # what the other commands would reject is not written
     print(regdb.format_change_report(report))
     _write_outputs(db_file.parent, [{db_file.name: regdb.save_db(new_db)}])
@@ -367,7 +368,7 @@ def _load_map(cfg: ProjectConfig) -> MemoryMap:
 
 
 def cmd_generate(cfg: ProjectConfig) -> int:
-    from . import emit, sv_scan
+    from . import emit
     db, hash32 = _load_db_checked(cfg)
     memmap = None
     if "memmap" in cfg.emit.targets:
@@ -378,10 +379,6 @@ def cmd_generate(cfg: ProjectConfig) -> int:
             raise DataError(
                 f"memory map has no csr region matching base {cfg.emit.base_address:#x} "
                 f"size {cfg.emit.csr_region_size_bytes:#x}")
-    diags = None
-    if "diag" in cfg.emit.targets:
-        diags = [d.name for module in _scan_modules(cfg, [])
-                 for d in sv_scan.extract_diag_candidates(module, cfg.naming)]
     pads = ()
     if "pads" in cfg.emit.targets and cfg.pads_path:
         pads = emit.load_pad_db(Path(cfg.pads_path).read_text(encoding="utf-8"))
@@ -394,7 +391,7 @@ def cmd_generate(cfg: ProjectConfig) -> int:
     out_dir = Path(cfg.out_dir)
     changed = _write_outputs(out_dir, (
         emit.render_targets(regs._replace(cfg=cfg.emit._replace(targets=group)),
-                            memmap=memmap, diags=diags, pads=pads) for group in groups))
+                            memmap=memmap, pads=pads) for group in groups))
     for name in sorted(changed):
         print(f"{'wrote' if changed[name] else 'unchanged'} {out_dir / name}")
     return EXIT_OK

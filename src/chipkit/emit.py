@@ -17,8 +17,8 @@ from typing import NamedTuple
 from . import DataError, InputError
 from . import regdb as rdb
 from .memmap import MemoryMap
-from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ID_REG_NAME, ID_REG_OFFSET, RETIRED
-from .regdb import OFFSET_KEY, EmitConfig, RegDb
+from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, DIAG_SEL, ID_REG_NAME, ID_REG_OFFSET, RETIRED
+from .regdb import OFFSET_KEY, TAPS_COLUMN, DiagTap, EmitConfig, RegDb
 from .script import RESP_OK, format_word, save_script
 
 _SIDES = ("N", "E", "S", "W")
@@ -117,7 +117,8 @@ class RegMap(NamedTuple):
     its settings and hash, and a Row (name, address word, width, access, reset,
     description, offset) per register. rows holds the ID register's and each
     active entry's, by offset; rw and ro hold the same active rows by access,
-    and retired the retired entries'. No emitter changes it."""
+    and retired the retired entries'. taps holds the diagnostic taps that an
+    active RW cfg_diag_sel records, in code order. No emitter changes it."""
     db: RegDb
     cfg: EmitConfig
     hash32: int
@@ -125,6 +126,7 @@ class RegMap(NamedTuple):
     rw: list[Row]
     ro: list[Row]
     retired: list[Row]
+    taps: list[DiagTap]
 
 
 def prepare(db: RegDb, cfg: EmitConfig, hash32: int) -> RegMap:
@@ -133,7 +135,7 @@ def prepare(db: RegDb, cfg: EmitConfig, hash32: int) -> RegMap:
     base = cfg.base_address
     rows = [(ID_REG_NAME, format_word(base + ID_REG_OFFSET), 32, ACCESS_RO, hash32,
              "register map content hash", ID_REG_OFFSET)]
-    rw, ro, retired = [], [], []
+    rw, ro, retired, taps = [], [], [], []
     for e in sorted(db.entries, key=OFFSET_KEY):
         row = (e.name, f"0x{(base + e.offset_bytes) & 0xffffffff:08x}", e.width_bits,
                e.access, e.reset_value, e.description, e.offset_bytes)
@@ -141,11 +143,18 @@ def prepare(db: RegDb, cfg: EmitConfig, hash32: int) -> RegMap:
             rows.append(row)
             if e.access == ACCESS_RW:
                 rw.append(row)
+                if e.extra and e.name == DIAG_SEL:
+                    taps = rdb.parse_taps(e.extra.get(TAPS_COLUMN, ""))
             elif e.access == ACCESS_RO:
                 ro.append(row)
         elif e.state == RETIRED:
             retired.append(row)
-    return RegMap(db, cfg, hash32, rows, rw, ro, retired)
+    return RegMap(db, cfg, hash32, rows, rw, ro, retired, taps)
+
+
+def _active_taps(regs: RegMap) -> list[tuple[int, str]]:
+    """(select code, name) of each active tap, by code."""
+    return [(code, t.name) for code, t in enumerate(regs.taps) if not t.retired]
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +282,13 @@ def emit_markdown(regs: RegMap) -> str:
                   "Offsets stay reserved; reads return the unmapped constant.", "",
                   header, divider]
         lines += table(regs.retired)
+    if regs.taps:
+        lines += ["", "## Diagnostic select codes", "",
+                  f"A pin shows the tap whose code its field of `{DIAG_SEL}` holds. Retired "
+                  "codes stay reserved; they and unused codes show 0.", "",
+                  "| tap | code | module | state |", "|---|---|---|---|"]
+        lines += [f"| {t.name} | {code} | {t.origin_module} | {RETIRED if t.retired else ACTIVE} |"
+                  for code, t in enumerate(regs.taps)]
     return "\n".join(lines) + "\n"
 
 
@@ -298,6 +314,10 @@ def emit_sw_views(regs: RegMap) -> tuple[str, str]:
     c_lines += [f"\n/* {name}: {access}, {bits[width]}, reset 0x{reset:x} */\n"
                 f"#define {block}_{macro}_ADDR {addr}\n#define {block}_{macro}_WIDTH {width}"
                 for (name, addr, width, access, reset, _, _), macro in zip(rows, macros)]
+    taps = _active_taps(regs)
+    if taps:
+        c_lines += ["", f"/* {DIAG_SEL} field value that puts each diagnostic tap on a pin */"]
+        c_lines += [f"#define {block}_DIAG_SEL_{name.upper()} {code}" for code, name in taps]
     c_lines += ["", f"#endif /* {guard} */", ""]
 
     py_lines = [
@@ -312,6 +332,10 @@ def emit_sw_views(regs: RegMap) -> tuple[str, str]:
     py_lines += [f'    "{name}": ({addr}, {width}, "{access}"),'
                  for name, addr, width, access, _, _, _ in rows]
     py_lines += ["}", ""]
+    if taps:
+        py_lines += [f"# tap: {DIAG_SEL} field value that puts it on a pin", "DIAG_SELECT = {"]
+        py_lines += [f'    "{name}": {code},' for code, name in taps]
+        py_lines += ["}", ""]
 
     return "\n".join(c_lines), "\n".join(py_lines)
 
@@ -369,22 +393,27 @@ def emit_memmap_header(memmap: MemoryMap) -> str:
 # ---------------------------------------------------------------------------
 # diagnostic mux
 
-def emit_diag_mux(regs: RegMap, names: list[str]) -> str:
-    """Observation mux: every diagnostic tap in names, regs.cfg.diag_pins out,
-    per-pin select fields sliced from the active RW cfg_diag_sel register."""
+def emit_diag_mux(regs: RegMap) -> str:
+    """Observation mux: every active diagnostic tap the database records, at
+    its select code, regs.cfg.diag_pins out, per-pin select fields sliced from
+    the active RW cfg_diag_sel register."""
     cfg, n_pins = regs.cfg, regs.cfg.diag_pins
-    sel_bits = rdb.diag_select_bits(names)
-    sel_width = next((row[2] for row in regs.rw if row[0] == "cfg_diag_sel"), None)
+    sel_width = next((row[2] for row in regs.rw if row[0] == DIAG_SEL), None)
     if sel_width is None:
-        raise DataError("database has no active RW cfg_diag_sel (run update with diag enabled)")
-    if sel_bits and sel_width < sel_bits * n_pins:
-        raise DataError(f"cfg_diag_sel is {sel_width} bits; need {sel_bits * n_pins} "
-                        f"for {len(names)} signals on {n_pins} pins")
+        raise DataError(f"database has no active RW {DIAG_SEL} (run update with diag enabled)")
+    if not regs.taps:
+        raise DataError("database records no diagnostic taps (run update)")
+    sel_bits, taps = rdb.diag_select_bits(regs.taps), _active_taps(regs)
+    if not taps:
+        raise DataError("diagnostic mux needs at least one signal")
+    if sel_width < sel_bits * n_pins:
+        raise DataError(f"{DIAG_SEL} is {sel_width} bits; need {sel_bits * n_pins} "
+                        f"for {len(regs.taps)} select codes on {n_pins} pins")
 
     mod = f"{cfg.block_name}_diag_mux"
     lines = _sv_banner(f"{mod}: diagnostic pin observation mux", regs.hash32)
     lines += ["", f"module {mod} ("]
-    lines += [f"  input  logic {name}," for name in names]
+    lines += [f"  input  logic {name}," for _, name in taps]
     if sel_bits:
         lines.append(f"  input  logic [{sel_bits * n_pins - 1}:0] cfg_diag_sel,")
     out_type = f"logic [{n_pins - 1}:0]" if n_pins > 1 else "logic"
@@ -396,12 +425,12 @@ def emit_diag_mux(regs: RegMap, names: list[str]) -> str:
         pin_nets.append(net)
         lines += [f"// pin {pin}", f"logic {net};"]
         if sel_bits == 0:
-            lines.append(f"always_comb {net} = {names[0]};")
+            lines.append(f"always_comb {net} = {taps[0][1]};")
         else:
             lo, hi = pin * sel_bits, (pin + 1) * sel_bits - 1
             sel = f"cfg_diag_sel[{hi}:{lo}]" if sel_bits > 1 else f"cfg_diag_sel[{lo}]"
             lines += ["always_comb begin", f"  case ({sel})"]
-            lines += [f"    {sel_bits}'d{i}: {net} = {name};" for i, name in enumerate(names)]
+            lines += [f"    {sel_bits}'d{code}: {net} = {name};" for code, name in taps]
             lines += [f"    default: {net} = 1'b0;", "  endcase", "end"]
         lines.append("")
     if n_pins > 1:
@@ -447,11 +476,9 @@ def output_name(target: str, cfg: EmitConfig) -> str:
 def render_targets(
     regs: RegMap,
     memmap: MemoryMap | None = None,
-    diags: list[str] | None = None,
     pads: tuple[Pad, ...] = (),
 ) -> dict[str, str]:
-    """Render every target of regs.cfg to text, keyed by output file name;
-    diags names the diagnostic taps.
+    """Render every target of regs.cfg to text, keyed by output file name.
 
     Raises before returning anything. `generate` prepares one RegMap and
     hands the writer a generator of calls, one per output, with c and py in
@@ -481,7 +508,7 @@ def render_targets(
                 raise DataError("memmap target needs a memory map file")
             out[name] = emit_memmap_header(memmap)
         elif target == "diag":
-            out[name] = emit_diag_mux(regs, diags or [])
+            out[name] = emit_diag_mux(regs)
         elif target == "pads":
             out[name] = emit_pad_script(pads)
     return out

@@ -7,7 +7,9 @@ columns a project adds belong to humans and are never overwritten.
 
 Entries are never deleted: a register that disappears from the RTL is
 retired, and its offset stays reserved forever so regenerated software views
-can never silently re-bind an address across chip revisions.
+can never silently re-bind an address across chip revisions. The diagnostic
+taps are kept the same way: update records each tap's select code in the one
+column it owns (TAPS_COLUMN), on the select register's row.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ RETIRED = "retired"
 REQUIRED_COLUMNS = ("name", "width", "access", "reset", "offset", "origin_module", "description")
 CANONICAL_COLUMNS = REQUIRED_COLUMNS + ("state",)
 
+DIAG_SEL = "cfg_diag_sel"  # the diagnostic mux's select register, which update generates
+# update's own column, set only on DIAG_SEL's row: the diagnostic taps in code
+# order, as name@module with retired ones marked :retired, one space apart
+TAPS_COLUMN = "diag_taps"
+
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 OFFSET_KEY = operator.attrgetter("offset_bytes")
 # names, upper-cased, whose macros the C header defines for itself
@@ -52,6 +59,12 @@ class CsrCandidate(NamedTuple):
     width_bits: int
     access: str
     origin_module: str
+
+
+class DiagTap(NamedTuple):
+    name: str
+    origin_module: str
+    retired: bool = False
 
 
 # settings of the scanner and the emitters, kept out of both so that building a
@@ -152,17 +165,18 @@ class RegDb(Record):
 
 
 class ChangeReport(Record):
-    __slots__ = ("added", "modified", "retired", "unchanged_count")
+    __slots__ = ("added", "modified", "retired", "taps", "unchanged_count")
 
     def __init__(self):
         self.added = []
         self.modified = []  # (name, field, old, new)
         self.retired = []
+        self.taps = []  # (event, tap name, code, detail)
         self.unchanged_count = 0
 
     @property
     def empty(self) -> bool:
-        return not (self.added or self.modified or self.retired)
+        return not (self.added or self.modified or self.retired or self.taps)
 
 
 class DbError(NamedTuple):
@@ -189,7 +203,8 @@ def csv_rows(text: str, label: str) -> Iterator[list[str]]:
 
 
 def load_db(csv_text: str) -> RegDb:
-    """Parse CSV text into a RegDb, preserving any extra columns verbatim."""
+    """Parse CSV text into a RegDb, preserving any extra columns verbatim; an
+    entry's extra holds its non-empty extra cells."""
     rows = csv_rows(csv_text, "row")
     header = next(rows, None)
     if header is None:
@@ -232,7 +247,7 @@ def load_db(csv_text: str) -> RegDb:
                     f"duplicate offset 0x{offset:x} (rows {offsets[offset]} and {rownum})")
             offsets[offset] = rownum
         entries.append(RegEntry(name, width, access, reset, offset, row[i_origin].strip(),
-                                row[i_desc], state, {c: row[i] for c, i in extras}))
+                                row[i_desc], state, {c: row[i] for c, i in extras if row[i]}))
     if i_state is None:
         columns.append("state")
     return RegDb(entries=entries, columns=columns)
@@ -302,7 +317,7 @@ def load_canonical_db(csv_text: str) -> tuple[RegDb, int] | None:
     n_extras, pos, last = len(extras), end + 1, 0
     seen = set(_RESERVED_NAMES)  # names upper-cased, as validate_db compares them
     origins: dict[str, str] = {}
-    entries = []
+    entries, tapped = [], []  # tapped: the entries with a diag_taps cell
     # a row per entry, each where the last ended, in offset order
     for m in _DB_ROW_RE.finditer(csv_text, pos):
         name, width, access, reset, offset, origin, plain, quoted, state, extra = m.groups()
@@ -314,9 +329,12 @@ def load_canonical_db(csv_text: str) -> tuple[RegDb, int] | None:
         pos, last = m.end(), offset
         entries.append(RegEntry(
             name, width, _TOKENS[access], reset, offset, origins.setdefault(origin, origin),
-            plain if quoted is None else quoted.replace('""', '"'), _TOKENS[state],
-            dict(zip(extras, extra[1:].split(","))) if n_extras else {}))
-    if pos != len(csv_text):
+            plain if quoted is None else quoted.replace('""', '"'), _TOKENS[state], {}))
+        if len(extra) > n_extras:  # an extra cell is not empty
+            cells = entries[-1].extra = {c: v for c, v in zip(extras, extra[1:].split(",")) if v}
+            if TAPS_COLUMN in cells:
+                tapped.append(entries[-1])
+    if pos != len(csv_text) or any(_tap_problems(e, seen) for e in tapped):
         return None
     return RegDb(entries, list(CANONICAL_COLUMNS) + extras), zlib.crc32(csv_text.encode("utf-8"))
 
@@ -329,6 +347,7 @@ def validate_db(db: RegDb) -> list[DbError]:
             problems.append(DbError("", f"missing required column {col!r}"))
     names: dict[str, str] = {}  # upper-cased, as in the C header's macros -> first name
     offsets = {}
+    tapped = []  # the entries with a diag_taps cell
     for e in db.entries:
         if not _IDENT_RE.match(e.name):
             problems.append(DbError(e.name, f"name {e.name!r} is not an identifier"))
@@ -360,6 +379,30 @@ def validate_db(db: RegDb) -> list[DbError]:
         if 1 <= e.width_bits <= 32 and not 0 <= e.reset_value < (1 << e.width_bits):
             problems.append(DbError(
                 e.name, f"reset 0x{e.reset_value:x} does not fit in {e.width_bits} bits"))
+        if e.extra and e.extra.get(TAPS_COLUMN):
+            tapped.append(e)
+    problems += [DbError(e.name, p) for e in tapped for p in _tap_problems(e, names)]
+    return problems
+
+
+def _tap_problems(e: RegEntry, names) -> list[str]:
+    """What is wrong with e's non-empty diag_taps cell; names holds every
+    register name upper-cased."""
+    if e.name != DIAG_SEL:
+        return [f"{TAPS_COLUMN} is set only on {DIAG_SEL}"]
+    try:
+        taps = parse_taps(e.extra[TAPS_COLUMN])
+        bits = diag_select_bits(taps)
+    except DataError as exc:
+        return [str(exc)]
+    problems = []
+    for t in taps:  # the C header defines DIAG_SEL_<TAP> beside <NAME>_ADDR and <NAME>_WIDTH
+        macro = f"DIAG_SEL_{t.name.upper()}"
+        problems += [f"diagnostic tap {t.name}'s C macro {macro} is also register {stem}'s"
+                     for stem in (macro.removesuffix("_ADDR"), macro.removesuffix("_WIDTH"))
+                     if stem != macro and stem in names]
+    if bits > e.width_bits:
+        problems.append(f"{bits}-bit diagnostic select codes do not fit in {e.width_bits} bits")
     return problems
 
 
@@ -391,13 +434,50 @@ def _allocate_in_place(entries: list[RegEntry], region_size_bytes: int | None) -
         used.add(cursor)
 
 
-def diag_select_bits(names: list[str]) -> int:
-    """Bits of one pin's field of cfg_diag_sel for the taps named: one or more, all distinct."""
-    if not names:
-        raise DataError("diagnostic mux needs at least one signal")
-    if len(set(names)) != len(names):
+def parse_taps(cell: str) -> list[DiagTap]:
+    """The taps a diag_taps cell lists, in code order: a tap's code is its place."""
+    taps = []
+    for item in cell.split(" ") if cell else ():
+        name, _, rest = item.partition("@")
+        module, colon, mark = rest.partition(":")
+        if not (_IDENT_RE.fullmatch(name) and _IDENT_RE.fullmatch(module)) \
+                or mark != ("retired" if colon else ""):
+            raise DataError(f"bad diagnostic tap {item!r} (name@module, :retired if retired)")
+        taps.append(DiagTap(name, module, bool(colon)))
+    return taps
+
+
+def format_taps(taps: list[DiagTap]) -> str:
+    return " ".join(f"{t.name}@{t.origin_module}{':retired' if t.retired else ''}" for t in taps)
+
+
+def diag_select_bits(taps: list[DiagTap]) -> int:
+    """Bits of one pin's field of cfg_diag_sel for the taps held, in code
+    order: enough for the highest code, retired ones included. No two taps may
+    share a name, in any case, since each names a C macro."""
+    names: dict[str, str] = {}  # upper-cased -> first name
+    for t in taps:
+        first = names.get(t.name.upper())
+        if first is not None:
+            raise DataError(f"diagnostic tap {t.name} listed twice" if first == t.name
+                            else f"diagnostic tap {t.name} differs from {first} only in case")
+        names[t.name.upper()] = t.name
+    return (len(taps) - 1).bit_length() if taps else 0
+
+
+def merge_taps(taps: list[DiagTap], found: list, scanned_modules: set[str]) -> list[DiagTap]:
+    """taps after a scan of scanned_modules that found the (name, origin
+    module) pairs found, in scan order. Codes are allocated as offsets are: a
+    tap found keeps its code, and one retired takes it back; a tap missing
+    from a scanned module is retired and its code stays reserved; a new tap
+    takes the lowest free code, which is the next one, since none is freed."""
+    where = dict(found)
+    if len(where) != len(found):
         raise DataError("duplicate diagnostic signal names across modules")
-    return (len(names) - 1).bit_length()
+    merged = [DiagTap(t.name, where.pop(t.name)) if t.name in where
+              else t._replace(retired=True) if t.origin_module in scanned_modules else t
+              for t in taps]
+    return merged + [DiagTap(name, module) for name, module in where.items()]
 
 
 def update_db(
@@ -405,6 +485,7 @@ def update_db(
     candidates: list[CsrCandidate],
     scanned_modules: set[str] | None = None,
     region_size_bytes: int | None = None,
+    taps: list[DiagTap] | None = None,
 ) -> tuple[RegDb, ChangeReport]:
     """Merge one scan run into the database.
 
@@ -414,6 +495,7 @@ def update_db(
     rescanned but which matched no candidate are retired (offset kept);
     entries from modules outside this scan are left alone. A retired entry
     reappearing with the same access type is reactivated at its old offset.
+    taps, as merge_taps gives them, replace the ones DIAG_SEL's row records.
     """
     seen = set()
     for c in candidates:
@@ -461,9 +543,32 @@ def update_db(
             entry.state = RETIRED
             report.retired.append(entry.name)
 
+    sel = by_name.get(DIAG_SEL)
+    if taps is not None and sel is not None:
+        _record_taps(new, sel, taps, report)
     _allocate_in_place(new.entries, region_size_bytes)
     new.entries.sort(key=OFFSET_KEY)
     return new, report
+
+
+def _record_taps(db: RegDb, sel: RegEntry, taps: list[DiagTap], report: ChangeReport) -> None:
+    """Sets the diag_taps cell of sel, db's DIAG_SEL entry, and reports each
+    tap that changed. A database that never held a tap gets no column."""
+    held = parse_taps(sel.extra.get(TAPS_COLUMN, ""))
+    for code, tap in enumerate(taps):
+        was = held[code] if code < len(held) else None
+        if was is None:
+            report.taps.append(("added", tap.name, code, ""))
+        elif was.retired != tap.retired:
+            report.taps.append(("retired" if tap.retired else "reactivated", tap.name, code, ""))
+        elif was.origin_module != tap.origin_module:
+            report.taps.append(("moved", tap.name, code,
+                                f" from {was.origin_module} to {tap.origin_module}"))
+    if taps:
+        sel.extra[TAPS_COLUMN] = format_taps(taps)
+        if TAPS_COLUMN not in db.columns:
+            db.columns.insert(db.columns.index("state") + 1 if "state" in db.columns
+                              else len(db.columns), TAPS_COLUMN)
 
 
 def format_change_report(report: ChangeReport) -> str:
@@ -476,5 +581,7 @@ def format_change_report(report: ChangeReport) -> str:
         lines.append(f"modified: {name} {fieldname} {old} -> {new}")
     if report.retired:
         lines.append("retired: " + ", ".join(report.retired))
+    lines += [f"tap {event}: {name} (code {code}){detail}"
+              for event, name, code, detail in report.taps]
     lines.append(f"unchanged: {report.unchanged_count}")
     return "\n".join(lines)

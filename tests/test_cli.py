@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import os
+import re
 import shutil
 import socket
 import stat
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import threading
 import weakref
+import zlib
 from pathlib import Path
 
 import pytest
@@ -42,11 +44,14 @@ def proj(project_dir, monkeypatch):
 class TestGolden:
     """Byte identity of the fixture project's outputs. The digests were taken
     before the scanner, merge and render paths were optimized; a change that
-    alters any of them changes what users get, not only how fast."""
+    alters any of them changes what users get, not only how fast. They moved
+    once, when the database recorded the diagnostic taps: regs.csv gained its
+    diag_taps column, the report its tap lines, and the tree a new database
+    hash and the select codes of the C, Python and Markdown views."""
 
-    TREE_SHA256 = "3c5fd8846afe76c664e321f2f2ca03405fee047357e38028d9486a5b24f5ed01"
-    REGS_SHA256 = "9260fb8812d8c075144c3e4d1c0296cc2e1c292b5caad728d9425d3fc2eb5c98"
-    REPORT_SHA256 = "819a3cce546a4d59a59614ad1ca803b31a84745f55c778af15cf1c8ecbf94d37"
+    TREE_SHA256 = "25f8be73da10eda7121e39f43e669fdeb04f68348a3bfb078e324038fac77e6d"
+    REGS_SHA256 = "de7b7bd7eb096881de0fcdeed590f2386b374a1ccf21acbb12c08f506783ee50"
+    REPORT_SHA256 = "4a9159519fbdefec0a35ad22beabe39dd1b1e04551fb6b7a2d21bdd154be9755"
 
     def test_update_and_generate_are_byte_identical(self, proj, capsys):
         assert main(["update"]) == 0
@@ -229,8 +234,126 @@ class TestUpdate:
         assert len(db.entries) == 12
 
 
+def _mux_cases(proj) -> dict[int, str]:
+    """Select code -> tap of pin 0 of the generated diagnostic mux."""
+    mux = (proj / "gen" / "demo_diag_mux.sv").read_text()
+    return {int(code): name for code, name in re.findall(r"\d+'d(\d+): pin0_val = (\w+);", mux)}
+
+
+def _mux_body(proj) -> str:
+    """The generated diagnostic mux without its banner, which carries the database hash."""
+    return (proj / "gen" / "demo_diag_mux.sv").read_text().split(" database hash ", 1)[1][11:]
+
+
+def _crc(proj) -> int:
+    return zlib.crc32((proj / "regs.csv").read_bytes())
+
+
+FIXTURE_CODES = {0: "diag_fsm_idle", 1: "diag_overflow", 2: "diag_tick"}
+
+
+class TestDiagTaps:
+    """update records each diagnostic tap's select code in regs.csv, and
+    generate renders the mux from those codes alone."""
+
+    def test_tap_added_ahead_of_the_others_takes_the_next_code(self, proj, capsys):
+        assert main(["update"]) == 0
+        assert main(["generate"]) == 0
+        assert _mux_cases(proj) == FIXTURE_CODES
+        before = _crc(proj)
+        _edit(proj, "rtl/dsp_core.sv", "  output logic        diag_fsm_idle,",
+              "  output logic        diag_aaa_new,\n  output logic        diag_fsm_idle,")
+        capsys.readouterr()
+        assert main(["update"]) == 0
+        assert capsys.readouterr().out == "tap added: diag_aaa_new (code 3)\nunchanged: 13\n"
+        assert _crc(proj) != before
+        assert main(["generate"]) == 0
+        assert _mux_cases(proj) == {**FIXTURE_CODES, 3: "diag_aaa_new"}
+        assert f"rdata_next = 32'h{_crc(proj):08x};  // id" in \
+            (proj / "gen" / "demo_csr.sv").read_text()
+
+    # (file, old text, new text): each edit changes the taps update finds
+    EDITS = [
+        ("rtl/dsp_core.sv", "diag_overflow,", "diag_ovf,"),  # renamed: retired and added
+        ("rtl/timer_unit.sv", "diag_tick,", "diag_tock,"),
+        ("rtl/timer_unit.sv", "diag_tock,", "diag_tick,"),  # back at its old code
+        ("rtl/io_ctrl.sv", "module io_ctrl (", "module io_ctrl (\n  output logic diag_io,"),
+        ("rtl/dsp_core.sv", "diag_ovf,", "diag_overflow,"),
+    ]
+
+    def test_every_mux_change_changes_the_database_crc(self, proj):
+        assert main(["update"]) == 0
+        assert main(["generate"]) == 0
+        for name, old, new in self.EDITS:
+            body, crc = _mux_body(proj), _crc(proj)
+            _edit(proj, name, old, new)
+            assert main(["update"]) == 0
+            assert main(["generate"]) == 0
+            assert _mux_body(proj) != body and _crc(proj) != crc, (name, new)
+        assert _mux_cases(proj) == {0: "diag_fsm_idle", 1: "diag_overflow", 2: "diag_tick",
+                                    5: "diag_io"}
+        taps = regdb.parse_taps(next(row[regdb.TAPS_COLUMN] for row in csv.DictReader(
+            io.StringIO((proj / "regs.csv").read_text())) if row["name"] == regdb.DIAG_SEL))
+        assert [(t.name, t.retired) for t in taps] == [
+            ("diag_fsm_idle", False), ("diag_overflow", False), ("diag_tick", False),
+            ("diag_ovf", True), ("diag_tock", True), ("diag_io", False)]
+
+    def test_retired_tap_comes_back_at_its_code(self, proj, fixtures_dir, capsys):
+        assert main(["update"]) == 0
+        _edit(proj, "rtl/dsp_core.sv", "  output logic        diag_overflow,\n", "")
+        _edit(proj, "rtl/dsp_core.sv", "always_comb diag_overflow = acc[31];\n", "")
+        capsys.readouterr()
+        assert main(["update"]) == 0
+        assert capsys.readouterr().out == "tap retired: diag_overflow (code 1)\nunchanged: 13\n"
+        assert main(["generate"]) == 0
+        assert _mux_cases(proj) == {0: "diag_fsm_idle", 2: "diag_tick"}
+        assert "DEMO_DIAG_SEL_DIAG_OVERFLOW" not in (proj / "gen" / "demo_regs.h").read_text()
+        shutil.copy(fixtures_dir / "rtl" / "dsp_core.sv", proj / "rtl" / "dsp_core.sv")
+        capsys.readouterr()
+        assert main(["update"]) == 0
+        assert capsys.readouterr().out == \
+            "tap reactivated: diag_overflow (code 1)\nunchanged: 13\n"
+        assert main(["generate"]) == 0
+        assert _mux_cases(proj) == FIXTURE_CODES
+
+    def test_database_without_taps_takes_the_scan_order(self, proj, capsys):
+        """A regs.csv from before the taps were recorded: generate asks for an
+        update, and the first update gives the taps the codes of the scan order."""
+        assert main(["update"]) == 0
+        assert main(["generate"]) == 0
+        fresh, body = (proj / "regs.csv").read_text(), _mux_body(proj)
+        old = "".join(line.rsplit(",", 1)[0] + "\n" for line in fresh.splitlines())
+        (proj / "regs.csv").write_text(old)
+        before = tree_digest(proj / "gen")
+        capsys.readouterr()
+        assert main(["generate"]) == 3
+        assert capsys.readouterr().err == \
+            "error: database records no diagnostic taps (run update)\n"
+        assert tree_digest(proj / "gen") == before
+        assert main(["update"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"tap added: {name} (code {code})\n" for code, name in FIXTURE_CODES.items()) + \
+            "unchanged: 13\n"
+        assert (proj / "regs.csv").read_text() == fresh
+        assert main(["generate"]) == 0
+        assert _mux_body(proj) == body
+
+    def test_database_that_never_held_a_tap_has_no_column(self, proj):
+        assert main(["update", "--targets", "rtl,md"]) == 0
+        assert (proj / "regs.csv").read_text().startswith(",".join(regdb.CANONICAL_COLUMNS) + "\n")
+        assert main(["update"]) == 0
+        header = (proj / "regs.csv").read_text().split("\n", 1)[0]
+        assert header == ",".join(regdb.CANONICAL_COLUMNS) + ",diag_taps"
+
+    def test_generate_reads_no_rtl(self, proj):
+        assert main(["update"]) == 0
+        shutil.rmtree(proj / "rtl")
+        assert main(["generate"]) == 0
+        assert tree_digest(proj / "gen") == TestGolden.TREE_SHA256
+
+
 class TestCandidateExtraction:
-    """generate renders the diag mux from the diag taps alone; only update
+    """generate renders the diag mux from the database alone; only update
     needs register candidates."""
 
     @pytest.fixture
@@ -428,6 +551,14 @@ class TestWriteOutputs:
         changed = cli._write_outputs(tmp_path / "gen", batches())
         assert changed == {"out0.txt": True, "out1.txt": True, "out2.txt": True}
         assert (tmp_path / "gen" / "out2.txt").read_text() == "text 2\n"
+
+    def test_each_file_holds_its_texts_utf8_bytes(self, tmp_path):
+        """No newline is translated, and a second write of the same texts replaces nothing."""
+        texts = {"crlf.txt": "a\r\nb\rc\n", "utf8.txt": "é ü\n", "empty.txt": ""}
+        for changed in (True, False):
+            assert cli._write_outputs(tmp_path, [texts]) == dict.fromkeys(texts, changed)
+            assert {n: (tmp_path / n).read_bytes() for n in texts} == \
+                {n: t.encode("utf-8") for n, t in texts.items()}
 
 
 class TestFileModes:
@@ -699,7 +830,7 @@ _SELFTEST = ("run-test", "--script", "gen/demo_selftest.txt")
 # regs.csv as update wrote it, then edited: every old text is replaced
 DB_TEXTS = {
     "canonical": (),
-    "extra-column": ((",state\n", ",state,owner\n"), (",active\n", ",active,me\n")),
+    "extra-column": ((",state,", ",state,owner,"), (",active,", ",active,me,")),
     "reset-wider-than-width": (("cfg_gain,8,RW,0x0,", "cfg_gain,8,RW,0x100,"),),
     "width-0": (("cfg_gain,8,", "cfg_gain,0,"),),
     "width-33": (("cfg_gain,8,", "cfg_gain,33,"),),
@@ -713,6 +844,10 @@ DB_TEXTS = {
     "name-Base": (("cfg_gain,8", "Base,8"),),
     "nul-in-description": (("0x4,dsp_core,,", "0x4,dsp_core,a\0b,"),),
     "huge-description": (("0x4,dsp_core,,", "0x4,dsp_core," + "x" * 140_000 + ","),),
+    "tap-listed-twice": (("diag_overflow@dsp_core", "diag_fsm_idle@dsp_core"),),
+    "tap-on-another-row": (("0x4,dsp_core,,active,", "0x4,dsp_core,,active,diag_x@dsp_core"),),
+    "tap-codes-too-wide": (("cfg_diag_sel,4,", "cfg_diag_sel,1,"),),
+    "tap-retired": (("diag_tick@timer_unit", "diag_tick@timer_unit:retired"),),
 }
 
 
@@ -854,6 +989,12 @@ EXIT_CODE_TABLE = [
      "error: Base: name reserved for the base address\n" + _INVALID),
     ("run-test-huge-description", _regs("huge-description"), 2,
      "error: row 2: field larger than field limit (131072)\n"),
+    ("generate-tap-listed-twice", _regs("tap-listed-twice", ("generate",)), 3,
+     "error: cfg_diag_sel: diagnostic tap diag_fsm_idle listed twice\n" + _INVALID),
+    ("generate-tap-on-another-row", _regs("tap-on-another-row", ("generate",)), 3,
+     "error: cfg_gain: diag_taps is set only on cfg_diag_sel\n" + _INVALID),
+    ("generate-tap-codes-too-wide", _regs("tap-codes-too-wide", ("generate",)), 3,
+     "error: cfg_diag_sel: 2-bit diagnostic select codes do not fit in 1 bits\n" + _INVALID),
 ]
 
 
@@ -901,7 +1042,7 @@ class TestOnePassEquivalence:
         assert results[0] == results[1]
         # the two canonical texts take the one pass; every defect, NUL
         # included, is left to csv
-        assert (reads[0] == 0) == (name in ("canonical", "extra-column"))
+        assert (reads[0] == 0) == (name in ("canonical", "extra-column", "tap-retired"))
 
 
 def _subcommand_flags():
@@ -941,9 +1082,8 @@ class TestSettings:
     FLAGS = {
         "update": ["--block", "--control-prefix", "--db", "--diag-pins", "--diag-prefix",
                    "--match-mode", "--region-size", "--rtl", "--status-prefix", "--targets"],
-        "generate": ["--base", "--block", "--db", "--diag-pins", "--diag-prefix", "--map",
-                     "--match-mode", "--out", "--pads", "--region-size", "--rtl", "--targets",
-                     "--unmapped-value"],
+        "generate": ["--base", "--block", "--db", "--diag-pins", "--map", "--out", "--pads",
+                     "--region-size", "--targets", "--unmapped-value"],
         "lint": [],
         "sim": ["--db", "--fault", "--listen", "--map", "--prompt", "--sram-mode",
                 "--unmapped-value"],
@@ -1003,9 +1143,11 @@ class TestDuplicatePaths:
         assert hashlib.sha256((proj / "regs.csv").read_bytes()).hexdigest() == \
             TestGolden.REGS_SHA256
 
-    def test_generate_with_one_directory_spelled_twice(self, proj):
-        assert main(["update"]) == 0
-        assert main(["generate", "--rtl", "rtl", "./rtl"]) == 0
+    def test_update_with_one_directory_spelled_twice(self, proj, capsys):
+        assert main(["update", "--rtl", "rtl", "./rtl"]) == 0
+        report = capsys.readouterr().out
+        assert hashlib.sha256(report.encode()).hexdigest() == TestGolden.REPORT_SHA256
+        assert main(["generate"]) == 0
         assert tree_digest(proj / "gen") == TestGolden.TREE_SHA256
 
     def test_lint_reports_each_violation_once(self, proj, fixtures_dir, capsys):
@@ -1139,7 +1281,8 @@ class TestConfigPlumbing:
             assert main(["update"]) == 0
         code, _, loaded = _loaded_modules(proj, [command])
         assert code == "exit 0"
-        assert "chipkit.sv_scan" in loaded
+        # generate renders from the database alone
+        assert ("chipkit.sv_scan" in loaded) == (command != "generate")
         assert not {"chipkit.busmodel", "chipkit.uart_host"} & loaded
         assert not _START_UP & loaded
         # only generate renders, so lint and update load no emitter or script

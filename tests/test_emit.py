@@ -5,12 +5,13 @@ import sys
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import strategies
 from chipkit import DataError, emit, regdb, sv_scan
 from chipkit.emit import EmitConfig, load_pad_db
 from chipkit.memmap import MemoryMap, Region
-from chipkit.regdb import RETIRED, RegDb, RegEntry, db_hash, update_db
+from chipkit.regdb import RETIRED, DiagTap, RegDb, RegEntry, db_hash, update_db
 from chipkit.script import format_word, scan_script
 from chipkit.sv_scan import CsrCandidate, SourceFile, lint, parse_modules
 from test_memory_guard import _render_inputs
@@ -316,8 +317,23 @@ def diag_db(width=4, access="RW"):
     return db
 
 
-def diag_mux(db, cfg, names):
-    return emit.emit_diag_mux(emit.prepare(db, cfg, db_hash(db)), names)
+def record_taps(db, taps):
+    """db with taps, DiagTap records or names of active ones, as its select register's codes."""
+    taps = [t if isinstance(t, DiagTap) else DiagTap(t, "m") for t in taps]
+    db.entries[0].extra[regdb.TAPS_COLUMN] = regdb.format_taps(taps)
+    db.columns.append(regdb.TAPS_COLUMN)
+    return db
+
+
+def diag_mux(db, cfg, taps):
+    db = record_taps(db, taps)
+    return emit.emit_diag_mux(emit.prepare(db, cfg, db_hash(db)))
+
+
+def case_labels(mux: str, pin: int) -> dict[int, str]:
+    """Select code -> tap of one pin's case statement."""
+    return {int(code): name for code, name in
+            re.findall(rf"\d+'d(\d+): pin{pin}_val = (\w+);", mux)}
 
 
 class TestDiagMux:
@@ -332,23 +348,34 @@ class TestDiagMux:
         assert "cfg_diag_sel" not in text.split("database hash")[1]
         assert "always_comb pin0_val = diag_only;" in text
 
+    def test_no_recorded_taps_is_error(self):
+        db = diag_db()
+        with pytest.raises(DataError, match=r"^database records no diagnostic taps \(run update\)$"):
+            emit.emit_diag_mux(emit.prepare(db, ONE_PIN, db_hash(db)))
+
     def test_no_signals_is_error(self):
+        """Every tap recorded is retired."""
         with pytest.raises(DataError, match="^diagnostic mux needs at least one signal$"):
-            diag_mux(diag_db(), ONE_PIN, [])
+            diag_mux(diag_db(), ONE_PIN, [DiagTap("diag_a", "m", True)])
 
     def test_duplicate_signals_are_an_error(self):
-        with pytest.raises(DataError, match="^duplicate diagnostic signal names across modules$"):
+        with pytest.raises(DataError, match="^diagnostic tap diag_a listed twice$"):
             diag_mux(diag_db(), CFG, ["diag_a", "diag_b", "diag_a"])
 
+    def test_signals_differing_only_in_case_are_an_error(self):
+        with pytest.raises(DataError, match="^diagnostic tap diag_A differs from diag_a only in case$"):
+            diag_mux(diag_db(), CFG, ["diag_a", "diag_A"])
+
     def test_select_register_too_narrow(self):
-        with pytest.raises(DataError, match="^cfg_diag_sel is 2 bits; need 4 for 4 signals on 2 pins$"):
+        with pytest.raises(DataError, match="^cfg_diag_sel is 2 bits; need 4 for 4 select codes "
+                                            "on 2 pins$"):
             diag_mux(diag_db(width=2), CFG, [f"diag_{c}" for c in "abcd"])
 
     MISSING = r"^database has no active RW cfg_diag_sel \(run update with diag enabled\)$"
 
     def test_missing_select_register(self):
         with pytest.raises(DataError, match=self.MISSING):
-            emit.emit_diag_mux(emit.prepare(RegDb(), CFG, EMPTY_HASH), ["diag_a"])
+            emit.emit_diag_mux(emit.prepare(RegDb(), CFG, EMPTY_HASH))
 
     def test_retired_select_register(self):
         db = diag_db()
@@ -364,9 +391,53 @@ class TestDiagMux:
         text = diag_mux(diag_db(2), ONE_PIN, [f"diag_{c}" for c in "abc"])
         assert "default: pin0_val = 1'b0;" in text
 
+    def test_retired_tap_keeps_its_code_reserved(self):
+        """A retired tap leaves its code to the default; the codes after it stay."""
+        text = diag_mux(diag_db(4), CFG, ["diag_a", DiagTap("diag_b", "m", True), "diag_c"])
+        assert "diag_b" not in text
+        for pin in (0, 1):
+            assert case_labels(text, pin) == {0: "diag_a", 2: "diag_c"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(retired=st.lists(st.booleans(), min_size=1, max_size=12), pins=st.integers(1, 3))
+    def test_case_labels_are_the_database_codes(self, retired, pins):
+        assume(not all(retired))
+        taps = [DiagTap(f"diag_{i}", f"m{i % 3}", r) for i, r in enumerate(retired)]
+        cfg = CFG._replace(diag_pins=pins)
+        db = record_taps(diag_db(max(1, regdb.diag_select_bits(taps) * pins)), taps)
+        regs = emit.prepare(db, cfg, db_hash(db))
+        text = emit.emit_diag_mux(regs)
+        codes = {code: t.name for code, t in enumerate(regdb.parse_taps(
+            db.entries[0].extra[regdb.TAPS_COLUMN])) if not t.retired}
+        if regdb.diag_select_bits(taps):
+            assert all(case_labels(text, pin) == codes for pin in range(pins))
+        else:
+            assert codes == {0: "diag_0"} and "pin0_val = diag_0;" in text
+
+
+def test_views_list_the_database_select_codes():
+    """The C, Python and Markdown views list each active tap at its code, and
+    a database with no taps lists none."""
+    taps = ["diag_a", DiagTap("diag_b", "m", True), "diag_c"]
+    db = record_taps(diag_db(4), taps)
+    regs = emit.prepare(db, CFG, db_hash(db))
+    c_text, py_text = emit.emit_sw_views(regs)
+    namespace = {}
+    exec(py_text, namespace)
+    md = emit.emit_markdown(regs)
+    assert dict(re.findall(r"#define MYBLK_DIAG_SEL_(\w+) (\d+)", c_text)) == \
+        {"DIAG_A": "0", "DIAG_C": "2"}
+    assert namespace["DIAG_SELECT"] == {"diag_a": 0, "diag_c": 2}
+    assert re.findall(r"\| (diag_\w) \| (\d) \| m \| (\w+) \|", md) == \
+        [("diag_a", "0", "active"), ("diag_b", "1", "retired"), ("diag_c", "2", "active")]
+    bare = emit.prepare(diag_db(4), CFG, 0)
+    assert "MYBLK_DIAG_SEL_" not in "".join(emit.emit_sw_views(bare))
+    assert "DIAG_SELECT" not in "".join(emit.emit_sw_views(bare))
+    assert "Diagnostic select codes" not in emit.emit_markdown(bare)
+
 
 def test_emit_loads_no_scanner():
-    """The emitters render from the database and tap names alone."""
+    """The emitters render from the database alone."""
     result = subprocess.run([sys.executable, "-c", "import sys, chipkit.emit; "
                              "print(sorted(m for m in sys.modules if m.startswith('chipkit.')))"],
                             capture_output=True, text=True, check=True)
@@ -442,13 +513,13 @@ class TestDeterminismAndClosure:
     def test_render_targets_deterministic(self):
         db = make_db(cand("cfg_a"), cand("sts_b", 1, "RO"))
         m = MemoryMap([Region("csr0", "csr", 0x70000000, 0x1000)])
-        diags = ["diag_z"]
         db2, _ = update_db(db, [cand("cfg_a"), cand("sts_b", 1, "RO"),
-                                CsrCandidate("cfg_diag_sel", 2, "RW", "myblk_diag_mux")])
+                                CsrCandidate("cfg_diag_sel", 2, "RW", "myblk_diag_mux")],
+                           taps=[DiagTap("diag_z", "m1")])
         hash32 = db_hash(db2)
         regs = emit.prepare(db2, CFG, hash32)
-        first = emit.render_targets(regs, memmap=m, diags=diags, pads=())
-        second = emit.render_targets(emit.prepare(db2, CFG, hash32), memmap=m, diags=diags, pads=())
+        first = emit.render_targets(regs, memmap=m, pads=())
+        second = emit.render_targets(emit.prepare(db2, CFG, hash32), memmap=m, pads=())
         assert first == second
         assert first[emit.output_name("rtl", CFG)] == emit.emit_csr_rtl(regs)
         assert first[emit.output_name("md", CFG)] == emit.emit_markdown(regs)
@@ -458,12 +529,14 @@ class TestDeterminismAndClosure:
 
     # sha256 of each rendered file's name, then its text, in name order, for
     # test_memory_guard's 4,000-register inputs with all nine targets; taken
-    # before the emitters rendered one block per register
-    SCALE_SHA256 = "f451a93df35861b504c5d462e679e70d5b624c473c4bc69e8c57dd6e3069ae1d"
+    # before the emitters rendered one block per register, and moved only when
+    # the database recorded the taps: the banner hash, and the select codes
+    # that the C, Python and Markdown views list
+    SCALE_SHA256 = "70dfea1ee145dda4c2f0d8a0eb026076582556cd512f0c3759ab7941c3fbde86"
 
     def test_render_targets_at_scale_is_byte_identical(self):
-        db, cfg, memmap, diags, pads = _render_inputs()
-        out = emit.render_targets(emit.prepare(db, cfg, db_hash(db)), memmap, diags, pads)
+        db, cfg, memmap, pads = _render_inputs()
+        out = emit.render_targets(emit.prepare(db, cfg, db_hash(db)), memmap, pads)
         digest = hashlib.sha256()
         for name in sorted(out):
             digest.update(name.encode())
@@ -483,8 +556,7 @@ class TestDeterminismAndClosure:
         assert diags == []
         assert lint(rtl_src) == []
 
-        db = diag_db(2)
-        mux_src = SourceFile("mux.sv", diag_mux(db, CFG, ["diag_a", "diag_b"]))
+        mux_src = SourceFile("mux.sv", diag_mux(diag_db(2), CFG, ["diag_a", "diag_b"]))
         mux_diags = []
         assert len(parse_modules(mux_src, mux_diags)) == 1
         assert mux_diags == []

@@ -160,7 +160,7 @@ def _shared_map_renders_as_fresh(db, cfg, hash32):
     group: no emitter changes what it or another reads."""
     def render(regs, group):
         return _outcome(emit.render_targets, regs._replace(cfg=cfg._replace(targets=group)),
-                        _MAP, ["diag_a"])
+                        _MAP)
 
     groups = _groups(cfg.targets)
     fresh = {group: render(emit.prepare(db, cfg, hash32), group) for group in groups}

@@ -10,8 +10,9 @@ import zlib
 from chipkit import busmodel, cli, emit, script, uart_host
 from chipkit.emit import Pad
 from chipkit.memmap import MemoryMap, Region
-from chipkit.regdb import (EmitConfig, RegDb, RegEntry, db_hash, diag_select_bits,
-                           load_canonical_db, load_db, save_db)
+from chipkit.regdb import (CANONICAL_COLUMNS, TAPS_COLUMN, DiagTap, EmitConfig, RegDb, RegEntry,
+                           db_hash, diag_select_bits, format_taps, load_canonical_db, load_db,
+                           save_db)
 
 # peak traced bytes of load_script + run_script on SCRIPT_TEXT when load_script
 # built a ScriptStep per step (Python 3.11.7); the model's own words count too
@@ -82,27 +83,26 @@ def test_one_pass_over_4000_rows_peaks_no_higher_than_load_db():
 
 def _render_inputs():
     """4,000 registers, some retired, in a 64 KiB region, with the diag mux's
-    select register, 100 taps and 40 pads: every target renders."""
+    select register and its 100 taps, and 40 pads: every target renders."""
     entries = [RegEntry(f"{'cfg' if i % 3 else 'sts'}_r{i:04d}", 1 + i % 32,
                         "RW" if i % 3 else "RO", i % 2, 4 + 4 * i, f"blk_{i // 40:03d}",
                         ["", "gain stage", "a | b"][i % 3], "retired" if i % 50 == 0 else "active")
                for i in range(4000)]
-    diags = [f"diag_{i:03d}" for i in range(100)]
-    entries.append(RegEntry("cfg_diag_sel", 2 * diag_select_bits(diags), "RW", 0,
-                            4 + 4 * 4000, "blk_diag_mux"))
-    db = RegDb(entries)
+    taps = [DiagTap(f"diag_{i:03d}", "blk_taps") for i in range(100)]
+    entries.append(RegEntry("cfg_diag_sel", 2 * diag_select_bits(taps), "RW", 0,
+                            4 + 4 * 4000, "blk_diag_mux", extra={TAPS_COLUMN: format_taps(taps)}))
+    db = RegDb(entries, list(CANONICAL_COLUMNS) + [TAPS_COLUMN])
     cfg = EmitConfig(block_name="blk", base_address=0x70000000, csr_region_size_bytes=0x10000)
     memmap = MemoryMap([Region("csr0", "csr", 0x70000000, 0x10000),
                         Region("sram0", "sram", 0x60000000, 0x100000)])
     pads = tuple(Pad(f"p{i}", "NESW"[i % 4], i // 4, "PADCELL", f"sig{i}") for i in range(40))
-    return db, cfg, memmap, diags, pads
+    return db, cfg, memmap, pads
 
 
 def test_generate_renders_the_selftest_straight_to_text():
-    db, cfg, memmap, diags, pads = _render_inputs()
+    db, cfg, memmap, pads = _render_inputs()
     hash32 = db_hash(db)
-    out, peak = _peak(lambda: emit.render_targets(emit.prepare(db, cfg, hash32),
-                                                  memmap, diags, pads))
+    out, peak = _peak(lambda: emit.render_targets(emit.prepare(db, cfg, hash32), memmap, pads))
     assert len(out) == 9
     assert peak < 0.7 * RECORD_SELFTEST_PEAK
     # the text, and the blocks it is joined from, one per register; one join
@@ -113,18 +113,15 @@ def test_generate_renders_the_selftest_straight_to_text():
 
 
 def _write_project(root):
-    """_render_inputs() as a project on disk: the database, map and pad files,
-    and one RTL module with the 100 taps; every target renders."""
-    db, emit_cfg, memmap, diags, pads = _render_inputs()
+    """_render_inputs() as a project on disk: the database, map and pad files;
+    every target renders."""
+    db, emit_cfg, memmap, pads = _render_inputs()
     (root / "regs.csv").write_text(save_db(db), encoding="utf-8")
     (root / "soc.map").write_text("".join(f"region {r.name} {r.kind} {r.base:#x} {r.size_bytes:#x}\n"
                                           for r in memmap.regions))
     (root / "pads.csv").write_text("name,side,order,cell,signal\n" + "".join(
         f"{p.name},{p.side},{p.order_index},{p.cell_type},{p.signal}\n" for p in pads))
-    (root / "taps.sv").write_text("module blk_taps (\n" + ",\n".join(
-        f"  output logic {d}" for d in diags) + "\n);\nendmodule\n")
     cfg = cli.ProjectConfig()
-    cfg.rtl_paths = [str(root / "taps.sv")]
     cfg.db_path, cfg.out_dir = str(root / "regs.csv"), str(root / "gen")
     cfg.map_path, cfg.pads_path = str(root / "soc.map"), str(root / "pads.csv")
     cfg.emit = emit_cfg

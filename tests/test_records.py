@@ -38,8 +38,9 @@ CASES = [
      dict(entries=[RegEntry("a", 8, "RW")], columns=["name"]),
      dict(entries=[RegEntry("a", 9, "RW")], columns=["name", "state"])),
     ("ChangeReport", _set(ChangeReport),
-     dict(added=["a"], modified=[], retired=[], unchanged_count=1),
-     dict(added=[], modified=[("a", "width", 1, 2)], retired=["b"], unchanged_count=2)),
+     dict(added=["a"], modified=[], retired=[], taps=[], unchanged_count=1),
+     dict(added=[], modified=[("a", "width", 1, 2)], retired=["b"],
+          taps=[("added", "diag_a", 0, "")], unchanged_count=2)),
     ("DbError", DbError, dict(entry="a", message="m"), dict(entry="", message="n")),
     ("NamingConvention", NamingConvention,
      dict(control_prefix="cfg_", status_prefix="sts_", diag_prefix="diag_",

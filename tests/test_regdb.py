@@ -8,11 +8,21 @@ import strategies as dbst
 from chipkit import DataError, InputError
 from chipkit.regdb import (
     ACTIVE,
+    CANONICAL_COLUMNS,
+    DIAG_SEL,
     RETIRED,
+    TAPS_COLUMN,
+    DbError,
+    DiagTap,
     RegDb,
     RegEntry,
     db_hash,
+    diag_select_bits,
+    format_taps,
+    load_canonical_db,
     load_db,
+    merge_taps,
+    parse_taps,
     save_db,
     update_db,
     validate_db,
@@ -81,6 +91,13 @@ class TestLoadSave:
         db = load_db(text)
         assert db.entries[0].extra == {"owner": "alice"}
         assert save_db(db) == text
+
+    def test_extra_cells_kept_only_when_not_empty(self):
+        """An entry carries no dict of empty cells; save_db writes them back."""
+        text = HEADER[:-1] + ",owner,notes\na,8,RW,0x0,0x4,m,,active,,\nb,8,RW,0x0,0x8,m,,active,,x\n"
+        for db in (load_db(text), load_canonical_db(text)[0]):
+            assert [e.extra for e in db.entries] == [{}, {"notes": "x"}]
+            assert save_db(db) == text
 
     def test_save_sorts_by_offset(self):
         db = load_db(HEADER + "b,8,RW,0x0,0x8,m,,active\na,8,RW,0x0,0x4,m,,active\n")
@@ -245,6 +262,124 @@ class TestValidate:
         db = RegDb(entries=[RegEntry("a", 33, "XX", offset_bytes=4, state="gone")])
         messages = " ".join(p.message for p in validate_db(db))
         assert "width" in messages and "access" in messages and "state" in messages
+
+
+def sel_db(cell, width=4, name=DIAG_SEL):
+    db = RegDb(entries=[RegEntry(name, width, "RW", offset_bytes=4, extra={TAPS_COLUMN: cell})],
+               columns=list(CANONICAL_COLUMNS) + [TAPS_COLUMN])
+    return db
+
+
+class TestTaps:
+    @pytest.mark.parametrize("cell, width, name, message", [
+        ("diag_a@m", 4, "cfg_other", "diag_taps is set only on cfg_diag_sel"),
+        ("diag_a@m  diag_b@m", 4, DIAG_SEL,
+         "bad diagnostic tap '' (name@module, :retired if retired)"),
+        ("diag_a@m 2x@m", 4, DIAG_SEL,
+         "bad diagnostic tap '2x@m' (name@module, :retired if retired)"),
+        ("diag_a@m:gone", 4, DIAG_SEL,
+         "bad diagnostic tap 'diag_a@m:gone' (name@module, :retired if retired)"),
+        ("diag_a@m\n", 4, DIAG_SEL,
+         "bad diagnostic tap 'diag_a@m\\n' (name@module, :retired if retired)"),
+        ("diag_a@m diag_b@n:retired diag_a@n", 4, DIAG_SEL, "diagnostic tap diag_a listed twice"),
+        ("diag_a@m diag_A@m", 4, DIAG_SEL, "diagnostic tap diag_A differs from diag_a only in case"),
+        ("a@m b@m c@m d@m e@m:retired", 2, DIAG_SEL,
+         "3-bit diagnostic select codes do not fit in 2 bits"),
+    ])
+    def test_validate_checks_the_cell(self, cell, width, name, message):
+        db = sel_db(cell, width, name)
+        assert validate_db(db) == [DbError(name, message)]
+        # the one-pass reader leaves such a text to csv and validate_db
+        assert load_canonical_db(save_db(db)) is None
+
+    def test_tap_macro_that_a_register_defines(self):
+        db = sel_db("x_addr@m diag_a@m")
+        db.entries.append(RegEntry("diag_sel_x", 8, "RW", offset_bytes=8))
+        assert validate_db(db) == [DbError(
+            DIAG_SEL, "diagnostic tap x_addr's C macro DIAG_SEL_X_ADDR is also register DIAG_SEL_X's")]
+        assert load_canonical_db(save_db(db)) is None
+
+    def test_valid_cell(self):
+        db = sel_db("diag_a@m diag_b@n:retired diag_c@m", 2)
+        assert validate_db(db) == []
+        assert load_canonical_db(save_db(db))[0] == db
+
+    def test_select_bits_hold_the_highest_code(self):
+        taps = [DiagTap(f"t{i}", "m", i % 2 == 1) for i in range(5)]
+        assert [diag_select_bits(taps[:n]) for n in range(6)] == [0, 0, 1, 2, 2, 3]
+
+    def test_scan_duplicates_rejected(self):
+        with pytest.raises(DataError, match="^duplicate diagnostic signal names across modules$"):
+            merge_taps([DiagTap("t", "a")], [("t", "a"), ("t", "b")], {"a", "b"})
+
+    def test_update_db_records_the_taps_after_state(self):
+        db = RegDb(columns=list(CANONICAL_COLUMNS) + ["owner"])
+        new, report = update_db(db, [cand("cfg_a"), cand(DIAG_SEL, 2, origin="blk_diag_mux")],
+                                taps=[DiagTap("diag_x", "m1"), DiagTap("diag_y", "m2")])
+        assert new.columns == list(CANONICAL_COLUMNS) + [TAPS_COLUMN, "owner"]
+        assert [e.extra for e in new.entries] == [{}, {TAPS_COLUMN: "diag_x@m1 diag_y@m2"}]
+        assert report.taps == [("added", "diag_x", 0, ""), ("added", "diag_y", 1, "")]
+        assert db.columns == list(CANONICAL_COLUMNS) + ["owner"]  # the input is unchanged
+
+    def test_update_db_reports_each_changed_tap(self):
+        db = sel_db("diag_a@m diag_b@m diag_c@m:retired diag_d@m")
+        taps = [DiagTap("diag_a", "m", True), DiagTap("diag_b", "n"), DiagTap("diag_c", "m"),
+                DiagTap("diag_d", "m"), DiagTap("diag_e", "m")]
+        new, report = update_db(db, [], scanned_modules=set(), taps=taps)
+        assert report.taps == [("retired", "diag_a", 0, ""),
+                               ("moved", "diag_b", 1, " from m to n"),
+                               ("reactivated", "diag_c", 2, ""), ("added", "diag_e", 4, "")]
+        assert parse_taps(new.entries[0].extra[TAPS_COLUMN]) == taps
+
+    def test_no_taps_no_column(self):
+        new, report = update_db(RegDb(), [cand(DIAG_SEL, 1)], taps=[])
+        assert new.columns == list(CANONICAL_COLUMNS) and new.entries[0].extra == {}
+        assert report.taps == []
+
+
+_TAP_NAMES = [f"diag_{c}" for c in "abcdefgh"]
+_TAP_MODULES = ["m0", "m1", "m2"]
+
+
+@st.composite
+def tap_scans(draw):
+    """Successive scans: the (name, module) pairs each found, in scan order,
+    and the modules it scanned, which hold every module it found a tap in."""
+    scans = []
+    for _ in range(draw(st.integers(1, 8))):
+        names = draw(st.lists(st.sampled_from(_TAP_NAMES), unique=True, max_size=6))
+        found = [(n, draw(st.sampled_from(_TAP_MODULES))) for n in names]
+        scanned = set(draw(st.lists(st.sampled_from(_TAP_MODULES), unique=True)))
+        scans.append((found, scanned | {m for _, m in found}))
+    return scans
+
+
+@settings(max_examples=300, deadline=None)
+@given(scans=tap_scans())
+def test_tap_codes_are_allocated_as_offsets(scans):
+    """Over any sequence of tap sets: a tap keeps its code in every revision,
+    a retired tap's code is never given to another, and each new tap takes the
+    lowest code no tap held, in scan order."""
+    taps, codes = [], {}  # codes: name -> the code it was first given
+    for found, scanned in scans:
+        before, where = taps, dict(found)
+        taps = merge_taps(taps, found, scanned)
+        assert parse_taps(format_taps(taps)) == taps
+        code_of = {t.name: code for code, t in enumerate(taps)}
+        assert len(code_of) == len(taps)
+        assert all(code_of[name] == code for name, code in codes.items())
+        for name, _ in found:
+            if name not in codes:
+                held = set(codes.values())
+                assert code_of[name] == min(c for c in range(len(taps)) if c not in held)
+                codes[name] = code_of[name]
+        assert sorted(codes.values()) == list(range(len(taps)))  # no code freed or skipped
+        for code, tap in enumerate(taps):
+            if tap.name in where:
+                assert tap == DiagTap(tap.name, where[tap.name])
+            else:
+                was = before[code]
+                assert tap == was._replace(retired=was.retired or was.origin_module in scanned)
 
 
 class TestProperties:

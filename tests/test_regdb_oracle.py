@@ -76,11 +76,21 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def _without_empty_cells(outcome):
+    """The oracle's outcome with each entry's empty extra cells dropped: an
+    entry's extra holds only its non-empty cells, which save_db writes back
+    with the empty ones, so no entry carries a dict of empty cells."""
+    if outcome[0] == "ok":
+        for e in outcome[1].entries:
+            e.extra = {c: v for c, v in e.extra.items() if v}
+    return outcome
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=db_texts(), added=st.lists(st.sampled_from(["owner", "new", "state"]), max_size=2))
 def test_load_and_save_match_oracle(text, added):
     loaded = _outcome(regdb.load_db, text)
-    assert loaded == _outcome(regdb_oracle.load_db, text)
+    assert loaded == _without_empty_cells(_outcome(regdb_oracle.load_db, text))
     if loaded[0] != "ok":
         return
     db = loaded[1]
