@@ -313,7 +313,7 @@ def cmd_update(cfg: ProjectConfig) -> int:
     diag_origin = f"{cfg.emit.block_name}_diag_mux"
     taps = None
     if "diag" in cfg.emit.targets:
-        sel = next((e for e in db.entries if e.name == regdb.DIAG_SEL), None)
+        sel = db.entry(regdb.DIAG_SEL)
         held = regdb.parse_taps(sel.extra.get(regdb.TAPS_COLUMN, "") if sel else "")
         taps = regdb.merge_taps(held, diag_candidates, scanned_for_update)
         sel_bits = regdb.diag_select_bits(taps)
@@ -371,7 +371,7 @@ def cmd_generate(cfg: ProjectConfig) -> int:
     from . import emit
     db, hash32 = _load_db_checked(cfg)
     memmap = None
-    if "memmap" in cfg.emit.targets:
+    if cfg.map_path or "memmap" in cfg.emit.targets:  # every view's addresses are in the map
         memmap = _load_map(cfg)
         region = memmap.region_at(cfg.emit.base_address)
         if region is None or region.kind != "csr" or region.base != cfg.emit.base_address \

@@ -11,12 +11,11 @@ register emitter renders from and none changes.
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple
 
 from . import DataError, InputError
 from . import regdb as rdb
-from .memmap import MemoryMap
+from .memmap import MemoryMap, macro_name
 from .regdb import ACCESS_RO, ACCESS_RW, ACTIVE, DIAG_SEL, ID_REG_NAME, ID_REG_OFFSET, RETIRED
 from .regdb import OFFSET_KEY, TAPS_COLUMN, DiagTap, EmitConfig, RegDb
 from .script import RESP_OK, format_word, save_script
@@ -66,13 +65,6 @@ def load_pad_db(csv_text: str) -> tuple[Pad, ...]:
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-_NOT_ALNUM_RE = re.compile(r"[^0-9A-Za-z]")
-
-
-def _macro_name(text: str) -> str:
-    return _NOT_ALNUM_RE.sub("_", text).upper()
-
 
 def _bits(width: int) -> str:
     return "1 bit" if width == 1 else f"{width} bits"
@@ -295,10 +287,10 @@ def emit_markdown(regs: RegMap) -> str:
 def emit_sw_views(regs: RegMap) -> tuple[str, str]:
     """C header and Python definitions for the active register set."""
     cfg, hash32, rows = regs.cfg, regs.hash32, regs.rows
-    block = _macro_name(cfg.block_name)
+    block = macro_name(cfg.block_name)
     guard = f"{block}_REGS_H"
     # an ASCII identifier is its own macro name, upper-cased
-    macros = [_macro_name(row[0]) if not (row[0].isascii() and row[0].isidentifier())
+    macros = [macro_name(row[0]) if not (row[0].isascii() and row[0].isidentifier())
               else row[0].upper() for row in rows]
     bits = {w: _bits(w) for w in {row[2] for row in rows}}
 
@@ -383,7 +375,7 @@ def emit_memmap_header(memmap: MemoryMap) -> str:
     rule = "// " + "-" * 66
     lines = [rule, "// interconnect memory map", "// generated file, do not edit", rule, ""]
     for r in memmap.regions:
-        name = _macro_name(r.name)
+        name = macro_name(r.name)
         lines.append(f"parameter logic [31:0] SOC_{name}_BASE = 32'h{r.base:08x};")
         lines.append(f"parameter logic [31:0] SOC_{name}_SIZE = 32'h{r.size_bytes:08x};")
     lines += ["", f"parameter int unsigned SOC_REGION_COUNT = {len(memmap.regions)};", ""]

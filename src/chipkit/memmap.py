@@ -8,6 +8,7 @@ line: ``region <name> <kind> <base-hex> <size-hex>``.
 from __future__ import annotations
 
 import bisect
+import re
 from typing import NamedTuple
 
 from . import Checked, DataError, InputError
@@ -15,6 +16,13 @@ from . import Checked, DataError, InputError
 REGION_KINDS = ("csr", "sram", "peripheral")
 
 ADDR_SPACE = 1 << 32
+
+_NOT_ALNUM_RE = re.compile(r"[^0-9A-Za-z]")
+
+
+def macro_name(text: str) -> str:
+    """text upper-cased, with an underscore for each character but a letter or digit."""
+    return _NOT_ALNUM_RE.sub("_", text).upper()
 
 
 class Region(NamedTuple):
@@ -43,7 +51,7 @@ class MemoryMap(Checked, _MapFields):
     def __new__(cls, regions=(), bases=None):  # bases is derived, and taken only from _make
         regions = tuple(sorted(regions, key=lambda r: r.base))
         problems = []
-        names = set()
+        stems = {}  # <stem> of SOC_<stem>_BASE, which the map header declares -> region name
         for r in regions:
             if r.kind not in REGION_KINDS:
                 problems.append(f"region {r.name}: unknown kind {r.kind!r}")
@@ -53,9 +61,11 @@ class MemoryMap(Checked, _MapFields):
                 problems.append(f"region {r.name}: base 0x{r.base:08x} not aligned to size")
             if r.base < 0 or r.end > ADDR_SPACE:
                 problems.append(f"region {r.name}: exceeds 32-bit address space")
-            if r.name in names:
-                problems.append(f"duplicate region name {r.name}")
-            names.add(r.name)
+            stem = macro_name(r.name)
+            if stem in stems:
+                problems.append(f"duplicate region name {r.name}" if stems[stem] == r.name else
+                                f"regions {stems[stem]} and {r.name} both declare SOC_{stem}_BASE")
+            stems.setdefault(stem, r.name)
         for lo, hi in zip(regions, regions[1:]):
             if lo.end > hi.base:
                 problems.append(f"regions {lo.name} and {hi.name} overlap")

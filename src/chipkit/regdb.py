@@ -19,7 +19,8 @@ import io
 import operator
 import re
 import zlib
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import Checked, DataError, InputError, Record
@@ -47,7 +48,7 @@ DIAG_SEL = "cfg_diag_sel"  # the diagnostic mux's select register, which update 
 # order, as name@module with retired ones marked :retired, one space apart
 TAPS_COLUMN = "diag_taps"
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 OFFSET_KEY = operator.attrgetter("offset_bytes")
 # names, upper-cased, whose macros the C header defines for itself
 _RESERVED_NAMES = {ID_REG_NAME.upper(): "name reserved for the ID register",
@@ -113,7 +114,7 @@ class EmitConfig(Checked, _EmitFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not _IDENT_RE.match(self.block_name):
+        if not _IDENT_RE.fullmatch(self.block_name):
             raise DataError(f"block name {self.block_name!r} is not an identifier")
         size = self.csr_region_size_bytes
         if size < 4 or size & (size - 1):
@@ -132,22 +133,33 @@ class EmitConfig(Checked, _EmitFields):
         return self
 
 
-class RegEntry(Record):
-    __slots__ = ("name", "width_bits", "access", "reset_value", "offset_bytes",
-                 "origin_module", "description", "state", "extra")
+_NO_EXTRA = MappingProxyType({})  # the extra of every entry without extra cells
 
-    def __init__(self, name: str, width_bits: int, access: str, reset_value: int = 0,
-                 offset_bytes: int | None = None, origin_module: str = "",
-                 description: str = "", state: str = ACTIVE, extra: dict | None = None):
-        self.name = name
-        self.width_bits = width_bits
-        self.access = access  # RW | RO
-        self.reset_value = reset_value
-        self.offset_bytes = offset_bytes  # None = not yet allocated
-        self.origin_module = origin_module
-        self.description = description
-        self.state = state
-        self.extra = {} if extra is None else extra
+
+class _EntryFields(NamedTuple):  # RegEntry's defaults are its __new__'s
+    name: str
+    width_bits: int
+    access: str  # RW | RO
+    reset_value: int
+    offset_bytes: int | None  # None = not yet allocated
+    origin_module: str
+    description: str
+    state: str
+    extra: Mapping[str, str]  # the non-empty extra cells, by column
+
+
+class RegEntry(Checked, _EntryFields):
+    """A register's row, immutable: extra is kept if a MappingProxyType, else
+    copied into one, so update_db can share the entries it leaves unchanged."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, width_bits, access, reset_value=0, offset_bytes=None,
+                origin_module="", description="", state=ACTIVE, extra=_NO_EXTRA):
+        if type(extra) is not MappingProxyType:
+            extra = MappingProxyType(dict(extra)) if extra else _NO_EXTRA
+        return tuple.__new__(cls, (name, width_bits, access, reset_value, offset_bytes,
+                                   origin_module, description, state, extra))
 
 
 class RegDb(Record):
@@ -327,13 +339,13 @@ def load_canonical_db(csv_text: str) -> tuple[RegDb, int] | None:
             return None
         seen.add(macro)
         pos, last = m.end(), offset
-        entries.append(RegEntry(
+        cells = MappingProxyType({c: v for c, v in zip(extras, extra[1:].split(",")) if v}) \
+            if len(extra) > n_extras else _NO_EXTRA  # when an extra cell is not empty
+        entries.append(tuple.__new__(RegEntry, (  # as RegEntry() would: cells is read-only
             name, width, _TOKENS[access], reset, offset, origins.setdefault(origin, origin),
-            plain if quoted is None else quoted.replace('""', '"'), _TOKENS[state], {}))
-        if len(extra) > n_extras:  # an extra cell is not empty
-            cells = entries[-1].extra = {c: v for c, v in zip(extras, extra[1:].split(",")) if v}
-            if TAPS_COLUMN in cells:
-                tapped.append(entries[-1])
+            plain if quoted is None else quoted.replace('""', '"'), _TOKENS[state], cells)))
+        if TAPS_COLUMN in cells:
+            tapped.append(entries[-1])
     if pos != len(csv_text) or any(_tap_problems(e, seen) for e in tapped):
         return None
     return RegDb(entries, list(CANONICAL_COLUMNS) + extras), zlib.crc32(csv_text.encode("utf-8"))
@@ -349,7 +361,7 @@ def validate_db(db: RegDb) -> list[DbError]:
     offsets = {}
     tapped = []  # the entries with a diag_taps cell
     for e in db.entries:
-        if not _IDENT_RE.match(e.name):
+        if not _IDENT_RE.fullmatch(e.name):
             problems.append(DbError(e.name, f"name {e.name!r} is not an identifier"))
         macro = e.name.upper()
         if macro in names:
@@ -406,31 +418,18 @@ def _tap_problems(e: RegEntry, names) -> list[str]:
     return problems
 
 
-def _copy_db(db: RegDb) -> RegDb:
-    """Copy whose entries can be changed without touching db.
-
-    Every RegEntry field but extra is an immutable scalar or string, so a
-    shallow copy per entry plus a copy of its extra dict is a full copy.
-    """
-    entries = [RegEntry(e.name, e.width_bits, e.access, e.reset_value, e.offset_bytes,
-                        e.origin_module, e.description, e.state, dict(e.extra))
-               for e in db.entries]
-    return RegDb(entries=entries, columns=list(db.columns))
-
-
 def _allocate_in_place(entries: list[RegEntry], region_size_bytes: int | None) -> None:
     limit = region_size_bytes if region_size_bytes is not None else 1 << 32
     used = {e.offset_bytes for e in entries if e.offset_bytes is not None}
     cursor = FIRST_OFFSET
-    for e in entries:
+    for i, e in enumerate(entries):
         if e.offset_bytes is not None:
             continue
         while cursor in used:
             cursor += WORD_BYTES
         if cursor >= limit:
-            raise DataError(
-                f"no free offset below 0x{limit:x} for entry {e.name}")
-        e.offset_bytes = cursor
+            raise DataError(f"no free offset below 0x{limit:x} for entry {e.name}")
+        entries[i] = e._replace(offset_bytes=cursor)
         used.add(cursor)
 
 
@@ -487,15 +486,16 @@ def update_db(
     region_size_bytes: int | None = None,
     taps: list[DiagTap] | None = None,
 ) -> tuple[RegDb, ChangeReport]:
-    """Merge one scan run into the database.
+    """Merge one scan run into a new database; db is unchanged, and shares
+    each entry the merge leaves alone.
 
-    New candidates are appended and allocated; known ones get their
-    scan-owned fields refreshed in place with offsets, resets, descriptions
-    and extra columns untouched. Active entries whose origin module was
-    rescanned but which matched no candidate are retired (offset kept);
-    entries from modules outside this scan are left alone. A retired entry
-    reappearing with the same access type is reactivated at its old offset.
-    taps, as merge_taps gives them, replace the ones DIAG_SEL's row records.
+    New candidates are appended and allocated; known ones get the scan-owned
+    fields of their candidate, with offsets, resets, descriptions and extra
+    columns kept. Active entries whose origin module was rescanned but which
+    matched no candidate are retired (offset kept); entries from modules
+    outside this scan are left alone. A retired entry reappearing with the
+    same access type is reactivated at its old offset. taps, as merge_taps
+    gives them, replace the ones DIAG_SEL's row records.
     """
     seen = set()
     for c in candidates:
@@ -505,55 +505,56 @@ def update_db(
     if scanned_modules is None:
         scanned_modules = {c.origin_module for c in candidates}
 
-    new = _copy_db(db)
     report = ChangeReport()
-    by_name = {e.name: e for e in new.entries}
+    entries, columns = list(db.entries), list(db.columns)
+    index = {e.name: i for i, e in enumerate(entries)}
 
     for cand in candidates:
-        entry = by_name.get(cand.name)
-        if entry is None:
-            entry = RegEntry(name=cand.name, width_bits=cand.width_bits, access=cand.access,
-                             origin_module=cand.origin_module)
-            new.entries.append(entry)
-            by_name[cand.name] = entry
+        i = index.get(cand.name)
+        if i is None:
+            index[cand.name] = len(entries)
+            entries.append(RegEntry(cand.name, cand.width_bits, cand.access,
+                                    origin_module=cand.origin_module))
             report.added.append(cand.name)
             continue
+        entry = entries[i]
         reactivated = entry.state == RETIRED
         if reactivated:
             if entry.access != cand.access:
-                where = "unallocated" if entry.offset_bytes is None \
-                    else f"0x{entry.offset_bytes:x}"
+                where = "unallocated" if entry.offset_bytes is None else f"0x{entry.offset_bytes:x}"
                 raise DataError(
                     f"candidate {cand.name} ({cand.access}) collides with a retired "
                     f"{entry.access} entry at offset {where}")
-            entry.state = ACTIVE
             report.modified.append((cand.name, "state", RETIRED, ACTIVE))
         # the scan-owned fields, as CsrCandidate holds them after its name
         old, now = (entry.width_bits, entry.access, entry.origin_module), cand[1:]
-        if old != now:
-            entry.width_bits, entry.access, entry.origin_module = now
-            report.modified += [(cand.name, label, a, b) for label, a, b
-                                in zip(("width", "access", "origin_module"), old, now) if a != b]
-        elif not reactivated:
+        if old == now and not reactivated:
             report.unchanged_count += 1
+            continue
+        report.modified += [(cand.name, label, a, b) for label, a, b
+                            in zip(("width", "access", "origin_module"), old, now) if a != b]
+        entries[i] = entry._replace(width_bits=cand.width_bits, access=cand.access,
+                                    origin_module=cand.origin_module, state=ACTIVE)
 
-    for entry in new.entries:
+    for i, entry in enumerate(entries):
         if entry.state == ACTIVE and entry.origin_module in scanned_modules \
                 and entry.name not in seen:
-            entry.state = RETIRED
+            entries[i] = entry._replace(state=RETIRED)
             report.retired.append(entry.name)
 
-    sel = by_name.get(DIAG_SEL)
-    if taps is not None and sel is not None:
-        _record_taps(new, sel, taps, report)
-    _allocate_in_place(new.entries, region_size_bytes)
-    new.entries.sort(key=OFFSET_KEY)
-    return new, report
+    i = index.get(DIAG_SEL)
+    if taps and i is not None:
+        entries[i] = _record_taps(entries[i], taps, report)
+        if TAPS_COLUMN not in columns:
+            columns.insert(columns.index("state") + 1 if "state" in columns else len(columns),
+                           TAPS_COLUMN)
+    _allocate_in_place(entries, region_size_bytes)
+    entries.sort(key=OFFSET_KEY)
+    return RegDb(entries, columns), report
 
 
-def _record_taps(db: RegDb, sel: RegEntry, taps: list[DiagTap], report: ChangeReport) -> None:
-    """Sets the diag_taps cell of sel, db's DIAG_SEL entry, and reports each
-    tap that changed. A database that never held a tap gets no column."""
+def _record_taps(sel: RegEntry, taps: list[DiagTap], report: ChangeReport) -> RegEntry:
+    """sel, the DIAG_SEL entry, with taps in its diag_taps cell; reports each tap that changed."""
     held = parse_taps(sel.extra.get(TAPS_COLUMN, ""))
     for code, tap in enumerate(taps):
         was = held[code] if code < len(held) else None
@@ -564,11 +565,7 @@ def _record_taps(db: RegDb, sel: RegEntry, taps: list[DiagTap], report: ChangeRe
         elif was.origin_module != tap.origin_module:
             report.taps.append(("moved", tap.name, code,
                                 f" from {was.origin_module} to {tap.origin_module}"))
-    if taps:
-        sel.extra[TAPS_COLUMN] = format_taps(taps)
-        if TAPS_COLUMN not in db.columns:
-            db.columns.insert(db.columns.index("state") + 1 if "state" in db.columns
-                              else len(db.columns), TAPS_COLUMN)
+    return sel._replace(extra={**sel.extra, TAPS_COLUMN: format_taps(taps)})
 
 
 def format_change_report(report: ChangeReport) -> str:

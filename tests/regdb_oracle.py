@@ -1,21 +1,20 @@
-"""The database reader, writer, copy and merge that the one-pass reader, the
-one-picker writer, the constructor copy and the tuple-compare merge replaced:
-a lambda per cell on load, an if chain per cell on save, on copy a copy.copy
-of each entry (every slot its class declares) with a dict of its own for
-extra, and on merge a getattr and setattr per scan-owned field of each known
-candidate. Kept only as the oracle for the differential property tests;
-chipkit never imports it."""
+"""The database reader, writer and merge that the one-pass reader, the
+one-picker writer and the tuple-compare merge replaced: a lambda per cell on
+load, an if chain per cell on save, and on merge a getattr and an assignment
+per scan-owned field of each known candidate, on a mutable working copy of each
+entry (its _asdict()), with an allocator of its own. Kept only as the oracle
+for the differential property tests; chipkit never imports it."""
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
+import itertools
 
 from chipkit import DataError, InputError
 from chipkit.regdb import (
     ACCESS_RO, ACCESS_RW, ACTIVE, CANONICAL_COLUMNS, OFFSET_KEY, REQUIRED_COLUMNS, RETIRED,
-    ChangeReport, CsrCandidate, RegDb, RegEntry, _allocate_in_place, _copy_db, _parse_int)
+    FIRST_OFFSET, WORD_BYTES, ChangeReport, CsrCandidate, RegDb, RegEntry, _parse_int)
 
 
 def load_db(csv_text: str) -> RegDb:
@@ -108,15 +107,6 @@ def save_db(db: RegDb) -> str:
     return buf.getvalue()
 
 
-def copy_db(db: RegDb) -> RegDb:
-    entries = []
-    for e in db.entries:
-        entry = copy.copy(e)
-        entry.extra = dict(e.extra)
-        entries.append(entry)
-    return RegDb(entries=entries, columns=list(db.columns))
-
-
 def update_db(
     db: RegDb,
     candidates: list[CsrCandidate],
@@ -140,47 +130,56 @@ def update_db(
     if scanned_modules is None:
         scanned_modules = {c.origin_module for c in candidates}
 
-    new = _copy_db(db)
     report = ChangeReport()
-    by_name = {e.name: e for e in new.entries}
+    work = [e._asdict() for e in db.entries]  # a mutable copy of each entry
+    by_name = {e["name"]: e for e in work}
 
     for cand in candidates:
         entry = by_name.get(cand.name)
         if entry is None:
             entry = RegEntry(name=cand.name, width_bits=cand.width_bits, access=cand.access,
-                             origin_module=cand.origin_module)
-            new.entries.append(entry)
+                             origin_module=cand.origin_module)._asdict()
+            work.append(entry)
             by_name[cand.name] = entry
             report.added.append(cand.name)
             continue
         changed = False
-        if entry.state == RETIRED:
-            if entry.access != cand.access:
-                where = "unallocated" if entry.offset_bytes is None \
-                    else f"0x{entry.offset_bytes:x}"
+        if entry["state"] == RETIRED:
+            if entry["access"] != cand.access:
+                where = "unallocated" if entry["offset_bytes"] is None \
+                    else f"0x{entry['offset_bytes']:x}"
                 raise DataError(
                     f"candidate {cand.name} ({cand.access}) collides with a retired "
-                    f"{entry.access} entry at offset {where}")
-            entry.state = ACTIVE
+                    f"{entry['access']} entry at offset {where}")
+            entry["state"] = ACTIVE
             report.modified.append((cand.name, "state", RETIRED, ACTIVE))
             changed = True
-        for label, attr, val in (("width", "width_bits", cand.width_bits),
-                                 ("access", "access", cand.access),
-                                 ("origin_module", "origin_module", cand.origin_module)):
-            old = getattr(entry, attr)
+        for label, attr in (("width", "width_bits"), ("access", "access"),
+                            ("origin_module", "origin_module")):
+            old, val = entry[attr], getattr(cand, attr)
             if old != val:
-                setattr(entry, attr, val)
+                entry[attr] = val
                 report.modified.append((cand.name, label, old, val))
                 changed = True
         if not changed:
             report.unchanged_count += 1
 
-    for entry in new.entries:
-        if entry.state == ACTIVE and entry.origin_module in scanned_modules \
-                and entry.name not in seen:
-            entry.state = RETIRED
-            report.retired.append(entry.name)
+    for entry in work:
+        if entry["state"] == ACTIVE and entry["origin_module"] in scanned_modules \
+                and entry["name"] not in seen:
+            entry["state"] = RETIRED
+            report.retired.append(entry["name"])
 
-    _allocate_in_place(new.entries, region_size_bytes)
-    new.entries.sort(key=OFFSET_KEY)
-    return new, report
+    # the lowest free word offset from FIRST_OFFSET for each entry without one, in order
+    limit = 1 << 32 if region_size_bytes is None else region_size_bytes
+    used = {e["offset_bytes"] for e in work}
+    for entry in work:
+        if entry["offset_bytes"] is None:
+            offset = next(o for o in itertools.count(FIRST_OFFSET, WORD_BYTES) if o not in used)
+            if offset >= limit:
+                raise DataError(f"no free offset below 0x{limit:x} for entry {entry['name']}")
+            entry["offset_bytes"] = offset
+            used.add(offset)
+
+    entries = sorted((RegEntry(**e) for e in work), key=OFFSET_KEY)
+    return RegDb(entries=entries, columns=list(db.columns)), report

@@ -42,7 +42,7 @@ def make_db():
         CsrCandidate("cfg_a", 4, "RW", "m1"),
         CsrCandidate("sts_b", 8, "RO", "m1"),
     ])
-    db.entry("cfg_a").reset_value = 0x5
+    db.entries = [e._replace(reset_value=0x5) if e.name == "cfg_a" else e for e in db.entries]
     return db
 
 

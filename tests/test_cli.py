@@ -130,9 +130,9 @@ class TestUpdate:
     def test_conflict_leaves_db_untouched(self, proj):
         assert main(["update"]) == 0
         db = regdb.load_db((proj / "regs.csv").read_text())
-        entry = db.entry("cfg_gain")
-        entry.state = regdb.RETIRED
-        entry.access = "RO"  # retired with opposite access -> conflict on rescan
+        # retired with opposite access -> conflict on rescan
+        db.entries = [e._replace(state=regdb.RETIRED, access="RO") if e.name == "cfg_gain" else e
+                      for e in db.entries]
         (proj / "regs.csv").write_text(regdb.save_db(db))
         before = (proj / "regs.csv").read_bytes()
         assert main(["update"]) == 3
@@ -526,6 +526,16 @@ class TestGenerate:
         assert main(["update"]) == 0
         assert main(["generate", "--base", "0x70000000"]) == 3
 
+    def test_map_checked_for_every_target(self, proj, capsys):
+        """A configured map is checked without the memmap target: the C header
+        and the self-test would otherwise hold addresses the map leaves unmapped."""
+        assert main(["update"]) == 0
+        capsys.readouterr()
+        assert main(["generate", "--base", "0x70000000", "--targets", "rtl,test,c"]) == 3
+        assert capsys.readouterr().err == \
+            "error: memory map has no csr region matching base 0x70000000 size 0x1000\n"
+        assert not (proj / "gen").exists()
+
     def test_generated_rtl_lints_clean(self, proj):
         assert main(["update"]) == 0
         assert main(["generate"]) == 0
@@ -647,7 +657,8 @@ class TestRunTest:
     def test_selftest_fails_against_other_db(self, proj):
         self.setup_pipeline(proj)
         db = regdb.load_db((proj / "regs.csv").read_text())
-        db.entry("cfg_gain").reset_value = 1
+        db.entries = [e._replace(reset_value=1) if e.name == "cfg_gain" else e
+                      for e in db.entries]
         (proj / "regs.csv").write_text(regdb.save_db(db))
         assert main(["run-test", "--script", "gen/demo_selftest.txt"]) == 1
 
@@ -732,8 +743,8 @@ def _misaligned_offset(proj):
 def _conflict(proj):
     _bootstrap(proj)
     db = regdb.load_db((proj / "regs.csv").read_text())
-    entry = db.entry("cfg_gain")
-    entry.state, entry.access = regdb.RETIRED, "RO"
+    db.entries = [e._replace(state=regdb.RETIRED, access="RO") if e.name == "cfg_gain" else e
+                  for e in db.entries]
     (proj / "regs.csv").write_text(regdb.save_db(db))
     return ["update"]
 
@@ -1306,7 +1317,7 @@ def _lint_violations(proj):
 def _failing_step(proj):
     _bootstrap(proj)
     db = regdb.load_db((proj / "regs.csv").read_text())
-    db.entry("cfg_gain").reset_value = 1
+    db.entries = [e._replace(reset_value=1) if e.name == "cfg_gain" else e for e in db.entries]
     (proj / "regs.csv").write_text(regdb.save_db(db))
     return list(_SELFTEST)
 

@@ -20,6 +20,8 @@ CASES = [
      "block name '2bad' is not an identifier"),
     ("emit-blank-block-name", lambda: EmitConfig(block_name=""),
      "block name '' is not an identifier"),
+    ("emit-block-name-then-newline", lambda: EmitConfig(block_name="demo\n"),
+     "block name 'demo\\n' is not an identifier"),
     ("emit-size-not-power-of-two", lambda: EmitConfig(csr_region_size_bytes=0x300),
      "region size 0x300 is not a power of two >= 4"),
     ("emit-size-below-a-word", lambda: EmitConfig(base_address=0, csr_region_size_bytes=2),
@@ -56,6 +58,16 @@ CASES = [
      "duplicate region name r"),
     ("map-overlap", lambda: _map(("b", "sram", 0x1800, 0x800), ("a", "sram", 0x1000, 0x1000)),
      "regions a and b overlap"),
+    ("map-same-macro-name",
+     lambda: _map(("a-b", "sram", 0x1000, 0x1000), ("a_b", "csr", 0x2000, 0x1000)),
+     "regions a-b and a_b both declare SOC_A_B_BASE"),
+    ("map-names-differ-in-case",
+     lambda: _map(("A", "sram", 0x2000, 0x1000), ("a", "csr", 0x1000, 0x1000)),
+     "regions a and A both declare SOC_A_BASE"),
+    ("map-collisions-joined",
+     lambda: _map(("r", "sram", 0x1000, 0x1000), ("R", "csr", 0x2000, 0x1000),
+                  ("r", "sram", 0x3000, 0x1000)),
+     "regions r and R both declare SOC_R_BASE; duplicate region name r"),
     ("map-problems-joined",
      lambda: _map(("r", "rom", 0x800, 0x1000), ("s", "sram", 0x800, 4)),
      "region r: unknown kind 'rom'; region r: base 0x00000800 not aligned to size; "

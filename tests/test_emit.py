@@ -69,7 +69,7 @@ class TestCsrRtl:
 
     def test_reset_value_in_macro(self):
         db = make_db(cand("cfg_mode", 4))
-        db.entry("cfg_mode").reset_value = 0x5
+        db.entries[0] = db.entries[0]._replace(reset_value=0x5)  # cfg_mode, the only entry
         assert "4'h5" in emit.emit_csr_rtl(emit.prepare(db, CFG, db_hash(db)))
 
     def test_region_too_small(self):
@@ -114,7 +114,7 @@ class TestMarkdown:
 
     def test_pipe_escaped(self):
         db = make_db(cand("cfg_a"))
-        db.entry("cfg_a").description = "bits|fields"
+        db.entries[0] = db.entries[0]._replace(description="bits|fields")  # cfg_a, the only entry
         assert "bits\\|fields" in emit.emit_markdown(emit.prepare(db, CFG, db_hash(db)))
 
     @pytest.mark.parametrize("brk", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
@@ -122,9 +122,9 @@ class TestMarkdown:
         """CR, LF and CRLF each become one space, so every table row, active or
         retired, stays one line to CommonMark and to str.splitlines."""
         db = make_db(cand("cfg_a"), cand("cfg_b"))
-        for e in db.entries:
-            e.description = f"line one{brk}line two | x"
-        db.entry("cfg_b").state = RETIRED
+        db.entries = [e._replace(description=f"line one{brk}line two | x",
+                                 state=RETIRED if e.name == "cfg_b" else e.state)
+                      for e in db.entries]
         md = emit.emit_markdown(emit.prepare(db, CFG, db_hash(db)))
         lines = md.splitlines()
         assert lines == md.split("\n")[:-1]
@@ -277,7 +277,7 @@ class TestSelftest:
 
     def test_ro_entry_write_then_unchanged(self):
         db = make_db(cand("sts_x", 8, "RO"))
-        db.entry("sts_x").reset_value = 0x42
+        db.entries[0] = db.entries[0]._replace(reset_value=0x42)  # sts_x, the only entry
         steps = selftest_steps(db, CFG)
         writes = [s for s in steps if s[0].startswith("W 0x70000004")]
         assert len(writes) == 1 and writes[0][1] == "OK"
@@ -320,7 +320,7 @@ def diag_db(width=4, access="RW"):
 def record_taps(db, taps):
     """db with taps, DiagTap records or names of active ones, as its select register's codes."""
     taps = [t if isinstance(t, DiagTap) else DiagTap(t, "m") for t in taps]
-    db.entries[0].extra[regdb.TAPS_COLUMN] = regdb.format_taps(taps)
+    db.entries[0] = db.entries[0]._replace(extra={regdb.TAPS_COLUMN: regdb.format_taps(taps)})
     db.columns.append(regdb.TAPS_COLUMN)
     return db
 
@@ -379,7 +379,7 @@ class TestDiagMux:
 
     def test_retired_select_register(self):
         db = diag_db()
-        db.entries[0].state = RETIRED
+        db.entries[0] = db.entries[0]._replace(state=RETIRED)
         with pytest.raises(DataError, match=self.MISSING):
             diag_mux(db, CFG, ["diag_a", "diag_b"])
 

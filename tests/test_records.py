@@ -128,6 +128,14 @@ def test_command_equals_the_bare_tuple_parse_command_returns():
     assert parse_command("q") == ("Q", None, None)
 
 
+def test_register_entry_equals_the_tuple_of_its_fields():
+    """An entry is a NamedTuple: it equals any tuple of equal fields, its
+    read-only extra comparing equal to a dict of the same cells."""
+    entry = RegEntry("a", 8, "RW", extra={"k": "v"})
+    assert entry == ("a", 8, "RW", 0, None, "", "", "active", {"k": "v"})
+    assert entry != ("a", 8, "RW", 0, None, "", "", "active", {})
+
+
 # (a valid record, changes that make it invalid, the DataError message)
 INVALID_CHANGES = [
     (EmitConfig(), {"unmapped_value": -1}, "unmapped value -0x1 outside 32 bits"),

@@ -1,5 +1,3 @@
-import copy
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -130,8 +128,7 @@ class TestUpdate:
 
     def test_width_change_updates_in_place(self):
         db, _ = update_db(RegDb(), [cand("cfg_a", 4)])
-        db.entries[0].description = "hand written"
-        db.entries[0].reset_value = 0xA
+        db.entries[0] = db.entries[0]._replace(description="hand written", reset_value=0xA)
         db2, report = update_db(db, [cand("cfg_a", 8)])
         e = db2.entries[0]
         assert (e.width_bits, e.offset_bytes) == (8, 4)
@@ -262,6 +259,10 @@ class TestValidate:
         db = RegDb(entries=[RegEntry("a", 33, "XX", offset_bytes=4, state="gone")])
         messages = " ".join(p.message for p in validate_db(db))
         assert "width" in messages and "access" in messages and "state" in messages
+
+    def test_name_is_matched_whole(self):
+        db = RegDb([RegEntry("cfg_a\n", 8, "RW", 0, 4)])
+        assert validate_db(db) == [DbError("cfg_a\n", "name 'cfg_a\\n' is not an identifier")]
 
 
 def sel_db(cell, width=4, name=DIAG_SEL):
@@ -449,36 +450,62 @@ def dbs_with_extras(draw):
     allocated (a row added by hand with a blank offset)."""
     db = draw(dbst.reg_dbs())
     db.columns = db.columns + ["owner", "notes"]
-    for e in db.entries:
-        e.extra = {"owner": draw(dbst.module_names), "notes": draw(dbst.descriptions)}
-        if e.state == ACTIVE and draw(st.booleans()):
-            e.offset_bytes = None
+    db.entries = [e._replace(
+        extra={"owner": draw(dbst.module_names), "notes": draw(dbst.descriptions)},
+        offset_bytes=None if e.state == ACTIVE and draw(st.booleans()) else e.offset_bytes)
+        for e in db.entries]
     return db
 
 
-def _mutate_all(db):
-    for e in db.entries:
-        e.name += "_x"
-        e.width_bits = 33
-        e.offset_bytes = -1
-        e.state = "gone"
-        e.extra["owner"] = "mutated"
-        e.extra["added"] = "1"
-    db.columns.append("added")
-
-
 class TestCopyIndependence:
-    """update_db returns a copy that shares nothing mutable with its input."""
+    """update_db leaves its input as it was, and shares each entry it leaves alone."""
 
     @given(db=dbs_with_extras(), cands=dbst.candidate_lists())
     def test_update_db(self, db, cands):
-        snapshot = copy.deepcopy(db)
+        entries, columns = list(db.entries), list(db.columns)
         try:
             new, _ = update_db(db, cands)
         except DataError as exc:
             if "collides with a retired" not in str(exc):
                 raise
             assume(False)
-        assert db == snapshot
-        _mutate_all(new)
-        assert db == snapshot
+        assert db.entries == entries and db.columns == columns
+        assert all(a is b for a, b in zip(db.entries, entries))
+        assert new.entries is not db.entries and new.columns is not db.columns
+        old = {e.name: e for e in entries}
+        assert all(e is old[e.name] for e in new.entries if e == old.get(e.name))
+
+
+_OWNED = HEADER.replace("state\n", "state,owner\n") + "cfg_a,8,RW,0x0,0x4,m1,,active,alice\n"
+# each way an entry is made; each entry but the default one has an extra cell
+_MADE = {
+    "default": lambda: RegEntry("cfg_a", 8, "RW"),
+    "built": lambda: RegEntry("cfg_a", 8, "RW", extra={"owner": "alice"}),
+    "replaced": lambda: RegEntry("cfg_a", 8, "RW")._replace(extra={"owner": "alice"}),
+    "load_db": lambda: load_db(_OWNED).entries[0],
+    "load_canonical_db": lambda: load_canonical_db(_OWNED)[0].entries[0],
+    "update_db": lambda: update_db(RegDb(), [cand(DIAG_SEL, 2)],
+                                   taps=[DiagTap("diag_x", "m1")])[0].entries[0],
+}
+
+
+class TestImmutableEntries:
+    """No entry can change once made: not a field, and not a cell of its extra."""
+
+    @pytest.mark.parametrize("how", _MADE)
+    def test_fields_and_extra_cells_cannot_be_set(self, how):
+        entry, kept = _MADE[how](), _MADE[how]()
+        for field in RegEntry._fields:
+            with pytest.raises(AttributeError):
+                setattr(entry, field, getattr(entry, field))
+        for key in (*entry.extra, "added"):
+            with pytest.raises(TypeError):
+                entry.extra[key] = "mutated"
+        assert entry == kept and (how == "default") == (not entry.extra)
+
+    def test_extra_is_a_copy_of_the_mapping_given(self):
+        cells = {"owner": "alice"}
+        entry = RegEntry("cfg_a", 8, "RW", extra=cells)
+        cells["owner"] = "bob"
+        assert entry.extra == {"owner": "alice"}
+        assert RegEntry("cfg_a", 8, "RW", extra={}).extra is RegEntry("b", 1, "RO").extra

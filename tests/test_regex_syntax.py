@@ -52,7 +52,6 @@ def _literals(node, scope: str = "", top: bool = True):
 # renamed them. These keep those ids, bound to the literal's scope instead of
 # its line; a literal not listed is named "file.py:scope".
 _LINE_IDS = {
-    "emit.py:_NOT_ALNUM_RE": "emit.py:75",
     "regdb.py:_IDENT_RE": "regdb.py:43",
     "regdb.py:_DB_ROW_RE": "regdb.py:278",
     "sv_scan.py:_MODULE_KW_RE": "sv_scan.py:121",
@@ -100,7 +99,7 @@ PATTERNS = list(_patterns())
 def test_every_pattern_is_found():
     where = {w for w, _p, _f in PATTERNS}
     assert {"script._SCAN_RE", "script._CHECK_RE", "regdb._DB_ROW_RE", "uart_host._COMMAND_RE",
-            "sv_scan._PORT_RE", "emit._NOT_ALNUM_RE"} <= where
+            "sv_scan._PORT_RE", "memmap._NOT_ALNUM_RE"} <= where
     assert "uart_host.py:58" in where  # a literal passed to re.split
     assert set(_LINE_IDS.values()) <= where  # no kept id names a literal that is gone
     assert len(where) == len(PATTERNS)  # no two cases share a name

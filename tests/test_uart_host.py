@@ -38,7 +38,7 @@ MAP = MemoryMap([
 
 def make_db(reset=0xF):
     db, _ = update_db(RegDb(), [CsrCandidate("cfg_a", 4, "RW", "m1")])
-    db.entry("cfg_a").reset_value = reset
+    db.entries[0] = db.entries[0]._replace(reset_value=reset)  # cfg_a, the only entry
     return db
 
 
