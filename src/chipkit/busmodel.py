@@ -73,13 +73,13 @@ class CsrBlock:
         self.unmapped_value = unmapped_value & WORD_MASK
         self.values = {}  # byte offset -> value, per active entry
         self.rw_masks = {}  # byte offset -> width mask, per active RW entry
-        for e in db.entries:
-            if e.state != ACTIVE:
-                continue
+        for e in db.entries:  # every entry, retired too, lies in the region
             if e.offset_bytes >= region.size_bytes:
                 raise DataError(
                     f"entry {e.name} at offset 0x{e.offset_bytes:x} does not fit "
                     f"region {region.name} (size 0x{region.size_bytes:x})")
+            if e.state != ACTIVE:
+                continue
             mask = (1 << e.width_bits) - 1
             self.values[e.offset_bytes] = e.reset_value & mask
             if e.access == ACCESS_RW:

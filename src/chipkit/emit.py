@@ -5,12 +5,14 @@ inputs) and produce byte-identical output for identical input, so generated
 files can be golden-tested and diffed in version control. Every artifact
 carries the database content hash in its banner, tying it to the database
 revision it was rendered from. The caller takes that hash once, and prepare()
-makes one RegMap of the database, its settings and the hash, which every
-register emitter renders from and none changes.
+checks the database against the csr region and makes one RegMap of it, its
+settings and the hash, which every register emitter renders from and none
+changes: no emitter reads the database.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from . import DataError, InputError
@@ -21,6 +23,10 @@ from .regdb import OFFSET_KEY, TAPS_COLUMN, DiagTap, EmitConfig, RegDb
 from .script import RESP_OK, format_word, save_script
 
 _SIDES = ("N", "E", "S", "W")
+# a pad cell is one TCL word in the pad script: bare when plain, else in
+# braces, where TCL substitutes nothing; load_pad_db refuses what braces cannot hold
+_PLAIN_RE = re.compile(r"[A-Za-z0-9_.:-]+")
+_UNQUOTABLE_RE = re.compile(r"[{}\\\x00-\x1f\x7f-\x9f]")
 
 
 class Pad(NamedTuple):
@@ -48,6 +54,10 @@ def load_pad_db(csv_text: str) -> tuple[Pad, ...]:
             continue
         if len(row) != len(header):
             raise InputError(f"pad row {rownum}: expected {len(header)} fields, found {len(row)}")
+        for col in required:
+            if bad := _UNQUOTABLE_RE.search(row[idx[col]]):
+                raise InputError(f"pad row {rownum}: {col} holds {bad.group()!r}, "
+                                 "which the pad script cannot quote")
         side = row[idx["side"]].strip().upper()
         if side not in _SIDES:
             raise InputError(f"pad row {rownum}: side must be one of N/E/S/W")
@@ -70,27 +80,6 @@ def _bits(width: int) -> str:
     return "1 bit" if width == 1 else f"{width} bits"
 
 
-def _check_region(db: RegDb, cfg: EmitConfig) -> None:
-    need = 4 * (len(db.entries) + 1)
-    if cfg.csr_region_size_bytes < need:
-        raise DataError(
-            f"region size 0x{cfg.csr_region_size_bytes:x} too small for "
-            f"{len(db.entries)} entries plus the ID register (need 0x{need:x})")
-    for e in db.entries:
-        if e.offset_bytes is not None and e.offset_bytes >= cfg.csr_region_size_bytes:
-            raise DataError(
-                f"entry {e.name} at offset 0x{e.offset_bytes:x} falls outside the region")
-
-
-def _free_offset(db: RegDb, cfg: EmitConfig) -> int | None:
-    """Lowest in-region word offset with no register behind it, if any."""
-    used = {ID_REG_OFFSET} | {e.offset_bytes for e in db.entries}
-    for off in range(rdb.FIRST_OFFSET, cfg.csr_region_size_bytes, rdb.WORD_BYTES):
-        if off not in used:
-            return off
-    return None
-
-
 def _sv_banner(title: str, hash32: int) -> list[str]:
     rule = "// " + "-" * 66
     return [
@@ -105,13 +94,12 @@ Row = tuple[str, str, int, str, int, str, int]
 
 
 class RegMap(NamedTuple):
-    """What the register emitters read, made once per database: the database,
-    its settings and hash, and a Row (name, address word, width, access, reset,
-    description, offset) per register. rows holds the ID register's and each
-    active entry's, by offset; rw and ro hold the same active rows by access,
-    and retired the retired entries'. taps holds the diagnostic taps that an
-    active RW cfg_diag_sel records, in code order. No emitter changes it."""
-    db: RegDb
+    """What the register emitters read, made once per database: its settings
+    and hash, and a Row (name, address word, width, access, reset, description,
+    offset) per register. rows holds the ID register's and each active entry's,
+    by offset; rw and ro hold them by access, retired the retired entries'. taps
+    holds the taps that an active RW cfg_diag_sel records, in code order, and
+    probe the self-test's offset with no register behind it. No emitter changes it."""
     cfg: EmitConfig
     hash32: int
     rows: list[Row]
@@ -119,16 +107,26 @@ class RegMap(NamedTuple):
     ro: list[Row]
     retired: list[Row]
     taps: list[DiagTap]
+    probe: int | None
 
 
 def prepare(db: RegDb, cfg: EmitConfig, hash32: int) -> RegMap:
-    """The RegMap of db under cfg; hash32 is the db_hash of db, which the
-    caller takes once. Every entry needs an offset, as validate_db requires."""
-    base = cfg.base_address
+    """The RegMap of db under cfg; hash32 is the db_hash of db, which the caller
+    takes once. Every entry, retired too, needs an offset in the csr region."""
+    base, size, count = cfg.base_address, cfg.csr_region_size_bytes, len(db.entries)
+    if size < 4 * (count + 1):
+        raise DataError(f"region size 0x{size:x} too small for {count} entries plus "
+                        f"the ID register (need 0x{4 * (count + 1):x})")
     rows = [(ID_REG_NAME, format_word(base + ID_REG_OFFSET), 32, ACCESS_RO, hash32,
              "register map content hash", ID_REG_OFFSET)]
     rw, ro, retired, taps = [], [], [], []
+    probe = rdb.FIRST_OFFSET  # the lowest word from 0x4 that no entry holds, as offsets rise
     for e in sorted(db.entries, key=OFFSET_KEY):
+        if e.offset_bytes >= size:
+            raise DataError(
+                f"entry {e.name} at offset 0x{e.offset_bytes:x} falls outside the region")
+        if e.offset_bytes == probe:
+            probe += rdb.WORD_BYTES
         row = (e.name, f"0x{(base + e.offset_bytes) & 0xffffffff:08x}", e.width_bits,
                e.access, e.reset_value, e.description, e.offset_bytes)
         if e.state == ACTIVE:
@@ -141,7 +139,9 @@ def prepare(db: RegDb, cfg: EmitConfig, hash32: int) -> RegMap:
                 ro.append(row)
         elif e.state == RETIRED:
             retired.append(row)
-    return RegMap(db, cfg, hash32, rows, rw, ro, retired, taps)
+    # with no entries the ID read alone proves the decode, so the self-test probes none
+    return RegMap(cfg, hash32, rows, rw, ro, retired, taps,
+                  probe if count and probe < size else None)
 
 
 def _active_taps(regs: RegMap) -> list[tuple[int, str]]:
@@ -156,7 +156,6 @@ def emit_csr_rtl(regs: RegMap) -> str:
     """Synthesizable register block: write decode, one flop bank per RW entry,
     read mux over all offsets with the ID register at 0x0."""
     cfg, hash32, rw, ro = regs.cfg, regs.hash32, regs.rw, regs.ro
-    _check_region(regs.db, cfg)
     addr_w = cfg.csr_region_size_bytes.bit_length() - 1
     # an offset's literal is lit, then the offset formatted by digits
     lit, digits = f"{addr_w}'h", f"0{max(1, (addr_w + 3) // 4)}x"
@@ -339,8 +338,6 @@ def emit_selftest(regs: RegMap) -> str:
     """Bring-up script text: ID check, write/read-back over every active
     register, and one probe of an in-region offset with no register behind it.
     Each register's steps are one block of text, as save_script writes them."""
-    db, cfg = regs.db, regs.cfg
-    _check_region(db, cfg)
     id_name, id_addr = regs.rows[0][:2]
     blocks = [save_script([(f"R {id_addr}", format_word(regs.hash32),
                             f"{id_name} register carries the database hash")])]
@@ -357,13 +354,10 @@ def emit_selftest(regs: RegMap) -> str:
             blocks.append(f"\n# {name}: status value\n> R {addr}\n< {reset}\n"
                           f"\n# {name}: write is ignored\n> W {addr} 0xa5a5a5a5\n< {RESP_OK}\n"
                           f"\n# {name}: unchanged by write\n> R {addr}\n< {reset}\n")
-    # with no entries every offset is equally unmapped; the ID read already
-    # proves the decode, so the degenerate script is that single step
-    probe = _free_offset(db, cfg) if db.entries else None
-    if probe is not None:
+    if regs.probe is not None:
         blocks.append("\n# offset with no register reads the unmapped constant\n"
-                      f"> R {format_word(cfg.base_address + probe)}\n"
-                      f"< {format_word(cfg.unmapped_value)}\n")
+                      f"> R {format_word(regs.cfg.base_address + regs.probe)}\n"
+                      f"< {format_word(regs.cfg.unmapped_value)}\n")
     return "".join(blocks)
 
 
@@ -438,13 +432,16 @@ def emit_diag_mux(regs: RegMap) -> str:
 # pad placement
 
 def emit_pad_script(pads: tuple[Pad, ...]) -> str:
+    def word(cell: str) -> str:
+        return cell if _PLAIN_RE.fullmatch(cell) else f"{{{cell}}}"
+
     lines = ["# pad placement directives", "# generated file, do not edit"]
     for side in _SIDES:
         group = sorted((p for p in pads if p.side == side), key=lambda p: p.order_index)
         if group:
             lines += ["", f"# side {side}"]
-            lines += [f"place_pad {p.name} -side {p.side} -order {p.order_index} "
-                      f"-cell {p.cell_type} -signal {p.signal}" for p in group]
+            lines += [f"place_pad {word(p.name)} -side {p.side} -order {p.order_index} "
+                      f"-cell {word(p.cell_type)} -signal {word(p.signal)}" for p in group]
     return "\n".join(lines) + "\n"
 
 

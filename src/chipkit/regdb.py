@@ -423,14 +423,16 @@ def _allocate_in_place(entries: list[RegEntry], region_size_bytes: int | None) -
     used = {e.offset_bytes for e in entries if e.offset_bytes is not None}
     cursor = FIRST_OFFSET
     for i, e in enumerate(entries):
-        if e.offset_bytes is not None:
-            continue
-        while cursor in used:
-            cursor += WORD_BYTES
-        if cursor >= limit:
-            raise DataError(f"no free offset below 0x{limit:x} for entry {e.name}")
-        entries[i] = e._replace(offset_bytes=cursor)
-        used.add(cursor)
+        if e.offset_bytes is None:
+            while cursor in used:
+                cursor += WORD_BYTES
+            if cursor >= limit:
+                raise DataError(f"no free offset below 0x{limit:x} for entry {e.name}")
+            entries[i] = e._replace(offset_bytes=cursor)
+            used.add(cursor)
+        elif e.offset_bytes >= limit:
+            raise DataError(
+                f"entry {e.name} at offset 0x{e.offset_bytes:x} falls outside the region")
 
 
 def parse_taps(cell: str) -> list[DiagTap]:

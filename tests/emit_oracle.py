@@ -10,15 +10,20 @@ block, instantiation template, Markdown and software-view emitters called
 format_word, _bits, _md_escape, _macro_name and local port, row and pad_type
 helpers per field; they and those helpers are copied verbatim below. All of
 them took (db, cfg, hash32), before the emitters took one RegMap, and sorted
-the entries by offset through _sorted_entries, copied verbatim too. Kept
-only as oracles for the differential property tests; chipkit never imports
-it."""
+the entries by offset through _sorted_entries, copied verbatim too. The
+register block and self-test emitters ran the region check, _check_region,
+and the self-test found its probe through _free_offset; both are copied
+verbatim, and every register-view oracle here runs the region check first,
+as emit.prepare now does for every target. Kept only as oracles for the
+differential property tests; chipkit never imports it."""
 
 from __future__ import annotations
 
 import re
 
-from chipkit.emit import _check_region, _free_offset, _sv_banner
+from chipkit import DataError
+from chipkit import regdb as rdb
+from chipkit.emit import _sv_banner
 from chipkit.regdb import ACCESS_RO, ACCESS_RW, ACTIVE, ID_REG_NAME, ID_REG_OFFSET, OFFSET_KEY
 from chipkit.regdb import RETIRED, EmitConfig, RegDb, RegEntry
 from chipkit.script import RESP_OK, format_word
@@ -30,6 +35,27 @@ class _Script(TestScript):
 
     def add(self, command: str, expected: str, comment: str = "") -> None:
         self.steps.append(ScriptStep(command, expected, comment))
+
+
+def _check_region(db: RegDb, cfg: EmitConfig) -> None:
+    need = 4 * (len(db.entries) + 1)
+    if cfg.csr_region_size_bytes < need:
+        raise DataError(
+            f"region size 0x{cfg.csr_region_size_bytes:x} too small for "
+            f"{len(db.entries)} entries plus the ID register (need 0x{need:x})")
+    for e in db.entries:
+        if e.offset_bytes is not None and e.offset_bytes >= cfg.csr_region_size_bytes:
+            raise DataError(
+                f"entry {e.name} at offset 0x{e.offset_bytes:x} falls outside the region")
+
+
+def _free_offset(db: RegDb, cfg: EmitConfig) -> int | None:
+    """Lowest in-region word offset with no register behind it, if any."""
+    used = {ID_REG_OFFSET} | {e.offset_bytes for e in db.entries}
+    for off in range(rdb.FIRST_OFFSET, cfg.csr_region_size_bytes, rdb.WORD_BYTES):
+        if off not in used:
+            return off
+    return None
 
 
 def _sorted_entries(db: RegDb) -> list[RegEntry]:
@@ -198,6 +224,7 @@ def emit_csr_rtl(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
 
 def emit_instantiation_template(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
     """Copy-paste instantiation of the generated block, one named connection per port."""
+    _check_region(db, cfg)
     active = [e for e in _sorted_entries(db) if e.state == ACTIVE]
     mod = f"{cfg.block_name}_csr"
     conns = [("clock", "clock"), ("reset_n", "reset_n")]
@@ -230,6 +257,7 @@ def _doc_rows(db: RegDb, cfg: EmitConfig, hash32: int):
 
 
 def emit_markdown(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
+    _check_region(db, cfg)
     header = "| name | address | width | access | reset | description |"
     divider = "|---|---|---|---|---|---|"
 
@@ -257,6 +285,7 @@ def emit_markdown(db: RegDb, cfg: EmitConfig, hash32: int) -> str:
 
 def emit_sw_views(db: RegDb, cfg: EmitConfig, hash32: int) -> tuple[str, str]:
     """C header and Python definitions for the active register set."""
+    _check_region(db, cfg)
     block = _macro_name(cfg.block_name)
     guard = f"{block}_REGS_H"
     rows = _doc_rows(db, cfg, hash32)

@@ -170,10 +170,14 @@ def update_db(
             entry["state"] = RETIRED
             report.retired.append(entry["name"])
 
-    # the lowest free word offset from FIRST_OFFSET for each entry without one, in order
+    # the lowest free word offset from FIRST_OFFSET for each entry without one,
+    # in order; an entry with one must lie below the limit
     limit = 1 << 32 if region_size_bytes is None else region_size_bytes
     used = {e["offset_bytes"] for e in work}
     for entry in work:
+        if entry["offset_bytes"] is not None and entry["offset_bytes"] >= limit:
+            raise DataError(f"entry {entry['name']} at offset 0x{entry['offset_bytes']:x} "
+                            "falls outside the region")
         if entry["offset_bytes"] is None:
             offset = next(o for o in itertools.count(FIRST_OFFSET, WORD_BYTES) if o not in used)
             if offset >= limit:

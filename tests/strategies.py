@@ -7,7 +7,8 @@ import operator
 from hypothesis import strategies as st
 
 from chipkit.regdb import (
-    ACCESS_RO, ACCESS_RW, ACTIVE, RETIRED, CsrCandidate, RegDb, RegEntry, update_db)
+    ACCESS_RO, ACCESS_RW, ACTIVE, DIAG_SEL, RETIRED, CsrCandidate, DiagTap, RegDb, RegEntry,
+    diag_select_bits, update_db)
 
 _LOWER = "abcdefghijklmnopqrstuvwxyz"
 # [a-z][a-z0-9_]{0,11}, built without from_regex, whose regex engine costs
@@ -40,6 +41,21 @@ def reg_dbs(draw, max_entries=8):
     entry_names = draw(st.lists(names, max_size=max_entries, unique=True))
     db = RegDb(entries=[draw(reg_entries(n)) for n in entry_names])
     return update_db(db, [], scanned_modules=set())[0]  # allocates, retires nothing
+
+
+@st.composite
+def tapped_dbs(draw, max_entries=8):
+    """reg_dbs, and in some an active RW cfg_diag_sel recording up to six
+    taps, some retired; the select register holds one field for each of two
+    pins. Some of them validate_db rejects."""
+    db = draw(reg_dbs(max_entries))
+    tap_names = draw(st.lists(names, max_size=6, unique=True))
+    if not tap_names or db.entry(DIAG_SEL) is not None:
+        return db
+    taps = [DiagTap(f"diag_{n}", draw(module_names), draw(st.booleans())) for n in tap_names]
+    width = max(1, 2 * diag_select_bits(taps))
+    return update_db(db, [CsrCandidate(DIAG_SEL, width, ACCESS_RW, "mux")],
+                     scanned_modules=set(), taps=taps)[0]
 
 
 @st.composite

@@ -85,6 +85,16 @@ class TestBuild:
                                             r"csr0 \(size 0x8\)$"):
             build_soc(tiny, csr_dbs(db))
 
+    def test_retired_entry_outside_region(self):
+        """A retired entry's offset stays reserved, so it too must lie in the region."""
+        tiny = MemoryMap([Region("csr0", "csr", 0x50000000, 0x8)])
+        db, _ = update_db(RegDb(), [CsrCandidate(f"cfg_{i}", 1, "RW", "m") for i in range(2)])
+        db, _ = update_db(db, [CsrCandidate("cfg_0", 1, "RW", "m")])
+        assert db.entry("cfg_1").state == "retired"
+        with pytest.raises(DataError, match=r"^entry cfg_1 at offset 0x8 does not fit region "
+                                            r"csr0 \(size 0x8\)$"):
+            build_soc(tiny, csr_dbs(db))
+
 
 class TestReadWrite:
     def test_unmapped_read(self, soc):

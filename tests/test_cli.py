@@ -227,6 +227,19 @@ class TestUpdate:
         assert capsys.readouterr().err == "error: duplicate diagnostic signal names across modules\n"
         assert (proj / "regs.csv").read_bytes() == before
 
+    @pytest.mark.parametrize("state", ["active", "retired"], ids=["kept", "reactivated"])
+    def test_entry_past_the_region_exit_3_nothing_written(self, proj, capsys, state):
+        """update writes no entry outside the csr region, whether the scan
+        keeps it or brings it back: generate would refuse the database."""
+        assert main(["update"]) == 0
+        _edit(proj, "regs.csv", "0x34,demo_diag_mux,,active", f"0x2000,demo_diag_mux,,{state}")
+        before = (proj / "regs.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["update"]) == 3
+        assert capsys.readouterr().err == \
+            "error: entry cfg_diag_sel at offset 0x2000 falls outside the region\n"
+        assert (proj / "regs.csv").read_bytes() == before
+
     def test_flags_override_config(self, proj):
         assert main(["update", "--db", "alt.csv", "--targets", "rtl"]) == 0
         db = regdb.load_db((proj / "alt.csv").read_text())
@@ -536,6 +549,18 @@ class TestGenerate:
             "error: memory map has no csr region matching base 0x70000000 size 0x1000\n"
         assert not (proj / "gen").exists()
 
+    @pytest.mark.parametrize("targets", ["c", "md,py", "inst", "diag", "pads", ""])
+    def test_entry_past_the_region_refused_for_every_target(self, proj, capsys, targets):
+        """The region check runs in emit.prepare, whatever the targets: the C
+        header wrote the entry's address past the region's end."""
+        assert main(["update"]) == 0
+        _edit(proj, "regs.csv", "0x34,demo_diag_mux", "0x2000,demo_diag_mux")
+        capsys.readouterr()
+        assert main(["generate", "--targets", targets]) == 3
+        assert capsys.readouterr().err == \
+            "error: entry cfg_diag_sel at offset 0x2000 falls outside the region\n"
+        assert not (proj / "gen").exists()
+
     def test_generated_rtl_lints_clean(self, proj):
         assert main(["update"]) == 0
         assert main(["generate"]) == 0
@@ -653,6 +678,14 @@ class TestRunTest:
     def test_bad_fault_spec(self, proj):
         self.setup_pipeline(proj)
         assert main(["run-test", "--script", "gen/demo_selftest.txt", "--fault", "zap"]) == 2
+
+    def test_retired_entry_past_the_region_refused(self, proj, capsys):
+        self.setup_pipeline(proj)
+        _edit(proj, "regs.csv", "0x34,demo_diag_mux,,active", "0x2000,demo_diag_mux,,retired")
+        capsys.readouterr()
+        assert main(["run-test", "--script", "gen/demo_selftest.txt"]) == 3
+        assert capsys.readouterr().err == ("error: entry cfg_diag_sel at offset 0x2000 does not "
+                                           "fit region csr0 (size 0x1000)\n")
 
     def test_selftest_fails_against_other_db(self, proj):
         self.setup_pipeline(proj)
@@ -859,6 +892,8 @@ DB_TEXTS = {
     "tap-on-another-row": (("0x4,dsp_core,,active,", "0x4,dsp_core,,active,diag_x@dsp_core"),),
     "tap-codes-too-wide": (("cfg_diag_sel,4,", "cfg_diag_sel,1,"),),
     "tap-retired": (("diag_tick@timer_unit", "diag_tick@timer_unit:retired"),),
+    "entry-past-region": (("0x34,demo_diag_mux,,active", "0x2000,demo_diag_mux,,active"),),
+    "retired-past-region": (("0x34,demo_diag_mux,,active", "0x2000,demo_diag_mux,,retired"),),
 }
 
 
@@ -908,6 +943,9 @@ EXIT_CODE_TABLE = [
     ("address-space-exhausted",
      _args("update", "--region-size", "0x8", "--targets", "rtl", bootstrap=False), 3,
      "error: no free offset below 0x8 for entry cfg_offset\n"),
+    # update checks the region as generate does (it wrote entries past --region-size)
+    ("update-region-below-entries", _args("update", "--region-size", "0x20"), 3,
+     "error: entry sts_pins at offset 0x20 falls outside the region\n"),
     ("map-mismatch", _args("generate", "--base", "0x70000000"), 3,
      "error: memory map has no csr region matching base 0x70000000 size 0x1000\n"),
     ("bad-block-name", _args("generate", "--block", "9x"), 3,
@@ -937,6 +975,19 @@ EXIT_CODE_TABLE = [
     # a cell past the header is rejected, as in regs.csv (it was dropped)
     ("long-pad-row", _pad_row("pad_clk,N,0,PDIN,clock,stray"), 2,
      "error: pad row 2: expected 5 fields, found 6\n"),
+    # a pad cell that braces cannot quote is refused (pads_place.tcl ran it)
+    ("pad-cell-open-brace", _pad_row("pad{clk,N,0,PDIN,clock"), 2,
+     "error: pad row 2: name holds '{{', which the pad script cannot quote\n"),
+    ("pad-cell-close-brace", _pad_row("pad_clk,N,0,PD}IN,clock"), 2,
+     "error: pad row 2: cell holds '}}', which the pad script cannot quote\n"),
+    ("pad-cell-backslash", _pad_row("pad_clk,N,0,PDIN,clo\\ck"), 2,
+     "error: pad row 2: signal holds '\\\\', which the pad script cannot quote\n"),
+    ("pad-cell-lf", _pad_row('"pad\nclk",N,0,PDIN,clock'), 2,
+     "error: pad row 2: name holds '\\n', which the pad script cannot quote\n"),
+    ("pad-cell-tab", _pad_row("pad_clk,N,0,PD\tIN,clock"), 2,
+     "error: pad row 2: cell holds '\\t', which the pad script cannot quote\n"),
+    ("pad-cell-escape", _pad_row("pad_clk,N\x1b,0,PDIN,clock"), 2,
+     "error: pad row 2: side holds '\\x1b', which the pad script cannot quote\n"),
     ("malformed-script", _malformed_script, 2,
      "error: line 2: expected '< <response>' after command\n"),
     # an INI value names its setting as the flag's error does (it named the key)
@@ -1053,7 +1104,8 @@ class TestOnePassEquivalence:
         assert results[0] == results[1]
         # the two canonical texts take the one pass; every defect, NUL
         # included, is left to csv
-        assert (reads[0] == 0) == (name in ("canonical", "extra-column", "tap-retired"))
+        assert (reads[0] == 0) == (name in ("canonical", "extra-column", "tap-retired",
+                                            "entry-past-region", "retired-past-region"))
 
 
 def _subcommand_flags():

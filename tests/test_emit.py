@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import strategies
-from chipkit import DataError, emit, regdb, sv_scan
+from chipkit import DataError, InputError, emit, regdb, sv_scan
 from chipkit.emit import EmitConfig, load_pad_db
 from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import RETIRED, DiagTap, RegDb, RegEntry, db_hash, update_db
@@ -181,28 +181,35 @@ class TestSwViews:
         assert "MY_BLK2_CFG_GAIN_ADDR" in c_text
 
     @settings(max_examples=200, deadline=None)
-    @given(db=strategies.reg_dbs())
+    @given(db=strategies.tapped_dbs())
     def test_views_match_the_database(self, db):
         """Every active register and the ID register, with address, width
-        and access, read back from both views; and the database hash."""
+        and access, and every active diagnostic tap with its select code, read
+        back from both views; and the database hash."""
         assume(not regdb.validate_db(db))
         c_text, py_text = emit.emit_sw_views(emit.prepare(db, CFG, db_hash(db)))
         base = CFG.base_address
         expected = {regdb.ID_REG_NAME: (base + regdb.ID_REG_OFFSET, 32, "RO")}
         expected.update((e.name, (base + e.offset_bytes, e.width_bits, e.access))
                         for e in db.entries if e.state == regdb.ACTIVE)
+        sel = db.entry(regdb.DIAG_SEL)
+        taps = {t.name: code for code, t in enumerate(regdb.parse_taps(
+            sel.extra.get(regdb.TAPS_COLUMN, "") if sel else "")) if not t.retired}
 
         namespace = {}
         exec(py_text, namespace)
         assert namespace["BASE_ADDR"] == base
         assert namespace["REGISTERS"] == expected
+        assert namespace.get("DIAG_SELECT", {}) == taps
+        assert ("DIAG_SELECT" in namespace) == bool(taps)
 
         defines = dict(re.findall(r"^#define (\w+) (\S+)$", c_text, re.M))
         assert int(defines.pop("MYBLK_BASE_ADDR"), 16) == base
         assert defines == {
             f"MYBLK_{name.upper()}_{field}": value
             for name, (addr, width, _access) in expected.items()
-            for field, value in (("ADDR", format_word(addr)), ("WIDTH", str(width)))}
+            for field, value in (("ADDR", format_word(addr)), ("WIDTH", str(width)))} | {
+            f"MYBLK_DIAG_SEL_{name.upper()}": str(code) for name, code in taps.items()}
         assert dict(re.findall(r"^/\* (\w+): (RW|RO), ", c_text, re.M)) == {
             name: access for name, (_addr, _width, access) in expected.items()}
 
@@ -457,6 +464,29 @@ class TestPadScript:
     def test_empty_pad_db_banner_only(self):
         text = emit.emit_pad_script(())
         assert all(l.startswith("#") for l in text.strip().splitlines())
+
+    def test_cells_braced_unless_plain(self):
+        """A cell of [A-Za-z0-9_.:-] is written bare, any other in braces: the
+        empty one, which would vanish as an argument, and a bus bit, which
+        would be a command substitution."""
+        pads = load_pad_db("name,side,order,cell,signal\n"
+                           "p.0:a-b,N,0,,data[3]\n\"p 1\",N,1,$c,\"s;t\"\n")
+        assert emit.emit_pad_script(pads).splitlines()[4:] == [
+            "place_pad p.0:a-b -side N -order 0 -cell {} -signal {data[3]}",
+            "place_pad {p 1} -side N -order 1 -cell {$c} -signal {s;t}"]
+
+    @pytest.mark.parametrize("char", ["\r", "\x01", "\x7f", "\x9b"])
+    @pytest.mark.parametrize("column", ["name", "cell", "signal"])
+    def test_cell_braces_cannot_hold_is_refused(self, column, char):
+        """The control characters that the CLI's exit-code table does not
+        carry: a CR, which reading the file turns into a LF, C0, DEL and C1."""
+        cells = {"name": "p0", "side": "N", "order": "0", "cell": "C", "signal": "s0"}
+        cells[column] = f"a{char}b"
+        text = "name,side,order,cell,signal\n" + ",".join(
+            f'"{cell}"' for cell in cells.values()) + "\n"
+        with pytest.raises(InputError, match=re.escape(
+                f"pad row 2: {column} holds {char!r}, which the pad script cannot quote")):
+            load_pad_db(text)
 
     def test_duplicate_slot_rejected(self):
         with pytest.raises(DataError, match="^pad row 3: duplicate slot N0$"):
