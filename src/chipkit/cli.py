@@ -297,39 +297,17 @@ def _write_outputs(folder: Path, batches: Iterable[dict[str, str]]) -> dict[str,
 def cmd_update(cfg: ProjectConfig) -> int:
     from . import sv_scan
     diagnostics: list[sv_scan.Diagnostic] = []
-    candidates = []
-    diag_candidates = []
-    scanned_for_update: set[str] = set()
+    candidates, taps, scanned_modules = [], [], set()
     for module in _scan_modules(cfg, diagnostics):
-        scanned_for_update.add(module.name)
+        scanned_modules.add(module.name)
         candidates.extend(sv_scan.extract_csr_candidates(module, cfg.naming, diagnostics))
-        diag_candidates.extend(sv_scan.extract_diag_candidates(module, cfg.naming, diagnostics))
+        taps.extend(sv_scan.extract_diag_candidates(module, cfg.naming, diagnostics))
     for d in diagnostics:
         print(f"note: {d.path}:{d.line}: [{d.kind}] {d.message}", file=sys.stderr)
 
     db_file = Path(cfg.db_path)
     db = _read_db(db_file.read_text(encoding="utf-8"))[0] if db_file.exists() else regdb.RegDb()
-
-    diag_origin = f"{cfg.emit.block_name}_diag_mux"
-    taps = None
-    if "diag" in cfg.emit.targets:
-        sel = db.entry(regdb.DIAG_SEL)
-        held = regdb.parse_taps(sel.extra.get(regdb.TAPS_COLUMN, "") if sel else "")
-        taps = regdb.merge_taps(held, diag_candidates, scanned_for_update)
-        sel_bits = regdb.diag_select_bits(taps)
-        if any(not t.retired for t in taps):
-            if any(c.name == regdb.DIAG_SEL for c in candidates):
-                raise InputError(f"{regdb.DIAG_SEL} is generated for the diagnostic mux; "
-                                 "rename the conflicting RTL port")
-            candidates = candidates + [regdb.CsrCandidate(
-                regdb.DIAG_SEL, max(1, sel_bits * cfg.emit.diag_pins), regdb.ACCESS_RW,
-                diag_origin)]
-    # with no tap active, or diag generation switched off, the select register retires
-    scanned_for_update.add(diag_origin)
-
-    new_db, report = regdb.update_db(db, candidates, scanned_modules=scanned_for_update,
-                                     region_size_bytes=cfg.emit.csr_region_size_bytes,
-                                     taps=taps)
+    new_db, report = regdb.update_db(db, candidates, scanned_modules, cfg.emit, taps)
     _check_db(new_db, cfg.db_path)  # what the other commands would reject is not written
     print(regdb.format_change_report(report))
     _write_outputs(db_file.parent, [{db_file.name: regdb.save_db(new_db)}])

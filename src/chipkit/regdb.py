@@ -466,26 +466,11 @@ def diag_select_bits(taps: list[DiagTap]) -> int:
     return (len(taps) - 1).bit_length() if taps else 0
 
 
-def merge_taps(taps: list[DiagTap], found: list, scanned_modules: set[str]) -> list[DiagTap]:
-    """taps after a scan of scanned_modules that found the (name, origin
-    module) pairs found, in scan order. Codes are allocated as offsets are: a
-    tap found keeps its code, and one retired takes it back; a tap missing
-    from a scanned module is retired and its code stays reserved; a new tap
-    takes the lowest free code, which is the next one, since none is freed."""
-    where = dict(found)
-    if len(where) != len(found):
-        raise DataError("duplicate diagnostic signal names across modules")
-    merged = [DiagTap(t.name, where.pop(t.name)) if t.name in where
-              else t._replace(retired=True) if t.origin_module in scanned_modules else t
-              for t in taps]
-    return merged + [DiagTap(name, module) for name, module in where.items()]
-
-
 def update_db(
     db: RegDb,
     candidates: list[CsrCandidate],
     scanned_modules: set[str] | None = None,
-    region_size_bytes: int | None = None,
+    config: EmitConfig | None = None,
     taps: list[DiagTap] | None = None,
 ) -> tuple[RegDb, ChangeReport]:
     """Merge one scan run into a new database; db is unchanged, and shares
@@ -496,20 +481,39 @@ def update_db(
     columns kept. Active entries whose origin module was rescanned but which
     matched no candidate are retired (offset kept); entries from modules
     outside this scan are left alone. A retired entry reappearing with the
-    same access type is reactivated at its old offset. taps, as merge_taps
-    gives them, replace the ones DIAG_SEL's row records.
+    same access type is reactivated at its old offset.
+
+    With config, offsets are allocated below its csr region size, and the
+    merge owns DIAG_SEL, the select register of module <block>_diag_mux. When
+    config targets diag, taps (the ones the scan found, in scan order) are
+    merged into the taps DIAG_SEL's row records, and DIAG_SEL is a candidate
+    while a tap is active; it retires when none is, or when diag is off.
     """
+    if scanned_modules is None:
+        scanned_modules = {c.origin_module for c in candidates}
+    report = ChangeReport()
+    entries, columns = list(db.entries), list(db.columns)
+    index = {e.name: i for i, e in enumerate(entries)}
+    merged = None  # the taps to record on DIAG_SEL's row
+    if config is not None:
+        sel_origin = f"{config.block_name}_diag_mux"
+        if "diag" in config.targets:
+            sel = entries[index[DIAG_SEL]] if DIAG_SEL in index else None
+            merged = _merge_taps(parse_taps(sel.extra.get(TAPS_COLUMN, "") if sel else ""),
+                                 taps or [], scanned_modules, report)
+            width = max(1, diag_select_bits(merged) * config.diag_pins)
+            if any(not t.retired for t in merged):
+                if any(c.name == DIAG_SEL for c in candidates):
+                    raise InputError(f"{DIAG_SEL} is generated for the diagnostic mux; "
+                                     "rename the conflicting RTL port")
+                candidates = [*candidates, CsrCandidate(DIAG_SEL, width, ACCESS_RW, sel_origin)]
+        scanned_modules = scanned_modules | {sel_origin}
+
     seen = set()
     for c in candidates:
         if c.name in seen:
             raise InputError(f"duplicate candidate name {c.name}")
         seen.add(c.name)
-    if scanned_modules is None:
-        scanned_modules = {c.origin_module for c in candidates}
-
-    report = ChangeReport()
-    entries, columns = list(db.entries), list(db.columns)
-    index = {e.name: i for i, e in enumerate(entries)}
 
     for cand in candidates:
         i = index.get(cand.name)
@@ -544,30 +548,44 @@ def update_db(
             entries[i] = entry._replace(state=RETIRED)
             report.retired.append(entry.name)
 
-    i = index.get(DIAG_SEL)
-    if taps and i is not None:
-        entries[i] = _record_taps(entries[i], taps, report)
+    if merged:  # a tap was held, so DIAG_SEL has a row, or one is active and added it
+        i = index[DIAG_SEL]
+        entries[i] = entries[i]._replace(extra={**entries[i].extra,
+                                                TAPS_COLUMN: format_taps(merged)})
         if TAPS_COLUMN not in columns:
             columns.insert(columns.index("state") + 1 if "state" in columns else len(columns),
                            TAPS_COLUMN)
-    _allocate_in_place(entries, region_size_bytes)
+    _allocate_in_place(entries, None if config is None else config.csr_region_size_bytes)
     entries.sort(key=OFFSET_KEY)
     return RegDb(entries, columns), report
 
 
-def _record_taps(sel: RegEntry, taps: list[DiagTap], report: ChangeReport) -> RegEntry:
-    """sel, the DIAG_SEL entry, with taps in its diag_taps cell; reports each tap that changed."""
-    held = parse_taps(sel.extra.get(TAPS_COLUMN, ""))
-    for code, tap in enumerate(taps):
-        was = held[code] if code < len(held) else None
-        if was is None:
-            report.taps.append(("added", tap.name, code, ""))
-        elif was.retired != tap.retired:
+def _merge_taps(held: list[DiagTap], found: list[DiagTap], scanned_modules: set[str],
+                report: ChangeReport) -> list[DiagTap]:
+    """held, the taps in code order, after a scan of scanned_modules that
+    found the taps found; reports each tap that changed. Codes are allocated
+    as offsets are: a tap found keeps its code, and one retired takes it back;
+    a tap missing from a scanned module is retired and its code stays
+    reserved; a new tap takes the lowest free code, which is the next one,
+    since none is freed."""
+    where = {t.name: t.origin_module for t in found}
+    if len(where) != len(found):
+        raise DataError("duplicate diagnostic signal names across modules")
+    merged = []
+    for code, was in enumerate(held):
+        module = where.pop(was.name, None)
+        tap = DiagTap(was.name, module) if module is not None \
+            else was._replace(retired=True) if was.origin_module in scanned_modules else was
+        if tap.retired != was.retired:
             report.taps.append(("retired" if tap.retired else "reactivated", tap.name, code, ""))
         elif was.origin_module != tap.origin_module:
             report.taps.append(("moved", tap.name, code,
                                 f" from {was.origin_module} to {tap.origin_module}"))
-    return sel._replace(extra={**sel.extra, TAPS_COLUMN: format_taps(taps)})
+        merged.append(tap)
+    for name, module in where.items():
+        report.taps.append(("added", name, len(merged), ""))
+        merged.append(DiagTap(name, module))
+    return merged
 
 
 def format_change_report(report: ChangeReport) -> str:

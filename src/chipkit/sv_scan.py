@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import InputError, Record
-from .regdb import ACCESS_RO, ACCESS_RW, CsrCandidate, NamingConvention
+from .regdb import ACCESS_RO, ACCESS_RW, CsrCandidate, DiagTap, NamingConvention
 
 MAX_CSR_WIDTH = 32
 
@@ -69,11 +69,6 @@ class Diagnostic(NamedTuple):
     path: str
     line: int
     message: str
-
-
-class DiagCandidate(NamedTuple):
-    name: str
-    origin_module: str
 
 
 # Builds a NamedTuple from a tuple of all its fields in half the time its
@@ -412,10 +407,10 @@ def extract_diag_candidates(
     module: ModuleDecl,
     conv: NamingConvention,
     diagnostics: list[Diagnostic] | None = None,
-) -> list[DiagCandidate]:
-    """Single-bit diagnostic outputs, in declaration order."""
+) -> list[DiagTap]:
+    """Single-bit diagnostic outputs, in declaration order, as active taps."""
     diags = diagnostics if diagnostics is not None else []
-    out: list[DiagCandidate] = []
+    out: list[DiagTap] = []
     has_affix, diag = conv.has_affix, conv.diag_prefix
     for port in module.ports:
         if port.direction != "output" or not has_affix(port.name, diag):
@@ -425,7 +420,7 @@ def extract_diag_candidates(
                 DIAG_WIDTH, module.path, port.line,
                 f"{port.name} in {module.name}: diagnostic taps must be 1 bit wide"))
             continue
-        out.append(DiagCandidate(port.name, module.name))
+        out.append(DiagTap(port.name, module.name))
     return out
 
 

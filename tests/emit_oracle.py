@@ -13,8 +13,10 @@ them took (db, cfg, hash32), before the emitters took one RegMap, and sorted
 the entries by offset through _sorted_entries, copied verbatim too. The
 register block and self-test emitters ran the region check, _check_region,
 and the self-test found its probe through _free_offset; both are copied
-verbatim, and every register-view oracle here runs the region check first,
-as emit.prepare now does for every target. Kept only as oracles for the
+verbatim, but for the entry the region check names past the region: the
+one at the lowest offset, as emit.prepare names it, where the copy named the
+first in list order. Every register-view oracle here runs the region check
+first, as emit.prepare now does for every target. Kept only as oracles for the
 differential property tests; chipkit never imports it."""
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ def _check_region(db: RegDb, cfg: EmitConfig) -> None:
         raise DataError(
             f"region size 0x{cfg.csr_region_size_bytes:x} too small for "
             f"{len(db.entries)} entries plus the ID register (need 0x{need:x})")
-    for e in db.entries:
-        if e.offset_bytes is not None and e.offset_bytes >= cfg.csr_region_size_bytes:
-            raise DataError(
-                f"entry {e.name} at offset 0x{e.offset_bytes:x} falls outside the region")
+    outside = [e for e in db.entries
+               if e.offset_bytes is not None and e.offset_bytes >= cfg.csr_region_size_bytes]
+    if outside:  # the lowest such offset, as emit.prepare names it
+        e = min(outside, key=OFFSET_KEY)
+        raise DataError(f"entry {e.name} at offset 0x{e.offset_bytes:x} falls outside the region")
 
 
 def _free_offset(db: RegDb, cfg: EmitConfig) -> int | None:

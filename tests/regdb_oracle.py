@@ -2,7 +2,8 @@
 one-picker writer and the tuple-compare merge replaced: a lambda per cell on
 load, an if chain per cell on save, and on merge a getattr and an assignment
 per scan-owned field of each known candidate, on a mutable working copy of each
-entry (its _asdict()), with an allocator of its own. Kept only as the oracle
+entry (its _asdict()), with an allocator of its own, and a tap merge on a dict
+per tap, written from README's tap rules. Kept only as the oracle
 for the differential property tests; chipkit never imports it."""
 
 from __future__ import annotations
@@ -10,11 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import re
 
 from chipkit import DataError, InputError
 from chipkit.regdb import (
-    ACCESS_RO, ACCESS_RW, ACTIVE, CANONICAL_COLUMNS, OFFSET_KEY, REQUIRED_COLUMNS, RETIRED,
-    FIRST_OFFSET, WORD_BYTES, ChangeReport, CsrCandidate, RegDb, RegEntry, _parse_int)
+    ACCESS_RO, ACCESS_RW, ACTIVE, CANONICAL_COLUMNS, DIAG_SEL, OFFSET_KEY, REQUIRED_COLUMNS,
+    RETIRED, TAPS_COLUMN, FIRST_OFFSET, WORD_BYTES, ChangeReport, CsrCandidate, DiagTap,
+    EmitConfig, RegDb, RegEntry, _parse_int)
 
 
 def load_db(csv_text: str) -> RegDb:
@@ -111,7 +114,8 @@ def update_db(
     db: RegDb,
     candidates: list[CsrCandidate],
     scanned_modules: set[str] | None = None,
-    region_size_bytes: int | None = None,
+    config: EmitConfig | None = None,
+    taps: list[DiagTap] | None = None,
 ) -> tuple[RegDb, ChangeReport]:
     """Merge one scan run into the database.
 
@@ -121,18 +125,42 @@ def update_db(
     rescanned but which matched no candidate are retired (offset kept);
     entries from modules outside this scan are left alone. A retired entry
     reappearing with the same access type is reactivated at its old offset.
+    With a config, offsets lie below its region size, and, when it targets
+    diag, the taps found are merged into the ones cfg_diag_sel records, as
+    README's tap rules say; cfg_diag_sel is the mux's while a tap is active.
     """
+    scanned = {c.origin_module for c in candidates} if scanned_modules is None \
+        else set(scanned_modules)
+    report = ChangeReport()
+    work = [e._asdict() for e in db.entries]  # a mutable copy of each entry
+    by_name = {e["name"]: e for e in work}
+    candidates = list(candidates)
+    cell = None  # the diag_taps cell to record
+    if config is not None:
+        mux = config.block_name + "_diag_mux"
+        if "diag" in config.targets:
+            sel = by_name.get(DIAG_SEL)
+            recorded = _taps_after_scan(sel["extra"].get(TAPS_COLUMN, "") if sel else "",
+                                        list(taps or []), scanned, report)
+            if any(not t["retired"] for t in recorded):
+                if DIAG_SEL in [c.name for c in candidates]:
+                    raise InputError("cfg_diag_sel is generated for the diagnostic mux; "
+                                     "rename the conflicting RTL port")
+                bits = 0  # enough bits for the highest code
+                while (1 << bits) < len(recorded):
+                    bits += 1
+                candidates.append(CsrCandidate(DIAG_SEL, max(1, bits * config.diag_pins),
+                                               ACCESS_RW, mux))
+            if recorded:
+                cell = " ".join(t["name"] + "@" + t["module"] + (":retired" if t["retired"] else "")
+                                for t in recorded)
+        scanned.add(mux)
+
     seen = set()
     for c in candidates:
         if c.name in seen:
             raise InputError(f"duplicate candidate name {c.name}")
         seen.add(c.name)
-    if scanned_modules is None:
-        scanned_modules = {c.origin_module for c in candidates}
-
-    report = ChangeReport()
-    work = [e._asdict() for e in db.entries]  # a mutable copy of each entry
-    by_name = {e["name"]: e for e in work}
 
     for cand in candidates:
         entry = by_name.get(cand.name)
@@ -165,14 +193,22 @@ def update_db(
             report.unchanged_count += 1
 
     for entry in work:
-        if entry["state"] == ACTIVE and entry["origin_module"] in scanned_modules \
+        if entry["state"] == ACTIVE and entry["origin_module"] in scanned \
                 and entry["name"] not in seen:
             entry["state"] = RETIRED
             report.retired.append(entry["name"])
 
+    columns = list(db.columns)
+    if cell is not None:
+        sel = by_name[DIAG_SEL]
+        sel["extra"] = {**sel["extra"], TAPS_COLUMN: cell}
+        if TAPS_COLUMN not in columns:  # right after state, or last
+            at = columns.index("state") + 1 if "state" in columns else len(columns)
+            columns[at:at] = [TAPS_COLUMN]
+
     # the lowest free word offset from FIRST_OFFSET for each entry without one,
     # in order; an entry with one must lie below the limit
-    limit = 1 << 32 if region_size_bytes is None else region_size_bytes
+    limit = 1 << 32 if config is None else config.csr_region_size_bytes
     used = {e["offset_bytes"] for e in work}
     for entry in work:
         if entry["offset_bytes"] is not None and entry["offset_bytes"] >= limit:
@@ -186,4 +222,54 @@ def update_db(
             used.add(offset)
 
     entries = sorted((RegEntry(**e) for e in work), key=OFFSET_KEY)
-    return RegDb(entries=entries, columns=list(db.columns)), report
+    return RegDb(entries=entries, columns=columns), report
+
+
+_TAP_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)@([A-Za-z_][A-Za-z0-9_]*)(:retired)?")
+
+
+def _taps_after_scan(cell: str, found: list[DiagTap], scanned: set[str],
+                     report: ChangeReport) -> list[dict]:
+    """The taps the cell records, each a dict of name, module and retired, at
+    its code, after a scan of scanned that found the taps found; reports each
+    change. A tap found keeps its code and is active in the module it was
+    found in; a tap missing from a scanned module is retired at its code; a
+    new tap takes the next code, in scan order."""
+    recorded = []
+    for item in cell.split(" ") if cell != "" else []:
+        m = _TAP_RE.fullmatch(item)
+        if m is None:
+            raise DataError(f"bad diagnostic tap {item!r} (name@module, :retired if retired)")
+        recorded.append({"name": m[1], "module": m[2], "retired": m[3] is not None})
+    modules = {}
+    for t in found:
+        if t.name in modules:
+            raise DataError("duplicate diagnostic signal names across modules")
+        modules[t.name] = t.origin_module
+    held = {t["name"] for t in recorded}
+    for code, tap in enumerate(recorded):
+        was = dict(tap)
+        if tap["name"] in modules:
+            tap["module"], tap["retired"] = modules[tap["name"]], False
+        elif tap["module"] in scanned:
+            tap["retired"] = True
+        if tap["retired"] and not was["retired"]:
+            report.taps.append(("retired", tap["name"], code, ""))
+        elif was["retired"] and not tap["retired"]:
+            report.taps.append(("reactivated", tap["name"], code, ""))
+        elif tap["module"] != was["module"]:
+            report.taps.append(("moved", tap["name"], code,
+                                f" from {was['module']} to {tap['module']}"))
+    for t in found:
+        if t.name not in held:
+            report.taps.append(("added", t.name, len(recorded), ""))
+            recorded.append({"name": t.name, "module": t.origin_module, "retired": False})
+    # each tap names a C macro, so no two may share a name in any case
+    first = {}
+    for tap in recorded:
+        key = tap["name"].upper()
+        if key in first:
+            raise DataError(f"diagnostic tap {tap['name']} listed twice" if first[key] == tap["name"]
+                            else f"diagnostic tap {tap['name']} differs from {first[key]} only in case")
+        first[key] = tap["name"]
+    return recorded

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from chipkit.regdb import ACCESS_RO, ACCESS_RW, CsrCandidate, NamingConvention
+from chipkit.regdb import ACCESS_RO, ACCESS_RW, CsrCandidate, DiagTap, NamingConvention
 from chipkit.sv_scan import (
     _CONN_RE,
     _NON_INSTANCE_WORDS,
@@ -25,7 +25,6 @@ from chipkit.sv_scan import (
     DIAG_SKIP,
     DIAG_WIDTH,
     MAX_CSR_WIDTH,
-    DiagCandidate,
     Diagnostic,
     LintViolation,
     MalformedSource,
@@ -302,10 +301,10 @@ def extract_diag_candidates(
     module: ModuleDecl,
     conv: NamingConvention,
     diagnostics: list[Diagnostic] | None = None,
-) -> list[DiagCandidate]:
+) -> list[DiagTap]:
     """Single-bit diagnostic outputs, in declaration order."""
     diags = diagnostics if diagnostics is not None else []
-    out: list[DiagCandidate] = []
+    out: list[DiagTap] = []
     for port in module.ports:
         if port.direction != "output" or not _matches(conv, conv.diag_prefix, port.name):
             continue
@@ -314,5 +313,5 @@ def extract_diag_candidates(
                 DIAG_WIDTH, module.path, port.line,
                 f"{port.name} in {module.name}: diagnostic taps must be 1 bit wide"))
             continue
-        out.append(DiagCandidate(name=port.name, origin_module=module.name))
+        out.append(DiagTap(name=port.name, origin_module=module.name))
     return out

@@ -7,8 +7,8 @@ import operator
 from hypothesis import strategies as st
 
 from chipkit.regdb import (
-    ACCESS_RO, ACCESS_RW, ACTIVE, DIAG_SEL, RETIRED, CsrCandidate, DiagTap, RegDb, RegEntry,
-    diag_select_bits, update_db)
+    ACCESS_RO, ACCESS_RW, ACTIVE, DIAG_SEL, RETIRED, TAPS_COLUMN, CsrCandidate, DiagTap, RegDb,
+    RegEntry, diag_select_bits, format_taps, update_db)
 
 _LOWER = "abcdefghijklmnopqrstuvwxyz"
 # [a-z][a-z0-9_]{0,11}, built without from_regex, whose regex engine costs
@@ -44,18 +44,32 @@ def reg_dbs(draw, max_entries=8):
 
 
 @st.composite
+def gapped_dbs(draw, max_entries=8):
+    """reg_dbs with each entry at a drawn word offset below 0x400, so that
+    the map has gaps, and an entry may lie past a region that would hold
+    them all packed from 0x4."""
+    db = draw(reg_dbs(max_entries))
+    offsets = draw(st.lists(st.integers(1, 0xFF).map(lambda word: 4 * word), unique=True,
+                            min_size=len(db.entries), max_size=len(db.entries)))
+    return RegDb([e._replace(offset_bytes=o) for e, o in zip(db.entries, offsets)], db.columns)
+
+
+@st.composite
 def tapped_dbs(draw, max_entries=8):
     """reg_dbs, and in some an active RW cfg_diag_sel recording up to six
     taps, some retired; the select register holds one field for each of two
-    pins. Some of them validate_db rejects."""
+    pins, and its origin is the mux of block blk or a module no scan names.
+    Some of them validate_db rejects."""
     db = draw(reg_dbs(max_entries))
     tap_names = draw(st.lists(names, max_size=6, unique=True))
     if not tap_names or db.entry(DIAG_SEL) is not None:
         return db
     taps = [DiagTap(f"diag_{n}", draw(module_names), draw(st.booleans())) for n in tap_names]
-    width = max(1, 2 * diag_select_bits(taps))
-    return update_db(db, [CsrCandidate(DIAG_SEL, width, ACCESS_RW, "mux")],
-                     scanned_modules=set(), taps=taps)[0]
+    sel = RegEntry(DIAG_SEL, max(1, 2 * diag_select_bits(taps)), ACCESS_RW,
+                   origin_module=draw(st.sampled_from(["blk_diag_mux", "mux"])),
+                   extra={TAPS_COLUMN: format_taps(taps)})
+    return update_db(RegDb([*db.entries, sel], [*db.columns, TAPS_COLUMN]), [],
+                     scanned_modules=set())[0]  # allocates the select register
 
 
 @st.composite

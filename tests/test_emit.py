@@ -543,8 +543,7 @@ class TestDeterminismAndClosure:
     def test_render_targets_deterministic(self):
         db = make_db(cand("cfg_a"), cand("sts_b", 1, "RO"))
         m = MemoryMap([Region("csr0", "csr", 0x70000000, 0x1000)])
-        db2, _ = update_db(db, [cand("cfg_a"), cand("sts_b", 1, "RO"),
-                                CsrCandidate("cfg_diag_sel", 2, "RW", "myblk_diag_mux")],
+        db2, _ = update_db(db, [cand("cfg_a"), cand("sts_b", 1, "RO")], config=CFG,
                            taps=[DiagTap("diag_z", "m1")])
         hash32 = db_hash(db2)
         regs = emit.prepare(db2, CFG, hash32)

@@ -1,8 +1,8 @@
 """Differential properties against emit_oracle. The self-test emitter, which
 writes one block of text per register, agrees byte for byte with the one that
 added each step through the script helpers, saved as the line list was, on
-databases with active and retired registers, in regions from too small to
-roomy, at any aligned base and with any unmapped value. save_script, which
+databases with active and retired registers, packed or with gaps, in regions
+from too small to roomy, at any aligned base and with any unmapped value. save_script, which
 joins a run of steps at a time, agrees with that line list on any steps. The
 two writer tests keep the names they had when the writer was format_steps.
 The register block, instantiation template, Markdown, software views and
@@ -21,6 +21,11 @@ from chipkit.memmap import MemoryMap, Region
 from chipkit.regdb import ACTIVE, RETIRED, EmitConfig, RegDb, RegEntry, db_hash
 from chipkit.script import save_script
 from host_oracle import ScriptStep, TestScript
+
+
+# packed databases, and ones with gaps, where an entry can lie past the region
+# though the region holds as many entries as the database has
+_dbs = strategies.reg_dbs() | strategies.gapped_dbs()
 
 
 @st.composite
@@ -60,7 +65,7 @@ _ORACLES = {"emit_csr_rtl": emit_oracle.emit_csr_rtl,
 
 
 @settings(max_examples=300, deadline=None)
-@given(db=strategies.reg_dbs(), cfg=emit_configs())
+@given(db=_dbs, cfg=emit_configs())
 def test_selftest_matches_oracle(db, cfg):
     hash32 = db_hash(db)
     assert _outcome(_rendered, emit.emit_selftest, db, cfg, hash32) == \
@@ -97,7 +102,7 @@ def _views_match(db, cfg, hash32):
 
 
 @settings(max_examples=300, deadline=None)
-@given(db=strategies.reg_dbs(), cfg=emit_configs(), hash32=st.integers(0, 0xFFFFFFFF))
+@given(db=_dbs, cfg=emit_configs(), hash32=st.integers(0, 0xFFFFFFFF))
 def test_register_views_match_oracle(db, cfg, hash32):
     _views_match(db, cfg, hash32)
 
@@ -125,6 +130,9 @@ _DBS = {
     "odd-names": _db(("a-b", 8, "RW", 0, ACTIVE, ""), ("9lives", 4, "RO", 0, ACTIVE, ""),
                      ("stra\u00dfe", 8, "RW", 0, ACTIVE, ""), ("x y", 8, "RO", 0, ACTIVE, ""),
                      ("\u00e9t\u00e9", 8, "RW", 0, ACTIVE, ""), ("_", 1, "RO", 0, RETIRED, "")),
+    # a retired entry past a later, smaller region (top-of-space)
+    "gapped": RegDb([RegEntry("cfg_a", 8, "RW", 1, 0x4, "m", "", ACTIVE),
+                     RegEntry("cfg_old", 8, "RW", 0, 0x200, "m", "gone", RETIRED)]),
     "odd-widths": _db(("cfg_zero", 0, "RW", 0, ACTIVE, ""), ("cfg_wide", 33, "RW", 1 << 32, ACTIVE, ""),
                       ("sts_wide", 128, "RO", -1, ACTIVE, ""), ("cfg_neg", -2, "RW", 7, ACTIVE, "")),
 }
@@ -180,7 +188,7 @@ def _shared_map_renders_as_fresh(db, cfg, hash32):
 
 
 @settings(max_examples=150, deadline=None)
-@given(db=strategies.reg_dbs(), cfg=emit_configs(), hash32=st.integers(0, 0xFFFFFFFF))
+@given(db=_dbs, cfg=emit_configs(), hash32=st.integers(0, 0xFFFFFFFF))
 def test_shared_register_map_stays_unchanged(db, cfg, hash32):
     _shared_map_renders_as_fresh(db, cfg, hash32)
 

@@ -1,6 +1,8 @@
 """Generated files read back by their own language's tools on this host: the
-pad script sourced by tclsh, and the C header compiled by cc and run. Each
-test skips only when its tool is absent, and its reason names the tool."""
+pad script sourced by tclsh, and the C header compiled by cc and run, whose
+addresses must be the self-test's. Each such test skips only when its tool is
+absent, and its reason names the tool. The host has no SystemVerilog tool, so
+the memory-map header's declarations are read with a regex, and never skip."""
 
 import csv
 import io
@@ -13,8 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import strategies
-from chipkit import emit, regdb
+from chipkit import DataError, emit, regdb
 from chipkit.emit import EmitConfig
+from chipkit.memmap import REGION_KINDS, MemoryMap, Region, macro_name
 from chipkit.regdb import db_hash
 
 TCLSH = shutil.which("tclsh")
@@ -153,16 +156,31 @@ def _check_header(header: str, db, cfg, tmp_path) -> dict[str, int]:
     return macros
 
 
+def _check_selftest(macros: dict[str, int], selftest: str, db, cfg) -> None:
+    """Each register's _ADDR macro, the ID register's included, is the one
+    address that register's steps in selftest read and write, and only the
+    registers with such a macro have steps."""
+    steps: dict[str, set[int]] = {}  # by the name as its macros spell it
+    for name, addr in re.findall(r"^# (\w+)(?::| register ).*\n> [RW] (0x[0-9a-f]+)", selftest,
+                                 re.M):
+        steps.setdefault(name.upper(), set()).add(int(addr, 16))
+    block = cfg.block_name.upper()
+    names = ["ID"] + [e.name.upper() for e in db.entries if e.state == regdb.ACTIVE]
+    assert steps == {name: {macros[f"{block}_{name}_ADDR"]} for name in names}
+
+
 @needs_cc
 def test_fixture_header_reads_back(project_dir, tmp_path, monkeypatch):
-    """The fixture project's header, as generate writes it, against its regs.csv."""
+    """The fixture project's header, as generate writes it, against its
+    regs.csv and its self-test."""
     from chipkit.cli import main
     monkeypatch.chdir(project_dir)
     assert main(["--config", "chipkit.cfg", "update"]) == 0
-    assert main(["--config", "chipkit.cfg", "generate", "--targets", "c"]) == 0
+    assert main(["--config", "chipkit.cfg", "generate", "--targets", "c,test"]) == 0
     db = regdb.load_db((project_dir / "regs.csv").read_text())
     cfg = EmitConfig(block_name="demo", base_address=0x50000000, csr_region_size_bytes=0x1000)
     macros = _check_header((project_dir / "gen" / "demo_regs.h").read_text(), db, cfg, tmp_path)
+    _check_selftest(macros, (project_dir / "gen" / "demo_selftest.txt").read_text(), db, cfg)
     assert {name for name in macros if name.startswith("DEMO_DIAG_SEL_")} == {
         "DEMO_DIAG_SEL_DIAG_FSM_IDLE", "DEMO_DIAG_SEL_DIAG_OVERFLOW", "DEMO_DIAG_SEL_DIAG_TICK"}
 
@@ -185,5 +203,42 @@ def _configs(draw):
 def test_header_reads_back(db, cfg, tmp_path_factory):
     """Databases with and without taps, at any aligned base of the 32-bit space."""
     assume(not regdb.validate_db(db))
-    c_text, _ = emit.emit_sw_views(emit.prepare(db, cfg, db_hash(db)))
-    _check_header(c_text, db, cfg, tmp_path_factory.mktemp("header"))
+    regs = emit.prepare(db, cfg, db_hash(db))
+    c_text, _ = emit.emit_sw_views(regs)
+    macros = _check_header(c_text, db, cfg, tmp_path_factory.mktemp("header"))
+    _check_selftest(macros, emit.emit_selftest(regs), db, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the memory-map header
+
+@st.composite
+def _regions(draw):
+    """Up to eight regions, each in a 16 MiB slot of its own, named from
+    characters that macro_name maps to '_' or keeps, so that some names give
+    one SOC_<NAME>."""
+    slots = draw(st.lists(st.integers(0, 0xFF), unique=True, max_size=8))
+    return [Region(draw(st.text(st.sampled_from("aZz9_-."), min_size=1, max_size=3)),
+                   draw(st.sampled_from(REGION_KINDS)), slot << 24, 1 << draw(st.integers(2, 24)))
+            for slot in slots]
+
+
+@settings(max_examples=200, deadline=None)
+@given(regions=_regions())
+def test_memmap_header_declares_each_parameter_once(regions):
+    """The header of any map declares each parameter once: each region's base
+    and size, with the region's values, then the region count. A map whose
+    names would declare one twice is refused."""
+    try:
+        memmap = MemoryMap(regions)
+    except DataError:
+        assert len({macro_name(r.name) for r in regions}) < len(regions)
+        return
+    text = emit.emit_memmap_header(memmap)
+    declared = re.findall(r"^parameter (?:logic \[31:0\]|int unsigned) (\w+) = (.*);$", text, re.M)
+    assert len(declared) == text.count("parameter") == 2 * len(regions) + 1
+    values = dict(declared)
+    assert len(values) == len(declared)
+    assert values.pop("SOC_REGION_COUNT") == str(len(regions))
+    assert values == {f"SOC_{macro_name(r.name)}_{part}": f"32'h{value:08x}"
+                      for r in regions for part, value in (("BASE", r.base), ("SIZE", r.size_bytes))}

@@ -12,6 +12,7 @@ from chipkit.regdb import (
     TAPS_COLUMN,
     DbError,
     DiagTap,
+    EmitConfig,
     RegDb,
     RegEntry,
     db_hash,
@@ -19,7 +20,6 @@ from chipkit.regdb import (
     format_taps,
     load_canonical_db,
     load_db,
-    merge_taps,
     parse_taps,
     save_db,
     update_db,
@@ -197,7 +197,9 @@ class TestUpdate:
 
 def allocate(db, region_size_bytes=None):
     """update_db with no scan: it only allocates the unallocated entries."""
-    return update_db(db, [], scanned_modules=set(), region_size_bytes=region_size_bytes)[0]
+    config = None if region_size_bytes is None else EmitConfig(
+        base_address=0, csr_region_size_bytes=region_size_bytes)
+    return update_db(db, [], scanned_modules=set(), config=config)[0]
 
 
 class TestAllocate:
@@ -265,6 +267,9 @@ class TestValidate:
         assert validate_db(db) == [DbError("cfg_a\n", "name 'cfg_a\\n' is not an identifier")]
 
 
+BLK = EmitConfig(block_name="blk")  # targets diag, with two pins
+
+
 def sel_db(cell, width=4, name=DIAG_SEL):
     db = RegDb(entries=[RegEntry(name, width, "RW", offset_bytes=4, extra={TAPS_COLUMN: cell})],
                columns=list(CANONICAL_COLUMNS) + [TAPS_COLUMN])
@@ -311,29 +316,32 @@ class TestTaps:
 
     def test_scan_duplicates_rejected(self):
         with pytest.raises(DataError, match="^duplicate diagnostic signal names across modules$"):
-            merge_taps([DiagTap("t", "a")], [("t", "a"), ("t", "b")], {"a", "b"})
+            update_db(sel_db("t@a"), [], {"a", "b"}, BLK, [DiagTap("t", "a"), DiagTap("t", "b")])
 
     def test_update_db_records_the_taps_after_state(self):
         db = RegDb(columns=list(CANONICAL_COLUMNS) + ["owner"])
-        new, report = update_db(db, [cand("cfg_a"), cand(DIAG_SEL, 2, origin="blk_diag_mux")],
+        new, report = update_db(db, [cand("cfg_a")], config=BLK,
                                 taps=[DiagTap("diag_x", "m1"), DiagTap("diag_y", "m2")])
         assert new.columns == list(CANONICAL_COLUMNS) + [TAPS_COLUMN, "owner"]
         assert [e.extra for e in new.entries] == [{}, {TAPS_COLUMN: "diag_x@m1 diag_y@m2"}]
         assert report.taps == [("added", "diag_x", 0, ""), ("added", "diag_y", 1, "")]
         assert db.columns == list(CANONICAL_COLUMNS) + ["owner"]  # the input is unchanged
+        sel = new.entries[1]  # one 1-bit field per pin, in the mux's own module
+        assert (sel.name, sel.width_bits, sel.access, sel.origin_module) == \
+            (DIAG_SEL, 2, "RW", "blk_diag_mux")
 
     def test_update_db_reports_each_changed_tap(self):
         db = sel_db("diag_a@m diag_b@m diag_c@m:retired diag_d@m")
         taps = [DiagTap("diag_a", "m", True), DiagTap("diag_b", "n"), DiagTap("diag_c", "m"),
                 DiagTap("diag_d", "m"), DiagTap("diag_e", "m")]
-        new, report = update_db(db, [], scanned_modules=set(), taps=taps)
+        new, report = update_db(db, [], {"m", "n"}, BLK, [taps[i] for i in (4, 1, 3, 2)])
         assert report.taps == [("retired", "diag_a", 0, ""),
                                ("moved", "diag_b", 1, " from m to n"),
                                ("reactivated", "diag_c", 2, ""), ("added", "diag_e", 4, "")]
         assert parse_taps(new.entries[0].extra[TAPS_COLUMN]) == taps
 
     def test_no_taps_no_column(self):
-        new, report = update_db(RegDb(), [cand(DIAG_SEL, 1)], taps=[])
+        new, report = update_db(RegDb(), [cand(DIAG_SEL, 1)], config=BLK, taps=[])
         assert new.columns == list(CANONICAL_COLUMNS) and new.entries[0].extra == {}
         assert report.taps == []
 
@@ -361,10 +369,12 @@ def test_tap_codes_are_allocated_as_offsets(scans):
     """Over any sequence of tap sets: a tap keeps its code in every revision,
     a retired tap's code is never given to another, and each new tap takes the
     lowest code no tap held, in scan order."""
-    taps, codes = [], {}  # codes: name -> the code it was first given
+    db, taps, codes = RegDb(), [], {}  # codes: name -> the code it was first given
     for found, scanned in scans:
         before, where = taps, dict(found)
-        taps = merge_taps(taps, found, scanned)
+        db, _ = update_db(db, [], scanned, BLK, [DiagTap(*pair) for pair in found])
+        sel = db.entry(DIAG_SEL)
+        taps = parse_taps(sel.extra[TAPS_COLUMN]) if sel else []
         assert parse_taps(format_taps(taps)) == taps
         code_of = {t.name: code for code, t in enumerate(taps)}
         assert len(code_of) == len(taps)
@@ -484,7 +494,7 @@ _MADE = {
     "replaced": lambda: RegEntry("cfg_a", 8, "RW")._replace(extra={"owner": "alice"}),
     "load_db": lambda: load_db(_OWNED).entries[0],
     "load_canonical_db": lambda: load_canonical_db(_OWNED)[0].entries[0],
-    "update_db": lambda: update_db(RegDb(), [cand(DIAG_SEL, 2)],
+    "update_db": lambda: update_db(RegDb(), [], config=BLK,
                                    taps=[DiagTap("diag_x", "m1")])[0].entries[0],
 }
 
