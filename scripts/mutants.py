@@ -9,8 +9,10 @@ a time and in order, applies the row's mutant there, runs
 and puts the file back. A row is killed when pytest reports a failed test,
 survived when every test passes, and stale when its old text does not occur
 exactly once or pytest ends any other way (a node id not found, or a
-collection error). Prints one line per row and the total time, removes the
-temp directory, and exits 1 if any row survived or is stale.
+collection error). A row whose pytest runs past ROW_SECONDS is a timeout:
+pytest and every process it started are killed. Prints one line per row and
+the total time, removes the temp directory, and exits 1 unless every row is
+killed.
 
 Usage:
   python3 scripts/mutants.py
@@ -21,6 +23,7 @@ from __future__ import annotations
 import os
 import runpy
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -28,6 +31,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+ROW_SECONDS = 120  # a row whose tests run longer is a timeout
 
 
 def run_row(work: Path, row, env: dict) -> str:
@@ -37,10 +41,17 @@ def run_row(work: Path, row, env: dict) -> str:
     if text.count(row.old) != 1:
         return "stale"
     target.write_text(text.replace(row.old, row.new), encoding="utf-8")
+    # a session of its own, so that a timeout kills pytest with every process it started
+    pytest = subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *row.kills],
+        cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
     try:
-        code = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *row.kills],
-            cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        code = pytest.wait(timeout=ROW_SECONDS)
+    except subprocess.TimeoutExpired:
+        os.killpg(pytest.pid, signal.SIGKILL)
+        pytest.wait()
+        return "timeout"
     finally:
         target.write_text(text, encoding="utf-8")
         # no failing example that Hypothesis saved for this row is replayed for the next

@@ -234,23 +234,35 @@ def _scan_modules(cfg: ProjectConfig, diagnostics: list) -> Iterator[sv_scan.Mod
             yield module
 
 
-def _holds(path: Path, data: bytes) -> bool:
-    """Whether path holds data; the sizes are compared first, then the bytes
-    64 KiB at a time."""
+_SLICE = 1 << 16  # characters encoded at a time
+
+
+def _slices(text: str) -> Iterator[bytes]:
+    """text's UTF-8 bytes, encoded _SLICE characters at a time."""
+    return (text[at:at + _SLICE].encode("utf-8") for at in range(0, len(text), _SLICE))
+
+
+def _holds(path: Path, text: str) -> bool:
+    """Whether path holds text's UTF-8 bytes: the sizes are compared first
+    when text is ASCII (its byte length is then len(text)), then the bytes
+    one slice at a time, then the file must end there."""
     with contextlib.suppress(OSError), open(path, "rb") as old:
-        return os.fstat(old.fileno()).st_size == len(data) and all(
-            old.read(1 << 16) == data[at:at + (1 << 16)] for at in range(0, len(data), 1 << 16))
+        if text.isascii() and os.fstat(old.fileno()).st_size != len(text):
+            return False
+        return all(old.read(len(data)) == data for data in _slices(text)) and not old.read(1)
     return False
 
 
 def _write_outputs(folder: Path, batches: Iterable[dict[str, str]]) -> dict[str, bool]:
     """Writes each {file name: text} batch into folder; returns {file name: changed}.
 
-    Each text is encoded to UTF-8 once; a file that already holds those bytes
-    is left alone. Each batch is staged in temp files (.<name>.*) before the
-    next is made, and none replaces its file until all are; folder's missing
-    directories are made only when something is staged. On any failure the
-    temp files and those directories are removed.
+    Each text is encoded to UTF-8 one slice of _SLICE characters at a time,
+    so no text is also held as bytes: a file that already holds those bytes is
+    left alone, and any other is staged from the same slices. Each batch is
+    staged in temp files (.<name>.*) before the next is made, and none
+    replaces its file until all are; folder's missing directories are made
+    only when something is staged. On any failure the temp files and those
+    directories are removed.
     """
     os.umask(umask := os.umask(0o077))  # reads the umask, which os.umask only swaps
     made: list[Path] = []  # the directories made here, outermost first
@@ -258,8 +270,8 @@ def _write_outputs(folder: Path, batches: Iterable[dict[str, str]]) -> dict[str,
     try:
         for batch in batches:
             for name in batch:
-                path, data = folder / name, batch[name].encode("utf-8")
-                if _holds(path, data):
+                path = folder / name
+                if _holds(path, batch[name]):
                     staged[name] = None
                     continue
                 if not folder.exists():
@@ -272,9 +284,9 @@ def _write_outputs(folder: Path, batches: Iterable[dict[str, str]]) -> dict[str,
                 mode = path.stat().st_mode & 0o7777 if path.exists() else 0o666 & ~umask
                 fd, staged[name] = tempfile.mkstemp(dir=folder, prefix=f".{name}.")
                 with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
+                    handle.writelines(_slices(batch[name]))
                 os.chmod(staged[name], mode)  # mkstemp made it 0600
-            batch = data = None  # the next batch is made without these texts or bytes
+            batch = None  # the next batch is made without these texts
         for name in sorted(staged):
             if staged[name] is not None:
                 os.replace(staged[name], folder / name)
@@ -359,7 +371,8 @@ def cmd_generate(cfg: ProjectConfig) -> int:
                 f"size {cfg.emit.csr_region_size_bytes:#x}")
     pads = ()
     if "pads" in cfg.emit.targets and cfg.pads_path:
-        pads = emit.load_pad_db(Path(cfg.pads_path).read_text(encoding="utf-8"))
+        # as written: universal newlines would turn a quoted CR into LF
+        pads = emit.load_pad_db(Path(cfg.pads_path).read_bytes().decode("utf-8"))
     regs = emit.prepare(db, cfg.emit, hash32)  # shared by every group, changed by none
 
     # one render_targets call per output, except c and py, which one

@@ -472,8 +472,9 @@ def render_targets(
     Raises before returning anything. `generate` prepares one RegMap and
     hands the writer a generator of calls, one per output, with c and py in
     one call since one emit_sw_views call renders both. The writer stages
-    each result before it asks for the next, so `generate` holds one
-    artifact's text at a time, and replaces no output until all have rendered.
+    each result before it asks for the next, encoding each text a bounded
+    slice at a time, so `generate` holds one artifact's text at a time and
+    never its bytes beside it, and replaces no output until all have rendered.
     """
     cfg = regs.cfg
     out: dict[str, str] = {}

@@ -24,6 +24,8 @@ class Mutant(NamedTuple):
 _EMIT_ORACLE = "tests/test_emit_oracle.py::"
 _MERGE_LAW = "tests/test_regdb_oracle.py::test_update_db_matches_oracle"
 _MEMMAP_LAW = "tests/test_readback.py::test_memmap_header_declares_each_parameter_once"
+_WRITER = "tests/test_cli.py::TestWriteOutputs::"
+_EXIT = "tests/test_cli.py::TestExitCodes::test_exit_code_and_message"
 
 MUTANTS = (
     Mutant(
@@ -78,4 +80,42 @@ MUTANTS = (
         "            if stem in stems:\n",
         "            if False:\n",
         (_MEMMAP_LAW,)),
+    Mutant(
+        "writer-skips-the-end-of-file-check", "src/chipkit/cli.py",
+        "for data in _slices(text)) and not old.read(1)\n",
+        "for data in _slices(text))\n",
+        (_WRITER + "test_old_file_off_by_one_byte_is_rewritten[one-byte-more-utf8]",)),
+    Mutant(
+        "writer-compares-sizes-of-non-ascii-text", "src/chipkit/cli.py",
+        "        if text.isascii() and os.fstat(old.fileno()).st_size != len(text):\n",
+        "        if os.fstat(old.fileno()).st_size != len(text):\n",
+        (_WRITER + "test_file_holding_the_bytes_is_left_alone[utf8]",
+         _WRITER + "test_each_file_holds_its_texts_utf8_bytes")),
+    Mutant(
+        "pad-script-writes-cells-bare", "src/chipkit/emit.py",
+        '        return cell if _PLAIN_RE.fullmatch(cell) else f"{{{cell}}}"\n',
+        "        return cell\n",
+        ("tests/test_emit.py::TestPadScript::test_cells_braced_unless_plain",
+         "tests/test_readback.py::test_pad_script_runs_no_cell")),
+    Mutant(
+        "pad-file-takes-cells-braces-cannot-quote", "src/chipkit/emit.py",
+        "            if bad := _UNQUOTABLE_RE.search(row[idx[col]]):\n",
+        "            if bad := None:\n",
+        (_EXIT + "[pad-cell-open-brace]", _EXIT + "[pad-cell-cr]")),
+    Mutant(
+        "block-name-matched-as-a-prefix", "src/chipkit/regdb.py",
+        "        if not _IDENT_RE.fullmatch(self.block_name):\n",
+        "        if not _IDENT_RE.match(self.block_name):\n",
+        ("tests/test_construction_checks.py::test_invalid_value_cannot_be_built"
+         "[emit-block-name-then-newline]",)),
+    Mutant(
+        "register-name-matched-as-a-prefix", "src/chipkit/regdb.py",
+        "        if not _IDENT_RE.fullmatch(e.name):\n",
+        "        if not _IDENT_RE.match(e.name):\n",
+        ("tests/test_regdb.py::TestValidate::test_name_is_matched_whole",)),
+    Mutant(
+        "csr-region-checked-only-for-memmap", "src/chipkit/cli.py",
+        '    if cfg.map_path or "memmap" in cfg.emit.targets:',
+        '    if "memmap" in cfg.emit.targets:',
+        ("tests/test_cli.py::TestGenerate::test_map_checked_for_every_target",)),
 )

@@ -407,6 +407,19 @@ class TestGenerate:
         assert main(["generate", "--targets", "rtl,md", "--out", "two"]) == 0
         assert {p.name for p in (proj / "two").iterdir()} == {"demo_csr.sv", "demo_regs.md"}
 
+    def test_crlf_pad_file_places_the_same_pads(self, proj, capsys):
+        """pads.csv is read without newline translation; csv still ends each
+        CRLF row where an LF ends it."""
+        assert main(["update"]) == 0
+        assert main(["generate", "--targets", "pads"]) == 0
+        script = (proj / "gen" / "pads_place.tcl").read_bytes()
+        pads = proj / "pads.csv"
+        pads.write_bytes(pads.read_bytes().replace(b"\n", b"\r\n"))
+        capsys.readouterr()
+        assert main(["generate", "--targets", "pads"]) == 0
+        assert capsys.readouterr().out == f"unchanged {proj / 'gen' / 'pads_place.tcl'}\n"
+        assert (proj / "gen" / "pads_place.tcl").read_bytes() == script
+
     def test_invalid_db_exit_3_nothing_written(self, proj):
         assert main(["update"]) == 0
         text = (proj / "regs.csv").read_text()
@@ -594,6 +607,42 @@ class TestWriteOutputs:
             assert cli._write_outputs(tmp_path, [texts]) == dict.fromkeys(texts, changed)
             assert {n: (tmp_path / n).read_bytes() for n in texts} == \
                 {n: t.encode("utf-8") for n, t in texts.items()}
+
+    # texts around the slice boundary: one slice, one slice and a character,
+    # and a two- or four-byte character as the last of the first slice
+    SLICED = {"one-slice": "a" * cli._SLICE, "one-slice-and-1": "a" * cli._SLICE + "b",
+              "2-byte-at-the-edge": "a" * (cli._SLICE - 1) + "é" + "z" * cli._SLICE,
+              "4-byte-at-the-edge": "a" * (cli._SLICE - 1) + "\U0001f600" + "z\n"}
+
+    @pytest.mark.parametrize("text", SLICED.values(), ids=SLICED)
+    def test_sliced_text_keeps_its_bytes(self, tmp_path, text):
+        for changed in (True, False):
+            assert cli._write_outputs(tmp_path, [{"out.txt": text}]) == {"out.txt": changed}
+            assert (tmp_path / "out.txt").read_bytes() == text.encode("utf-8")
+
+    # ASCII texts are told apart by size; the others only byte by byte
+    ENDS = {"ascii": "abc\n", "utf8": "é ü\n", "ascii-slices": "a" * (2 * cli._SLICE),
+            "utf8-slices": "é" * (cli._SLICE + 1)}
+
+    @pytest.mark.parametrize("text", ENDS.values(), ids=ENDS)
+    @pytest.mark.parametrize("old", [lambda data: data + b"\n", lambda data: data[:-1]],
+                             ids=["one-byte-more", "one-byte-less"])
+    def test_old_file_off_by_one_byte_is_rewritten(self, tmp_path, text, old):
+        data = text.encode("utf-8")
+        (tmp_path / "out.txt").write_bytes(old(data))
+        assert cli._write_outputs(tmp_path, [{"out.txt": text}]) == {"out.txt": True}
+        assert (tmp_path / "out.txt").read_bytes() == data
+
+    @pytest.mark.parametrize("text", ENDS.values(), ids=ENDS)
+    def test_file_holding_the_bytes_is_left_alone(self, tmp_path, text):
+        path = tmp_path / "out.txt"
+        path.write_bytes(text.encode("utf-8"))
+        os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+        before = path.stat()
+        assert cli._write_outputs(tmp_path, [{"out.txt": text}]) == {"out.txt": False}
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 class TestFileModes:
@@ -816,6 +865,13 @@ def _pad_row(row):
     return setup
 
 
+def _cr_ended_pads(proj):
+    _bootstrap(proj)
+    pads = proj / "pads.csv"
+    pads.write_bytes(pads.read_bytes().replace(b"\n", b"\r"))
+    return ["generate"]
+
+
 def _malformed_script(proj):
     _bootstrap(proj)
     (proj / "bad.txt").write_text("> R 0x50000000\n> R 0x50000004\n")
@@ -988,6 +1044,13 @@ EXIT_CODE_TABLE = [
      "error: pad row 2: cell holds '\\t', which the pad script cannot quote\n"),
     ("pad-cell-escape", _pad_row("pad_clk,N\x1b,0,PDIN,clock"), 2,
      "error: pad row 2: side holds '\\x1b', which the pad script cannot quote\n"),
+    # pads.csv is read as written (universal newlines made this CR an LF)
+    ("pad-cell-cr", _pad_row('pad_clk,N,0,PDIN,"clock\r"'), 2,
+     "error: pad row 2: signal holds '\\r', which the pad script cannot quote\n"),
+    # and so a lone CR ends no row
+    ("pad-rows-ended-by-cr", _cr_ended_pads, 2,
+     "error: pad row 1: new-line character seen in unquoted field - "
+     "do you need to open the file in universal-newline mode?\n"),
     ("malformed-script", _malformed_script, 2,
      "error: line 2: expected '< <response>' after command\n"),
     # an INI value names its setting as the flag's error does (it named the key)

@@ -478,8 +478,8 @@ class TestPadScript:
     @pytest.mark.parametrize("char", ["\r", "\x01", "\x7f", "\x9b"])
     @pytest.mark.parametrize("column", ["name", "cell", "signal"])
     def test_cell_braces_cannot_hold_is_refused(self, column, char):
-        """The control characters that the CLI's exit-code table does not
-        carry: a CR, which reading the file turns into a LF, C0, DEL and C1."""
+        """Control characters beyond those of the CLI's exit-code table: a CR
+        in each column, C0, DEL and C1."""
         cells = {"name": "p0", "side": "N", "order": "0", "cell": "C", "signal": "s0"}
         cells[column] = f"a{char}b"
         text = "name,side,order,cell,signal\n" + ",".join(

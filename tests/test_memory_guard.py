@@ -136,3 +136,15 @@ def test_generate_holds_one_rendered_artifact_at_a_time(tmp_path):
     assert code == 0
     assert len(list((tmp_path / "gen").iterdir())) == 9
     assert peak <= 0.85 * RENDER_ALL_PEAK
+
+
+def test_write_outputs_holds_no_text_twice(tmp_path):
+    """The writer encodes, compares and stages one slice at a time; encoding
+    the whole text first peaks at about len(text) in bytes alone."""
+    text = "".join(f"    reg_{i:06d} <= 32'h{i:08x};\n" for i in range(64_000))  # 2.0 MB
+    assert text.isascii() and len(text) > 2_000_000
+    for changed in (True, False):  # staged from the slices, then compared with them
+        result, peak = _peak(cli._write_outputs, tmp_path, [{"big.sv": text}])
+        assert result == {"big.sv": changed}
+        assert peak < len(text) / 4
+    assert (tmp_path / "big.sv").read_bytes() == text.encode("utf-8")
