@@ -1,5 +1,7 @@
 """chipkit: register-map toolchain driver.
 
+Usage: chipkit [--config FILE] COMMAND [ARG...]
+
 Subcommands:
   update    scan RTL for register/diagnostic candidates and merge the database
   generate  render all configured artifacts from the database
@@ -11,13 +13,20 @@ Settings come from an INI-style file (--config flag or CHIPKIT_CONFIG environmen
 variable) and from flags, which override it. SETTINGS holds each one's flag, INI
 key, ProjectConfig field, shared parser and the subcommands that offer the flag.
 
+_read_argv reads argv from SETTINGS and _COMMANDS alone, without argparse,
+whose import and parsers cost each start about 4 ms. A subcommand takes the
+flags of the settings it reads, run-test a required --script too and lint
+path operands; a value follows its flag as the next word or after '=', --rtl
+takes every word up to the next flag, and the last of a repeated flag wins.
+-h or --help prints a usage built from the same tables. A usage error is an
+InputError, so it prints one error line and exits 2.
+
 Exit codes: 0 success, 1 check failures, 2 I/O or parse errors (InputError),
 3 data/validation errors (DataError).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import os
@@ -318,12 +327,17 @@ def cmd_update(cfg: ProjectConfig) -> int:
         print(f"note: {d.path}:{d.line}: [{d.kind}] {d.message}", file=sys.stderr)
 
     db_file = Path(cfg.db_path)
-    db = _read_db(db_file.read_text(encoding="utf-8"))[0] if db_file.exists() else regdb.RegDb()
+    db = _read_db(_read_text(db_file))[0] if db_file.exists() else regdb.RegDb()
     new_db, report = regdb.update_db(db, candidates, scanned_modules, cfg.emit, taps)
     _check_db(new_db, cfg.db_path)  # what the other commands would reject is not written
     print(regdb.format_change_report(report))
     _write_outputs(db_file.parent, [{db_file.name: regdb.save_db(new_db)}])
     return EXIT_OK
+
+
+def _read_text(path: Path) -> str:
+    """path's UTF-8 text as written: universal newlines would turn a quoted CR into LF."""
+    return path.read_bytes().decode("utf-8")
 
 
 def _read_db(text: str) -> tuple[regdb.RegDb, int | None]:
@@ -344,7 +358,7 @@ def _check_db(db: regdb.RegDb, path: str) -> None:
 
 def _load_db_checked(cfg: ProjectConfig) -> tuple[regdb.RegDb, int]:
     """The valid database in the database file, and its db_hash."""
-    db, hash32 = _read_db(Path(cfg.db_path).read_text(encoding="utf-8"))
+    db, hash32 = _read_db(_read_text(Path(cfg.db_path)))
     if hash32 is None:
         _check_db(db, cfg.db_path)
         hash32 = regdb.db_hash(db)
@@ -371,8 +385,7 @@ def cmd_generate(cfg: ProjectConfig) -> int:
                 f"size {cfg.emit.csr_region_size_bytes:#x}")
     pads = ()
     if "pads" in cfg.emit.targets and cfg.pads_path:
-        # as written: universal newlines would turn a quoted CR into LF
-        pads = emit.load_pad_db(Path(cfg.pads_path).read_bytes().decode("utf-8"))
+        pads = emit.load_pad_db(_read_text(Path(cfg.pads_path)))
     regs = emit.prepare(db, cfg.emit, hash32)  # shared by every group, changed by none
 
     # one render_targets call per output, except c and py, which one
@@ -447,49 +460,131 @@ def cmd_run_test(cfg: ProjectConfig, script_path: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument reading
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chipkit", description="register-map generation and SoC validation toolkit")
-    parser.add_argument("--config", help=f"config file (default: ${CONFIG_ENV})")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name, help=text) for name, (text, _) in _COMMANDS.items()}
-    commands["lint"].add_argument("paths", nargs="*", help="files or directories")
-    commands["run-test"].add_argument("--script", required=True, help="test script file")
-    for s in SETTINGS:
-        options = ({"action": "store_const", "const": True} if s.parse is None
-                   else {"nargs": "+"} if s.parse is _paths else {})
-        for name in s.commands.split():
-            commands[name].add_argument(s.flag, **options)
-    return parser
-
-
-# subcommand -> (help, handler(cfg, args))
+# subcommand -> (help, handler(cfg, flags, lint's paths))
 _COMMANDS = {
-    "update": ("scan RTL and merge the register database", lambda cfg, args: cmd_update(cfg)),
-    "generate": ("render artifacts from the database", lambda cfg, args: cmd_generate(cfg)),
-    "lint": ("style-check RTL sources", lambda cfg, args: cmd_lint(cfg, args.paths)),
-    "sim": ("serve the host protocol against the model", lambda cfg, args: cmd_sim(cfg)),
+    "update": ("scan RTL and merge the register database",
+               lambda cfg, flags, paths: cmd_update(cfg)),
+    "generate": ("render artifacts from the database", lambda cfg, flags, paths: cmd_generate(cfg)),
+    "lint": ("style-check RTL sources", lambda cfg, flags, paths: cmd_lint(cfg, paths)),
+    "sim": ("serve the host protocol against the model", lambda cfg, flags, paths: cmd_sim(cfg)),
     "run-test": ("run a test script against the model",
-                 lambda cfg, args: cmd_run_test(cfg, args.script)),
+                 lambda cfg, flags, paths: cmd_run_test(cfg, flags["--script"])),
 }
+
+
+def _flags(command: str | None) -> dict:
+    """The flags command takes (None: before the command), each with its
+    setting's parse: None for a switch, _paths for one or more words."""
+    if command is None:
+        return {"--config": _path}
+    flags = {s.flag: s.parse for s in SETTINGS if command in s.commands.split()}
+    return {"--script": _path, **flags} if command == "run-test" else flags
+
+
+def _is_flag(word: str, offered: dict) -> bool:
+    """Whether word is a flag: it starts with '-' and is not '-', and it names
+    a flag offered or -h, or is neither a negative number nor holds a space
+    (the words that argparse took as values)."""
+    if word[:1] != "-" or word == "-":
+        return False
+    name = word.partition("=")[0]
+    if name in offered or name in ("-h", "--help"):
+        return True
+    whole, point, fraction = word[1:].partition(".")
+    number = (whole.isdecimal() and not point
+              or fraction.isdecimal() and (whole == "" or whole.isdecimal()))
+    return not number and " " not in word
+
+
+def _read_argv(argv: list) -> tuple[str | None, dict, list]:
+    """Reads [--config FILE] COMMAND [ARG...]: the command, {flag: value} and
+    lint's paths. A value is a word, --rtl's list of words, or True for a
+    switch; a flag given twice keeps its last. After lint, every word after
+    -- is a path. -h or --help ends the reading with {"--help": True}. A
+    usage error is an InputError."""
+    command, offered, flags, paths = None, _flags(None), {}, []
+    at = 0
+    while at < len(argv):
+        word = argv[at]
+        at += 1
+        if word in ("-h", "--help"):
+            return command, {"--help": True}, []
+        if word == "--" and command == "lint":  # every later word is a path
+            paths += argv[at:]
+            break
+        if not _is_flag(word, offered):
+            if command is None:
+                if word not in _COMMANDS:
+                    raise InputError(f"unknown command {word!r} ({', '.join(_COMMANDS)})")
+                command, offered = word, _flags(word)
+            elif command == "lint":
+                paths.append(word)
+            else:
+                raise InputError(f"{command} takes no operand {word!r}")
+            continue
+        flag, eq, value = word.partition("=")
+        if flag not in offered:
+            raise InputError(f"no flag {flag} " + (f"for {command}" if command
+                                                    else "before the command"))
+        parse = offered[flag]
+        if parse is None:
+            if eq:
+                raise InputError(f"{flag} takes no value")
+            value = True
+        elif not eq:  # the next word, or for --rtl every word up to the next flag
+            end = at
+            while (end < len(argv) and not _is_flag(argv[end], offered)
+                   and (end == at or parse is _paths)):
+                end += 1
+            if end == at:
+                raise InputError(f"{flag} needs a value")
+            value = argv[at:end] if parse is _paths else argv[at]
+            at = end
+        elif parse is _paths:
+            value = [value]
+        flags[flag] = value
+    if command is None:
+        raise InputError(f"no command given ({', '.join(_COMMANDS)})")
+    if command == "run-test" and "--script" not in flags:
+        raise InputError("run-test needs --script FILE")
+    return command, flags, paths
+
+
+def _usage(command: str | None) -> str:
+    """The --help text: every command with its help, or command's flags,
+    each setting's with the config key it overrides."""
+    if command is None:
+        return "\n".join([
+            "usage: chipkit [--config FILE] COMMAND [ARG...]", "",
+            "register-map generation and SoC validation toolkit", "",
+            "commands:", *(f"  {name:<10}{text}" for name, (text, _) in _COMMANDS.items()), "",
+            f"--config FILE: config file (default: ${CONFIG_ENV})",
+            "chipkit COMMAND --help lists the command's flags"])
+    keys = {s.flag: f"[{s.ini[0]}] {s.ini[1]}" if s.ini else "no config key" for s in SETTINGS}
+    keys["--script"] = "test script file (required)"
+    words = {None: "", _path: " PATH", _paths: " PATH..."}
+    return "\n".join([
+        f"usage: chipkit {command} " + ("[PATH...]" if command == "lint" else "[FLAG...]"),
+        _COMMANDS[command][0], "", "flags:" if command != "lint" else "flags: none",
+        *(f"  {flag + words.get(parse, ' VALUE'):<26}{keys[flag]}"
+          for flag, parse in _flags(command).items())])
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        path = args.config or os.environ.get(CONFIG_ENV)
-        flags = {s: getattr(args, s.flag[2:].replace("-", "_"), None) for s in SETTINGS}
+        command, flags, paths = _read_argv(sys.argv[1:] if argv is None else argv)
+        if "--help" in flags:
+            print(_usage(command))
+            return EXIT_OK
+        path = flags.get("--config") or os.environ.get(CONFIG_ENV)
         # the flags override the file, and the settings in effect are checked
         cfg = _apply(ProjectConfig(), {
             **(_ini_values(path) if path else {}),
-            **{s.field: s.parse(raw, None) if s.parse else raw
-               for s, raw in flags.items() if raw is not None}})
-        return _COMMANDS[args.command][1](cfg, args)
+            **{s.field: s.parse(flags[s.flag], None) if s.parse else True
+               for s in SETTINGS if s.flag in flags}})
+        return _COMMANDS[command][1](cfg, flags, paths)
     except ChipkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -214,13 +214,28 @@ def csv_rows(text: str, label: str) -> Iterator[list[str]]:
         raise InputError(f"{label} {number + 1}: {exc}") from None
 
 
+def _crlf_as_lf(cells: list[str], names: list[str], rownum: int) -> list[str]:
+    """cells with each CRLF read as LF, as universal newlines read it. Any
+    other CR is an InputError: csv.writer would write it unquoted, and csv
+    could then not read the saved file."""
+    cells = [c.replace("\r\n", "\n") for c in cells]
+    for cell, name in zip(cells, names):
+        if "\r" in cell:
+            raise InputError(f"row {rownum}: {name} holds a CR outside a CRLF")
+    return cells
+
+
 def load_db(csv_text: str) -> RegDb:
     """Parse CSV text into a RegDb, preserving any extra columns verbatim; an
-    entry's extra holds its non-empty extra cells."""
+    entry's extra holds its non-empty extra cells. A CRLF in a cell reads as
+    LF, and any other CR is refused."""
     rows = csv_rows(csv_text, "row")
     header = next(rows, None)
     if header is None:
         raise InputError("empty database file (missing header row)")
+    crs = "\r" in csv_text  # a text without CR pays for no check
+    if crs:
+        header = _crlf_as_lf(header, [f"column {i}" for i in range(1, len(header) + 1)], 1)
     columns = [c.strip() for c in header]
     for col in REQUIRED_COLUMNS:
         if col not in columns:
@@ -239,6 +254,8 @@ def load_db(csv_text: str) -> RegDb:
             continue
         if len(row) != len(header):
             raise InputError(f"row {rownum}: expected {len(header)} fields, found {len(row)}")
+        if crs:
+            row = _crlf_as_lf(row, columns, rownum)
         name = row[i_name].strip()
         width = _parse_int(row[i_width], "width", rownum)
         access = row[i_access].strip().upper()

@@ -26,6 +26,8 @@ _MERGE_LAW = "tests/test_regdb_oracle.py::test_update_db_matches_oracle"
 _MEMMAP_LAW = "tests/test_readback.py::test_memmap_header_declares_each_parameter_once"
 _WRITER = "tests/test_cli.py::TestWriteOutputs::"
 _EXIT = "tests/test_cli.py::TestExitCodes::test_exit_code_and_message"
+_SETTINGS = "tests/test_cli.py::TestSettings::"
+_ARGV = "tests/test_cli.py::TestArgv::"
 
 MUTANTS = (
     Mutant(
@@ -118,4 +120,27 @@ MUTANTS = (
         '    if cfg.map_path or "memmap" in cfg.emit.targets:',
         '    if "memmap" in cfg.emit.targets:',
         ("tests/test_cli.py::TestGenerate::test_map_checked_for_every_target",)),
+    Mutant(
+        "subcommand-takes-every-setting-flag", "src/chipkit/cli.py",
+        "    flags = {s.flag: s.parse for s in SETTINGS if command in s.commands.split()}\n",
+        "    flags = {s.flag: s.parse for s in SETTINGS}\n",
+        (_SETTINGS + "test_each_subcommand_offers_the_flags_it_reads",
+         _EXIT + "[flag-of-another-command]", _ARGV + "test_reader_agrees_with_argparse")),
+    Mutant(
+        "rtl-takes-one-word", "src/chipkit/cli.py",
+        "                   and (end == at or parse is _paths)):\n",
+        "                   and end == at):\n",
+        (_ARGV + "test_rtl_takes_every_word_up_to_the_next_flag",
+         _ARGV + "test_reader_agrees_with_argparse")),
+    Mutant(
+        "flag-value-split-at-the-last-equals-sign", "src/chipkit/cli.py",
+        '        flag, eq, value = word.partition("=")\n',
+        '        flag, eq, value = word.rpartition("=") if "=" in word else word.partition("=")\n',
+        (_ARGV + "test_value_keeps_every_equals_sign_after_the_first",
+         _ARGV + "test_reader_agrees_with_argparse")),
+    Mutant(
+        "database-takes-a-lone-cr", "src/chipkit/regdb.py",
+        '        if "\\r" in cell:\n',
+        "        if False:\n",
+        (_EXIT + "[update-cr-in-description]", _EXIT + "[generate-cr-in-extra-cell]")),
 )

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import gc
 import hashlib
@@ -16,8 +15,11 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chipkit import cli, regdb, sv_scan
+import argv_oracle
+from chipkit import InputError, cli, regdb, sv_scan
 from chipkit.cli import main
 
 
@@ -950,6 +952,8 @@ DB_TEXTS = {
     "tap-retired": (("diag_tick@timer_unit", "diag_tick@timer_unit:retired"),),
     "entry-past-region": (("0x34,demo_diag_mux,,active", "0x2000,demo_diag_mux,,active"),),
     "retired-past-region": (("0x34,demo_diag_mux,,active", "0x2000,demo_diag_mux,,retired"),),
+    "cr-in-description": (("0x4,dsp_core,,", '0x4,dsp_core,"a\rb",'),),
+    "cr-in-extra-cell": ((",state,", ",state,owner,"), (",active,", ',active,"m\re",')),
 }
 
 
@@ -1120,6 +1124,36 @@ EXIT_CODE_TABLE = [
      "error: cfg_gain: diag_taps is set only on cfg_diag_sel\n" + _INVALID),
     ("generate-tap-codes-too-wide", _regs("tap-codes-too-wide", ("generate",)), 3,
      "error: cfg_diag_sel: 2-bit diagnostic select codes do not fit in 1 bits\n" + _INVALID),
+    # regs.csv is read as written, and a CR that save_db would write unquoted
+    # is refused (update saved this "a\rb" as "a\nb")
+    ("update-cr-in-description", _regs("cr-in-description", ("update",)), 2,
+     "error: row 2: description holds a CR outside a CRLF\n"),
+    ("generate-cr-in-extra-cell", _regs("cr-in-extra-cell", ("generate",)), 2,
+     "error: row 2: owner holds a CR outside a CRLF\n"),
+    # every usage error is one error line and exit 2 (argparse printed its usage)
+    ("no-command", _args(bootstrap=False), 2,
+     "error: no command given (update, generate, lint, sim, run-test)\n"),
+    ("unknown-command", _args("frobnicate", bootstrap=False), 2,
+     "error: unknown command 'frobnicate' (update, generate, lint, sim, run-test)\n"),
+    ("flag-of-another-command", _args("update", "--fault", "zap", bootstrap=False), 2,
+     "error: no flag --fault for update\n"),
+    ("setting-flag-before-the-command", _args("--db", "x.csv", "update", bootstrap=False), 2,
+     "error: no flag --db before the command\n"),
+    ("config-after-the-command", _args("update", "--config", "chipkit.cfg", bootstrap=False), 2,
+     "error: no flag --config for update\n"),
+    # a flag is spelled in full (argparse took --reg for --region-size)
+    ("abbreviated-flag", _args("update", "--reg", "0x2000", bootstrap=False), 2,
+     "error: no flag --reg for update\n"),
+    ("missing-value", _args("generate", "--block", bootstrap=False), 2,
+     "error: --block needs a value\n"),
+    ("rtl-without-a-path", _args("update", "--rtl", "--db", "regs.csv", bootstrap=False), 2,
+     "error: --rtl needs a value\n"),
+    ("switch-given-a-value", _args(*_SELFTEST, "--stop-on-fail=yes"), 2,
+     "error: --stop-on-fail takes no value\n"),
+    ("unexpected-operand", _args("update", "rtl", bootstrap=False), 2,
+     "error: update takes no operand 'rtl'\n"),
+    ("missing-script", _args("run-test", bootstrap=False), 2,
+     "error: run-test needs --script FILE\n"),
 ]
 
 
@@ -1171,12 +1205,23 @@ class TestOnePassEquivalence:
                                             "entry-past-region", "retired-past-region"))
 
 
+def _takes(command, flag):
+    """Whether the reader takes flag after command, bare or with a value."""
+    script = ["--script", "s"] if command == "run-test" else []
+    for words in ([flag], [flag, "x"]):
+        try:
+            cli._read_argv([command, *words, *script])
+            return True
+        except InputError:
+            pass
+    return False
+
+
 def _subcommand_flags():
-    parser = cli._build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: sorted(o for a in p._actions for o in a.option_strings
-                         if o not in ("-h", "--help"))
-            for name, p in sub.choices.items()}
+    """The flags the reader takes after each command, of all that any command
+    or the top level takes."""
+    flags = sorted({s.flag for s in cli.SETTINGS} | {"--config", "--script"})
+    return {command: [f for f in flags if _takes(command, f)] for command in cli._COMMANDS}
 
 
 # (flag, INI section, INI key, a subcommand that reads it, values to try);
@@ -1257,6 +1302,105 @@ class TestSettings:
             code = main(argv)
             outcomes.append((code, capsys.readouterr().err, list(seen)))
         assert outcomes[0] == outcomes[1]
+
+
+# the words a drawn flag or operand takes: the texts of EQUIVALENCE_CASES,
+# empty ones included, one that holds '=', and the words starting with '-'
+# that argparse took as values: negative numbers, '-' and one holding a space
+_WORDS = st.sampled_from(sorted({text.format(dir="d") for *_, texts in EQUIVALENCE_CASES
+                                 for text in texts} | {"x=y", "-1", "-0.5", "-", "-a b"}))
+
+
+@st.composite
+def _flag_words(draw, flag, parse):
+    """flag and its value in a drawn form: --flag value (1 to 3 words for
+    --rtl) or --flag=value; now and then a switch given a value, or a flag
+    without one, which a word after it may give."""
+    form = draw(st.integers(0, 9))
+    if parse is None:
+        return [f"{flag}={draw(_WORDS)}"] if form == 0 else [flag]
+    if form == 0:
+        return [flag]
+    if form < 5:
+        return [f"{flag}={draw(_WORDS)}"]
+    count = draw(st.integers(1, 3)) if parse is cli._paths else 1
+    return [flag, *draw(st.lists(_WORDS, min_size=count, max_size=count))]
+
+
+@st.composite
+def _argvs(draw):
+    """[--config FILE] COMMAND [ARG...]: mostly the command's own flags, some
+    given twice, and run-test's --script; now and then an operand (lint's
+    paths), a flag of another command or of the top level, or no --script."""
+    argv = draw(_flag_words("--config", cli._path)) if draw(st.booleans()) else []
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv.append(command)
+    own = cli._flags(command)
+    every = {s.flag: s.parse for s in cli.SETTINGS} | cli._flags(None)
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0 or (command == "lint" and kind < 15):
+            argv.append(draw(_WORDS))
+        else:
+            flags = own if own and kind > 1 else every
+            flag = draw(st.sampled_from(sorted(flags)))
+            argv += draw(_flag_words(flag, flags[flag]))
+    if command == "run-test" and draw(st.integers(0, 9)):
+        at = draw(st.integers(argv.index(command) + 1, len(argv)))
+        argv[at:at] = ["--script", draw(_WORDS)]
+    return argv
+
+
+class TestArgv:
+    """cli._read_argv against argparse, which it replaced (tests/argv_oracle.py)."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(argv=_argvs())
+    def test_reader_agrees_with_argparse(self, argv):
+        """Where argparse takes argv the reader gives the same command, config
+        file, settings, paths and script; where it refuses argv, an InputError."""
+        expected = argv_oracle.read_argv(argv)
+        if expected is None:
+            with pytest.raises(InputError):
+                cli._read_argv(argv)
+            return
+        command, flags, paths = cli._read_argv(argv)
+        own = {flag: value for flag, value in flags.items()
+               if flag not in ("--config", "--script")}
+        assert (command, flags.get("--config"), own, paths, flags.get("--script")) == expected
+
+    def test_value_keeps_every_equals_sign_after_the_first(self):
+        assert cli._read_argv(["update", "--block=a=b", "--targets", "x=y"]) == (
+            "update", {"--block": "a=b", "--targets": "x=y"}, [])
+
+    def test_rtl_takes_every_word_up_to_the_next_flag(self):
+        assert cli._read_argv(["update", "--rtl", "a", "", "-1", "--db", "d", "--rtl=b"]) == (
+            "update", {"--rtl": ["b"], "--db": "d"}, [])
+        assert cli._read_argv(["update", "--rtl", "a", "b", "--db", "d"]) == (
+            "update", {"--rtl": ["a", "b"], "--db": "d"}, [])
+
+    def test_lint_takes_every_word_after_a_double_dash_as_a_path(self):
+        assert cli._read_argv(["lint", "a", "--", "-b", "--", "-h"]) == (
+            "lint", {}, ["a", "-b", "--", "-h"])
+        with pytest.raises(InputError, match="no flag -- for update"):
+            cli._read_argv(["update", "--", "x"])
+
+    def test_help_lists_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        listed = out.split("\ncommands:\n", 1)[1].split("\n\n", 1)[0].splitlines()
+        assert [line.split()[0] for line in listed] == list(cli._COMMANDS)
+        assert all(line.split(None, 1)[1] == cli._COMMANDS[line.split()[0]][0]
+                   for line in listed)
+
+    @pytest.mark.parametrize("command", list(TestSettings.FLAGS))
+    @pytest.mark.parametrize("spelling", ["-h", "--help"])
+    def test_command_help_lists_its_flags(self, capsys, command, spelling):
+        """After a command, -h ends the reading: the words after it are not read."""
+        assert main([command, "--db", "x", spelling, "--bogus"]
+                    if "--db" in TestSettings.FLAGS[command] else [command, spelling]) == 0
+        out = capsys.readouterr().out
+        assert sorted(re.findall(r"^  (--[a-z-]+)", out, re.M)) == TestSettings.FLAGS[command]
 
 
 class TestDuplicatePaths:
@@ -1354,8 +1498,9 @@ def _loaded_modules(proj, argv, stdin="", err=""):
     return code, out, set(loaded.split())
 
 
-# the record decorators' module and what it loads cost a command ~25 ms to start
-_START_UP = {"dataclasses", "inspect"}
+# the record decorators' module and what it loads cost a command ~25 ms to
+# start, and argparse with the gettext and locale it loads ~4 ms
+_START_UP = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
 class TestConfigPlumbing:
